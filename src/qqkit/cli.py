@@ -2,7 +2,10 @@
 
 Subcommands: expand, higgs, limit, hasse, affine-expand, burge-check,
 run (a JSON job file), and verify (replay the bundled identity corpus).
-Exit codes: 0 success, 1 verify failures, 2 validation, 3 pole,
+The five computing subcommands and ``run`` build one job dict and hand it
+to ``qqkit.job.Job``; ``hasse`` is the dot rendering of the character.
+Exit codes: 0 success, 1 verify failures, 2 validation (any malformed
+input, reported as one ``validation error:`` line), 3 pole,
 4 colliding arguments, 5 specialization collision, 6 non-integer limit,
 7 inconsistency or blow-up.
 """
@@ -13,7 +16,7 @@ import argparse
 import json
 import sys
 
-from .engine import WeightConfig, expand, qdeg_of
+from .engine import qdeg_of
 from .errors import (
     CollidingArguments,
     InvalidPit,
@@ -25,59 +28,10 @@ from .errors import (
     ValidationError,
     YCollision,
 )
-from .higgsing import ClassicalCharacter, classical_limit, higgs
-from .monomial import Monomial, parse_monomial
-from .partitions import (
-    affine_character,
-    burge_filter,
-    burge_resonance_sigma,
-    partitions_up_to,
-    z_Ar_tuple,
-)
-from .quiver import Quiver, builtin_quiver
+from .higgsing import ClassicalCharacter
+from .job import COMMANDS, FORMATS, JOB_FIELDS, Job, read_json
 from .render import character_latex, character_to_json, hasse_dot, ym_latex
-from .verify import run_corpus
-
-_JOB_FIELDS = {
-    "quiver", "w", "params", "command", "higgs", "limit", "max_deg", "format", "out",
-}
-_FORMATS = ("json", "latex", "dot", "text")
-
-
-def _load_quiver(spec) -> Quiver:
-    if isinstance(spec, str):
-        if spec.startswith("@"):
-            with open(spec[1:], encoding="utf-8") as fh:
-                return Quiver.from_json(json.load(fh))
-        if spec.lstrip().startswith("{"):
-            return Quiver.from_json(json.loads(spec))
-        return builtin_quiver(spec)
-    return Quiver.from_json(spec)
-
-
-def _parse_sigma(spec) -> dict[str, Monomial]:
-    if isinstance(spec, str):
-        spec = json.loads(spec)
-    out = {}
-    for gen, img in spec.items():
-        if isinstance(img, str):
-            out[gen] = parse_monomial(img)
-        else:
-            out[gen] = Monomial.from_json(img)
-    return out
-
-
-def _parse_params(spec):
-    if spec is None:
-        return None
-    if isinstance(spec, str):
-        spec = json.loads(spec)
-    out = {}
-    for key, img in spec.items():
-        node, _, alpha = key.partition(",")
-        mono = parse_monomial(img) if isinstance(img, str) else Monomial.from_json(img)
-        out[(node.strip(), int(alpha))] = mono
-    return out
+from .verify import burge_rows, run_corpus
 
 
 def _emit(doc: str, out: str | None):
@@ -86,98 +40,45 @@ def _emit(doc: str, out: str | None):
             fh.write(doc)
     else:
         sys.stdout.write(doc)
-        if not doc.endswith("\n"):
-            sys.stdout.write("\n")
 
 
-def _character_text(ch) -> str:
-    lines = []
-    if isinstance(ch, ClassicalCharacter):
+def _render(job: Job, ch) -> str:
+    fmt, classical = job.format, isinstance(ch, ClassicalCharacter)
+    if fmt == "json" and classical:
+        data = [{"ym": ym.to_json(), "coeff": c} for ym, c in ch.sorted_terms()]
+        return json.dumps({"limit": ch.which, "terms": data}, indent=1) + "\n"
+    if fmt == "latex" and classical:
+        pieces = ((f"{c} " if c != 1 else "") + ym_latex(ym, {}, False) for ym, c in ch.sorted_terms())
+        return " + ".join(pieces) + "\n"
+    if classical:
+        return "\n".join(f"{c:>6d}  {ym!r}" for ym, c in ch.sorted_terms()) + "\n"
+    if fmt == "json" and job.command == "affine-expand":
+        series: dict[int, list] = {}
         for ym, c in ch.sorted_terms():
-            lines.append(f"{c:>6d}  {ym!r}")
-        return "\n".join(lines) + "\n"
-    for ym, c in ch.terms.items():
-        lines.append(f"{c!r}  *  {ym!r}")
-    return "\n".join(lines) + "\n"
-
-
-def _render(ch, fmt: str) -> str:
-    if isinstance(ch, ClassicalCharacter):
-        if fmt == "json":
-            data = [{"ym": ym.to_json(), "coeff": c} for ym, c in ch.sorted_terms()]
-            return json.dumps({"limit": ch.which, "terms": data}, indent=1) + "\n"
-        if fmt == "latex":
-            names = {}
-            pieces = []
-            for ym, c in ch.sorted_terms():
-                body = ym_latex(ym, names, single_node=False)
-                pieces.append(body if c == 1 else f"{c} {body}")
-            return " + ".join(pieces) + "\n"
-        return _character_text(ch)
+            series.setdefault(qdeg_of(c), []).append({"ym": ym.to_json(), "coeff": c.to_json()})
+        blocks = [{"qdeg": d, "terms": series[d]} for d in sorted(series)]
+        return json.dumps({"series": blocks}, indent=1) + "\n"
     if fmt == "json":
         return json.dumps(character_to_json(ch), indent=1) + "\n"
     if fmt == "latex":
         return character_latex(ch) + "\n"
     if fmt == "dot":
         return hasse_dot(ch)
-    return _character_text(ch)
-
-
-def _run_job(job: dict) -> tuple[str, int]:
-    unknown = set(job) - _JOB_FIELDS
-    if unknown:
-        raise ValidationError(f"unknown job fields: {sorted(unknown)}")
-    command = job.get("command", "expand")
-    fmt = job.get("format", "text")
-    if fmt not in _FORMATS:
-        raise ValidationError(f"format must be one of {_FORMATS}")
-    Q_ = _load_quiver(job["quiver"])
-    w = {str(k): int(v) for k, v in (job.get("w") or {}).items()}
-    wc = WeightConfig.make(Q_, w, _parse_params(job.get("params")))
-    max_deg = job.get("max_deg")
-    if command == "affine-expand":
-        ch = affine_character(Q_, wc, int(max_deg if max_deg is not None else 0))
-        if fmt == "json":
-            series: dict[int, list] = {}
-            for ym, c in ch.sorted_terms():
-                series.setdefault(qdeg_of(c), []).append(
-                    {"ym": ym.to_json(), "coeff": c.to_json()}
-                )
-            doc = json.dumps(
-                {"series": [{"qdeg": d, "terms": series[d]} for d in sorted(series)]},
-                indent=1,
-            ) + "\n"
-            return doc, 0
-        return _render(ch, fmt), 0
-    ch = expand(Q_, wc, max_qdeg=max_deg)
-    if job.get("higgs") or command == "higgs":
-        ch = higgs(ch, _parse_sigma(job.get("higgs") or "{}"))
-    if command == "limit" or job.get("limit"):
-        which = job.get("limit")
-        if which not in ("q1", "q2"):
-            raise ValidationError("limit must be q1 or q2")
-        ch = classical_limit(ch, which)
-    if command == "hasse":
-        return hasse_dot(ch) if not isinstance(ch, ClassicalCharacter) else "", 0
-    return _render(ch, "dot" if command == "hasse" else fmt), 0
-
-
-def _common_flags(sub):
-    sub.add_argument("--quiver", required=True, help="builtin name, inline JSON, or @file")
-    sub.add_argument("--w", required=True, help='weight vector, e.g. \'{"1": 2}\'')
-    sub.add_argument("--params", help='weight parameters, e.g. \'{"1,2": "x(1,1)*q1"}\'')
-    sub.add_argument("--max-deg", type=int, default=None)
-    sub.add_argument("--format", default="text", choices=_FORMATS)
-    sub.add_argument("--out")
+    return "\n".join(f"{c!r}  *  {ym!r}" for ym, c in ch.terms.items()) + "\n"
 
 
 def make_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="qqkit", description=__doc__)
     sp = ap.add_subparsers(dest="command", required=True)
 
-    for name in ("expand", "higgs", "limit", "hasse", "affine-expand"):
+    for name in COMMANDS:
         sub = sp.add_parser(name)
-        _common_flags(sub)
+        sub.add_argument("--quiver", required=True, help="builtin name, inline JSON, or @file")
+        sub.add_argument("--w", required=True, help='weight vector, e.g. \'{"1": 2}\'')
+        sub.add_argument("--params", help='weight parameters, e.g. \'{"1,2": "x(1,1)*q1"}\'')
+        sub.add_argument("--max-deg", type=int, default=None)
+        sub.add_argument("--format", default="text", choices=FORMATS)
+        sub.add_argument("--out")
         if name in ("higgs", "limit", "hasse"):
             sub.add_argument("--higgs", help="substitution JSON")
         if name == "limit":
@@ -195,74 +96,45 @@ def make_parser() -> argparse.ArgumentParser:
 
     sub = sp.add_parser("verify")
     sub.add_argument("--corpus", help="directory of fixture files (bundled by default)")
-    sub.add_argument("--threads", type=int, default=None)
     sub.add_argument("--out")
     return ap
 
 
-def _cmd_burge(args) -> tuple[str, int]:
-    from .monomial import Monomial as M
-
-    xa, xb = M.gen("xa"), M.gen("xb")
-    sigma = burge_resonance_sigma(args.i, args.j, "xa", "xb")
-    rows = []
-    agree = True
-    for la in partitions_up_to(args.max_size):
-        for lb in partitions_up_to(args.max_size):
-            if la.size + lb.size > args.max_size:
-                continue
-            z = z_Ar_tuple([la, lb], [xa, xb], args.r)
-            vanishes = z.specialize(sigma).is_zero
-            admitted = burge_filter(la, lb, args.i, args.j)
-            ok = vanishes == (not admitted) if args.r == 1 else True
-            if args.r > 1:
-                residue_ok = (args.i + args.j - 1) % args.r == 0
-                ok = vanishes == (residue_ok and not admitted)
-            agree = agree and ok
-            rows.append(
-                {"a": la.parts, "b": lb.parts, "vanishes": vanishes, "admitted": admitted, "ok": ok}
-            )
+def _cmd_burge(args) -> int:
+    rows = list(burge_rows(args.r, [args.i], [args.j], args.max_size))
+    agree = all(row["ok"] for row in rows)
     doc = json.dumps({"r": args.r, "i": args.i, "j": args.j, "agree": agree, "pairs": rows}, indent=1)
-    return doc + "\n", 0 if agree else 1
+    _emit(doc + "\n", args.out)
+    return 0 if agree else 1
 
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         if args.command == "verify":
-            report = run_corpus(args.corpus, args.threads)
+            report = run_corpus(args.corpus)
             _emit(report.text() + "\n", args.out)
             return 0 if report.ok else 1
         if args.command == "burge-check":
-            doc, code = _cmd_burge(args)
-            _emit(doc, args.out)
-            return code
+            return _cmd_burge(args)
         if args.command == "run":
-            if args.job == "-":
-                job = json.load(sys.stdin)
-            else:
-                with open(args.job, encoding="utf-8") as fh:
-                    job = json.load(fh)
-            doc, code = _run_job(job)
-            _emit(doc, job.get("out"))
-            return code
-        job = {
-            "quiver": args.quiver,
-            "w": json.loads(args.w),
-            "command": args.command,
-            "format": args.format,
-        }
-        if args.params:
-            job["params"] = json.loads(args.params)
-        if args.max_deg is not None:
-            job["max_deg"] = args.max_deg
-        if getattr(args, "higgs", None):
-            job["higgs"] = json.loads(args.higgs)
-        if getattr(args, "limit", None) and args.command == "limit":
-            job["limit"] = args.limit
-        doc, code = _run_job(job)
-        _emit(doc, args.out)
-        return code
+            spec = read_json(args.job)
+            job = Job.parse(spec)
+            unknown = set(spec) - {*JOB_FIELDS, "out"}
+            if unknown:
+                raise ValidationError(f"unknown job fields: {sorted(unknown)}")
+            out = spec.get("out")
+            if out is not None and not isinstance(out, str):
+                raise ValidationError(f"out must be a file name, got {out!r}")
+        else:
+            # the flags carry the job fields' names; w, params and higgs hold JSON text
+            job = Job.parse({
+                key: json.loads(v) if key in ("w", "params", "higgs") and v is not None else v
+                for key, v in vars(args).items() if key in JOB_FIELDS
+            })
+            out = args.out
+        _emit(_render(job, job.run()), out)
+        return 0
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2

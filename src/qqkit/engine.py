@@ -20,6 +20,7 @@ from .errors import (
     PathInconsistency,
     PoleError,
     ValidationError,
+    require_int,
 )
 from .monomial import Monomial, Q, xparam
 from .quiver import Quiver, QuiverClass, a_inverse_monomial, classify
@@ -142,15 +143,18 @@ class WeightConfig:
         params: Mapping[tuple[str, int], Monomial] | None = None,
     ) -> "WeightConfig":
         out = []
-        for i in w:
+        for i, k in w.items():
             if i not in Q_.nodes:
                 raise ValidationError(f"weight at unknown node {i!r}")
-            if w[i] < 0:
+            if require_int(k, f"weight at node {i!r}") < 0:
                 raise ValidationError("weights must be nonnegative")
         for i in Q_.nodes:
             for alpha in range(1, w.get(i, 0) + 1):
                 p = params.get((i, alpha)) if params else None
                 out.append((i, alpha, p if p is not None else xparam(i, alpha)))
+        unused = set(params or ()) - {(i, alpha) for i, alpha, _ in out}
+        if unused:
+            raise ValidationError(f"params {sorted(unused)} name no weight unit")
         return WeightConfig(tuple(out))
 
     @property

@@ -39,3 +39,10 @@ class InvalidPit(QQError):
 
 class ValidationError(QQError):
     """Malformed input: quiver data, job spec, or substitution map."""
+
+
+def require_int(value, what: str) -> int:
+    """``value`` if it is a plain integer (not a bool or a float), else ValidationError."""
+    if type(value) is not int:
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return value

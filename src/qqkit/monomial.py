@@ -11,7 +11,10 @@ and the orientation of binomial factors.
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, Mapping
+
+from .errors import ValidationError, require_int
 
 
 def _gen_key(name: str):
@@ -140,7 +143,9 @@ class Monomial:
 
     @staticmethod
     def from_json(data: Mapping[str, int]) -> "Monomial":
-        return Monomial({g: int(e) for g, e in data.items()})
+        if not isinstance(data, Mapping):
+            raise ValidationError(f"monomial JSON must be an object, got {data!r}")
+        return Monomial({g: require_int(e, f"exponent of {g!r}") for g, e in data.items()})
 
 
 _UNIT = Monomial()
@@ -161,9 +166,14 @@ def qfrak(node: str) -> Monomial:
     return Monomial.gen(f"qfrak({node})")
 
 
+_TOKEN = re.compile(r"([^\s*^]+)(?:\^(-?[0-9]+))?")
+
+
 def parse_monomial(text: str, names: Mapping[str, Monomial] | None = None) -> Monomial:
     """Parse compact strings like ``"x1*q1^-2*q2"``.
 
+    Tokens ``name`` or ``name^n`` (integer n) joined by ``*``, or ``""``/``"1"``
+    for the unit; anything else is a ValidationError.
     ``q`` expands to q1*q2; ``q3``/``q4`` to the mass aliases; other names
     resolve through ``names`` before falling back to raw generators.
     """
@@ -173,8 +183,10 @@ def parse_monomial(text: str, names: Mapping[str, Monomial] | None = None) -> Mo
     if text in ("", "1"):
         return out
     for token in text.split("*"):
-        token = token.strip()
-        name, _, power = token.partition("^")
+        match = _TOKEN.fullmatch(token.strip())
+        if match is None:
+            raise ValidationError(f"malformed monomial {text!r} at token {token!r}")
+        name, power = match.groups()
         e = int(power) if power else 1
         if names and name in names:
             base = names[name]

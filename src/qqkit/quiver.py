@@ -13,7 +13,7 @@ from math import gcd
 from typing import Mapping
 
 from .coefficient import Coefficient, s_function
-from .errors import ValidationError
+from .errors import ValidationError, require_int
 from .monomial import MU, Monomial, Q1, Q2, qfrak
 
 
@@ -31,6 +31,8 @@ class Quiver:
     name: str = ""
 
     def __post_init__(self):
+        if not self.nodes:
+            raise ValidationError("a quiver needs at least one node")
         if len(set(self.nodes)) != len(self.nodes):
             raise ValidationError("duplicate node ids")
         for i in self.nodes:
@@ -74,12 +76,17 @@ class Quiver:
 
     @staticmethod
     def from_json(data: Mapping) -> "Quiver":
-        nodes = tuple(str(n["id"]) for n in data["nodes"])
-        d = {str(n["id"]): int(n.get("d", 1)) for n in data["nodes"]}
-        edges = tuple(
-            (str(e["from"]), str(e["to"]), int(e.get("mu", 0))) for e in data.get("edges", ())
-        )
-        return Quiver(nodes, d, edges, name=str(data.get("name", "")))
+        try:
+            nodes = tuple(str(n["id"]) for n in data["nodes"])
+            d = {str(n["id"]): require_int(n.get("d", 1), "decoration d") for n in data["nodes"]}
+            edges = tuple(
+                (str(e["from"]), str(e["to"]), require_int(e.get("mu", 0), "edge mu"))
+                for e in data.get("edges", ())
+            )
+            name = str(data.get("name", ""))
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValidationError(f"malformed quiver JSON ({type(exc).__name__}: {exc})") from None
+        return Quiver(nodes, d, edges, name=name)
 
 
 def builtin_quiver(name: str) -> Quiver:
@@ -93,9 +100,9 @@ def builtin_quiver(name: str) -> Quiver:
     if name == "A0hat":
         return Quiver(("0",), {"0": 1}, (("0", "0", 1),), name="A0hat")
     if name.startswith("Arhat(") and name.endswith(")"):
-        r = int(name[6:-1])
+        r = int(name[6:-1]) if name[6:-1].isdecimal() else 0
         if r < 1:
-            raise ValidationError("Arhat(r) needs r >= 1")
+            raise ValidationError(f"Arhat(r) needs an integer r >= 1, got {name!r}")
         nodes = tuple(str(i) for i in range(r))
         edges = tuple((str(i), str((i + 1) % r), 1) for i in range(r))
         return Quiver(nodes, {i: 1 for i in nodes}, edges, name=name)

@@ -7,15 +7,13 @@ source text that the engine deliberately corrects).
 
 from __future__ import annotations
 
-import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import product
 from pathlib import Path
 
 from .coefficient import Coefficient, s_r
-from .engine import Character, WeightConfig, YMonomial, closed_form_A1, expand
+from .engine import WeightConfig, YMonomial, closed_form_A1, expand
 from .errors import ValidationError
 from .higgsing import (
     ClassicalCharacter,
@@ -25,9 +23,9 @@ from .higgsing import (
     kr_closed_form_A1,
     kr_sigma,
 )
-from .monomial import Monomial, parse_monomial
+from .job import Job, read_json
+from .monomial import Q1, Q2, Monomial, parse_monomial
 from .partitions import (
-    affine_character,
     burge_filter,
     burge_resonance_sigma,
     partitions_up_to,
@@ -38,7 +36,7 @@ from .partitions import (
     z_Ar,
     z_Ar_tuple,
 )
-from .quiver import Quiver, builtin_quiver
+from .quiver import builtin_quiver
 from .render import edge_label
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
@@ -52,11 +50,14 @@ def load_corpus(directory: str | Path | None = None) -> list[dict]:
         p.name for p in d.glob("*.json")
     )
     for name in names:
-        with open(d / name, encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = read_json(d / name)
         if not isinstance(data, list):
             raise ValidationError(f"fixture file {name} must hold a list")
+        if not all(isinstance(fx, dict) and isinstance(fx.get("id"), str) for fx in data):
+            raise ValidationError(f"fixture file {name}: every fixture needs a string id")
         out.extend(data)
+    if not out:
+        raise ValidationError(f"no fixtures in {d}")
     return out
 
 
@@ -69,9 +70,12 @@ def _names_map(fx: dict) -> dict[str, Monomial]:
     return {k: parse_monomial(v) for k, v in fx.get("names", {}).items()}
 
 
-def _parse_ym(rows, names) -> YMonomial:
-    from .monomial import Q1, Q2
+def _run(fx: dict):
+    names = _names_map(fx)
+    return names, Job.parse(fx, names).run()
 
+
+def _parse_ym(rows, names) -> YMonomial:
     entries = []
     for node, base, j, k, e in rows:
         arg = parse_monomial(base, names) * Q1 ** int(j) * Q2 ** int(k)
@@ -90,39 +94,13 @@ def _parse_coeff(spec, names) -> Coefficient:
     return c
 
 
-def _quiver(fx: dict) -> Quiver:
-    q = fx["quiver"]
-    return builtin_quiver(q) if isinstance(q, str) else Quiver.from_json(q)
-
-
-def run_pipeline(spec: dict):
-    """expand -> [higgs] -> [limit] from a fixture-style description."""
-    Q_ = _quiver(spec)
-    names = _names_map(spec)
-    params = None
-    if "params" in spec:
-        params = {}
-        for key, mono in spec["params"].items():
-            node, _, alpha = key.partition(",")
-            params[(node.strip(), int(alpha))] = parse_monomial(mono, names)
-    wc = WeightConfig.make(Q_, {str(k): int(v) for k, v in spec["w"].items()}, params)
-    ch = expand(Q_, wc, max_qdeg=spec.get("max_deg"))
-    if "higgs" in spec:
-        sigma = {g: parse_monomial(m, names) for g, m in spec["higgs"].items()}
-        ch = higgs(ch, sigma)
-    if spec.get("limit"):
-        return classical_limit(ch, spec["limit"])
-    return ch
-
-
 # ---------------------------------------------------------------------------
 # handlers
 # ---------------------------------------------------------------------------
 
 
 def _check_character(fx: dict):
-    ch = run_pipeline(fx)
-    names = _names_map(fx)
+    names, ch = _run(fx)
     expect = {}
     for t in fx["terms"]:
         expect[_parse_ym(t["y"], names)] = _parse_coeff(t["c"], names)
@@ -140,8 +118,7 @@ def _check_character(fx: dict):
 
 
 def _check_limit(fx: dict):
-    cc = run_pipeline(fx)
-    names = _names_map(fx)
+    names, cc = _run(fx)
     expect = {_parse_ym(t["y"], names): int(t["c"]) for t in fx["terms"]}
     if cc.terms != expect:
         diffs = {ym for ym in set(cc.terms) | set(expect) if cc.terms.get(ym) != expect.get(ym)}
@@ -150,16 +127,15 @@ def _check_limit(fx: dict):
 
 
 def _check_count(fx: dict):
-    ch = run_pipeline(fx)
-    n = len(ch.terms if isinstance(ch, Character) else ch.terms)
+    _, ch = _run(fx)
+    n = len(ch.terms)
     if n != fx["expect_count"]:
         return "fail", f"expected {fx['expect_count']} terms, got {n}"
     return "pass", f"{n} terms"
 
 
 def _check_typo(fx: dict):
-    ch = run_pipeline(fx)
-    names = _names_map(fx)
+    names, ch = _run(fx)
     lit = _parse_ym(fx["literal"]["y"], names)
     lit_c = _parse_coeff(fx["literal"]["c"], names)
     cor = _parse_ym(fx["corrected"]["y"], names)
@@ -174,8 +150,7 @@ def _check_typo(fx: dict):
 
 
 def _check_hasse(fx: dict):
-    ch = run_pipeline(fx)
-    names = _names_map(fx)
+    names, ch = _run(fx)
     display = {gen.exps[0][0]: short for short, gen in names.items()}
     if len(ch.terms) != fx["expect_nodes"]:
         return "fail", f"expected {fx['expect_nodes']} nodes, got {len(ch.terms)}"
@@ -199,27 +174,21 @@ def _check_hasse(fx: dict):
 
 
 def _check_dropped(fx: dict):
-    names = _names_map(fx)
-    Q_ = _quiver(fx)
-    wc = WeightConfig.make(Q_, {str(k): int(v) for k, v in fx["w"].items()})
-    ch = expand(Q_, wc)
-    sigma = {g: parse_monomial(m, names) for g, m in fx["higgs"].items()}
-    hg = higgs(ch, sigma)
+    names, hg = _run(fx)
     dropped = hg.meta["dropped"]
     if len(dropped) != fx["expected_dropped"]:
         return "fail", f"expected {fx['expected_dropped']} dropped terms, got {len(dropped)}"
     relabel = {g: parse_monomial(m, names) for g, m in fx["relabel"].items()}
     relabeled = {ym.substitute(relabel) for ym in dropped}
-    ref = run_pipeline(fx["reference"])
+    ref = Job.parse(fx["reference"]).run()
     if relabeled != set(ref.terms):
         return "fail", "dropped terms do not relabel onto the reference character"
     return "pass", f"{len(dropped)} dropped terms relabel exactly"
 
 
 def _check_closed_form(fx: dict):
-    Q_ = builtin_quiver("A1")
     for w in range(fx["w_max"] + 1):
-        ch = expand(Q_, WeightConfig.make(Q_, {"1": w}))
+        ch = Job.parse({"quiver": "A1", "w": {"1": w}}).run()
         cf = closed_form_A1(w)
         if len(ch.terms) != 2**w or not ch.equals(cf):
             return "fail", f"w={w} mismatch"
@@ -247,8 +216,8 @@ def _check_kr_ladder(fx: dict):
 
 
 def _check_factorization(fx: dict):
-    base = run_pipeline(fx["base"])
-    factors = [run_pipeline(f) for f in fx["factors"]]
+    base = Job.parse(fx["base"]).run()
+    factors = [Job.parse(f).run() for f in fx["factors"]]
     if not isinstance(base, ClassicalCharacter):
         return "fail", "base pipeline did not end in a classical limit"
     if not factorize_check(base, factors):
@@ -257,10 +226,8 @@ def _check_factorization(fx: dict):
 
 
 def _check_affine_oracle(fx: dict):
-    Q_ = _quiver(fx)
-    wc = WeightConfig.make(Q_, {str(k): int(v) for k, v in fx["w"].items()})
-    eng = expand(Q_, wc, max_qdeg=fx["max_deg"])
-    clo = affine_character(Q_, wc, fx["max_deg"])
+    eng = Job.parse(fx).run()
+    clo = Job.parse({**fx, "command": "affine-expand"}).run()
     if set(eng.terms) != set(clo.terms):
         return "fail", f"term sets differ ({len(eng.terms)} vs {len(clo.terms)})"
     for ym in eng.terms:
@@ -269,30 +236,43 @@ def _check_affine_oracle(fx: dict):
     return "pass", f"{len(eng.terms)} terms agree between engine and partition sum"
 
 
-def _check_burge(fx: dict):
-    r = fx["r"]
+def burge_rows(r: int, i_values, j_values, max_size: int):
+    """One row per configuration of the Burge resonance check.
+
+    A configuration is a node colouring (na, nb) of the pair, a resonance
+    (i, j), and partitions a, b with |a| + |b| <= max_size.  The row says
+    whether Z vanishes under the exact substitution x_b -> x_a q1 q3^-i
+    q4^(j-1), whether (a, b) passes the transpose-column filter, and ``ok``:
+    vanishing happens exactly when the colour residue (i + j - 1 - (na - nb))
+    mod r is zero and the filter rejects the pair.
+    """
+    if r < 1 or max_size < 0:
+        raise ValidationError("burge check needs r >= 1 and max_size >= 0")
     xa, xb = Monomial.gen("xa"), Monomial.gen("xb")
+    pool = partitions_up_to(max_size)
+    for na, nb, i, j in product(range(r), range(r), i_values, j_values):
+        sigma = burge_resonance_sigma(i, j, "xa", "xb")
+        residue_ok = (i + j - 1 - (na - nb)) % r == 0
+        for la, lb in product(pool, pool):
+            if la.size + lb.size > max_size:
+                continue
+            z = z_Ar_tuple([la, lb], [xa, xb], r, nodes=[na, nb])
+            vanishes = z.specialize(sigma).is_zero
+            admitted = burge_filter(la, lb, i, j)
+            yield {
+                "nodes": [na, nb], "i": i, "j": j, "a": la.parts, "b": lb.parts,
+                "vanishes": vanishes, "admitted": admitted,
+                "ok": vanishes == (residue_ok and not admitted),
+            }
+
+
+def _check_burge(fx: dict):
     total = 0
-    pool = partitions_up_to(fx["max_size"])
-    node_pairs = [(na, nb) for na in range(r) for nb in range(r)] if r > 1 else [(0, 0)]
-    for na, nb in node_pairs:
-        for i in fx["i_values"]:
-            for j in fx["j_values"]:
-                sigma = burge_resonance_sigma(i, j, "xa", "xb")
-                residue_ok = (i + j - 1 - (na - nb)) % r == 0
-                for la in pool:
-                    for lb in pool:
-                        if la.size + lb.size > fx["max_size"]:
-                            continue
-                        z = z_Ar_tuple([la, lb], [xa, xb], r, nodes=[na, nb])
-                        vanishes = z.specialize(sigma).is_zero
-                        expected = residue_ok and not burge_filter(la, lb, i, j)
-                        total += 1
-                        if vanishes != expected:
-                            return "fail", (
-                                f"mismatch at nodes ({na},{nb}), (i,j)=({i},{j}), "
-                                f"{la.parts} | {lb.parts}"
-                            )
+    for row in burge_rows(fx["r"], fx["i_values"], fx["j_values"], fx["max_size"]):
+        if not row["ok"]:
+            (na, nb), a, b = row["nodes"], row["a"], row["b"]
+            return "fail", f"mismatch at nodes ({na},{nb}), (i,j)=({row['i']},{row['j']}), {a} | {b}"
+        total += 1
     return "pass", f"{total} configurations: vanishing == transpose-column condition"
 
 
@@ -387,14 +367,5 @@ def run_fixture(fx: dict) -> VerifyEntry:
     return VerifyEntry(fx["id"], status, detail, time.perf_counter() - start)
 
 
-def run_corpus(directory=None, threads: int | None = None) -> VerifyReport:
-    fixtures = load_corpus(directory)
-    if threads is None:
-        env = os.environ.get("QQKIT_THREADS")
-        threads = int(env) if env else min(8, os.cpu_count() or 1)
-    if threads <= 1:
-        entries = [run_fixture(fx) for fx in fixtures]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            entries = list(pool.map(run_fixture, fixtures))
-    return VerifyReport(entries)
+def run_corpus(directory=None) -> VerifyReport:
+    return VerifyReport([run_fixture(fx) for fx in load_corpus(directory)])

@@ -18,7 +18,7 @@ from qqkit.verify import run_corpus
 
 @pytest.fixture(scope="module")
 def report():
-    return run_corpus(threads=4)
+    return run_corpus()
 
 
 def _statuses(report, ids):

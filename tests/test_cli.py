@@ -101,7 +101,7 @@ def test_verify_perturbed_corpus_fails_once(tmp_path):
         if fx["id"] == "a2-w20-generic-count":
             fx["expect_count"] = 10
     path.write_text(json.dumps(data))
-    report = run_corpus(corpus, threads=2)
+    report = run_corpus(corpus)
     assert report.counts["fail"] == 1
     assert not report.ok
     failing = [e for e in report.entries if e.status == "fail"]
@@ -109,9 +109,25 @@ def test_verify_perturbed_corpus_fails_once(tmp_path):
 
 
 def test_verify_cli_exit_zero_on_bundled_corpus(capsys):
-    code, out, _ = run_cli(["verify", "--threads", "4"], capsys)
+    code, out, _ = run_cli(["verify"], capsys)
     assert code == 0
     assert "0 fail" in out
+
+
+def test_verify_missing_corpus_exits_2(tmp_path, capsys):
+    code, out, err = run_cli(["verify", "--corpus", str(tmp_path / "absent")], capsys)
+    assert code == 2 and out == "" and err.startswith("validation error: ")
+
+
+def test_verify_empty_corpus_exits_2(tmp_path, capsys):
+    code, out, err = run_cli(["verify", "--corpus", str(tmp_path)], capsys)
+    assert code == 2 and out == "" and err.startswith("validation error: ")
+
+
+def test_verify_fixture_without_id_exits_2(tmp_path, capsys):
+    (tmp_path / "a1.json").write_text(json.dumps([{"kind": "count", "quiver": "A1", "w": {"1": 1}, "expect_count": 2}]))
+    code, out, err = run_cli(["verify", "--corpus", str(tmp_path)], capsys)
+    assert code == 2 and out == "" and "string id" in err
 
 
 def test_console_script_installed():

@@ -1,5 +1,7 @@
+import pytest
 from hypothesis import given, strategies as st
 
+from qqkit.errors import ValidationError
 from qqkit.monomial import MU, Monomial, Q, Q1, Q2, parse_monomial, qfrak, xparam
 
 GENS = ["q1", "q2", "mu", "qfrak(0)", "x(1,1)", "x(1,2)", "x(2,1)"]
@@ -66,6 +68,30 @@ def test_parse():
     assert parse_monomial("q3*q4") == Q
     assert parse_monomial("x*q1", {"x": xparam("1", 1)}) == xparam("1", 1) * Q1
     assert parse_monomial("1").is_unit
+
+
+@pytest.mark.parametrize("text", ["x1", "x(1,2)*q1^-2", "qfrak(0)", "xa", " x1 * q2^3 ", ""])
+def test_parse_accepts_the_grammar(text):
+    assert isinstance(parse_monomial(text), Monomial)
+
+
+@pytest.mark.parametrize("text", ["*", "a**b", "q1^", "q1^-", "q1^a", "^2", "q1 q2", "q1^2^3"])
+def test_parse_rejects_malformed_text(text):
+    with pytest.raises(ValidationError):
+        parse_monomial(text)
+
+
+@given(monomials)
+def test_parse_inverts_repr(m):
+    assert parse_monomial(repr(m)) == m
+
+
+@given(st.text(max_size=20))
+def test_parse_raises_only_validation_errors(text):
+    try:
+        parse_monomial(text)
+    except ValidationError:
+        pass
 
 
 def test_ordering_is_total():
