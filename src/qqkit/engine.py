@@ -164,9 +164,6 @@ class WeightConfig:
             out[i] = out.get(i, 0) + 1
         return out
 
-    def free_generators(self) -> list[str]:
-        return [f"x({i},{a})" for i, a, p in self.entries if p == xparam(i, a)]
-
 
 @dataclass
 class Character:

@@ -107,6 +107,8 @@ class Job:
             raise ValidationError("limit needs limit q1 or q2")
         if command == "affine-expand" and (sigma or limit):
             raise ValidationError("affine-expand takes no higgs or limit")
+        if command == "affine-expand" and max_deg is None:
+            raise ValidationError("affine expansion requires a counting-degree cutoff")
         fmt = "dot" if command == "hasse" else fmt
         if limit and fmt == "dot":
             raise ValidationError("a classical limit has no reflection graph to draw (hasse, dot)")
@@ -115,7 +117,7 @@ class Job:
 
     def run(self) -> Character | ClassicalCharacter:
         if self.command == "affine-expand":
-            return affine_character(self.quiver, self.weights, self.max_deg or 0)
+            return affine_character(self.quiver, self.weights, self.max_deg)
         ch = expand(self.quiver, self.weights, max_qdeg=self.max_deg)
         if self.higgs or self.command == "higgs":
             ch = higgs(ch, self.higgs)

@@ -6,11 +6,14 @@ in the diagram when s1 <= lambda_{s2}.  Arm and leg are
 a(s) = lambda_{s2} - s1 and l(s) = lambda^T_{s1} - s2, possibly negative
 outside the diagram.
 
-The fixed-point weight of a configuration is a product of S-values over
-boxes; pairs of partitions contribute mixed arm/leg factors.  The closed
-sum is cross-checked against the reflection engine, which forces the
-weight of a diagram to be evaluated on its transpose (the boundary map
-and the box weights use opposite reading conventions).
+The fixed-point weight of a configuration is one product of S-values
+over the ordered pairs of its partitions, the pair of a partition with
+itself included: the ordered-pair Nekrasov factors of the colored
+Young-diagram sums (arXiv:1512.05388).  The closed sum is cross-checked
+against the reflection engine, which forces the weight of a diagram to be
+evaluated on its transpose (the boundary map and the box weights use
+opposite reading conventions); the colored counting factor, like the
+boundary map, is read off the diagram itself, with color (s1 - s2) mod r.
 """
 
 from __future__ import annotations
@@ -98,12 +101,6 @@ class Partition:
                 out.append((p, k))
         return out
 
-    def with_box(self, s: tuple[int, int]) -> "Partition":
-        s1, s2 = s
-        rows = list(self.parts) + [0]
-        rows[s2 - 1] += 1
-        return Partition(rows)
-
 
 @dataclass(frozen=True)
 class BoxStats:
@@ -155,61 +152,9 @@ def partitions_up_to(n: int) -> list[Partition]:
 # ---------------------------------------------------------------------------
 
 
-def _diag_arg(stats: BoxStats, form: int) -> Monomial:
-    if form == 1:
-        return Q3 ** (stats.leg + 1) * Q4 ** (-stats.arm)
-    return Q3 ** (-stats.leg) * Q4 ** (stats.arm + 1)
-
-
-def z_A0(lam: Partition, form: int = 1) -> Coefficient:
-    """Product of S-values over the boxes of one partition."""
-    out = Coefficient.one()
-    for s in lam.boxes():
-        out = out * s_function(_diag_arg(box_stats(lam, s), form))
-    return out
-
-
-def z_Ar(lam: Partition, r: int, form: int = 1) -> Coefficient:
-    """Same, keeping only boxes whose hook length is divisible by r."""
-    if r < 1:
-        raise ValidationError("r must be a positive integer")
-    out = Coefficient.one()
-    for s in lam.boxes():
-        st = box_stats(lam, s)
-        if st.hook % r == 0:
-            out = out * s_function(_diag_arg(st, form))
-    return out
-
-
-def _pair_factor(
-    lam_a: Partition,
-    lam_b: Partition,
-    ratio: Monomial,
-    r: int,
-    shift: int,
-) -> Coefficient:
-    """Mixed-arm/leg contribution of an ordered pair (alpha < beta).
-
-    ratio is x_beta / x_alpha; shift is the node offset i_alpha - i_beta
-    entering the colored hook filter.  r = 1 keeps every box.
-    """
-    out = Coefficient.one()
-    ta, tb = lam_a.transpose(), lam_b.transpose()
-    for s1, s2 in lam_a.boxes():
-        arm = lam_a.part(s2) - s1
-        leg = tb.part(s1) - s2
-        if (arm + leg + 1 - shift) % r == 0:
-            out = out * s_function(ratio * Q3 ** (leg + 1) * Q4 ** (-arm))
-    for s1, s2 in lam_b.boxes():
-        arm = lam_b.part(s2) - s1
-        leg = ta.part(s1) - s2
-        if (arm + leg + 1 + shift) % r == 0:
-            out = out * s_function(ratio * Q3 ** (-leg) * Q4 ** (arm + 1))
-    return out
-
-
-def z_A0_tuple(lams: Sequence[Partition], xs: Sequence[Monomial]) -> Coefficient:
-    return z_Ar_tuple(lams, xs, 1)
+def z_Ar(lam: Partition, r: int) -> Coefficient:
+    """Weight of one partition: the single-component case of ``z_Ar_tuple``."""
+    return z_Ar_tuple([lam], [Monomial.unit()], r)
 
 
 def z_Ar_tuple(
@@ -218,16 +163,29 @@ def z_Ar_tuple(
     r: int,
     nodes: Sequence[int] | None = None,
 ) -> Coefficient:
-    """Weight of a tuple: diagonal factors times all ordered pair factors."""
+    """Fixed-point weight of a tuple: a product over all ordered pairs (alpha, beta).
+
+    The pair contributes S((x_beta / x_alpha) q3^{l+1} q4^{-a}) for each box
+    of lam_alpha with arm a on lam_alpha, leg l on lam_beta^T and
+    (a + l + 1 - (n_alpha - n_beta)) divisible by r; n are the node offsets
+    (default 0).  alpha = beta is the hook-length filtered diagonal factor;
+    r = 1 keeps every box.
+    """
+    if r < 1:
+        raise ValidationError("r must be a positive integer")
     if len(lams) != len(xs):
         raise ValidationError("one evaluation parameter per partition")
     ns = list(nodes) if nodes is not None else [0] * len(lams)
+    transposes = [lam.transpose() for lam in lams]
     out = Coefficient.one()
-    for lam in lams:
-        out = out * z_Ar(lam, r)
-    for a in range(len(lams)):
-        for b in range(a + 1, len(lams)):
-            out = out * _pair_factor(lams[a], lams[b], xs[b] / xs[a], r, ns[a] - ns[b])
+    for lam_a, x_a, n_a in zip(lams, xs, ns):
+        for t_b, x_b, n_b in zip(transposes, xs, ns):
+            ratio = x_b / x_a
+            for s1, s2 in lam_a.boxes():
+                arm = lam_a.part(s2) - s1
+                leg = t_b.part(s1) - s2
+                if (arm + leg + 1 - (n_a - n_b)) % r == 0:
+                    out = out * s_function(ratio * Q3 ** (leg + 1) * Q4 ** (-arm))
     return out
 
 
@@ -271,8 +229,9 @@ def affine_character(Q_: Quiver, wc: WeightConfig, max_qdeg: int) -> Character:
     """Sum over partition tuples up to the counting-degree cutoff.
 
     Matches the reflection engine term by term: the Y-monomial of a
-    diagram comes from its addable/removable boxes, while its weight and
-    colored counting factor are evaluated on the transposed diagram.
+    diagram comes from its addable/removable boxes and its colored
+    counting factor from its own boxes, while its weight is evaluated on
+    the transposed diagram.
     """
     if max_qdeg < 0:
         raise ValidationError("cutoff must be nonnegative")
@@ -292,8 +251,8 @@ def affine_character(Q_: Quiver, wc: WeightConfig, max_qdeg: int) -> Character:
                 continue
             counting = Monomial.unit()
             ym = YMonomial.unit()
-            for (node, base), lam, tr in zip(comps, lams, trans):
-                counting = counting * _colored_counting(tr, node, r, node_names)
+            for (node, base), lam in zip(comps, lams):
+                counting = counting * _colored_counting(lam, node, r, node_names)
                 ym = ym * _boundary_ym(lam, base, node, r, node_names)
             coeff = coeff * Coefficient.from_monomial(counting)
             if ym in terms:
@@ -321,15 +280,16 @@ def pit_resonance_vanishes(lam: Partition, pit: tuple[int, int], r: int = 1) -> 
     """Exact vanishing criterion of the diagonal weight under pit resonance.
 
     The substituted mass makes the factor of a box with arm j-1 and leg
-    i-1 (and hook in rZ) hit an S-zero; no other factor can vanish for
-    generic exponents.  Note this is finer than box membership.
+    i-1 hit an S-zero (its hook i+j-1 is in rZ by the residue condition);
+    no other factor can vanish for generic exponents.  Note this is finer
+    than box membership.
     """
     i, j = pit
     if (i + j - 1) % r != 0:
         raise InvalidPit(f"pit {pit} violates the mod-{r} residue condition")
-    for s in lam.boxes():
-        st = box_stats(lam, s)
-        if st.arm == j - 1 and st.leg == i - 1 and st.hook % r == 0:
+    t = lam.transpose()
+    for s1, s2 in lam.boxes():
+        if lam.part(s2) - s1 == j - 1 and t.part(s1) - s2 == i - 1:
             return True
     return False
 

@@ -2,13 +2,14 @@
 
 Nodes carry a positive decoration d_i (relative root length); edges carry
 an integer exponent c so the edge mass is mu^c.  Mass exponents must be
-zero unless the quiver contains a directed cycle.
+zero unless the quiver contains a directed cycle, and nonzero on a loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from math import gcd
 from typing import Mapping
 
@@ -38,11 +39,37 @@ class Quiver:
         for i in self.nodes:
             if self.d.get(i, 0) < 1:
                 raise ValidationError(f"decoration d[{i}] must be a positive integer")
-        for a, b, _ in self.edges:
+        for a, b, c in self.edges:
             if a not in self.nodes or b not in self.nodes:
                 raise ValidationError(f"edge ({a},{b}) uses unknown nodes")
+            if a == b and c == 0:
+                raise ValidationError(f"loop ({a},{b}) needs a nonzero mu: its correction S(mu^0) has a pole")
         if any(c != 0 for _, _, c in self.edges) and not self._has_cycle():
             raise ValidationError("mass exponents are only allowed on cyclic quivers")
+
+    @cached_property
+    def cartan_columns(self) -> dict[str, tuple[tuple[str, Monomial, int], ...]]:
+        """The columns of the deformed Cartan matrix by node, as raw (node j, monomial, sign) terms.
+
+        Each column opens with the unit diagonal term (i, 1, +1), then
+        (i, q1^{d_i} q2, +1), then for every edge in order the terms
+        (j, mu_e q1^{r d_ij}, -1) of e: i->j and (j, mu_e^{-1} q1^{(r+1) d_ij} q2, -1)
+        of e: j->i, for r < d_i/d_ij.
+        """
+        cols = {i: [(i, Monomial.unit(), 1), (i, Q1 ** self.d[i] * Q2, 1)] for i in self.nodes}
+        for a, b, c in self.edges:
+            for i, j, shift, k in ((a, b, MU**c, 0), (b, a, MU**-c * Q2, 1)):
+                dij = self.dij(i, j)
+                cols[i].extend((j, shift * Q1 ** ((r + k) * dij), -1) for r in range(self.d[i] // dij))
+        return {i: tuple(col) for i, col in cols.items()}
+
+    @cached_property
+    def classification(self) -> tuple[QuiverClass, int]:
+        """Class and determinant of the classical Cartan matrix (see ``classify``)."""
+        det = _int_det(classical_cartan(self))
+        if det > 0:
+            return QuiverClass.FINITE, det
+        return (QuiverClass.AFFINE if det == 0 else QuiverClass.INDEFINITE), det
 
     def _has_cycle(self) -> bool:
         adj: dict[str, list[str]] = {i: [] for i in self.nodes}
@@ -116,53 +143,29 @@ def cartan_matrix(Q_: Quiver) -> list[list[Coefficient]]:
     - sum_{e:i->j} sum_{r < d_i/d_ij} mu_e q1^{r d_ij}
     - sum_{e:j->i} sum_{r < d_i/d_ij} mu_e^{-1} q1^{(r+1) d_ij} q2.
     """
-    n = len(Q_.nodes)
     idx = {v: k for k, v in enumerate(Q_.nodes)}
-    polys = [[{} for _ in range(n)] for _ in range(n)]
-
-    def bump(j: int, i: int, mono: Monomial, c: int):
-        p = polys[j][i]
-        s = p.get(mono, 0) + c
-        if s:
-            p[mono] = s
-        else:
-            p.pop(mono, None)
-
-    for i in Q_.nodes:
-        bump(idx[i], idx[i], Monomial.unit(), 1)
-        bump(idx[i], idx[i], Q1 ** Q_.d[i] * Q2, 1)
-    for a, b, c in Q_.edges:
-        for i, j, sgn in ((a, b, +1), (b, a, -1)):
-            dij = Q_.dij(i, j)
-            for r in range(Q_.d[i] // dij):
-                if sgn > 0:
-                    bump(idx[j], idx[i], MU**c * Q1 ** (r * dij), -1)
-                else:
-                    bump(idx[j], idx[i], MU**-c * Q1 ** ((r + 1) * dij) * Q2, -1)
-    out = []
-    for j in range(n):
-        row = []
-        for i in range(n):
-            p = polys[j][i]
-            row.append(Coefficient.general(p, ()) if p else Coefficient.zero())
-        out.append(row)
-    return out
+    polys = [[{} for _ in Q_.nodes] for _ in Q_.nodes]
+    for i, column in Q_.cartan_columns.items():
+        for j, mono, sign in column:
+            p = polys[idx[j]][idx[i]]
+            s = p.get(mono, 0) + sign
+            if s:
+                p[mono] = s
+            else:
+                p.pop(mono, None)
+    return [
+        [Coefficient.general(p, ()) if p else Coefficient.zero() for p in row]
+        for row in polys
+    ]
 
 
 def classical_cartan(Q_: Quiver) -> list[list[int]]:
     """The Cartan matrix with every multiplicative variable set to 1."""
-    mat = cartan_matrix(Q_)
-    out = []
-    for row in mat:
-        r = []
-        for c in row:
-            if c.is_zero:
-                r.append(0)
-            else:
-                num, den = c._general_parts()
-                assert not den
-                r.append(sum(num.values()))
-        out.append(r)
+    idx = {v: k for k, v in enumerate(Q_.nodes)}
+    out = [[0] * len(Q_.nodes) for _ in Q_.nodes]
+    for i, column in Q_.cartan_columns.items():
+        for j, _, sign in column:
+            out[idx[j]][idx[i]] += sign
     return out
 
 
@@ -188,24 +191,9 @@ def _int_det(m: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-_CLASS_CACHE: dict[tuple, tuple[QuiverClass, int]] = {}
-
-
 def classify(Q_: Quiver) -> tuple[QuiverClass, int]:
     """Classify by the sign of the classical Cartan determinant."""
-    key = (Q_.nodes, tuple(sorted(Q_.d.items())), Q_.edges)
-    cached = _CLASS_CACHE.get(key)
-    if cached is not None:
-        return cached
-    det = _int_det(classical_cartan(Q_))
-    if det > 0:
-        out = (QuiverClass.FINITE, det)
-    elif det == 0:
-        out = (QuiverClass.AFFINE, det)
-    else:
-        out = (QuiverClass.INDEFINITE, det)
-    _CLASS_CACHE[key] = out
-    return out
+    return Q_.classification
 
 
 def a_inverse_monomial(Q_: Quiver, i: str, x: Monomial):
@@ -215,16 +203,8 @@ def a_inverse_monomial(Q_: Quiver, i: str, x: Monomial):
     exponent) whose product replaces Y_{i,x}; the scalar collects the
     counting parameter (affine quivers) and the loop-edge S-correction.
     """
-    entries: list[tuple[str, Monomial, int]] = [(i, x * Q1 ** Q_.d[i] * Q2, -1)]
-    for a, b, c in Q_.edges:
-        if a == i:
-            dij = Q_.dij(i, b)
-            for r in range(Q_.d[i] // dij):
-                entries.append((b, MU**c * x * Q1 ** (r * dij), +1))
-        if b == i:
-            dij = Q_.dij(i, a)
-            for r in range(Q_.d[i] // dij):
-                entries.append((a, MU**-c * x * Q1 ** ((r + 1) * dij) * Q2, +1))
+    # Y[j, x m]^(-sign) for every term of column i but the unit diagonal one, which opens it
+    entries = [(j, x * mono, -sign) for j, mono, sign in Q_.cartan_columns[i][1:]]
     scalar = Coefficient.one()
     for c in Q_.loops_at(i):
         scalar = scalar * s_function(MU**c)

@@ -32,7 +32,6 @@ from .partitions import (
     pit_filter,
     pit_resonance_sigma,
     pit_resonance_vanishes,
-    z_A0,
     z_Ar,
     z_Ar_tuple,
 )
@@ -287,7 +286,7 @@ def _check_pit(fx: dict):
                 continue
             sigmas = [pit_resonance_sigma((i, j), tuple(seed)) for seed in fx["seeds"]]
             for lam in pool:
-                z = z_Ar(lam, r) if r > 1 else z_A0(lam)
+                z = z_Ar(lam, r)
                 vans = {z.specialize(s).is_zero for s in sigmas}
                 if len(vans) != 1:
                     return "fail", f"seed-dependent vanishing at {lam.parts}, pit ({i},{j})"

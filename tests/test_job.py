@@ -16,6 +16,7 @@ from qqkit.monomial import xparam
 
 JOB = "<job file>"  # replaced by the path of a file holding the case's job
 EDGE_WITHOUT_FROM = json.dumps({"nodes": [{"id": "1"}, {"id": "2"}], "edges": [{"to": "2"}]})
+LOOP_WITHOUT_MASS = json.dumps({"nodes": [{"id": "0"}], "edges": [{"from": "0", "to": "0", "mu": 0}]})
 
 
 def _expand(*flags):
@@ -33,6 +34,8 @@ MALFORMED = {
     "params-node-without-unit": (_expand("--w", '{"1": 1}', "--params", '{"2,1": "x(1,1)*q1"}'), None),
     "quiver-bad-rank": (["expand", "--quiver", "Arhat(x)", "--w", "{}"], None),
     "quiver-edge-without-from": (["expand", "--quiver", EDGE_WITHOUT_FROM, "--w", '{"1": 1}'], None),
+    "quiver-loop-mu-0": (["expand", "--quiver", LOOP_WITHOUT_MASS, "--w", '{"0": 1}', "--max-deg", "2"], None),
+    "affine-expand-without-max-deg": (["affine-expand", "--quiver", "A0hat", "--w", '{"0": 1}'], None),
     "higgs-list": (["higgs", "--quiver", "A1", "--w", '{"1": 2}', "--higgs", "[1]"], None),
     "limit-as-dot": (["limit", "--quiver", "A1", "--w", '{"1": 1}', "--limit", "q1", "--format", "dot"], None),
     "burge-negative-size": (["burge-check", "--i", "0", "--j", "1", "--max-size", "-1"], None),

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qqkit.coefficient import s_function
 from qqkit.engine import WeightConfig, expand
@@ -19,8 +20,6 @@ from qqkit.partitions import (
     pit_resonance_sigma,
     pit_resonance_vanishes,
     resonance_to_pit,
-    z_A0,
-    z_A0_tuple,
     z_Ar,
     z_Ar_tuple,
 )
@@ -73,22 +72,10 @@ def test_partition_enumeration():
 
 
 def test_z_examples():
-    assert z_A0(Partition(())).is_one
-    assert z_A0(Partition((1,))) == s_function(Q3)
-    assert z_Ar(Partition((1,)), 1) == z_A0(Partition((1,)))
+    assert z_Ar(Partition(()), 1).is_one
+    assert z_Ar(Partition((1,)), 1) == s_function(Q3)
     assert z_Ar(Partition((1,)), 2).is_one
     assert z_Ar(Partition((2,)), 2) == s_function(Q3 * Q4**-1)
-
-
-def test_z_two_displayed_forms_agree():
-    for lam in partitions_up_to(6):
-        for r in (1, 2, 3):
-            assert z_Ar(lam, r, form=1) == z_Ar(lam, r, form=2)
-
-
-def test_z_r1_reduces_to_plain():
-    for lam in partitions_up_to(5):
-        assert z_Ar(lam, 1) == z_A0(lam)
 
 
 def test_tuple_weight_symmetry():
@@ -99,13 +86,13 @@ def test_tuple_weight_symmetry():
         la, lb = rng.choice(pool), rng.choice(pool)
         if la.size + lb.size > 4:
             continue
-        assert z_A0_tuple([la, lb], [xa, xb]) == z_A0_tuple([lb, la], [xb, xa])
+        assert z_Ar_tuple([la, lb], [xa, xb], 1) == z_Ar_tuple([lb, la], [xb, xa], 1)
 
 
 def test_tuple_weight_single_component():
     xa = Monomial.gen("xa")
     for lam in partitions_up_to(4):
-        assert z_A0_tuple([lam], [xa]) == z_A0(lam)
+        assert z_Ar_tuple([lam], [xa], 1) == z_Ar(lam, 1)
 
 
 def test_affine_oracle_small():
@@ -116,6 +103,45 @@ def test_affine_oracle_small():
     assert set(eng.terms) == set(clo.terms)
     for ym in eng.terms:
         assert eng.terms[ym] == clo.terms[ym]
+
+
+# r >= 3 is where coloring the transposed diagram instead of the diagram
+# itself shows: transposing negates the color (s1 - s2) mod r.
+@pytest.mark.parametrize(
+    "quiver, w, cutoff",
+    [
+        ("Arhat(3)", {"0": 1}, 4),
+        ("Arhat(3)", {"0": 1, "1": 1}, 3),
+        ("Arhat(3)", {"0": 1, "2": 1}, 3),
+        ("Arhat(4)", {"0": 1, "2": 1}, 3),
+        ("Arhat(4)", {"1": 2}, 3),
+        ("Arhat(5)", {"0": 1, "3": 1}, 3),
+    ],
+)
+def test_affine_oracle_cyclic(quiver, w, cutoff):
+    Q_ = builtin_quiver(quiver)
+    wc = WeightConfig.make(Q_, w)
+    eng = expand(Q_, wc, max_qdeg=cutoff)
+    clo = affine_character(Q_, wc, cutoff)
+    assert set(eng.terms) == set(clo.terms)
+    for ym, c in clo.terms.items():
+        assert eng.terms[ym] == c, ym
+
+
+@st.composite
+def _cyclic_jobs(draw):
+    r = draw(st.integers(1, 5))
+    nodes = draw(st.lists(st.integers(0, r - 1), max_size=2))
+    w: dict[str, int] = {}
+    for n in nodes:
+        w[str(n)] = w.get(str(n), 0) + 1
+    return f"Arhat({r})", w, draw(st.integers(0, 3))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_cyclic_jobs())
+def test_affine_oracle_random_cyclic(job):
+    test_affine_oracle_cyclic(*job)
 
 
 def test_affine_character_validation():
@@ -149,7 +175,7 @@ def test_pit_resonance_matches_arm_leg_criterion():
         for j in range(1, 4):
             sigmas = [pit_resonance_sigma((i, j), s) for s in seeds]
             for lam in partitions_up_to(5):
-                vals = {z_A0(lam).specialize(s).is_zero for s in sigmas}
+                vals = {z_Ar(lam, 1).specialize(s).is_zero for s in sigmas}
                 assert len(vals) == 1
                 assert vals.pop() == pit_resonance_vanishes(lam, (i, j))
 
@@ -160,7 +186,7 @@ def test_pit_box_reading_deviates_on_staircase():
     assert pit_filter(lam, (2, 2))
     assert pit_resonance_vanishes(lam, (2, 2))
     sigma = pit_resonance_sigma((2, 2), (37, 101))
-    assert z_A0(lam).specialize(sigma).is_zero
+    assert z_Ar(lam, 1).specialize(sigma).is_zero
 
 
 def test_burge_filter_examples():
@@ -185,7 +211,7 @@ def test_burge_resonance_equivalence_small():
             sigma = burge_resonance_sigma(i, j, "xa", "xb")
             for la in pool:
                 for lb in pool:
-                    z = z_A0_tuple([la, lb], [xa, xb])
+                    z = z_Ar_tuple([la, lb], [xa, xb], 1)
                     assert z.specialize(sigma).is_zero == (not burge_filter(la, lb, i, j))
 
 
