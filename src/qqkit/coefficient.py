@@ -18,6 +18,7 @@ what makes coefficients cancel exactly along distinct reflection paths.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping
 
 from .errors import NonFactoredLimitError, NonIntegerLimit, PoleError, ValidationError
@@ -107,11 +108,14 @@ def _pol_divide_binomial(p: dict, arg: Monomial) -> dict | None:
 
 
 def _orient(arg: Monomial) -> tuple[Monomial, bool]:
-    """Return (canonical argument, flipped?) using (1-m) = (-m)(1-1/m)."""
-    inv = arg.inverse()
-    if arg.sort_key() >= inv.sort_key():
+    """Return (canonical argument, flipped?) using (1-m) = (-m)(1-1/m).
+
+    m and 1/m list the same generators in the same order, so of the two
+    the larger sort key is the one whose leading exponent is positive.
+    """
+    if arg.exps[0][1] > 0:
         return arg, False
-    return inv, True
+    return arg.inverse(), True
 
 
 class Coefficient:
@@ -485,8 +489,13 @@ def s_function(z: Monomial) -> Coefficient:
     return s_r(1, z)
 
 
+@lru_cache(maxsize=4096)
 def s_r(r: int, z: Monomial) -> Coefficient:
-    """Higher-degree variant with zeros at q1^r, q2 and poles at 1, q1^r q2."""
+    """Higher-degree variant with zeros at q1^r, q2 and poles at 1, q1^r q2.
+
+    Memoized: arguments repeat heavily across reflections and partition
+    sums, and the immutable results are shared.  A pole raises on every call.
+    """
     if r < 1:
         raise ValidationError("degree must be a positive integer")
     q1r = Q1**r

@@ -195,6 +195,11 @@ def highest_weight(Q_: Quiver, wc: WeightConfig) -> Term:
     return Term(ym, Coefficient.one())
 
 
+def derivative_case(i: str, x: Monomial, e: int) -> CollidingArguments:
+    """The error for reflecting Y[i, x]^e with e >= 2 (coinciding arguments)."""
+    return CollidingArguments(f"Y[{i},{x!r}]^{e} requires the derivative prescription")
+
+
 def s_factor_coefficient(t: Term, i: str, x: Monomial, Q_: Quiver) -> Coefficient:
     """S-factor correction for reflecting the numerator entry (i, x) of t.
 
@@ -207,7 +212,7 @@ def s_factor_coefficient(t: Term, i: str, x: Monomial, Q_: Quiver) -> Coefficien
     if e <= 0:
         raise ValidationError(f"({i}, {x!r}) is not a numerator entry")
     if e >= 2:
-        raise CollidingArguments(f"Y[{i},{x!r}]^{e} requires the derivative prescription")
+        raise derivative_case(i, x, e)
     d = Q_.d[i]
     out = Coefficient.one()
     for n, a, k in t.ym.entries:

@@ -5,8 +5,10 @@ Generators are plain strings: the deformation parameters "q1", "q2", the
 mass "mu", per-node counting parameters "qfrak(i)", weight parameters
 "x(i,a)", and anything else callers introduce (e.g. "t" for numeric
 resonance checks).  The canonical generator order is
-q1 < q2 < mu < qfrak(...) < x(...) < other, which fixes hashing, printing
-and the orientation of binomial factors.
+q1 < q2 < mu < qfrak(...) < x(...) < other; within a class, qfrak and x
+parameters sort by node and then by integer label, and the name itself
+breaks every remaining tie, so the order is total.  It fixes hashing,
+printing and the orientation of binomial factors.
 """
 
 from __future__ import annotations
@@ -17,42 +19,46 @@ from typing import Iterable, Mapping
 from .errors import ValidationError, require_int
 
 
-def _gen_key(name: str):
-    if name == "q1":
-        return (0, "", 0)
-    if name == "q2":
-        return (1, "", 0)
-    if name == "mu":
-        return (2, "", 0)
-    if name == "qfrak":
-        return (3, "", 0)
-    if name.startswith("qfrak(") and name.endswith(")"):
-        return (3, name[6:-1], 1)
-    if name.startswith("x(") and name.endswith(")"):
-        body = name[2:-1]
-        node, _, alpha = body.partition(",")
-        try:
-            a = int(alpha)
-        except ValueError:
-            a = 0
-        return (4, node, a)
-    return (5, name, 0)
+class _GenKeys(dict):
+    """Canonical sort key of each generator name, parsed on first use."""
+
+    def __missing__(self, name: str):
+        if name in ("q1", "q2", "mu", "qfrak"):
+            rank = (("q1", "q2", "mu", "qfrak").index(name), "", 0)
+        elif name.startswith("qfrak(") and name.endswith(")"):
+            rank = (3, name[6:-1], 1)
+        elif name.startswith("x(") and name.endswith(")"):
+            node, _, alpha = name[2:-1].partition(",")
+            try:
+                a = int(alpha)
+            except ValueError:
+                a = 0
+            rank = (4, node, a)
+        else:
+            rank = (5, name, 0)
+        key = self[name] = rank + (name,)
+        return key
+
+
+_GEN_KEYS = _GenKeys()
+_gen_key = _GEN_KEYS.__getitem__
 
 
 class Monomial:
     """Immutable Laurent monomial; exponent-zero generators are never stored."""
 
-    __slots__ = ("_exps", "_hash")
+    __slots__ = ("_exps", "_key", "_hash")
 
     def __init__(self, exps: Mapping[str, int] | Iterable[tuple[str, int]] = ()):
-        items = exps.items() if isinstance(exps, Mapping) else exps
+        if type(exps) is not tuple:
+            exps = tuple(exps.items() if isinstance(exps, Mapping) else exps)
         merged: dict[str, int] = {}
-        for g, e in items:
+        for g, e in exps:
             if e:
                 merged[g] = merged.get(g, 0) + e
-                if merged[g] == 0:
-                    del merged[g]
-        self._exps = tuple(sorted(merged.items(), key=lambda kv: _gen_key(kv[0])))
+        gens = sorted([g for g, e in merged.items() if e], key=_gen_key)
+        self._exps = tuple([(g, merged[g]) for g in gens])
+        self._key = tuple([(_GEN_KEYS[g], merged[g]) for g in gens])
         self._hash = hash(self._exps)
 
     @staticmethod
@@ -110,7 +116,7 @@ class Monomial:
                 out.extend((h, k * e) for h, k in sigma[g]._exps)
             else:
                 out.append((g, e))
-        return Monomial(out)
+        return Monomial(tuple(out))
 
     def without(self, name: str) -> "Monomial":
         """The monomial with one generator set to 1 (exponent dropped)."""
@@ -119,7 +125,7 @@ class Monomial:
         return Monomial(tuple((g, e) for g, e in self._exps if g != name))
 
     def sort_key(self):
-        return tuple((_gen_key(g), e) for g, e in self._exps)
+        return self._key
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Monomial) and self._exps == other._exps
@@ -128,7 +134,7 @@ class Monomial:
         return self._hash
 
     def __lt__(self, other: "Monomial") -> bool:
-        return self.sort_key() < other.sort_key()
+        return self._key < other._key
 
     def __repr__(self) -> str:
         if not self._exps:

@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .coefficient import Coefficient, s_function
-from .engine import Character, WeightConfig, YMonomial
+from .engine import Character, WeightConfig, YMonomial, derivative_case, highest_weight
 from .errors import InvalidPit, ValidationError
 from .monomial import Monomial, Q, Q1, Q3, Q4, qfrak
 from .quiver import Quiver, QuiverClass, classify
@@ -231,12 +231,16 @@ def affine_character(Q_: Quiver, wc: WeightConfig, max_qdeg: int) -> Character:
     Matches the reflection engine term by term: the Y-monomial of a
     diagram comes from its addable/removable boxes and its colored
     counting factor from its own boxes, while its weight is evaluated on
-    the transposed diagram.
+    the transposed diagram.  Coinciding weight parameters raise
+    CollidingArguments, as they do in the engine.
     """
     if max_qdeg < 0:
         raise ValidationError("cutoff must be nonnegative")
     if classify(Q_)[0] is not QuiverClass.AFFINE:
         raise ValidationError("closed-form characters exist for affine quivers only")
+    for i, x, e in highest_weight(Q_, wc).ym.entries:
+        if e >= 2:
+            raise derivative_case(i, x, e)
     r = len(Q_.nodes)
     node_names = list(Q_.nodes)
     comps = [(node_names.index(i), p) for i, _, p in wc.entries]

@@ -85,6 +85,22 @@ def test_exit_codes(capsys):
     assert code == 4
 
 
+def test_expand_with_tied_generator_names(capsys):
+    # x(1,01) and x(1,1) share node and integer label: only their names order them
+    args = ["expand", "--quiver", "A1", "--w", '{"1": 2}', "--format", "json"]
+    code, out, _ = run_cli(args + ["--params", '{"1,1": "x(1,01)", "1,2": "x(1,1)"}'], capsys)
+    assert code == 0
+    assert len(json.loads(out)["terms"]) == 4
+
+
+@pytest.mark.parametrize("command", ["expand", "affine-expand"])
+def test_coinciding_parameters_exit_4(command, capsys):
+    args = [command, "--quiver", "A0hat", "--w", '{"0": 2}', "--params", '{"0,2": "x(0,1)"}', "--max-deg", "2"]
+    code, _, err = run_cli(args, capsys)
+    assert code == 4
+    assert err == "colliding arguments: Y[0,x(0,1)]^2 requires the derivative prescription\n"
+
+
 def test_inline_quiver_json(capsys):
     spec = json.dumps({"nodes": [{"id": "1", "d": 1}], "edges": []})
     code, out, _ = run_cli(["expand", "--quiver", spec, "--w", '{"1": 1}', "--format", "json"], capsys)

@@ -4,7 +4,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qqkit.coefficient import Coefficient, s_function, s_product, s_r
+from qqkit.coefficient import Coefficient, _orient, s_function, s_product, s_r
 from qqkit.errors import NonIntegerLimit, PoleError, ValidationError
 from qqkit.monomial import Monomial, Q, Q1, Q2, xparam
 
@@ -207,3 +207,164 @@ def test_inverse_requires_unit_integer():
         Coefficient.from_integer(2).inverse()
     with pytest.raises(ZeroDivisionError):
         Coefficient.zero().inverse()
+
+
+# -- canonical orientation and the S-value memo --------------------------------
+
+
+nonunit_monomials = st.dictionaries(
+    st.sampled_from(GENS + ["qfrak(0)", "x(1,01)", "t"]),
+    st.integers(min_value=-4, max_value=4),
+    min_size=1,
+    max_size=4,
+).map(Monomial).filter(lambda m: not m.is_unit)
+
+
+@settings(max_examples=200, deadline=None)
+@given(nonunit_monomials)
+def test_orient_keeps_the_larger_sort_key(m):
+    arg, flipped = _orient(m)
+    keep = m.sort_key() >= m.inverse().sort_key()
+    assert flipped is not keep
+    assert arg == (m if keep else m.inverse())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=3), nonunit_monomials)
+def test_s_r_memo_matches_a_fresh_build(r, z):
+    try:
+        fresh = s_r.__wrapped__(r, z)
+    except PoleError:
+        for _ in range(2):
+            with pytest.raises(PoleError):
+                s_r(r, z)
+        return
+    for _ in range(2):
+        assert s_r(r, z).to_json() == fresh.to_json()
+
+
+def test_s_r_pole_raises_on_every_call():
+    for _ in range(3):
+        with pytest.raises(PoleError):
+            s_r(2, Q1**2 * Q2)
+        with pytest.raises(PoleError):
+            s_function(Monomial.unit())
+
+
+# -- CAS oracle -----------------------------------------------------------------
+#
+# Coefficient +, *, /, specialize and limit_at_unity against sympy's field of
+# rational functions over ZZ, whose elements are kept cancelled: two values
+# agree when their difference cancels to zero, and a specialization or limit
+# is a pole exactly when the cancelled denominator vanishes there.  sympy is
+# used here only, and the test is skipped without it.  The products use
+# x-exponents in {-1, 0, 1}, so specializing x(1,2) degenerates at most one
+# canonical binomial and its value (zero, pole or rational function) is well
+# defined.
+
+ORACLE_GENS = ["q1", "q2", "x(1,1)", "x(1,2)"]
+
+
+def _to_field(K, c: Coefficient):
+    def mono(m):
+        out = K.one
+        for g, e in m.exps:
+            out *= K.gens[ORACLE_GENS.index(g)] ** e
+        return out
+
+    if c.is_zero:
+        return K.zero
+    if c.kind == "factored":
+        out = c.integer * mono(c.unit)
+        for a, p in c.factors:
+            out *= (1 - mono(a)) ** p
+        return out
+    out = K.zero
+    for m, k in c.num.items():
+        out += k * mono(m)
+    for a, p in c.den:
+        out /= (1 - mono(a)) ** p
+    return out
+
+
+def _at(f, images):
+    """Numerator and denominator of f with each generator replaced by a
+    Laurent monomial (an exponent vector), times one common monomial."""
+    maps = []
+    for poly in (f.numer, f.denom):
+        terms: dict = {}
+        for monom, c in poly.terms():
+            key = tuple(sum(e * img[v] for e, img in zip(monom, images)) for v in range(len(images)))
+            terms[key] = terms.get(key, 0) + c
+        maps.append(terms)
+    low = [min(m[v] for terms in maps for m in terms) for v in range(len(images))]
+    ring = f.numer.ring
+    return [ring.from_dict({tuple(a - b for a, b in zip(m, low)): c for m, c in terms.items()}) for terms in maps]
+
+
+def _product(K, rng, xs=(-1, 0, 1)):
+    """A random product of S-values and binomials (1 - z)^(+-1), with its value
+    built by sympy from the formula of S_r."""
+    out, ref = Coefficient.one(), K.one
+    q1, q2, x1, x2 = K.gens
+    for _ in range(rng.randint(1, 3)):
+        e = [rng.randint(-2, 2), rng.randint(-2, 2), rng.choice(xs), rng.choice(xs)]
+        z, r, p = Monomial(dict(zip(ORACLE_GENS, e))), rng.randint(1, 2), rng.choice((1, -1))
+        zz = q1 ** e[0] * q2 ** e[1] * x1 ** e[2] * x2 ** e[3]
+        if rng.random() < 0.3:
+            if not z.is_unit:
+                out, ref = out * Coefficient.factored(1, Monomial.unit(), [(z, p)]), ref * (1 - zz) ** p
+            continue
+        try:
+            out = out * s_r(r, z) ** p
+        except (PoleError, ZeroDivisionError):  # a pole, or the inverse of an S-zero
+            continue
+        ref *= ((1 - zz / q1**r) * (1 - zz / q2) / ((1 - zz) * (1 - zz / (q1**r * q2)))) ** p
+    return out, ref
+
+
+def _check_at(K, compute, f, images):
+    """compute() evaluates the cancelled rational function f at images."""
+    num, den = _at(f, images)
+    try:
+        got = compute()
+    except PoleError:
+        assert den == 0
+        return
+    except NonIntegerLimit:  # the limit exists but is not integral: only finiteness is checked
+        assert den != 0 and num != 0
+        return
+    assert den != 0
+    g = _to_field(K, got)
+    assert g.numer * den == num * g.denom
+
+
+def test_arithmetic_matches_sympy():
+    sp = pytest.importorskip("sympy")
+    K = sp.field([sp.Symbol(g) for g in ORACLE_GENS], sp.ZZ)[0]
+    unit = [tuple(int(v == k) for v in range(4)) for k in range(4)]
+    rng = random.Random(20261018)
+    for _ in range(10):
+        (a, fa), (b, fb) = _product(K, rng), _product(K, rng)
+        assert _to_field(K, a) - fa == 0
+        total = a + b
+        assert _to_field(K, a * b) - fa * fb == 0
+        assert _to_field(K, total) - (fa + fb) == 0
+        if not b.is_zero:
+            assert _to_field(K, a / b) - fa / fb == 0
+
+        i, j = rng.randint(-2, 2), rng.randint(-2, 2)
+        ratios = [m for m, _ in a.factors if m.exponent("x(1,2)") == -m.exponent("x(1,1)") != 0]
+        if ratios and rng.random() < 0.7:  # degenerate one binomial: a zero or a pole
+            m = rng.choice(ratios)
+            e = m.exponent("x(1,2)")
+            i, j = -e * m.exponent("q1"), -e * m.exponent("q2")
+        sigma = {"x(1,2)": xparam("1", 1) * Q1**i * Q2**j}
+        images = unit[:3] + [(i, j, 1, 0)]
+        for d, fd in ((a, fa), (total, fa + fb)):
+            _check_at(K, lambda: d.specialize(sigma), fd, images)
+        c, fc = _product(K, rng, xs=(0,))  # pure q-monomials: limits that vanish or diverge
+        for k, which in enumerate(("q1", "q2")):
+            images = [(0, 0, 0, 0) if v == k else unit[v] for v in range(4)]
+            for d, fd in ((a, fa), (c * a, fc * fa)):
+                _check_at(K, lambda: d.limit_at_unity(which), fd, images)

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qqkit.errors import ValidationError
 from qqkit.monomial import MU, Monomial, Q, Q1, Q2, parse_monomial, qfrak, xparam
@@ -97,3 +97,30 @@ def test_parse_raises_only_validation_errors(text):
 def test_ordering_is_total():
     ms = sorted([Q1, Q2, Q1 * Q2, Monomial.unit()], key=lambda m: m.sort_key())
     assert len(set(ms)) == 4
+
+
+# generator names, some of whose class, node and label coincide (x(1,01) and
+# x(1,1); x(1) and x(1,0)): only the name itself tells those apart
+TIE_PRONE = ["x(1,01)", "x(1,1)", "x(1)", "x(1,0)", "x(1,a)", "qfrak", "qfrak()", "q1", "mu", "t"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.dictionaries(
+        st.sampled_from(TIE_PRONE), st.integers(min_value=-3, max_value=3).filter(bool), min_size=1
+    ).flatmap(lambda d: st.permutations(list(d.items())))
+)
+def test_construction_ignores_pair_order(pairs):
+    ref = Monomial(dict(sorted(pairs)))
+    m = Monomial(tuple(pairs))
+    assert m == ref
+    assert hash(m) == hash(ref)
+    assert repr(m) == repr(ref)
+    assert m.sort_key() == ref.sort_key()
+
+
+def test_tied_names_are_distinct_generators():
+    a, b = Monomial.gen("x(1,01)"), Monomial.gen("x(1,1)")
+    assert a * b == b * a
+    assert (a * b).gens() == ("x(1,01)", "x(1,1)")
+    assert Monomial({"x(1,01)": 1, "x(1,1)": 1}) == Monomial({"x(1,1)": 1, "x(1,01)": 1})
