@@ -20,7 +20,6 @@ from .engine import qdeg_of
 from .errors import (
     CollidingArguments,
     InvalidPit,
-    NonFactoredLimitError,
     NonIntegerLimit,
     NonTermination,
     PathInconsistency,
@@ -138,7 +137,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
-    except (PoleError, NonFactoredLimitError) as exc:
+    except PoleError as exc:
         print(f"pole error: {exc}", file=sys.stderr)
         return 3
     except (CollidingArguments, InvalidPit) as exc:

@@ -9,10 +9,18 @@ A Coefficient is one of
   product of binomials with positive powers.
 
 Products of Factored values stay Factored; General only arises through
-addition (used for verification-time equality and post-collision merging).
-Binomial arguments are oriented with the identity (1 - m) = (-m)(1 - 1/m)
-so that equal rational functions always share one factored form; this is
-what makes coefficients cancel exactly along distinct reflection paths.
+addition, and a sum that reduces to a single numerator term is Factored
+again.  Binomial arguments are oriented with the identity
+(1 - m) = (-m)(1 - 1/m) so that equal rational functions always share one
+factored form: the Laurent ring has unique factorization, and Moebius
+inversion over the cyclotomic factors of 1 - m^k separates colinear
+arguments m, m^2, ....  So two values that are not General are equal
+exactly when their (kind, integer, unit, factors) agree; this is what
+makes coefficients cancel exactly along distinct reflection paths.
+
+Specialization and the classical limits q1 -> 1, q2 -> 1 are one
+substitution, ``Coefficient._substitute``, with one rule for the binomials
+that degenerate to (1 - 1): their net power decides.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
-from .errors import NonFactoredLimitError, NonIntegerLimit, PoleError, ValidationError
+from .errors import NonIntegerLimit, PoleError, ValidationError
 from .monomial import Monomial, Q1, Q2
 
 # ---------------------------------------------------------------------------
@@ -59,18 +67,11 @@ def _pol_scale(p: dict, mono: Monomial, c: int) -> dict:
     return {m * mono: k * c for m, k in p.items()}
 
 
-def _pol_neg(p: dict) -> dict:
-    return {m: -c for m, c in p.items()}
-
-
-def _binomial_poly(arg: Monomial) -> dict:
-    return {Monomial.unit(): 1, arg: -1}
-
-
 def _pol_pow_binomial(arg: Monomial, n: int) -> dict:
+    binomial = {Monomial.unit(): 1, arg: -1}
     out = {Monomial.unit(): 1}
     for _ in range(n):
-        out = _pol_mul(out, _binomial_poly(arg))
+        out = _pol_mul(out, binomial)
     return out
 
 
@@ -118,6 +119,11 @@ def _orient(arg: Monomial) -> tuple[Monomial, bool]:
     return arg.inverse(), True
 
 
+def _factor_tuple(powers: Mapping[Monomial, int]) -> tuple:
+    """The (argument, power) pairs with nonzero power, in argument order."""
+    return tuple(sorted(((a, p) for a, p in powers.items() if p), key=lambda t: t[0].sort_key()))
+
+
 class Coefficient:
     """Exact rational coefficient; immutable."""
 
@@ -140,12 +146,6 @@ class Coefficient:
     @staticmethod
     def one() -> "Coefficient":
         return _ONE
-
-    @staticmethod
-    def from_integer(n: int) -> "Coefficient":
-        if n == 0:
-            return _ZERO
-        return Coefficient("factored", n, Monomial.unit(), ())
 
     @staticmethod
     def from_monomial(m: Monomial, n: int = 1) -> "Coefficient":
@@ -173,8 +173,7 @@ class Coefficient:
                     n = -n
                 u = u * arg**p
             merged[c] = merged.get(c, 0) + p
-        fac = tuple(sorted(((a, p) for a, p in merged.items() if p), key=lambda t: t[0].sort_key()))
-        return Coefficient("factored", n, u, fac)
+        return Coefficient("factored", n, u, _factor_tuple(merged))
 
     @staticmethod
     def general(num: dict, den) -> "Coefficient":
@@ -206,8 +205,7 @@ class Coefficient:
         if len(num) == 1:
             (mono, c), = num.items()
             return Coefficient.factored(c, mono, tuple((a, -p) for a, p in den.items()))
-        dd = tuple(sorted(den.items(), key=lambda t: t[0].sort_key()))
-        return Coefficient("general", 0, Monomial.unit(), (), num, dd)
+        return Coefficient("general", 0, Monomial.unit(), (), num, _factor_tuple(den))
 
     # -- predicates ----------------------------------------------------------
 
@@ -243,11 +241,8 @@ class Coefficient:
             merged: dict[Monomial, int] = dict(self.factors)
             for a, p in other.factors:
                 merged[a] = merged.get(a, 0) + p
-            fac = tuple(
-                sorted(((a, p) for a, p in merged.items() if p), key=lambda t: t[0].sort_key())
-            )
             return Coefficient(
-                "factored", self.integer * other.integer, self.unit * other.unit, fac
+                "factored", self.integer * other.integer, self.unit * other.unit, _factor_tuple(merged)
             )
         na, da = self._general_parts()
         nb, db = other._general_parts()
@@ -257,16 +252,7 @@ class Coefficient:
         return Coefficient._reduce_general(_pol_mul(na, nb), den)
 
     def inverse(self) -> "Coefficient":
-        if self.kind == "zero":
-            raise ZeroDivisionError("inverse of zero coefficient")
-        if self.kind != "factored" or self.integer not in (1, -1):
-            raise ValidationError("inverse requires a factored unit coefficient")
-        return Coefficient(
-            "factored",
-            self.integer,
-            self.unit.inverse(),
-            tuple(sorted(((a, -p) for a, p in self.factors), key=lambda t: t[0].sort_key())),
-        )
+        return self**-1
 
     def __truediv__(self, other: "Coefficient") -> "Coefficient":
         return self * other.inverse()
@@ -283,19 +269,16 @@ class Coefficient:
         if n < 0 and self.integer not in (1, -1):
             raise ValidationError("negative power of a non-unit coefficient")
         k = self.integer**n if n > 0 else (self.integer if n % 2 else 1)
-        return Coefficient(
-            "factored",
-            k,
-            self.unit**n,
-            tuple(sorted(((a, p * n) for a, p in self.factors), key=lambda t: t[0].sort_key())),
-        )
+        # scaling the powers keeps the arguments, so the factor order holds
+        return Coefficient("factored", k, self.unit**n, tuple((a, p * n) for a, p in self.factors))
 
     def __neg__(self) -> "Coefficient":
         if self.kind == "zero":
             return _ZERO
         if self.kind == "factored":
             return Coefficient("factored", -self.integer, self.unit, self.factors)
-        return Coefficient("general", 0, Monomial.unit(), (), _pol_neg(self.num), self.den)
+        neg = _pol_scale(self.num, Monomial.unit(), -1)
+        return Coefficient("general", 0, Monomial.unit(), (), neg, self.den)
 
     def _general_parts(self) -> tuple[dict, dict]:
         """Numerator polynomial and denominator dict of this value."""
@@ -339,15 +322,11 @@ class Coefficient:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Coefficient):
             return NotImplemented
-        if self.kind == other.kind == "factored":
-            if (
-                self.integer == other.integer
-                and self.unit == other.unit
-                and self.factors == other.factors
-            ):
-                return True
-        if self.kind == "zero" or other.kind == "zero":
-            return self.kind == other.kind
+        if self.kind != "general" and other.kind != "general":
+            # the factored form is canonical (see the module docstring)
+            return (self.kind, self.integer, self.unit, self.factors) == (
+                other.kind, other.integer, other.unit, other.factors
+            )
         return (self - other).is_zero
 
     def __hash__(self):
@@ -375,75 +354,76 @@ class Coefficient:
     def specialize(self, sigma: Mapping[str, Monomial]) -> "Coefficient":
         """Exact substitution of generators by monomials.
 
-        A numerator binomial degenerating to (1 - 1) gives Zero; a
-        denominator one raises PoleError.
+        Binomials that degenerate to (1 - 1) are decided by their net power:
+        see ``_substitute``.
         """
         for g, img in sigma.items():
             if any(h in sigma for h in img.gens()):
                 raise ValidationError(f"substitution image of {g} reuses substituted generators")
-        if self.kind == "zero":
-            return _ZERO
-        if self.kind == "factored":
-            fac = []
-            for a, p in self.factors:
-                a2 = a.substitute(sigma)
-                if a2.is_unit:
-                    if p > 0:
-                        return _ZERO
-                    raise PoleError(f"denominator factor (1 - {a!r}) vanished under substitution")
-                fac.append((a2, p))
-            return Coefficient.factored(self.integer, self.unit.substitute(sigma), fac)
-        num: dict = {}
-        for m, c in self.num.items():
-            m2 = m.substitute(sigma)
-            s = num.get(m2, 0) + c
-            if s:
-                num[m2] = s
-            else:
-                num.pop(m2, None)
-        den: dict[Monomial, int] = {}
-        for a, p in self.den:
-            a2 = a.substitute(sigma)
-            if a2.is_unit:
-                raise PoleError(f"denominator factor (1 - {a!r}) vanished under substitution")
-            c, flipped = _orient(a2)
-            if flipped:
-                num = _pol_scale(num, a2.inverse() ** p, (-1) ** p)
-            den[c] = den.get(c, 0) + p
-        return Coefficient._reduce_general(num, den)
+        return self._substitute(sigma)
 
     def limit_at_unity(self, which: str) -> "Coefficient":
-        """Limit as q1 -> 1 or q2 -> 1 of a factored coefficient.
-
-        A factor (1 - gen^a) vanishes linearly with slope a; the limit is
-        the ratio of those slopes times the surviving factors at gen = 1.
-        Net vanishing multiplicity > 0 gives Zero, < 0 a PoleError.
-        """
+        """Limit as q1 -> 1 or q2 -> 1: the substitution ``which`` -> 1."""
         if which not in ("q1", "q2"):
             raise ValidationError("limit generator must be q1 or q2")
+        return self._substitute({which: Monomial.unit()})
+
+    def _substitute(self, sigma: Mapping[str, Monomial]) -> "Coefficient":
+        """The value under sigma, with one rule for degenerate binomials.
+
+        The factors whose argument becomes 1 are summed by power.  Net power
+        > 0 gives Zero and < 0 a PoleError.  At net power 0 under a
+        one-generator substitution g -> m, each degenerate argument is
+        (g/m)^k and (1 - t^k) vanishes like k (1 - t), so the value is the
+        slope ratio prod k^p times the surviving factors (NonIntegerLimit
+        unless that is an integer); under a larger substitution the 0/0
+        raises a PoleError.  A General value has no numerator factors: any
+        degenerate denominator binomial is a pole.
+        """
         if self.kind == "zero":
             return _ZERO
         if self.kind == "general":
-            raise NonFactoredLimitError("limit of a general-form coefficient")
-        ratio = Fraction(1)
-        multiplicity = 0
-        survivors = []
+            num: dict = {}
+            for m, c in self.num.items():
+                m2 = m.substitute(sigma)
+                s = num.get(m2, 0) + c
+                if s:
+                    num[m2] = s
+                else:
+                    num.pop(m2, None)
+            den = []
+            for a, p in self.den:
+                a2 = a.substitute(sigma)
+                if a2.is_unit:
+                    raise PoleError(f"denominator factor (1 - {a!r}) vanished under substitution")
+                den.append((a2, p))
+            return Coefficient.general(num, den)
+        degenerate, survivors = [], []
         for a, p in self.factors:
-            rest = a.without(which)
-            if rest.is_unit:
-                order = a.exponent(which)
-                multiplicity += p
-                ratio *= Fraction(order) ** p
+            a2 = a.substitute(sigma)
+            if a2.is_unit:
+                degenerate.append((a, p))
             else:
-                survivors.append((rest, p))
-        if multiplicity > 0:
+                survivors.append((a2, p))
+        net = sum(p for _, p in degenerate)
+        if net > 0:
             return _ZERO
-        if multiplicity < 0:
-            raise PoleError(f"limit {which} -> 1 diverges")
-        n = self.integer * ratio
-        if n.denominator != 1:
-            raise NonIntegerLimit(f"limit slope ratio {n} is not an integer")
-        return Coefficient.factored(n.numerator, self.unit.without(which), survivors)
+        if net < 0:
+            a = next(a for a, p in degenerate if p < 0)
+            raise PoleError(f"denominator factor (1 - {a!r}) vanished under substitution")
+        n = self.integer
+        if degenerate:
+            if len(sigma) != 1:
+                zeros = "*".join(f"(1 - {a!r})^{p}" for a, p in degenerate)
+                raise PoleError(f"0/0: factors {zeros} vanished together under substitution")
+            (g,) = sigma
+            ratio = Fraction(n)
+            for a, p in degenerate:
+                ratio *= Fraction(a.exponent(g)) ** p
+            if ratio.denominator != 1:
+                raise NonIntegerLimit(f"limit slope ratio {ratio} is not an integer")
+            n = ratio.numerator
+        return Coefficient.factored(n, self.unit.substitute(sigma), survivors)
 
     # -- serialization --------------------------------------------------------
 

@@ -9,12 +9,8 @@ class PoleError(QQError):
     """A denominator binomial degenerated to (1 - 1)."""
 
 
-class NonFactoredLimitError(QQError):
-    """A limit was requested on a coefficient that resists factored form."""
-
-
 class NonIntegerLimit(QQError):
-    """A classical limit produced a non-integer coefficient."""
+    """A classical limit or a degenerate specialization produced a non-integer coefficient."""
 
 
 class CollidingArguments(QQError):

@@ -102,69 +102,51 @@ def _mono_size(m: Monomial) -> int:
     return sum(abs(e) for _, e in m.exps)
 
 
-def s_decompose(c: Coefficient, max_r: int = 3):
+def s_decompose(c: Coefficient):
     """Write a factored coefficient as integer * monomial * prod S_r(z)^p.
 
-    Returns (integer, unit, [(r, z, power), ...], leftover factors).
+    Returns (integer, unit, [(r, z, power), ...], leftover factors).  Each
+    round peels the smallest S_r(z), r <= 3, that one of the remaining
+    denominator binomials suggests and whose factors all remain with at
+    least its powers and the same signs.
     """
     if c.kind != "factored":
         raise ValidationError("S-decomposition needs a factored coefficient")
     integer, unit = c.integer, c.unit
-    remaining = dict(c.factors)
-
-    def candidates():
-        seen = set()
-        for a, p in sorted(remaining.items(), key=lambda t: (_mono_size(t[0]), t[0].sort_key())):
-            if p >= 0:
-                continue
-            for r in range(1, max_r + 1):
-                for z in (a, a.inverse(), a * Q1**r * Q2, (a * Q1**r * Q2).inverse()):
-                    if (r, z) not in seen:
-                        seen.add((r, z))
-                        yield r, z
-
-    def try_peel(r, z):
-        nonlocal integer, unit
-        try:
-            s = s_r(r, z)
-        except PoleError:
-            return False
-        if s.is_zero or s.kind != "factored":
-            return False
-        sign = 1
-        for a, p in s.factors:
-            if p > 0 and remaining.get(a, 0) <= -1:
-                return False
-            if p < 0 and remaining.get(a, 0) >= 1:
-                return False
-            if abs(remaining.get(a, 0)) < abs(p) or remaining.get(a, 0) * p < 0:
-                return False
-        for a, p in s.factors:
-            remaining[a] = remaining[a] - p
-            if remaining[a] == 0:
-                del remaining[a]
-        integer //= s.integer
-        unit = unit / s.unit
-        return True
-
-    found: list[tuple[int, Monomial, int]] = []
+    remaining = dict(c.factors)  # keeps the factor order: peeling only lowers powers
+    found: dict[tuple[int, Monomial], int] = {}
     progress = True
     while progress and remaining:
         progress = False
-        ordered = sorted(
-            candidates(), key=lambda t: (_mono_size(t[1]), t[0], t[1].sort_key())
+        candidates = sorted(
+            (
+                (r, z)
+                for a, p in remaining.items()
+                if p < 0
+                for r in range(1, 4)
+                for z in (a, a.inverse(), a * Q1**r * Q2, (a * Q1**r * Q2).inverse())
+            ),
+            key=lambda t: (_mono_size(t[1]), t[0], t[1].sort_key()),
         )
-        for r, z in ordered:
-            if try_peel(r, z):
-                for k, (r0, z0, p0) in enumerate(found):
-                    if (r0, z0) == (r, z):
-                        found[k] = (r0, z0, p0 + 1)
-                        break
-                else:
-                    found.append((r, z, 1))
-                progress = True
-                break
-    return integer, unit, found, tuple(sorted(remaining.items(), key=lambda t: t[0].sort_key()))
+        for r, z in candidates:
+            try:
+                s = s_r(r, z)
+            except PoleError:
+                continue
+            if s.kind != "factored" or any(
+                abs(remaining.get(a, 0)) < abs(p) or remaining.get(a, 0) * p < 0 for a, p in s.factors
+            ):
+                continue
+            for a, p in s.factors:
+                remaining[a] -= p
+                if remaining[a] == 0:
+                    del remaining[a]
+            integer //= s.integer
+            unit = unit / s.unit
+            found[r, z] = found.get((r, z), 0) + 1
+            progress = True
+            break
+    return integer, unit, [(r, z, p) for (r, z), p in found.items()], tuple(remaining.items())
 
 
 def coeff_latex(c: Coefficient, names: dict[str, str] | None = None) -> str:

@@ -84,10 +84,8 @@ def _parse_ym(rows, names) -> YMonomial:
 
 def _parse_coeff(spec, names) -> Coefficient:
     if isinstance(spec, int):
-        return Coefficient.from_integer(spec)
-    c = Coefficient.from_integer(int(spec.get("n", 1)))
-    if "m" in spec:
-        c = c * Coefficient.from_monomial(parse_monomial(spec["m"], names))
+        return Coefficient.from_monomial(Monomial.unit(), spec)
+    c = Coefficient.from_monomial(parse_monomial(spec.get("m", ""), names), int(spec.get("n", 1)))
     for r, mono, p in spec.get("S", ()):
         c = c * s_r(int(r), parse_monomial(mono, names)) ** int(p)
     return c

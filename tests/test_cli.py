@@ -1,7 +1,9 @@
 import json
+import shlex
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -144,6 +146,34 @@ def test_verify_fixture_without_id_exits_2(tmp_path, capsys):
     (tmp_path / "a1.json").write_text(json.dumps([{"kind": "count", "quiver": "A1", "w": {"1": 1}, "expect_count": 2}]))
     code, out, err = run_cli(["verify", "--corpus", str(tmp_path)], capsys)
     assert code == 2 and out == "" and "string id" in err
+
+
+# -- README examples -------------------------------------------------------------
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_block(heading: str, lang: str) -> str:
+    """The first ``lang`` code block under the README section ``heading``."""
+    section = README.read_text(encoding="utf-8").split(f"\n## {heading}\n", 1)[1]
+    return section.split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+
+README_CLI = [shlex.split(line) for line in _readme_block("CLI", "sh").splitlines() if line.startswith("qqkit ")]
+
+
+# verify is left out: tests/test_acceptance.py replays the corpus
+@pytest.mark.parametrize("argv", [a for a in README_CLI if a[1] != "verify"], ids=lambda a: a[1])
+def test_readme_cli_line(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "job.json").write_text(json.dumps({"quiver": "A1", "w": {"1": 2}, "command": "expand"}))
+    code, out, err = run_cli(argv[1:], capsys)
+    assert (code, err) == (0, "")
+    assert out or len(list(tmp_path.iterdir())) == 2  # printed, or wrote its --out file
+
+
+def test_readme_library_quick_start():
+    exec(_readme_block("Library quick start", "python"), {})
 
 
 def test_console_script_installed():

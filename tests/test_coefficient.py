@@ -130,6 +130,109 @@ def test_specialize_pole_and_validation():
         c.specialize({"x(1,2)": x2 * Q1})
 
 
+# -- the degeneration rule ------------------------------------------------------
+#
+# t = x(1,2)/x(1,1) and sigma = {x(1,2): x(1,1)} send every power of t to 1.
+# The value of a product of (1 - t^k)^p there is decided by the net power of
+# those factors, and at net power 0 by the slope ratio prod k^p.
+
+T = xparam("1", 2) / xparam("1", 1)
+SIGMA_T = {"x(1,2)": xparam("1", 1)}
+
+
+def _in_t(*factors):
+    return Coefficient.factored(1, Monomial.unit(), [(T**k, p) for k, p in factors])
+
+
+def test_degenerate_ratio_one_half_is_not_an_integer():
+    with pytest.raises(NonIntegerLimit):
+        _in_t((1, 1), (2, -1)).specialize(SIGMA_T)  # (1-t)/(1-t^2) -> 1/2
+
+
+def test_degenerate_ratio_two():
+    assert _in_t((2, 1), (1, -1)).specialize(SIGMA_T).as_integer() == 2  # (1+t) -> 2
+
+
+def test_degenerate_net_power_decides():
+    assert _in_t((1, 2), (2, -1)).specialize(SIGMA_T).is_zero
+    with pytest.raises(PoleError):
+        _in_t((1, 1), (2, -2)).specialize(SIGMA_T)
+
+
+def test_degenerate_ratio_keeps_the_surviving_factors():
+    c = Coefficient.factored(3, Q1, [(T, -1), (T**-3, 1), (T * Q2, 1)])
+    # (1-t^-3)/(1-t) -> -3; the rest is 3 q1 (1 - q2)
+    assert c.specialize(SIGMA_T) == Coefficient.factored(-9, Q1, [(Q2, 1)])
+
+
+def test_degenerate_zero_over_zero_under_two_generators_is_a_pole():
+    s = xparam("1", 3) / xparam("1", 1)
+    c = Coefficient.factored(1, Monomial.unit(), [(T, 1), (s, -1)])
+    with pytest.raises(PoleError, match="0/0"):
+        c.specialize({"x(1,2)": xparam("1", 1), "x(1,3)": xparam("1", 1)})
+
+
+def test_limit_of_a_general_value_substitutes():
+    c = Coefficient.factored(1, Q1, [(Q2, -1)]) + Coefficient.one()  # (q1 + 1 - q2)/(1 - q2)
+    assert c.kind == "general"
+    assert c.limit_at_unity("q1") == Coefficient.factored(1, Monomial.unit(), [(Q2, -1)]) + Coefficient.one()
+    with pytest.raises(PoleError):
+        c.limit_at_unity("q2")
+
+
+# -- structural equality --------------------------------------------------------
+#
+# Values that are not General are equal exactly when their factored forms are;
+# the reference is the subtraction path.  Arguments are powers m, m^2, m^3 of
+# a few base monomials, so colinear binomials meet.
+
+EQ_BASES = [Q1, Q1 * Q2**-1, T, T * Q2]
+EQ_UNITS = [Monomial.unit(), Q1, Q2**-1, T]
+
+factor_specs = st.lists(
+    st.tuples(
+        st.sampled_from(EQ_BASES),
+        st.sampled_from([1, 2, 3, -1, -2, -3]),
+        st.integers(min_value=-2, max_value=2).filter(bool),
+    ),
+    max_size=4,
+)
+value_specs = st.tuples(st.sampled_from([1, -1, 2]), st.sampled_from(EQ_UNITS), factor_specs)
+
+
+def _value(spec):
+    n, u, fs = spec
+    return Coefficient.factored(n, u, [(m**k, p) for m, k, p in fs])
+
+
+def _value_other_way(spec):
+    """The same value from single factors, each written as
+    (1 - m)^p = (-m)^p (1 - 1/m)^p, multiplied in reverse order."""
+    n, u, fs = spec
+    out = Coefficient.from_monomial(u, n)
+    for m, k, p in reversed(fs):
+        out = out * Coefficient.factored((-1) ** p, m ** (k * p), [(m ** -k, p)])
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(value_specs, value_specs, st.sampled_from(["same", "other way", "through c", "random"]), value_specs)
+def test_structural_equality_matches_subtraction(sa, sb, how, sc):
+    a = _value(sa)
+    if how == "same":
+        b = _value(sa)
+    elif how == "other way":
+        b = _value_other_way(sa)
+    elif how == "through c":
+        c = Coefficient.factored(1, sc[1], [(m**k, p) for m, k, p in sc[2]])
+        b = (a * c) * c.inverse()
+    else:
+        b = _value(sb)
+    assert (a == b) is (a - b).is_zero
+    if how != "random":
+        assert a == b
+
+
 # -- limits -------------------------------------------------------------------
 
 
@@ -193,7 +296,7 @@ def test_specialize_then_limit_commutes_when_defined():
 def test_json_round_trip():
     vals = [
         Coefficient.zero(),
-        Coefficient.from_integer(-7),
+        Coefficient.from_monomial(Monomial.unit(), -7),
         s_function(Q1**-1),
         s_r(2, Q1**-2) * s_function(Q2**-1),
         s_function(Q1**-1) + Coefficient.one(),
@@ -204,7 +307,7 @@ def test_json_round_trip():
 
 def test_inverse_requires_unit_integer():
     with pytest.raises(ValidationError):
-        Coefficient.from_integer(2).inverse()
+        Coefficient.from_monomial(Monomial.unit(), 2).inverse()
     with pytest.raises(ZeroDivisionError):
         Coefficient.zero().inverse()
 
@@ -368,3 +471,31 @@ def test_arithmetic_matches_sympy():
             images = [(0, 0, 0, 0) if v == k else unit[v] for v in range(4)]
             for d, fd in ((a, fa), (c * a, fc * fa)):
                 _check_at(K, lambda: d.limit_at_unity(which), fd, images)
+
+
+def test_degeneration_rule_matches_sympy():
+    """Products of (1 - m^k)^p over one base m, k in +-{1, 2, 3}, times
+    (1 - q1 t): under the substitution that sends m to 1, and under the
+    limit of a pure q1 or q2 base, the value must be sympy's."""
+    sp = pytest.importorskip("sympy")
+    K = sp.field([sp.Symbol(g) for g in ORACLE_GENS], sp.ZZ)[0]
+    q1, q2, x1, x2 = K.gens
+    unit = [tuple(int(v == k) for v in range(4)) for k in range(4)]
+    rng = random.Random(20261019)
+    for _ in range(40):
+        i, j = rng.randint(-2, 2), rng.randint(-2, 2)
+        cases = [  # (base, its field value, compute, images)
+            (T * Q1**i * Q2**j, x2 / x1 * q1**i * q2**j,
+             lambda c: c.specialize({"x(1,2)": xparam("1", 1) * Q1**-i * Q2**-j}), unit[:3] + [(-i, -j, 1, 0)]),
+            (Q1, q1, lambda c: c.limit_at_unity("q1"), [(0, 0, 0, 0)] + unit[1:]),
+            (Q2, q2, lambda c: c.limit_at_unity("q2"), [unit[0], (0, 0, 0, 0)] + unit[2:]),
+        ]
+        for m, fm, compute, images in cases:
+            factors, ref = [(Q1 * T, 1)], 1 - q1 * x2 / x1
+            for _ in range(rng.randint(1, 4)):
+                k, p = rng.choice((1, 2, 3, -1, -2, -3)), rng.choice((1, -1, 2, -2))
+                factors.append((m**k, p))
+                ref *= (1 - fm**k) ** p
+            n = rng.choice((1, -1, 2))
+            c = Coefficient.factored(n, Monomial.unit(), factors)
+            _check_at(K, lambda: compute(c), n * ref, images)

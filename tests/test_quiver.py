@@ -63,7 +63,7 @@ def test_cartan_arhat3_determinant():
             for j in range(i + 1, 3):
                 if seen[i] > seen[j]:
                     sign = -sign
-        term = Coefficient.from_integer(sign)
+        term = Coefficient.from_monomial(Monomial.unit(), sign)
         for i in range(3):
             term = term * mat[i][perm[i]]
         det = det + term

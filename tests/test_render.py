@@ -50,7 +50,7 @@ def test_coeff_latex():
     assert coeff_latex(Coefficient.zero()) == "0"
     assert coeff_latex(s_function(Q1**-1)) == "\\mathscr{S}\\qty(q_1^{-1})"
     assert coeff_latex(s_r(2, Q1**-1)) == "\\mathscr{S}_{2}\\qty(q_1^{-1})"
-    assert coeff_latex(Coefficient.from_integer(-2)) == "-2"
+    assert coeff_latex(Coefficient.from_monomial(Monomial.unit(), -2)) == "-2"
 
 
 def test_character_latex_golden():
