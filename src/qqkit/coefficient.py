@@ -124,6 +124,32 @@ def _factor_tuple(powers: Mapping[Monomial, int]) -> tuple:
     return tuple(sorted(((a, p) for a, p in powers.items() if p), key=lambda t: t[0].sort_key()))
 
 
+def _net_power_ratio(sigma: Mapping[str, Monomial], degenerate) -> Fraction | None:
+    """The rule for the binomials (1 - a)^p whose argument becomes 1 under sigma.
+
+    Their net power decides: > 0 gives None, for a zero value, and < 0 a
+    PoleError.  At net power 0 under a one-generator substitution g -> m,
+    each argument is (g/m)^k and (1 - t^k) vanishes like k (1 - t), so the
+    surviving part is scaled by the slope ratio prod k^p, which is returned;
+    under a larger substitution the 0/0 raises a PoleError.
+    """
+    net = sum(p for _, p in degenerate)
+    if net > 0:
+        return None
+    if net < 0:
+        a = next(a for a, p in degenerate if p < 0)
+        raise PoleError(f"denominator factor (1 - {a!r}) vanished under substitution")
+    ratio = Fraction(1)
+    if degenerate:
+        if len(sigma) != 1:
+            zeros = "*".join(f"(1 - {a!r})^{p}" for a, p in degenerate)
+            raise PoleError(f"0/0: factors {zeros} vanished together under substitution")
+        (g,) = sigma
+        for a, p in degenerate:
+            ratio *= Fraction(a.exponent(g)) ** p
+    return ratio
+
+
 class Coefficient:
     """Exact rational coefficient; immutable."""
 
@@ -371,33 +397,43 @@ class Coefficient:
     def _substitute(self, sigma: Mapping[str, Monomial]) -> "Coefficient":
         """The value under sigma, with one rule for degenerate binomials.
 
-        The factors whose argument becomes 1 are summed by power.  Net power
-        > 0 gives Zero and < 0 a PoleError.  At net power 0 under a
-        one-generator substitution g -> m, each degenerate argument is
-        (g/m)^k and (1 - t^k) vanishes like k (1 - t), so the value is the
-        slope ratio prod k^p times the surviving factors (NonIntegerLimit
-        unless that is an integer); under a larger substitution the 0/0
-        raises a PoleError.  A General value has no numerator factors: any
-        degenerate denominator binomial is a pole.
+        The binomials whose argument becomes 1 are decided by
+        ``_net_power_ratio``.  A General value has its zeros in the
+        numerator: under a one-generator substitution g -> m, the numerator
+        is divided by (1 - g/m) as often as it divides exactly, and each
+        quotient counts as a degenerate numerator factor.  A slope ratio that
+        leaves a non-integer coefficient raises NonIntegerLimit.
         """
         if self.kind == "zero":
             return _ZERO
         if self.kind == "general":
-            num: dict = {}
-            for m, c in self.num.items():
-                m2 = m.substitute(sigma)
-                s = num.get(m2, 0) + c
-                if s:
-                    num[m2] = s
-                else:
-                    num.pop(m2, None)
-            den = []
+            num, den, degenerate = self.num, [], []
             for a, p in self.den:
                 a2 = a.substitute(sigma)
                 if a2.is_unit:
-                    raise PoleError(f"denominator factor (1 - {a!r}) vanished under substitution")
-                den.append((a2, p))
-            return Coefficient.general(num, den)
+                    degenerate.append((a, -p))
+                else:
+                    den.append((a2, p))
+            if degenerate and len(sigma) == 1:
+                ((g, m),) = sigma.items()
+                t = Monomial.gen(g) / m
+                while (q := _pol_divide_binomial(num, t)) is not None:
+                    num = q
+                    degenerate.append((t, 1))
+            ratio = _net_power_ratio(sigma, degenerate)
+            if ratio is None:
+                return _ZERO
+            out: dict = {}
+            for m, c in num.items():
+                m2 = m.substitute(sigma)
+                s = out.get(m2, 0) + c * ratio
+                if s:
+                    out[m2] = s
+                else:
+                    out.pop(m2, None)
+            if any(c.denominator != 1 for c in out.values()):
+                raise NonIntegerLimit(f"limit slope ratio {ratio} leaves a non-integer numerator")
+            return Coefficient.general({m: int(c) for m, c in out.items()}, den)
         degenerate, survivors = [], []
         for a, p in self.factors:
             a2 = a.substitute(sigma)
@@ -405,21 +441,12 @@ class Coefficient:
                 degenerate.append((a, p))
             else:
                 survivors.append((a2, p))
-        net = sum(p for _, p in degenerate)
-        if net > 0:
-            return _ZERO
-        if net < 0:
-            a = next(a for a, p in degenerate if p < 0)
-            raise PoleError(f"denominator factor (1 - {a!r}) vanished under substitution")
         n = self.integer
         if degenerate:
-            if len(sigma) != 1:
-                zeros = "*".join(f"(1 - {a!r})^{p}" for a, p in degenerate)
-                raise PoleError(f"0/0: factors {zeros} vanished together under substitution")
-            (g,) = sigma
-            ratio = Fraction(n)
-            for a, p in degenerate:
-                ratio *= Fraction(a.exponent(g)) ** p
+            ratio = _net_power_ratio(sigma, degenerate)
+            if ratio is None:
+                return _ZERO
+            ratio *= n
             if ratio.denominator != 1:
                 raise NonIntegerLimit(f"limit slope ratio {ratio} is not an integer")
             n = ratio.numerator

@@ -99,12 +99,13 @@ def classical_limit(ch: Character, which: str) -> ClassicalCharacter:
     """Send q1 or q2 to 1 in arguments and coefficients, merging collisions."""
     if which not in ("q1", "q2"):
         raise ValidationError("limit generator must be q1 or q2")
+    unity = {which: Monomial.unit()}
     merged: dict[YMonomial, int] = {}
     for ym, coeff in ch.terms.items():
         n = coeff.limit_at_unity(which).as_integer()
         if n == 0:
             continue
-        ym2 = YMonomial(tuple((i, a.without(which), e) for i, a, e in ym.entries))
+        ym2 = ym.substitute(unity)
         s = merged.get(ym2, 0) + n
         if s:
             merged[ym2] = s

@@ -118,12 +118,6 @@ class Monomial:
                 out.append((g, e))
         return Monomial(tuple(out))
 
-    def without(self, name: str) -> "Monomial":
-        """The monomial with one generator set to 1 (exponent dropped)."""
-        if self.exponent(name) == 0:
-            return self
-        return Monomial(tuple((g, e) for g, e in self._exps if g != name))
-
     def sort_key(self):
         return self._key
 

@@ -18,7 +18,6 @@ boundary map, is read off the diagram itself, with color (s1 - s2) mod r.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
@@ -100,22 +99,6 @@ class Partition:
             if p > self.part(k + 1):
                 out.append((p, k))
         return out
-
-
-@dataclass(frozen=True)
-class BoxStats:
-    arm: int
-    leg: int
-
-    @property
-    def hook(self) -> int:
-        return self.arm + self.leg + 1
-
-
-def box_stats(lam: Partition, s: tuple[int, int]) -> BoxStats:
-    s1, s2 = s
-    t = lam.transpose()
-    return BoxStats(arm=lam.part(s2) - s1, leg=t.part(s1) - s2)
 
 
 def box_weight(base: Monomial, s: tuple[int, int]) -> Monomial:
@@ -311,14 +294,6 @@ def pit_resonance_sigma(pit: tuple[int, int], seed: tuple[int, int]) -> dict[str
     n2 = (i + j - 1) * r2
     m = j * r1 + (j - 1) * r2
     return {"q1": t**n1, "q2": t**n2, "mu": t**m}
-
-
-def resonance_to_pit(sigma_exponents: tuple[int, int]) -> tuple[int, int]:
-    """Pit position for a resonance q3^e3 q4^e4 = q1; requires e4 <= 0."""
-    e3, e4 = sigma_exponents
-    if e3 < 1 or e4 > 0:
-        raise InvalidPit("resonance exponents must satisfy e3 >= 1, e4 <= 0")
-    return (e3, 1 - e4)
 
 
 def burge_filter(lam_a: Partition, lam_b: Partition, i: int, j: int) -> bool:

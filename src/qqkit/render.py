@@ -10,7 +10,7 @@ from __future__ import annotations
 from .coefficient import Coefficient, s_r
 from .engine import Character, WeightConfig, YMonomial
 from .errors import PoleError, ValidationError
-from .monomial import Monomial, Q1, Q2
+from .monomial import Monomial
 from .quiver import Quiver
 
 # ---------------------------------------------------------------------------
@@ -105,48 +105,46 @@ def _mono_size(m: Monomial) -> int:
 def s_decompose(c: Coefficient):
     """Write a factored coefficient as integer * monomial * prod S_r(z)^p.
 
-    Returns (integer, unit, [(r, z, power), ...], leftover factors).  Each
-    round peels the smallest S_r(z), r <= 3, that one of the remaining
-    denominator binomials suggests and whose factors all remain with at
-    least its powers and the same signs.
+    Returns (integer, unit, [(r, z, power), ...], leftover factors).  The
+    candidates are the S_r(z), r <= 3, with z or 1/z a denominator argument,
+    tried smallest first; each is peeled while all its factors remain with
+    at least its powers and the same signs.  One pass suffices: peeling only
+    lowers powers, so a candidate that does not fit never fits later, and an
+    S_r(z) can only fit while its own (1 - z) is a denominator.  (S_2(q1)
+    cancels its (1 - q1), but S_1(1/q1) and S_2(1/q1), the only candidates
+    that can peel (1 - q1) before it, have its denominator (1 - 1/(q1 q2))
+    in their numerators.)
     """
     if c.kind != "factored":
         raise ValidationError("S-decomposition needs a factored coefficient")
     integer, unit = c.integer, c.unit
     remaining = dict(c.factors)  # keeps the factor order: peeling only lowers powers
-    found: dict[tuple[int, Monomial], int] = {}
-    progress = True
-    while progress and remaining:
-        progress = False
-        candidates = sorted(
-            (
-                (r, z)
-                for a, p in remaining.items()
-                if p < 0
-                for r in range(1, 4)
-                for z in (a, a.inverse(), a * Q1**r * Q2, (a * Q1**r * Q2).inverse())
-            ),
-            key=lambda t: (_mono_size(t[1]), t[0], t[1].sort_key()),
-        )
-        for r, z in candidates:
-            try:
-                s = s_r(r, z)
-            except PoleError:
-                continue
-            if s.kind != "factored" or any(
-                abs(remaining.get(a, 0)) < abs(p) or remaining.get(a, 0) * p < 0 for a, p in s.factors
-            ):
-                continue
-            for a, p in s.factors:
-                remaining[a] -= p
-                if remaining[a] == 0:
-                    del remaining[a]
-            integer //= s.integer
-            unit = unit / s.unit
-            found[r, z] = found.get((r, z), 0) + 1
-            progress = True
-            break
-    return integer, unit, [(r, z, p) for (r, z), p in found.items()], tuple(remaining.items())
+    candidates = sorted(
+        ((r, z, d) for d, p in c.factors if p < 0 for r in range(1, 4) for z in (d, d.inverse())),
+        key=lambda t: (_mono_size(t[1]), t[0], t[1].sort_key()),
+    )
+    found = []
+    for r, z, d in candidates:
+        if d not in remaining:  # its (1 - z) is peeled away, so it cannot fit
+            continue
+        try:
+            s = s_r(r, z)
+        except PoleError:
+            continue
+        if s.is_zero:
+            continue
+        # how often every factor fits: a negative quotient means opposite signs
+        power = min(remaining.get(a, 0) // p for a, p in s.factors)
+        if power <= 0:
+            continue
+        for a, p in s.factors:
+            remaining[a] -= p * power
+            if remaining[a] == 0:
+                del remaining[a]
+        integer //= s.integer**power
+        unit = unit / s.unit**power
+        found.append((r, z, power))
+    return integer, unit, found, tuple(remaining.items())
 
 
 def coeff_latex(c: Coefficient, names: dict[str, str] | None = None) -> str:

@@ -233,6 +233,9 @@ def _check_affine_oracle(fx: dict):
     return "pass", f"{len(eng.terms)} terms agree between engine and partition sum"
 
 
+BURGE_MAX_SIZE = 12  # the sweep time roughly doubles with each unit of max_size
+
+
 def burge_rows(r: int, i_values, j_values, max_size: int):
     """One row per configuration of the Burge resonance check.
 
@@ -241,10 +244,13 @@ def burge_rows(r: int, i_values, j_values, max_size: int):
     whether Z vanishes under the exact substitution x_b -> x_a q1 q3^-i
     q4^(j-1), whether (a, b) passes the transpose-column filter, and ``ok``:
     vanishing happens exactly when the colour residue (i + j - 1 - (na - nb))
-    mod r is zero and the filter rejects the pair.
+    mod r is zero and the filter rejects the pair.  max_size is capped at
+    BURGE_MAX_SIZE.
     """
     if r < 1 or max_size < 0:
         raise ValidationError("burge check needs r >= 1 and max_size >= 0")
+    if max_size > BURGE_MAX_SIZE:
+        raise ValidationError(f"burge check needs max_size <= {BURGE_MAX_SIZE}, got {max_size}")
     xa, xb = Monomial.gen("xa"), Monomial.gen("xb")
     pool = partitions_up_to(max_size)
     for na, nb, i, j in product(range(r), range(r), i_values, j_values):

@@ -3,6 +3,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -74,6 +75,14 @@ def test_burge_check(capsys):
     code, out, _ = run_cli(["burge-check", "--r", "1", "--i", "0", "--j", "1", "--max-size", "2"], capsys)
     assert code == 0
     assert json.loads(out)["agree"] is True
+
+
+def test_burge_check_max_size_ceiling(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(["burge-check", "--i", "0", "--j", "1", "--max-size", "100"], capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.startswith("validation error:") and err.count("\n") == 1
 
 
 def test_exit_codes(capsys):

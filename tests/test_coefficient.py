@@ -180,6 +180,19 @@ def test_limit_of_a_general_value_substitutes():
         c.limit_at_unity("q2")
 
 
+def test_limit_of_a_general_sum_divides_out_its_zeros():
+    x = xparam("1", 1)
+    a = Coefficient.factored(2, Monomial.unit(), [(Q1, 1), (Q1**2, -1)])  # 2(1-q1)/(1-q1^2)
+    b = Coefficient.factored(2, x, [(Q1, 1), (Q1**2, -1)])
+    assert (a + b).kind == "general"  # (1 - q1) divides its numerator, (1 - q1^2) does not
+    assert (a + b).limit_at_unity("q1") == Coefficient.one() + Coefficient.from_monomial(x)
+    half = Coefficient.factored(1, Monomial.unit(), [(Q1, 1), (Q1**2, -1)])
+    with pytest.raises(NonIntegerLimit):
+        (half + half * Coefficient.from_monomial(x)).limit_at_unity("q1")  # (1 + x)/2
+    with pytest.raises(PoleError):
+        (a + b * Coefficient.factored(1, Monomial.unit(), [(Q1, -1)])).limit_at_unity("q1")
+
+
 # -- structural equality --------------------------------------------------------
 #
 # Values that are not General are equal exactly when their factored forms are;
@@ -285,7 +298,7 @@ def test_specialize_then_limit_commutes_when_defined():
     for c, sigma in cases:
         for which in ("q1", "q2"):
             path_a = c.specialize(sigma).limit_at_unity(which)
-            sig2 = {g: m.without(which) for g, m in sigma.items()}
+            sig2 = {g: m.substitute({which: Monomial.unit()}) for g, m in sigma.items()}
             path_b = c.limit_at_unity(which).specialize(sig2)
             assert path_a == path_b
 
@@ -475,13 +488,14 @@ def test_arithmetic_matches_sympy():
 
 def test_degeneration_rule_matches_sympy():
     """Products of (1 - m^k)^p over one base m, k in +-{1, 2, 3}, times
-    (1 - q1 t): under the substitution that sends m to 1, and under the
-    limit of a pure q1 or q2 base, the value must be sympy's."""
+    (1 - q1 t), and their sums with such products times (1 - q2 t): under
+    the substitution that sends m to 1, and under the limit of a pure q1 or
+    q2 base, the value must be sympy's."""
     sp = pytest.importorskip("sympy")
     K = sp.field([sp.Symbol(g) for g in ORACLE_GENS], sp.ZZ)[0]
     q1, q2, x1, x2 = K.gens
     unit = [tuple(int(v == k) for v in range(4)) for k in range(4)]
-    rng = random.Random(20261019)
+    rng, rng_sums = random.Random(20261019), random.Random(20261020)
     for _ in range(40):
         i, j = rng.randint(-2, 2), rng.randint(-2, 2)
         cases = [  # (base, its field value, compute, images)
@@ -491,11 +505,19 @@ def test_degeneration_rule_matches_sympy():
             (Q2, q2, lambda c: c.limit_at_unity("q2"), [unit[0], (0, 0, 0, 0)] + unit[2:]),
         ]
         for m, fm, compute, images in cases:
-            factors, ref = [(Q1 * T, 1)], 1 - q1 * x2 / x1
-            for _ in range(rng.randint(1, 4)):
-                k, p = rng.choice((1, 2, 3, -1, -2, -3)), rng.choice((1, -1, 2, -2))
-                factors.append((m**k, p))
-                ref *= (1 - fm**k) ** p
-            n = rng.choice((1, -1, 2))
-            c = Coefficient.factored(n, Monomial.unit(), factors)
-            _check_at(K, lambda: compute(c), n * ref, images)
+            c, fc = _over_base(rng, m, fm, (Q1 * T, 1 - q1 * x2 / x1))
+            _check_at(K, lambda: compute(c), fc, images)
+            # a sum is General, and its zeros sit in the numerator polynomial
+            d, fd = _over_base(rng_sums, m, fm, (Q2 * T, 1 - q2 * x2 / x1))
+            _check_at(K, lambda: compute(c + d), fc + fd, images)
+
+
+def _over_base(rng, m, fm, other):
+    """n (1 - other) prod (1 - m^k)^p, k in +-{1, 2, 3}, with its field value."""
+    factors, ref = [(other[0], 1)], other[1]
+    for _ in range(rng.randint(1, 4)):
+        k, p = rng.choice((1, 2, 3, -1, -2, -3)), rng.choice((1, -1, 2, -2))
+        factors.append((m**k, p))
+        ref *= (1 - fm**k) ** p
+    n = rng.choice((1, -1, 2))
+    return Coefficient.factored(n, Monomial.unit(), factors), n * ref

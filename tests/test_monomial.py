@@ -56,12 +56,6 @@ def test_substitute():
     assert m.substitute({}) == m
 
 
-def test_without():
-    m = Q1**2 * Q2
-    assert m.without("q1") == Q2
-    assert m.without("mu") == m
-
-
 def test_parse():
     assert parse_monomial("q1^-2*q2") == Q1**-2 * Q2
     assert parse_monomial("q") == Q

@@ -8,10 +8,8 @@ from qqkit.engine import WeightConfig, expand
 from qqkit.errors import InvalidPit, ValidationError
 from qqkit.monomial import Monomial, Q3, Q4
 from qqkit.partitions import (
-    BoxStats,
     Partition,
     affine_character,
-    box_stats,
     burge_filter,
     burge_resonance_sigma,
     partitions_of,
@@ -19,11 +17,11 @@ from qqkit.partitions import (
     pit_filter,
     pit_resonance_sigma,
     pit_resonance_vanishes,
-    resonance_to_pit,
     z_Ar,
     z_Ar_tuple,
 )
 from qqkit.quiver import builtin_quiver
+from qqkit.verify import _check_pit, burge_rows
 
 
 def test_partition_basics():
@@ -34,14 +32,6 @@ def test_partition_basics():
     assert Partition(()).transpose() == Partition(())
     with pytest.raises(ValidationError):
         Partition((1, 2))
-
-
-def test_box_stats_examples():
-    assert box_stats(Partition((1,)), (1, 1)) == BoxStats(0, 0)
-    st = box_stats(Partition((3, 1)), (1, 1))
-    assert (st.arm, st.leg, st.hook) == (2, 1, 4)
-    outside = box_stats(Partition((1,)), (3, 2))
-    assert outside.arm < 0 and outside.leg < 0
 
 
 def test_corners_against_brute_force():
@@ -162,13 +152,6 @@ def test_pit_filter_examples():
     pit_filter(Partition(()), (2, 1), r=2)
 
 
-def test_resonance_to_pit():
-    assert resonance_to_pit((2, 0)) == (2, 1)
-    assert resonance_to_pit((1, -2)) == (1, 3)
-    with pytest.raises(InvalidPit):
-        resonance_to_pit((0, 1))
-
-
 def test_pit_resonance_matches_arm_leg_criterion():
     seeds = [(37, 101), (59, 73)]
     for i in range(1, 5):
@@ -213,6 +196,21 @@ def test_burge_resonance_equivalence_small():
                 for lb in pool:
                     z = z_Ar_tuple([la, lb], [xa, xb], 1)
                     assert z.specialize(sigma).is_zero == (not burge_filter(la, lb, i, j))
+
+
+def test_burge_rows_r3():
+    rows = list(burge_rows(3, [0, -1, -2], [1, 2, 3], 4))
+    assert len(rows) == 3078
+    assert all(row["ok"] for row in rows)
+
+
+def test_pit_r3():
+    fx = {"r": 3, "max_size": 6, "i_max": 6, "j_max": 3, "seeds": [[37, 101], [59, 73]]}
+    # large seeds: small ones such as (1, 2) and (2, 5) make vanishing seed-dependent
+    assert _check_pit(fx) == (
+        "flag",
+        "180 configurations: vanishing == arm/leg criterion; box-membership reading deviates on 17 of them",
+    )
 
 
 def test_colored_tuple_hook_filter():

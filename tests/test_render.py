@@ -1,5 +1,8 @@
+from hypothesis import given, settings, strategies as st
+
 from qqkit.coefficient import Coefficient, s_function, s_r
 from qqkit.engine import WeightConfig, expand
+from qqkit.errors import PoleError
 from qqkit.higgsing import higgs, kr_sigma
 from qqkit.monomial import Monomial, Q1, Q2, xparam
 from qqkit.partitions import affine_character
@@ -28,7 +31,79 @@ def test_monomial_latex():
     assert monomial_latex(Monomial.unit()) == "1"
 
 
-def test_s_decompose_round_trips():
+def _s_decompose_by_rounds(c: Coefficient):
+    """Reference: each round re-derives the candidates from the remaining
+    denominators, including the forms a q1^r q2 and their inverses, and
+    peels the smallest one that fits."""
+    integer, unit = c.integer, c.unit
+    remaining = dict(c.factors)
+    found: dict = {}
+    progress = True
+    while progress and remaining:
+        progress = False
+        candidates = sorted(
+            (
+                (r, z)
+                for a, p in remaining.items()
+                if p < 0
+                for r in range(1, 4)
+                for z in (a, a.inverse(), a * Q1**r * Q2, (a * Q1**r * Q2).inverse())
+            ),
+            key=lambda t: (sum(abs(e) for _, e in t[1].exps), t[0], t[1].sort_key()),
+        )
+        for r, z in candidates:
+            try:
+                s = s_r(r, z)
+            except PoleError:
+                continue
+            if s.kind != "factored" or any(
+                abs(remaining.get(a, 0)) < abs(p) or remaining.get(a, 0) * p < 0 for a, p in s.factors
+            ):
+                continue
+            for a, p in s.factors:
+                remaining[a] -= p
+                if remaining[a] == 0:
+                    del remaining[a]
+            integer //= s.integer
+            unit = unit / s.unit
+            found[r, z] = found.get((r, z), 0) + 1
+            progress = True
+            break
+    return integer, unit, [(r, z, p) for (r, z), p in found.items()], tuple(remaining.items())
+
+
+_small_monomials = st.dictionaries(
+    st.sampled_from(["q1", "q2", "x(1,1)"]), st.integers(-3, 3), min_size=1, max_size=3
+).map(Monomial).filter(lambda m: not m.is_unit)
+
+
+@st.composite
+def _s_products(draw):
+    c = Coefficient.from_monomial(draw(_small_monomials), draw(st.sampled_from((1, -1, 2))))
+    for r, z, p in draw(st.lists(st.tuples(st.integers(1, 3), _small_monomials, st.sampled_from((1, -1, 2, -2))), max_size=4)):
+        try:
+            c = c * s_r(r, z) ** p
+        except (PoleError, ZeroDivisionError):  # a pole, or the inverse of an S-zero
+            continue
+    for a, p in draw(st.lists(st.tuples(_small_monomials, st.sampled_from((1, -1))), max_size=2)):
+        c = c * Coefficient.factored(1, Monomial.unit(), [(a, p)])
+    return c
+
+
+@settings(max_examples=300, deadline=None)
+@given(_s_products())
+def test_s_decompose_round_trips(c):
+    if c.is_zero:
+        return
+    n, unit, sprod, leftover = s_decompose(c)
+    rebuilt = Coefficient.factored(n, unit, leftover)
+    for r, z, p in sprod:
+        rebuilt = rebuilt * s_r(r, z) ** p
+    assert rebuilt == c
+    assert (n, unit, sprod, leftover) == _s_decompose_by_rounds(c)
+
+
+def test_s_decompose_peels_whole_products():
     cases = [
         s_function(Q1**-1),
         s_r(2, Q1**-2),
