@@ -20,14 +20,15 @@ makes coefficients cancel exactly along distinct reflection paths.
 
 Specialization and the classical limits q1 -> 1, q2 -> 1 are one
 substitution, ``Coefficient._substitute``, with one rule for the binomials
-that degenerate to (1 - 1): their net power decides.
+that degenerate to (1 - 1): their net power decides.  ``product_vanishes``
+applies the same rule to a product of factored values without building it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .errors import NonIntegerLimit, PoleError, ValidationError
 from .monomial import Monomial, Q1, Q2
@@ -148,6 +149,59 @@ def _net_power_ratio(sigma: Mapping[str, Monomial], degenerate) -> Fraction | No
         for a, p in degenerate:
             ratio *= Fraction(a.exponent(g)) ** p
     return ratio
+
+
+def _degenerate_integer(sigma: Mapping[str, Monomial], degenerate, n: int) -> int | None:
+    """The integer n of a factored value times the ratio of ``_net_power_ratio``.
+
+    None when the value vanishes; a product that is not an integer raises
+    NonIntegerLimit.
+    """
+    ratio = _net_power_ratio(sigma, degenerate)
+    if ratio is None:
+        return None
+    ratio *= n
+    if ratio.denominator != 1:
+        raise NonIntegerLimit(f"limit slope ratio {ratio} is not an integer")
+    return ratio.numerator
+
+
+def _check_images(sigma: Mapping[str, Monomial]) -> None:
+    for g, img in sigma.items():
+        if any(h in sigma for h in img.gens()):
+            raise ValidationError(f"substitution image of {g} reuses substituted generators")
+
+
+@lru_cache(maxsize=8192)
+def _becomes_one(arg: Monomial, sigma: tuple) -> bool:
+    """Whether the binomial argument is 1 under sigma, given as its item tuple."""
+    return arg.substitute(dict(sigma)).is_unit
+
+
+def product_vanishes(values: Iterable[Coefficient], sigma: Mapping[str, Monomial]) -> bool:
+    """Whether the product of Zero or Factored values is zero under sigma.
+
+    Equal to ``prod(values).specialize(sigma).is_zero``, and raising what that
+    call raises, without building the product: the factor arguments that
+    become 1 are merged by canonical argument, as the product merges them,
+    and decided by the rule of ``_substitute``.  The S-values of a partition
+    sum's weight are such values.
+    """
+    _check_images(sigma)
+    key = tuple(sigma.items())
+    n = 1
+    merged: dict[Monomial, int] = {}
+    for v in values:
+        if v.kind == "zero":
+            return True
+        if v.kind != "factored":
+            raise ValidationError("product_vanishes takes Zero or Factored values")
+        n *= v.integer
+        for a, p in v.factors:
+            if _becomes_one(a, key):
+                merged[a] = merged.get(a, 0) + p
+    degenerate = _factor_tuple(merged)
+    return bool(degenerate) and _degenerate_integer(sigma, degenerate, n) is None
 
 
 class Coefficient:
@@ -383,9 +437,7 @@ class Coefficient:
         Binomials that degenerate to (1 - 1) are decided by their net power:
         see ``_substitute``.
         """
-        for g, img in sigma.items():
-            if any(h in sigma for h in img.gens()):
-                raise ValidationError(f"substitution image of {g} reuses substituted generators")
+        _check_images(sigma)
         return self._substitute(sigma)
 
     def limit_at_unity(self, which: str) -> "Coefficient":
@@ -443,13 +495,9 @@ class Coefficient:
                 survivors.append((a2, p))
         n = self.integer
         if degenerate:
-            ratio = _net_power_ratio(sigma, degenerate)
-            if ratio is None:
+            n = _degenerate_integer(sigma, degenerate, n)
+            if n is None:
                 return _ZERO
-            ratio *= n
-            if ratio.denominator != 1:
-                raise NonIntegerLimit(f"limit slope ratio {ratio} is not an integer")
-            n = ratio.numerator
         return Coefficient.factored(n, self.unit.substitute(sigma), survivors)
 
     # -- serialization --------------------------------------------------------

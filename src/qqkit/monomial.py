@@ -3,8 +3,8 @@
 A monomial is a finite map generator-name -> nonzero integer exponent.
 Generators are plain strings: the deformation parameters "q1", "q2", the
 mass "mu", per-node counting parameters "qfrak(i)", weight parameters
-"x(i,a)", and anything else callers introduce (e.g. "t" for numeric
-resonance checks).  The canonical generator order is
+"x(i,a)", and anything else callers introduce (e.g. "a", "b" for the pit
+resonance substitution).  The canonical generator order is
 q1 < q2 < mu < qfrak(...) < x(...) < other; within a class, qfrak and x
 parameters sort by node and then by integer label, and the name itself
 breaks every remaining tie, so the order is total.  It fixes hashing,

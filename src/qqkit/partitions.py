@@ -146,7 +146,20 @@ def z_Ar_tuple(
     r: int,
     nodes: Sequence[int] | None = None,
 ) -> Coefficient:
-    """Fixed-point weight of a tuple: a product over all ordered pairs (alpha, beta).
+    """Fixed-point weight of a tuple: the product of its ``z_s_values``."""
+    out = Coefficient.one()
+    for value in z_s_values(lams, xs, r, nodes):
+        out = out * value
+    return out
+
+
+def z_s_values(
+    lams: Sequence[Partition],
+    xs: Sequence[Monomial],
+    r: int,
+    nodes: Sequence[int] | None = None,
+) -> list[Coefficient]:
+    """The S-values whose product is the weight of a tuple, over all ordered pairs (alpha, beta).
 
     The pair contributes S((x_beta / x_alpha) q3^{l+1} q4^{-a}) for each box
     of lam_alpha with arm a on lam_alpha, leg l on lam_beta^T and
@@ -160,7 +173,7 @@ def z_Ar_tuple(
         raise ValidationError("one evaluation parameter per partition")
     ns = list(nodes) if nodes is not None else [0] * len(lams)
     transposes = [lam.transpose() for lam in lams]
-    out = Coefficient.one()
+    out = []
     for lam_a, x_a, n_a in zip(lams, xs, ns):
         for t_b, x_b, n_b in zip(transposes, xs, ns):
             ratio = x_b / x_a
@@ -168,8 +181,14 @@ def z_Ar_tuple(
                 arm = lam_a.part(s2) - s1
                 leg = t_b.part(s1) - s2
                 if (arm + leg + 1 - (n_a - n_b)) % r == 0:
-                    out = out * s_function(ratio * Q3 ** (leg + 1) * Q4 ** (-arm))
+                    out.append(_box_s_value(ratio, leg, arm))
     return out
+
+
+@lru_cache(maxsize=4096)
+def _box_s_value(ratio: Monomial, leg: int, arm: int) -> Coefficient:
+    """S(ratio q3^{leg+1} q4^{-arm}), memoized like ``s_r``."""
+    return s_function(ratio * Q3 ** (leg + 1) * Q4 ** (-arm))
 
 
 # ---------------------------------------------------------------------------
@@ -281,19 +300,18 @@ def pit_resonance_vanishes(lam: Partition, pit: tuple[int, int], r: int = 1) -> 
     return False
 
 
-def pit_resonance_sigma(pit: tuple[int, int], seed: tuple[int, int]) -> dict[str, Monomial]:
-    """Numeric resonance substitution q3^i q4^{1-j} = q1 with exact exponents.
+def pit_resonance_sigma(pit: tuple[int, int]) -> dict[str, Monomial]:
+    """Exact resonance substitution q3^i q4^{1-j} = q1 of the pit (i, j).
 
-    Maps q1, q2, mu to powers of a fresh generator t built from the seed
-    pair, satisfying mu^{i+j-1} = q1^j q2^{j-1} exactly.
+    With h = i + j - 1 the relation is mu^h = q1^j q2^{j-1}.  The substitution
+    maps q1 -> a^h, q2 -> b^h and mu -> a^j b^{j-1} with fresh generators a, b.
+    The exponent vectors of q1, q2, mu that it sends to 1 are the multiples of
+    (j, j-1, -h), so it imposes that relation and no other.
     """
     i, j = pit
-    r1, r2 = seed
-    t = Monomial.gen("t")
-    n1 = (i + j - 1) * r1
-    n2 = (i + j - 1) * r2
-    m = j * r1 + (j - 1) * r2
-    return {"q1": t**n1, "q2": t**n2, "mu": t**m}
+    h = i + j - 1
+    a, b = Monomial.gen("a"), Monomial.gen("b")
+    return {"q1": a**h, "q2": b**h, "mu": a**j * b ** (j - 1)}
 
 
 def burge_filter(lam_a: Partition, lam_b: Partition, i: int, j: int) -> bool:

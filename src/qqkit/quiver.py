@@ -18,6 +18,9 @@ from .errors import ValidationError, require_int
 from .monomial import MU, Monomial, Q1, Q2, qfrak
 
 
+MAX_DECORATION = 1000  # cartan_columns builds about d_i / d_ij terms per edge
+
+
 class QuiverClass(Enum):
     FINITE = "finite"
     AFFINE = "affine"
@@ -39,6 +42,8 @@ class Quiver:
         for i in self.nodes:
             if self.d.get(i, 0) < 1:
                 raise ValidationError(f"decoration d[{i}] must be a positive integer")
+            if self.d[i] > MAX_DECORATION:
+                raise ValidationError(f"decoration d[{i}] must be at most {MAX_DECORATION}, got {self.d[i]}")
         for a, b, c in self.edges:
             if a not in self.nodes or b not in self.nodes:
                 raise ValidationError(f"edge ({a},{b}) uses unknown nodes")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
 
-from .coefficient import Coefficient, s_r
+from .coefficient import Coefficient, product_vanishes, s_r
 from .engine import WeightConfig, YMonomial, closed_form_A1, expand
 from .errors import ValidationError
 from .higgsing import (
@@ -32,8 +32,7 @@ from .partitions import (
     pit_filter,
     pit_resonance_sigma,
     pit_resonance_vanishes,
-    z_Ar,
-    z_Ar_tuple,
+    z_s_values,
 )
 from .quiver import builtin_quiver
 from .render import edge_label
@@ -244,8 +243,9 @@ def burge_rows(r: int, i_values, j_values, max_size: int):
     whether Z vanishes under the exact substitution x_b -> x_a q1 q3^-i
     q4^(j-1), whether (a, b) passes the transpose-column filter, and ``ok``:
     vanishing happens exactly when the colour residue (i + j - 1 - (na - nb))
-    mod r is zero and the filter rejects the pair.  max_size is capped at
-    BURGE_MAX_SIZE.
+    mod r is zero and the filter rejects the pair.  Vanishing is decided from
+    the S-values of Z (``product_vanishes``), which are computed once per pair
+    and colouring.  max_size is capped at BURGE_MAX_SIZE.
     """
     if r < 1 or max_size < 0:
         raise ValidationError("burge check needs r >= 1 and max_size >= 0")
@@ -253,20 +253,20 @@ def burge_rows(r: int, i_values, j_values, max_size: int):
         raise ValidationError(f"burge check needs max_size <= {BURGE_MAX_SIZE}, got {max_size}")
     xa, xb = Monomial.gen("xa"), Monomial.gen("xb")
     pool = partitions_up_to(max_size)
-    for na, nb, i, j in product(range(r), range(r), i_values, j_values):
-        sigma = burge_resonance_sigma(i, j, "xa", "xb")
-        residue_ok = (i + j - 1 - (na - nb)) % r == 0
-        for la, lb in product(pool, pool):
-            if la.size + lb.size > max_size:
-                continue
-            z = z_Ar_tuple([la, lb], [xa, xb], r, nodes=[na, nb])
-            vanishes = z.specialize(sigma).is_zero
-            admitted = burge_filter(la, lb, i, j)
-            yield {
-                "nodes": [na, nb], "i": i, "j": j, "a": la.parts, "b": lb.parts,
-                "vanishes": vanishes, "admitted": admitted,
-                "ok": vanishes == (residue_ok and not admitted),
-            }
+    pairs = [(la, lb) for la, lb in product(pool, pool) if la.size + lb.size <= max_size]
+    resonances = [(i, j, burge_resonance_sigma(i, j, "xa", "xb")) for i, j in product(i_values, j_values)]
+    for na, nb in product(range(r), range(r)):
+        weights = [z_s_values([la, lb], [xa, xb], r, nodes=[na, nb]) for la, lb in pairs]
+        for i, j, sigma in resonances:
+            residue_ok = (i + j - 1 - (na - nb)) % r == 0
+            for (la, lb), values in zip(pairs, weights):
+                vanishes = product_vanishes(values, sigma)
+                admitted = burge_filter(la, lb, i, j)
+                yield {
+                    "nodes": [na, nb], "i": i, "j": j, "a": la.parts, "b": lb.parts,
+                    "vanishes": vanishes, "admitted": admitted,
+                    "ok": vanishes == (residue_ok and not admitted),
+                }
 
 
 def _check_burge(fx: dict):
@@ -281,20 +281,17 @@ def _check_burge(fx: dict):
 
 def _check_pit(fx: dict):
     r = fx["r"]
-    pool = partitions_up_to(fx["max_size"])
+    unit = [Monomial.unit()]
+    weights = [(lam, z_s_values([lam], unit, r)) for lam in partitions_up_to(fx["max_size"])]
     deviations = 0
     total = 0
     for i in range(1, fx["i_max"] + 1):
         for j in range(1, fx["j_max"] + 1):
             if (i + j - 1) % r != 0:
                 continue
-            sigmas = [pit_resonance_sigma((i, j), tuple(seed)) for seed in fx["seeds"]]
-            for lam in pool:
-                z = z_Ar(lam, r)
-                vans = {z.specialize(s).is_zero for s in sigmas}
-                if len(vans) != 1:
-                    return "fail", f"seed-dependent vanishing at {lam.parts}, pit ({i},{j})"
-                vanishes = vans.pop()
+            sigma = pit_resonance_sigma((i, j))
+            for lam, values in weights:
+                vanishes = product_vanishes(values, sigma)
                 total += 1
                 if vanishes != pit_resonance_vanishes(lam, (i, j), r):
                     return "fail", f"criterion mismatch at {lam.parts}, pit ({i},{j})"

@@ -13,10 +13,15 @@ from qqkit.cli import main
 from qqkit.errors import ValidationError
 from qqkit.job import COMMANDS, FORMATS, Job
 from qqkit.monomial import xparam
+from qqkit.quiver import MAX_DECORATION
 
 JOB = "<job file>"  # replaced by the path of a file holding the case's job
 EDGE_WITHOUT_FROM = json.dumps({"nodes": [{"id": "1"}, {"id": "2"}], "edges": [{"to": "2"}]})
 LOOP_WITHOUT_MASS = json.dumps({"nodes": [{"id": "0"}], "edges": [{"from": "0", "to": "0", "mu": 0}]})
+# checked before the Cartan columns, which would hold about 10^9 terms
+HUGE_DECORATION = json.dumps(
+    {"nodes": [{"id": "1", "d": 10**9}, {"id": "2"}], "edges": [{"from": "1", "to": "2"}]}
+)
 
 
 def _expand(*flags):
@@ -35,6 +40,7 @@ MALFORMED = {
     "quiver-bad-rank": (["expand", "--quiver", "Arhat(x)", "--w", "{}"], None),
     "quiver-edge-without-from": (["expand", "--quiver", EDGE_WITHOUT_FROM, "--w", '{"1": 1}'], None),
     "quiver-loop-mu-0": (["expand", "--quiver", LOOP_WITHOUT_MASS, "--w", '{"0": 1}', "--max-deg", "2"], None),
+    "quiver-decoration-above-ceiling": (["expand", "--quiver", HUGE_DECORATION, "--w", '{"1": 1}'], None),
     "affine-expand-without-max-deg": (["affine-expand", "--quiver", "A0hat", "--w", '{"0": 1}'], None),
     "higgs-list": (["higgs", "--quiver", "A1", "--w", '{"1": 2}', "--higgs", "[1]"], None),
     "limit-as-dot": (["limit", "--quiver", "A1", "--w", '{"1": 1}', "--limit", "q1", "--format", "dot"], None),
@@ -72,8 +78,10 @@ _small = st.integers(-2, 2)
 _text = st.text(alphabet="xq12^*-( ),a0", max_size=12)
 _junk = st.one_of(st.none(), st.booleans(), st.floats(-3, 3), _small, _text, st.lists(_small, max_size=2),
                   st.dictionaries(_text, _small, max_size=2))
+# decorations above the ceiling are rejected before anything is built from them
+_decoration = st.one_of(st.integers(1, 2), st.integers(MAX_DECORATION + 1, 10**12), _junk)
 _inline = st.fixed_dictionaries(
-    {"nodes": st.lists(st.fixed_dictionaries({"id": _text}, optional={"d": st.one_of(st.integers(1, 2), _junk)}), max_size=2)},
+    {"nodes": st.lists(st.fixed_dictionaries({"id": _text}, optional={"d": _decoration}), max_size=2)},
     optional={"edges": st.lists(st.fixed_dictionaries({}, optional={"from": _text, "to": _text, "mu": _junk}), max_size=2)},
 )
 _bad_quiver = st.one_of(

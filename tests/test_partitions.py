@@ -1,12 +1,13 @@
+import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from qqkit.coefficient import s_function
+from qqkit.coefficient import Coefficient, product_vanishes, s_function
 from qqkit.engine import WeightConfig, expand
-from qqkit.errors import InvalidPit, ValidationError
-from qqkit.monomial import Monomial, Q3, Q4
+from qqkit.errors import InvalidPit, QQError, ValidationError
+from qqkit.monomial import MU, Monomial, Q1, Q2, Q3, Q4
 from qqkit.partitions import (
     Partition,
     affine_character,
@@ -19,6 +20,7 @@ from qqkit.partitions import (
     pit_resonance_vanishes,
     z_Ar,
     z_Ar_tuple,
+    z_s_values,
 )
 from qqkit.quiver import builtin_quiver
 from qqkit.verify import _check_pit, burge_rows
@@ -153,14 +155,11 @@ def test_pit_filter_examples():
 
 
 def test_pit_resonance_matches_arm_leg_criterion():
-    seeds = [(37, 101), (59, 73)]
     for i in range(1, 5):
         for j in range(1, 4):
-            sigmas = [pit_resonance_sigma((i, j), s) for s in seeds]
+            sigma = pit_resonance_sigma((i, j))
             for lam in partitions_up_to(5):
-                vals = {z_Ar(lam, 1).specialize(s).is_zero for s in sigmas}
-                assert len(vals) == 1
-                assert vals.pop() == pit_resonance_vanishes(lam, (i, j))
+                assert z_Ar(lam, 1).specialize(sigma).is_zero == pit_resonance_vanishes(lam, (i, j))
 
 
 def test_pit_box_reading_deviates_on_staircase():
@@ -168,8 +167,23 @@ def test_pit_box_reading_deviates_on_staircase():
     lam = Partition((2, 1))
     assert pit_filter(lam, (2, 2))
     assert pit_resonance_vanishes(lam, (2, 2))
-    sigma = pit_resonance_sigma((2, 2), (37, 101))
+    sigma = pit_resonance_sigma((2, 2))
     assert z_Ar(lam, 1).specialize(sigma).is_zero
+
+
+def test_pit_sigma_imposes_only_the_resonance():
+    for i, j in itertools.product(range(1, 5), range(1, 4)):
+        h = i + j - 1
+        sigma = pit_resonance_sigma((i, j))
+        for e1, e2, e3 in itertools.product(range(-6, 7), repeat=3):
+            m = Q1**e1 * Q2**e2 * MU**e3
+            multiple = e3 % h == 0 and (e1, e2) == (-j * e3 // h, -(j - 1) * e3 // h)
+            assert m.substitute(sigma).is_unit == multiple, (i, j, m)
+    # the factor (1 - q1^2 q2^3 mu^-6) of this weight is no power of the
+    # resonance, so it must not degenerate
+    lam = Partition((3, 1, 1, 1))
+    assert not pit_resonance_vanishes(lam, (2, 2), 3)
+    assert not z_Ar(lam, 3).specialize(pit_resonance_sigma((2, 2))).is_zero
 
 
 def test_burge_filter_examples():
@@ -205,8 +219,9 @@ def test_burge_rows_r3():
 
 
 def test_pit_r3():
-    fx = {"r": 3, "max_size": 6, "i_max": 6, "j_max": 3, "seeds": [[37, 101], [59, 73]]}
-    # large seeds: small ones such as (1, 2) and (2, 5) make vanishing seed-dependent
+    # small hooks at r = 3: a substitution that imposed more than the resonance
+    # would also degenerate other factors, e.g. at (3, 1, 1, 1), pit (2, 2)
+    fx = {"r": 3, "max_size": 6, "i_max": 6, "j_max": 3}
     assert _check_pit(fx) == (
         "flag",
         "180 configurations: vanishing == arm/leg criterion; box-membership reading deviates on 17 of them",
@@ -220,3 +235,84 @@ def test_colored_tuple_hook_filter():
     z1 = z_Ar_tuple([la, lb], [xa, xb], 1)
     z2 = z_Ar_tuple([la, lb], [xa, xb], 2, nodes=[0, 1])
     assert len(z1.factors) >= len(z2.factors)
+
+
+def _z_by_boxes(lams, xs, r, nodes):
+    """The weight multiplied out box by box, with no S-value list: the reference."""
+    transposes = [lam.transpose() for lam in lams]
+    out = Coefficient.one()
+    for lam_a, x_a, n_a in zip(lams, xs, nodes):
+        for t_b, x_b, n_b in zip(transposes, xs, nodes):
+            ratio = x_b / x_a
+            for s1, s2 in lam_a.boxes():
+                arm = lam_a.part(s2) - s1
+                leg = t_b.part(s1) - s2
+                if (arm + leg + 1 - (n_a - n_b)) % r == 0:
+                    out = out * s_function(ratio * Q3 ** (leg + 1) * Q4 ** (-arm))
+    return out
+
+
+def test_z_tuple_is_the_product_of_its_s_values():
+    xs = [Monomial.gen("xa"), Monomial.gen("xb")]
+    pool = partitions_up_to(6)
+    pairs = [(la, lb) for la, lb in itertools.product(pool, pool) if la.size + lb.size <= 6]
+    for r in (1, 2, 3):
+        for nodes in itertools.product(range(r), repeat=2):
+            for la, lb in pairs:
+                got = z_Ar_tuple([la, lb], xs, r, nodes=nodes).to_json()
+                assert got == _z_by_boxes([la, lb], xs, r, nodes).to_json(), (r, nodes, la, lb)
+
+
+_XA, _XB, _XC = Monomial.gen("xa"), Monomial.gen("xb"), Monomial.gen("xc")
+
+
+@st.composite
+def _resonant_weights(draw):
+    """A pair or triple weight with a Burge or a pit substitution.
+
+    The last evaluation parameter may be a q-shifted twin of another one,
+    which the substitution sends onto it times the shift: then factors of
+    different ordered pairs degenerate together, and cancel, pile up or
+    mix slopes 1 and 2.
+    """
+    k = draw(st.sampled_from([2, 3]))
+    lams = draw(st.lists(st.sampled_from(partitions_up_to(3)), min_size=k, max_size=k))
+    r = draw(st.integers(1, 3))
+    nodes = draw(st.lists(st.integers(0, r - 1), min_size=k, max_size=k))
+    if draw(st.booleans()):
+        sigma = burge_resonance_sigma(draw(st.sampled_from([0, -1, -2, -3])), draw(st.integers(1, 4)), "xa", "xb")
+        twin = _XB**2 / sigma["xb"]  # becomes xb
+    else:
+        i, j = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+        sigma = pit_resonance_sigma((i, j))
+        twin = _XA * MU ** (i + j - 1) * Q1**-j * Q2 ** (1 - j)  # becomes xa
+    e1, e2, e3 = draw(st.tuples(*[st.integers(-2, 2)] * 3))
+    last = draw(st.sampled_from([_XC if k == 3 else _XB, twin * Q1**e1 * Q2**e2 * MU**e3]))
+    return lams, [_XA, _XB][: k - 1] + [last], r, nodes, sigma
+
+
+def _outcome(f):
+    try:
+        return f()
+    except QQError as exc:
+        return type(exc), str(exc)
+
+
+# cases the random draws reach rarely: factors of opposite power that cancel in
+# the product but degenerate under a pit substitution, and a slope ratio -1/2
+@example(case=(
+    [Partition(()), Partition((1, 1, 1))],
+    [_XA, _XA * MU**3 * Q1**-1],
+    1, [0, 0], pit_resonance_sigma((3, 1)),
+))
+@example(case=(
+    [Partition(()), Partition(()), Partition((1, 1, 1))],
+    [_XA, _XB, _XB**2 / burge_resonance_sigma(0, 1, "xa", "xb")["xb"] * Q1**-1 * MU**-2],
+    1, [0, 0, 0], burge_resonance_sigma(0, 1, "xa", "xb"),
+))
+@settings(max_examples=300, deadline=None)
+@given(case=_resonant_weights())
+def test_product_vanishes_matches_specialize(case):
+    lams, xs, r, nodes, sigma = case
+    expected = _outcome(lambda: z_Ar_tuple(lams, xs, r, nodes).specialize(sigma).is_zero)
+    assert _outcome(lambda: product_vanishes(z_s_values(lams, xs, r, nodes), sigma)) == expected
