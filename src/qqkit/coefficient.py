@@ -8,7 +8,8 @@ A Coefficient is one of
 * General: sparse integer Laurent polynomial over a denominator that is a
   product of binomials with positive powers.
 
-Products of Factored values stay Factored; General only arises through
+Products of Factored values stay Factored: they merge the operands' factor
+runs, which are sorted by argument.  General only arises through
 addition, and a sum that reduces to a single numerator term is Factored
 again.  Binomial arguments are oriented with the identity
 (1 - m) = (-m)(1 - 1/m) so that equal rational functions always share one
@@ -31,7 +32,7 @@ from functools import lru_cache
 from typing import Iterable, Mapping
 
 from .errors import NonIntegerLimit, PoleError, ValidationError
-from .monomial import Monomial, Q1, Q2
+from .monomial import Monomial, Q1, Q2, merge_runs
 
 # ---------------------------------------------------------------------------
 # sparse Laurent polynomials: dict Monomial -> int
@@ -120,9 +121,14 @@ def _orient(arg: Monomial) -> tuple[Monomial, bool]:
     return arg.inverse(), True
 
 
+def _arg_key(factor: tuple) -> tuple:
+    """The order of factors: by the sort key of their argument."""
+    return factor[0].sort_key()
+
+
 def _factor_tuple(powers: Mapping[Monomial, int]) -> tuple:
     """The (argument, power) pairs with nonzero power, in argument order."""
-    return tuple(sorted(((a, p) for a, p in powers.items() if p), key=lambda t: t[0].sort_key()))
+    return tuple(sorted(((a, p) for a, p in powers.items() if p), key=_arg_key))
 
 
 def _net_power_ratio(sigma: Mapping[str, Monomial], degenerate) -> Fraction | None:
@@ -318,11 +324,11 @@ class Coefficient:
         if self.kind == "zero" or other.kind == "zero":
             return _ZERO
         if self.kind == "factored" and other.kind == "factored":
-            merged: dict[Monomial, int] = dict(self.factors)
-            for a, p in other.factors:
-                merged[a] = merged.get(a, 0) + p
             return Coefficient(
-                "factored", self.integer * other.integer, self.unit * other.unit, _factor_tuple(merged)
+                "factored",
+                self.integer * other.integer,
+                self.unit * other.unit,
+                merge_runs(self.factors, other.factors, _arg_key),
             )
         na, da = self._general_parts()
         nb, db = other._general_parts()
@@ -338,6 +344,8 @@ class Coefficient:
         return self * other.inverse()
 
     def __pow__(self, n: int) -> "Coefficient":
+        if n == 1:
+            return self
         if n == 0:
             return _ONE
         if self.kind == "zero":

@@ -22,10 +22,15 @@ from .errors import (
     ValidationError,
     require_int,
 )
-from .monomial import Monomial, Q, xparam
+from .monomial import Monomial, Q, merge_runs, xparam
 from .quiver import Quiver, QuiverClass, a_inverse_monomial, classify
 
 SAFETY_BOUND = 10**6
+
+
+def _entry_key(entry: tuple) -> tuple:
+    """The order of Y-monomial entries: by node, then by argument."""
+    return entry[0], entry[1].sort_key()
 
 
 class YMonomial:
@@ -42,13 +47,16 @@ class YMonomial:
             merged[k] = merged.get(k, 0) + e
             if merged[k] == 0:
                 del merged[k]
-        self._entries = tuple(
-            sorted(
-                ((n, a, e) for (n, a), e in merged.items()),
-                key=lambda t: (t[0], t[1].sort_key()),
-            )
-        )
+        self._entries = tuple(sorted(((n, a, e) for (n, a), e in merged.items()), key=_entry_key))
         self._hash = hash(self._entries)
+
+    @staticmethod
+    def _canonical(entries: tuple) -> "YMonomial":
+        """A Y-monomial from entries already in canonical order, without sorting."""
+        y = object.__new__(YMonomial)
+        y._entries = entries
+        y._hash = hash(entries)
+        return y
 
     @staticmethod
     def unit() -> "YMonomial":
@@ -74,7 +82,7 @@ class YMonomial:
     def __mul__(self, other: "YMonomial") -> "YMonomial":
         if not isinstance(other, YMonomial):
             return NotImplemented
-        return YMonomial(self._entries + other._entries)
+        return YMonomial._canonical(merge_runs(self._entries, other._entries, _entry_key))
 
     def __pow__(self, n: int) -> "YMonomial":
         return YMonomial(tuple((g, a, e * n) for g, a, e in self._entries))

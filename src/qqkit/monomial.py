@@ -9,18 +9,23 @@ q1 < q2 < mu < qfrak(...) < x(...) < other; within a class, qfrak and x
 parameters sort by node and then by integer label, and the name itself
 breaks every remaining tie, so the order is total.  It fixes hashing,
 printing and the orientation of binomial factors.
+
+``Monomial(...)`` is the only normalizer of arbitrary input.  Products,
+powers and quotients of monomials merge or scale their operands' canonical
+runs instead, and never sort.
 """
 
 from __future__ import annotations
 
 import re
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .errors import ValidationError, require_int
 
 
 class _GenKeys(dict):
-    """Canonical sort key of each generator name, parsed on first use."""
+    """Canonical sort key of each generator name, parsed on first use; it ends in the name."""
 
     def __missing__(self, name: str):
         if name in ("q1", "q2", "mu", "qfrak"):
@@ -42,6 +47,50 @@ class _GenKeys(dict):
 
 _GEN_KEYS = _GenKeys()
 _gen_key = _GEN_KEYS.__getitem__
+_first = itemgetter(0)
+
+
+def merge_runs(a: tuple, b: tuple, key) -> tuple:
+    """The product of two runs of items sorted by ``key``, merged without sorting.
+
+    Each item ends in a nonzero exponent; items with equal keys add their
+    exponents, and a sum of 0 drops out.  Only the side that advanced
+    computes its next key.  Monomials, factored coefficients and Y-monomials
+    multiply with this merge.
+    """
+    if not a:
+        return b
+    if not b:
+        return a
+    na, nb = len(a), len(b)
+    i = j = 0
+    out = []
+    ka, kb = key(a[0]), key(b[0])
+    while True:
+        if ka < kb:
+            out.append(a[i])
+            i += 1
+            if i == na:
+                break
+            ka = key(a[i])
+        elif kb < ka:
+            out.append(b[j])
+            j += 1
+            if j == nb:
+                break
+            kb = key(b[j])
+        else:
+            e = a[i][-1] + b[j][-1]
+            if e:
+                out.append(a[i][:-1] + (e,))
+            i += 1
+            j += 1
+            if i == na or j == nb:
+                break
+            ka, kb = key(a[i]), key(b[j])
+    out.extend(a[i:])
+    out.extend(b[j:])
+    return tuple(out)
 
 
 class Monomial:
@@ -60,6 +109,19 @@ class Monomial:
         self._exps = tuple([(g, merged[g]) for g in gens])
         self._key = tuple([(_GEN_KEYS[g], merged[g]) for g in gens])
         self._hash = hash(self._exps)
+
+    @staticmethod
+    def _canonical(key: tuple) -> "Monomial":
+        """A monomial from its sort key, without sorting.
+
+        ``key`` pairs each generator's key with a nonzero exponent, in
+        canonical order, as ``sort_key`` returns it.
+        """
+        m = object.__new__(Monomial)
+        m._exps = tuple([(k[-1], e) for k, e in key])
+        m._key = key
+        m._hash = hash(m._exps)
+        return m
 
     @staticmethod
     def unit() -> "Monomial":
@@ -93,12 +155,15 @@ class Monomial:
             return other
         if not other._exps:
             return self
-        return Monomial(self._exps + other._exps)
+        return Monomial._canonical(merge_runs(self._key, other._key, _first))
 
     def __pow__(self, n: int) -> "Monomial":
         if n == 1:
             return self
-        return Monomial(tuple((g, e * n) for g, e in self._exps))
+        if n == 0:
+            return _UNIT
+        # scaling every exponent keeps the generator order
+        return Monomial._canonical(tuple([(k, e * n) for k, e in self._key]))
 
     def inverse(self) -> "Monomial":
         return self ** -1

@@ -29,15 +29,16 @@ from .quiver import Quiver, QuiverClass, classify
 
 
 class Partition:
-    """Weakly decreasing tuple of positive parts."""
+    """Weakly decreasing tuple of positive parts; its transpose is computed once."""
 
-    __slots__ = ("parts",)
+    __slots__ = ("parts", "_transpose")
 
     def __init__(self, parts: Iterable[int] = ()):
         ps = tuple(int(p) for p in parts if p)
         if any(p < 0 for p in ps) or any(ps[k] < ps[k + 1] for k in range(len(ps) - 1)):
             raise ValidationError(f"not a partition: {ps}")
         self.parts = ps
+        self._transpose = None
 
     def __iter__(self):
         return iter(self.parts)
@@ -63,13 +64,15 @@ class Partition:
         return self.parts[k - 1] if 1 <= k <= len(self.parts) else 0
 
     def transpose(self) -> "Partition":
-        if not self.parts:
-            return self
-        cols = [0] * self.parts[0]
-        for p in self.parts:
-            for j in range(p):
-                cols[j] += 1
-        return Partition(cols)
+        if self._transpose is None:
+            cols = [0] * max(self.parts, default=0)
+            for p in self.parts:
+                for j in range(p):
+                    cols[j] += 1
+            t = Partition(cols)
+            t._transpose = self
+            self._transpose = t
+        return self._transpose
 
     def contains(self, row: int, col: int) -> bool:
         """Box membership in the (row, column) reading."""

@@ -232,7 +232,7 @@ def _check_affine_oracle(fx: dict):
     return "pass", f"{len(eng.terms)} terms agree between engine and partition sum"
 
 
-BURGE_MAX_SIZE = 12  # the sweep time roughly doubles with each unit of max_size
+BURGE_MAX_SIZE = 12  # the sweep time grows about 1.6-fold with each unit of max_size
 
 
 def burge_rows(r: int, i_values, j_values, max_size: int):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from qqkit.coefficient import Coefficient, _orient, s_function, s_product, s_r
 from qqkit.errors import NonIntegerLimit, PoleError, ValidationError
-from qqkit.monomial import Monomial, Q, Q1, Q2, xparam
+from qqkit.monomial import MU, Monomial, Q, Q1, Q2, xparam
 
 GENS = ["q1", "q2", "mu", "x(1,1)", "x(1,2)"]
 
@@ -521,3 +521,44 @@ def _over_base(rng, m, fm, other):
         ref *= (1 - fm**k) ** p
     n = rng.choice((1, -1, 2))
     return Coefficient.factored(n, Monomial.unit(), factors), n * ref
+
+
+# -- products against the from-scratch constructor -------------------------------
+#
+# Argument bases whose generator names sort against the canonical order
+# (mu < q1, x(1,10) < x(1,9)), so a merge by name would misplace factors.
+
+PRODUCT_BASES = [Q1, Q1 * Q2**-1, MU, MU * Q1**-1, xparam("1", 9), xparam("1", 10) * Q2, T]
+product_factor_specs = st.lists(
+    st.tuples(
+        st.sampled_from(PRODUCT_BASES),
+        st.sampled_from([1, 2, -1]),
+        st.integers(min_value=-2, max_value=2).filter(bool),
+    ),
+    max_size=5,
+)
+product_specs = st.tuples(st.sampled_from([1, -1, 2, -3]), st.sampled_from(EQ_UNITS + [MU]), product_factor_specs)
+
+
+def _structure(c):
+    return c.kind, c.integer, c.unit.exps, tuple((a.exps, p) for a, p in c.factors)
+
+
+@settings(max_examples=300, deadline=None)
+@given(product_specs, product_specs, st.sampled_from(["independent", "cancels", "partly cancels"]))
+def test_factored_product_matches_the_constructor(sa, sb, how):
+    a = _value(sa)
+    inverse = [(arg, -p) for arg, p in a.factors]
+    if how == "independent":
+        b = _value(sb)
+    elif how == "cancels":
+        b = Coefficient.factored(sb[0], a.unit.inverse(), inverse)
+    else:
+        b = Coefficient.factored(sb[0], sb[1], inverse + [(m**k, p) for m, k, p in sb[2]])
+    ref = Coefficient.factored(a.integer * b.integer, a.unit * b.unit, a.factors + b.factors)
+    assert _structure(a * b) == _structure(ref)
+    keys = [arg.sort_key() for arg, _ in (a * b).factors]
+    assert keys == sorted(set(keys))
+    if how == "cancels":
+        assert not (a * b).factors and (a * b).unit.is_unit
+    assert a**1 is a

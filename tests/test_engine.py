@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qqkit.coefficient import Coefficient, s_function, s_r
 from qqkit.engine import (
@@ -11,7 +12,7 @@ from qqkit.engine import (
     s_factor_coefficient,
 )
 from qqkit.errors import CollidingArguments, NonTermination, ValidationError
-from qqkit.monomial import Monomial, Q, Q1, Q2, xparam
+from qqkit.monomial import MU, Monomial, Q, Q1, Q2, xparam
 from qqkit.quiver import Quiver, builtin_quiver
 
 A1 = builtin_quiver("A1")
@@ -152,3 +153,35 @@ def test_closed_form_validation():
         closed_form_A1(-1)
     with pytest.raises(ValidationError):
         closed_form_A1(2, [xparam("1", 1)])
+
+
+# the argument names of mu and q1, and of x(1,10) and x(1,9), sort against
+# their canonical order, so a merge by name would misplace entries
+Y_NODES = ["0", "1", "10", "2"]
+Y_ARGS = [Monomial.unit(), Q1, MU, MU * Q1, xparam("1", 9), xparam("1", 10), xparam("1", 10) * Q]
+y_entry_lists = st.lists(
+    st.tuples(st.sampled_from(Y_NODES), st.sampled_from(Y_ARGS), st.integers(min_value=-2, max_value=2)),
+    max_size=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(y_entry_lists, y_entry_lists, st.sampled_from(["independent", "cancels", "partly cancels"]))
+def test_ymonomial_product_matches_the_constructor(ea, eb, how):
+    a = YMonomial(tuple(ea))
+    inverse = tuple((n, x, -e) for n, x, e in a.entries)
+    if how == "independent":
+        b = YMonomial(tuple(eb))
+    elif how == "cancels":
+        b = YMonomial(inverse)
+    else:
+        b = YMonomial(inverse + tuple(eb))
+    ref = YMonomial(a.entries + b.entries)
+    product = a * b
+    assert product.entries == ref.entries
+    assert product == ref and hash(product) == hash(ref)
+    assert product.sort_key() == ref.sort_key()
+    keys = [(n, x.sort_key()) for n, x, _ in product.entries]
+    assert keys == sorted(set(keys))
+    if how == "cancels":
+        assert product.is_unit

@@ -118,3 +118,39 @@ def test_tied_names_are_distinct_generators():
     assert a * b == b * a
     assert (a * b).gens() == ("x(1,01)", "x(1,1)")
     assert Monomial({"x(1,01)": 1, "x(1,1)": 1}) == Monomial({"x(1,1)": 1, "x(1,01)": 1})
+
+
+# -- products against the from-scratch constructor -------------------------------
+#
+# Generators of every class.  By name, mu < q1, a < q1 and x(1,10) < x(1,9),
+# the reverse of the canonical order, and x(1,01) ties x(1,1) up to the name.
+PRODUCT_GENS = ["q1", "q2", "mu", "qfrak(0)", "qfrak(2)", "x(1,01)", "x(1,1)", "x(1,9)", "x(1,10)", "x(2,1)", "a", "t"]
+exponent_maps = st.dictionaries(st.sampled_from(PRODUCT_GENS), st.integers(min_value=-3, max_value=3), max_size=6)
+
+
+def _same(m, ref):
+    assert m.exps == ref.exps
+    assert m.sort_key() == ref.sort_key()
+    assert hash(m) == hash(ref)
+
+
+def _negated(m):
+    return tuple((g, -e) for g, e in m.exps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(exponent_maps, exponent_maps, st.sampled_from(["independent", "cancels", "partly cancels"]), st.integers(min_value=-3, max_value=3))
+def test_products_match_the_constructor(da, db, how, n):
+    a = Monomial(da)
+    if how == "independent":
+        b = Monomial(db)
+    elif how == "cancels":
+        b = Monomial(_negated(a))
+    else:
+        b = Monomial(_negated(a) + tuple(db.items()))
+    _same(a * b, Monomial(a.exps + b.exps))
+    _same(a / b, Monomial(a.exps + _negated(b)))
+    _same(a**n, Monomial(tuple((g, e * n) for g, e in a.exps)))
+    _same(a.inverse(), Monomial(_negated(a)))
+    if how == "cancels":
+        assert (a * b).is_unit

@@ -31,6 +31,9 @@ def test_partition_basics():
     assert lam.size == 4
     assert lam.transpose() == Partition((2, 1, 1))
     assert lam.transpose().transpose() == lam
+    # computed once: the same object on every call, and its transpose is lam
+    assert lam.transpose() is lam.transpose()
+    assert lam.transpose().transpose() is lam
     assert Partition(()).transpose() == Partition(())
     with pytest.raises(ValidationError):
         Partition((1, 2))
