@@ -16,20 +16,9 @@ import argparse
 import json
 import sys
 
-from .engine import qdeg_of
-from .errors import (
-    CollidingArguments,
-    InvalidPit,
-    NonIntegerLimit,
-    NonTermination,
-    PathInconsistency,
-    PoleError,
-    ValidationError,
-    YCollision,
-)
-from .higgsing import ClassicalCharacter
+from .errors import QQError, ValidationError
 from .job import COMMANDS, FORMATS, JOB_FIELDS, Job, read_json
-from .render import character_latex, character_to_json, hasse_dot, ym_latex
+from .render import json_document, render
 from .verify import burge_rows, run_corpus
 
 
@@ -39,31 +28,6 @@ def _emit(doc: str, out: str | None):
             fh.write(doc)
     else:
         sys.stdout.write(doc)
-
-
-def _render(job: Job, ch) -> str:
-    fmt, classical = job.format, isinstance(ch, ClassicalCharacter)
-    if fmt == "json" and classical:
-        data = [{"ym": ym.to_json(), "coeff": c} for ym, c in ch.sorted_terms()]
-        return json.dumps({"limit": ch.which, "terms": data}, indent=1) + "\n"
-    if fmt == "latex" and classical:
-        pieces = ((f"{c} " if c != 1 else "") + ym_latex(ym, {}, False) for ym, c in ch.sorted_terms())
-        return " + ".join(pieces) + "\n"
-    if classical:
-        return "\n".join(f"{c:>6d}  {ym!r}" for ym, c in ch.sorted_terms()) + "\n"
-    if fmt == "json" and job.command == "affine-expand":
-        series: dict[int, list] = {}
-        for ym, c in ch.sorted_terms():
-            series.setdefault(qdeg_of(c), []).append({"ym": ym.to_json(), "coeff": c.to_json()})
-        blocks = [{"qdeg": d, "terms": series[d]} for d in sorted(series)]
-        return json.dumps({"series": blocks}, indent=1) + "\n"
-    if fmt == "json":
-        return json.dumps(character_to_json(ch), indent=1) + "\n"
-    if fmt == "latex":
-        return character_latex(ch) + "\n"
-    if fmt == "dot":
-        return hasse_dot(ch)
-    return "\n".join(f"{c!r}  *  {ym!r}" for ym, c in ch.terms.items()) + "\n"
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -102,9 +66,13 @@ def make_parser() -> argparse.ArgumentParser:
 def _cmd_burge(args) -> int:
     rows = list(burge_rows(args.r, [args.i], [args.j], args.max_size))
     agree = all(row["ok"] for row in rows)
-    doc = json.dumps({"r": args.r, "i": args.i, "j": args.j, "agree": agree, "pairs": rows}, indent=1)
-    _emit(doc + "\n", args.out)
+    _emit(json_document({"r": args.r, "i": args.i, "j": args.j, "agree": agree, "pairs": rows}), args.out)
     return 0 if agree else 1
+
+
+def _fail(exc: QQError) -> int:
+    print(f"{exc.label}: {exc}", file=sys.stderr)
+    return exc.exit_code
 
 
 def main(argv=None) -> int:
@@ -118,43 +86,24 @@ def main(argv=None) -> int:
             return _cmd_burge(args)
         if args.command == "run":
             spec = read_json(args.job)
-            job = Job.parse(spec)
-            unknown = set(spec) - {*JOB_FIELDS, "out"}
-            if unknown:
-                raise ValidationError(f"unknown job fields: {sorted(unknown)}")
-            out = spec.get("out")
-            if out is not None and not isinstance(out, str):
-                raise ValidationError(f"out must be a file name, got {out!r}")
-        else:
-            # the flags carry the job fields' names; w, params and higgs hold JSON text
-            job = Job.parse({
+        else:  # the flags carry the job fields' names; w, params and higgs hold JSON text
+            spec = {
                 key: json.loads(v) if key in ("w", "params", "higgs") and v is not None else v
                 for key, v in vars(args).items() if key in JOB_FIELDS
-            })
-            out = args.out
-        _emit(_render(job, job.run()), out)
+            }
+        job = Job.parse(spec)  # type and shape errors first, then the fields only a job file can get wrong
+        unknown = set(spec).difference(JOB_FIELDS)
+        if unknown:
+            raise ValidationError(f"unknown job fields: {sorted(unknown)}")
+        out = spec.get("out")
+        if out is not None and not isinstance(out, str):
+            raise ValidationError(f"out must be a file name, got {out!r}")
+        _emit(render(job.run(), job.format), out)
         return 0
-    except ValidationError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return 2
-    except PoleError as exc:
-        print(f"pole error: {exc}", file=sys.stderr)
-        return 3
-    except (CollidingArguments, InvalidPit) as exc:
-        print(f"colliding arguments: {exc}", file=sys.stderr)
-        return 4
-    except YCollision as exc:
-        print(f"specialization collision: {exc}", file=sys.stderr)
-        return 5
-    except NonIntegerLimit as exc:
-        print(f"non-integer limit: {exc}", file=sys.stderr)
-        return 6
-    except (PathInconsistency, NonTermination) as exc:
-        print(f"internal consistency failure: {exc}", file=sys.stderr)
-        return 7
+    except QQError as exc:
+        return _fail(exc)
     except (json.JSONDecodeError, OSError) as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(ValidationError(exc))
 
 
 if __name__ == "__main__":

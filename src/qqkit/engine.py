@@ -186,13 +186,8 @@ class Character:
     def coefficient(self, ym: YMonomial) -> Coefficient:
         return self.terms.get(ym, Coefficient.zero())
 
-    def sorted_terms(self) -> list[tuple[YMonomial, Coefficient]]:
-        return sorted(self.terms.items(), key=lambda t: t[0].sort_key())
-
     def equals(self, other: "Character") -> bool:
-        if set(self.terms) != set(other.terms):
-            return False
-        return all(other.terms[ym] == c for ym, c in self.terms.items())
+        return self.terms == other.terms
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -232,16 +227,11 @@ def s_factor_coefficient(t: Term, i: str, x: Monomial, Q_: Quiver) -> Coefficien
             raise CollidingArguments(
                 f"S_{d} pole at argument {(a / x)!r} while reflecting Y[{i},{x!r}]"
             ) from exc
-        if k > 0:
-            if s.is_zero:
-                return Coefficient.zero()
-            out = out * s**k
-        else:
-            if s.is_zero:
-                raise CollidingArguments(
-                    f"S_{d} zero in a denominator while reflecting Y[{i},{x!r}]"
-                )
-            out = out * s**k
+        if s.is_zero:
+            if k < 0:
+                raise CollidingArguments(f"S_{d} zero in a denominator while reflecting Y[{i},{x!r}]")
+            return Coefficient.zero()
+        out = out * s**k
     return out
 
 

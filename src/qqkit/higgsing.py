@@ -81,18 +81,8 @@ class ClassicalCharacter:
     terms: dict[YMonomial, int]
     which: str
 
-    def sorted_terms(self) -> list[tuple[YMonomial, int]]:
-        return sorted(self.terms.items(), key=lambda t: t[0].sort_key())
-
     def __len__(self) -> int:
         return len(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ClassicalCharacter)
-            and self.which == other.which
-            and self.terms == other.terms
-        )
 
 
 def classical_limit(ch: Character, which: str) -> ClassicalCharacter:

@@ -21,7 +21,8 @@ from .quiver import Quiver, builtin_quiver
 
 COMMANDS = ("expand", "higgs", "limit", "hasse", "affine-expand")
 FORMATS = ("json", "latex", "dot", "text")
-JOB_FIELDS = ("quiver", "w", "params", "higgs", "limit", "max_deg", "command", "format")
+# the fields of a job file: the pipeline keys that Job.parse reads, and the output file "out"
+JOB_FIELDS = ("quiver", "w", "params", "higgs", "limit", "max_deg", "command", "format", "out")
 
 
 def read_json(path):

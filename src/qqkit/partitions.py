@@ -230,6 +230,21 @@ def _tuples_of_total(count: int, total: int) -> Iterator[tuple[Partition, ...]]:
                 yield (lam,) + rest
 
 
+def _cycle_nodes(Q_: Quiver) -> list[str]:
+    """The nodes in order along the one oriented unit cycle that the sum needs, from the first."""
+    succ = {a: b for a, b, c in Q_.edges if c == 1}
+    order = [Q_.nodes[0]]
+    while succ.get(order[-1]) not in (None, *order):
+        order.append(succ[order[-1]])
+    cycle = len(succ) == len(Q_.edges) == len(order) == len(Q_.nodes) and succ.get(order[-1]) == order[0]
+    if not cycle or any(Q_.d[i] != 1 for i in Q_.nodes):
+        raise ValidationError(
+            "closed-form characters need one oriented cycle through all nodes"
+            " with every decoration d = 1 and every mass exponent 1"
+        )
+    return order
+
+
 def affine_character(Q_: Quiver, wc: WeightConfig, max_qdeg: int) -> Character:
     """Sum over partition tuples up to the counting-degree cutoff.
 
@@ -243,11 +258,11 @@ def affine_character(Q_: Quiver, wc: WeightConfig, max_qdeg: int) -> Character:
         raise ValidationError("cutoff must be nonnegative")
     if classify(Q_)[0] is not QuiverClass.AFFINE:
         raise ValidationError("closed-form characters exist for affine quivers only")
+    node_names = _cycle_nodes(Q_)
     for i, x, e in highest_weight(Q_, wc).ym.entries:
         if e >= 2:
             raise derivative_case(i, x, e)
-    r = len(Q_.nodes)
-    node_names = list(Q_.nodes)
+    r = len(node_names)
     comps = [(node_names.index(i), p) for i, _, p in wc.entries]
     terms: dict[YMonomial, Coefficient] = {}
     for total in range(max_qdeg + 1):

@@ -1,21 +1,30 @@
-"""LaTeX, Graphviz DOT, and JSON renderings of characters.
+"""LaTeX, Graphviz DOT, JSON and text renderings of characters.
 
-Y-symbols use the shorthand Y_{i,x;j,k} whenever the argument is a weight
-parameter times q1^j q2^k; coefficients are re-assembled into S-function
-products by greedy pattern peeling, falling back to raw binomials.
+``render`` is the one place that decides an output format.  Y-symbols use
+the shorthand Y_{i,x;j,k} whenever the argument is a weight parameter
+times q1^j q2^k; coefficients are re-assembled into S-function products
+by greedy pattern peeling, falling back to raw binomials.
 """
 
 from __future__ import annotations
 
+import json
+
 from .coefficient import Coefficient, s_r
-from .engine import Character, WeightConfig, YMonomial
-from .errors import PoleError, ValidationError
+from .engine import Character, WeightConfig, YMonomial, qdeg_of
+from .errors import PoleError, ValidationError, require_int
+from .higgsing import ClassicalCharacter
 from .monomial import Monomial
 from .quiver import Quiver
 
 # ---------------------------------------------------------------------------
 # naming
 # ---------------------------------------------------------------------------
+
+
+def _ordered(terms) -> list[YMonomial]:
+    """The Y-monomials of a term map in ``sort_key`` order."""
+    return sorted(terms, key=lambda y: y.sort_key())
 
 
 def default_names(ch: Character) -> dict[str, str]:
@@ -232,7 +241,7 @@ def hasse_dot(ch: Character, names: dict[str, str] | None = None) -> str:
     """Graphviz digraph of the reflection flow with LaTeX labels."""
     names = names if names is not None else default_names(ch)
     single = len(ch.quiver.nodes) == 1
-    order = sorted(ch.terms, key=lambda y: y.sort_key())
+    order = _ordered(ch.terms)
     ids = {ym: f"n{k}" for k, ym in enumerate(order)}
     lines = ["digraph hasse {", "  rankdir=TB;", '  node [shape=box, fontname="serif"];']
     for ym in order:
@@ -251,7 +260,7 @@ def hasse_dot(ch: Character, names: dict[str, str] | None = None) -> str:
 
 
 def character_to_json(ch: Character) -> dict:
-    order = sorted(ch.terms, key=lambda y: y.sort_key())
+    order = _ordered(ch.terms)
     idx = {ym: k for k, ym in enumerate(order)}
     data = {
         "quiver": ch.quiver.to_json() | ({"name": ch.quiver.name} if ch.quiver.name else {}),
@@ -259,7 +268,6 @@ def character_to_json(ch: Character) -> dict:
         "edges": [
             {"src": idx[s], "dst": idx[d], "label": {"node": i, "arg": x.to_json()}}
             for s, d, (i, x) in ch.edges
-            if s in idx and d in idx
         ],
     }
     if ch.wc is not None:
@@ -269,18 +277,27 @@ def character_to_json(ch: Character) -> dict:
     return data
 
 
+def affine_series_to_json(ch: Character) -> dict:
+    """The terms of a partition-sum character grouped by counting degree."""
+    series: dict[int, list] = {}
+    for ym in _ordered(ch.terms):
+        c = ch.terms[ym]
+        series.setdefault(qdeg_of(c), []).append({"ym": ym.to_json(), "coeff": c.to_json()})
+    return {"series": [{"qdeg": d, "terms": series[d]} for d in sorted(series)]}
+
+
 def character_from_json(data: dict) -> Character:
     quiver = Quiver.from_json(data["quiver"])
-    terms = {
-        YMonomial.from_json(t["ym"]): Coefficient.from_json(t["coeff"]) for t in data["terms"]
-    }
-    order = sorted(terms, key=lambda y: y.sort_key())
+    order = [YMonomial.from_json(t["ym"]) for t in data["terms"]]
+    terms = {ym: Coefficient.from_json(t["coeff"]) for ym, t in zip(order, data["terms"])}
+
+    def term(k) -> YMonomial:  # edges index the terms list as written
+        if not 0 <= require_int(k, "edge endpoint") < len(order):
+            raise ValidationError(f"edge endpoint {k} is not an index of the {len(order)} terms")
+        return order[k]
+
     edges = tuple(
-        (
-            order[e["src"]],
-            order[e["dst"]],
-            (str(e["label"]["node"]), Monomial.from_json(e["label"]["arg"])),
-        )
+        (term(e["src"]), term(e["dst"]), (str(e["label"]["node"]), Monomial.from_json(e["label"]["arg"])))
         for e in data.get("edges", ())
     )
     wc = None
@@ -292,3 +309,33 @@ def character_from_json(data: dict) -> Character:
             )
         )
     return Character(quiver, wc, terms, edges)
+
+
+# ---------------------------------------------------------------------------
+# documents
+# ---------------------------------------------------------------------------
+
+
+def render(ch: Character | ClassicalCharacter, fmt: str) -> str:
+    """The document of ``ch`` in one of the formats json, latex, dot and text."""
+    if isinstance(ch, ClassicalCharacter):
+        terms = [(ym, ch.terms[ym]) for ym in _ordered(ch.terms)]
+        if fmt == "json":
+            data = [{"ym": ym.to_json(), "coeff": c} for ym, c in terms]
+            return json_document({"limit": ch.which, "terms": data})
+        if fmt == "latex":
+            return " + ".join((f"{c} " if c != 1 else "") + ym_latex(ym, {}, False) for ym, c in terms) + "\n"
+        return "\n".join(f"{c:>6d}  {ym!r}" for ym, c in terms) + "\n"
+    if fmt == "json":
+        affine = ch.meta.get("closed_form") == "affine"  # a partition sum prints as a series
+        return json_document(affine_series_to_json(ch) if affine else character_to_json(ch))
+    if fmt == "latex":
+        return character_latex(ch) + "\n"
+    if fmt == "dot":
+        return hasse_dot(ch)
+    return "\n".join(f"{c!r}  *  {ym!r}" for ym, c in ch.terms.items()) + "\n"
+
+
+def json_document(data) -> str:
+    """The JSON text of every document qqkit writes."""
+    return json.dumps(data, indent=1) + "\n"

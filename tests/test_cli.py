@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from qqkit import errors
 from qqkit.cli import main
+from qqkit.job import Job
 from qqkit.verify import FIXTURE_DIR, run_corpus
 
 
@@ -94,6 +96,31 @@ def test_exit_codes(capsys):
         capsys,
     )
     assert code == 4
+
+
+# the documented exit code and stderr label of every error type (README, "Exit codes")
+DOCUMENTED_EXITS = {
+    "ValidationError": (2, "validation error"),
+    "PoleError": (3, "pole error"),
+    "CollidingArguments": (4, "colliding arguments"),
+    "InvalidPit": (4, "colliding arguments"),
+    "YCollision": (5, "specialization collision"),
+    "NonIntegerLimit": (6, "non-integer limit"),
+    "PathInconsistency": (7, "internal consistency failure"),
+    "NonTermination": (7, "internal consistency failure"),
+}
+
+
+@pytest.mark.parametrize("error", errors.QQError.__subclasses__(), ids=lambda cls: cls.__name__)
+def test_every_error_type_exits_with_its_documented_code(error, monkeypatch, capsys):
+    assert error.__name__ in DOCUMENTED_EXITS, f"{error.__name__} has no documented exit code"
+    code, label = DOCUMENTED_EXITS[error.__name__]
+
+    def fail(self):
+        raise error("the message")
+
+    monkeypatch.setattr(Job, "run", fail)
+    assert run_cli(["expand", "--quiver", "A1", "--w", '{"1": 1}'], capsys) == (code, "", f"{label}: the message\n")
 
 
 def test_expand_with_tied_generator_names(capsys):

@@ -135,6 +135,14 @@ def test_classical_limit_merges_and_validates():
         classical_limit(hg, "mu")
 
 
+def test_classical_character_equality():
+    hg = higgs(expand(A1, WeightConfig.make(A1, {"1": 2})), kr_sigma(A1, "1", 2, 1))
+    assert classical_limit(hg, "q1") == classical_limit(hg, "q1")
+    terms = classical_limit(hg, "q1").terms
+    assert ClassicalCharacter(dict(terms), "q1") != ClassicalCharacter(dict(terms), "q2")
+    assert ClassicalCharacter(dict(terms), "q1") != ClassicalCharacter({YMonomial(): 1}, "q1")
+
+
 def test_factorize_check_negative():
     hg = kr_closed_form_A1(2)
     l1 = classical_limit(hg, "q1")

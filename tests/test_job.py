@@ -23,6 +23,9 @@ HUGE_DECORATION = json.dumps(
     {"nodes": [{"id": "1", "d": 10**9}, {"id": "2"}], "edges": [{"from": "1", "to": "2"}]}
 )
 
+# affine, but not the oriented cycle that affine-expand sums over
+D4HAT = json.dumps({"nodes": [{"id": i} for i in "oabcd"], "edges": [{"from": "o", "to": i} for i in "abcd"]})
+
 
 def _expand(*flags):
     return ["expand", "--quiver", "A1", *flags]
@@ -42,6 +45,7 @@ MALFORMED = {
     "quiver-loop-mu-0": (["expand", "--quiver", LOOP_WITHOUT_MASS, "--w", '{"0": 1}', "--max-deg", "2"], None),
     "quiver-decoration-above-ceiling": (["expand", "--quiver", HUGE_DECORATION, "--w", '{"1": 1}'], None),
     "affine-expand-without-max-deg": (["affine-expand", "--quiver", "A0hat", "--w", '{"0": 1}'], None),
+    "affine-expand-not-a-cycle": (["affine-expand", "--quiver", D4HAT, "--w", '{"o": 1}', "--max-deg", "2"], None),
     "higgs-list": (["higgs", "--quiver", "A1", "--w", '{"1": 2}', "--higgs", "[1]"], None),
     "limit-as-dot": (["limit", "--quiver", "A1", "--w", '{"1": 1}', "--limit", "q1", "--format", "dot"], None),
     "burge-negative-size": (["burge-check", "--i", "0", "--j", "1", "--max-size", "-1"], None),

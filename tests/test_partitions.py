@@ -22,7 +22,7 @@ from qqkit.partitions import (
     z_Ar_tuple,
     z_s_values,
 )
-from qqkit.quiver import builtin_quiver
+from qqkit.quiver import Quiver, builtin_quiver
 from qqkit.verify import _check_pit, burge_rows
 
 
@@ -100,8 +100,13 @@ def test_affine_oracle_small():
         assert eng.terms[ym] == clo.terms[ym]
 
 
+def _unit_quiver(nodes, edges, d=None):
+    return Quiver(tuple(nodes), d or {i: 1 for i in nodes}, tuple(edges))
+
+
 # r >= 3 is where coloring the transposed diagram instead of the diagram
-# itself shows: transposing negates the color (s1 - s2) mod r.
+# itself shows: transposing negates the color (s1 - s2) mod r.  The relisted
+# 3-cycle a -> c -> b -> a is colored along the cycle, not in listing order.
 @pytest.mark.parametrize(
     "quiver, w, cutoff",
     [
@@ -111,10 +116,14 @@ def test_affine_oracle_small():
         ("Arhat(4)", {"0": 1, "2": 1}, 3),
         ("Arhat(4)", {"1": 2}, 3),
         ("Arhat(5)", {"0": 1, "3": 1}, 3),
+        pytest.param(
+            _unit_quiver("abc", [("a", "c", 1), ("c", "b", 1), ("b", "a", 1)]), {"a": 1, "b": 1}, 3,
+            id="relisted-3-cycle",
+        ),
     ],
 )
 def test_affine_oracle_cyclic(quiver, w, cutoff):
-    Q_ = builtin_quiver(quiver)
+    Q_ = builtin_quiver(quiver) if isinstance(quiver, str) else quiver
     wc = WeightConfig.make(Q_, w)
     eng = expand(Q_, wc, max_qdeg=cutoff)
     clo = affine_character(Q_, wc, cutoff)
@@ -143,6 +152,17 @@ def test_affine_character_validation():
     A1 = builtin_quiver("A1")
     with pytest.raises(ValidationError):
         affine_character(A1, WeightConfig.make(A1, {"1": 1}), 2)
+    # affine, but not one oriented cycle with d = 1 and mass exponent 1
+    unsupported = [
+        (_unit_quiver("oabcd", [("o", i, 0) for i in "abcd"]), {"o": 1}),  # D4hat
+        (_unit_quiver("0", [("0", "0", 2)]), {"0": 1}),  # loop with mu^2
+        (_unit_quiver("0", [("0", "0", 1)], {"0": 2}), {"0": 1}),  # loop with d = 2
+        (_unit_quiver("ab", [("a", "b", 2), ("b", "a", -1)]), {"a": 1}),  # masses (2, -1)
+        (_unit_quiver("ab", [("a", "b", 0), ("a", "b", 0)]), {"a": 1}),  # Kronecker, no cycle
+    ]
+    for Q_, w in unsupported:
+        with pytest.raises(ValidationError, match="one oriented cycle"):
+            affine_character(Q_, WeightConfig.make(Q_, w), 2)
 
 
 def test_pit_filter_examples():

@@ -1,8 +1,9 @@
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from qqkit.coefficient import Coefficient, s_function, s_r
 from qqkit.engine import WeightConfig, expand
-from qqkit.errors import PoleError
+from qqkit.errors import PoleError, ValidationError
 from qqkit.higgsing import higgs, kr_sigma
 from qqkit.monomial import Monomial, Q1, Q2, xparam
 from qqkit.partitions import affine_character
@@ -178,3 +179,19 @@ def test_character_json_round_trip():
         assert rt.quiver.nodes == ch.quiver.nodes
         if ch.wc is not None:
             assert rt.wc == ch.wc
+
+
+def test_character_json_edges_index_the_terms_as_written():
+    ch = expand(A1, WeightConfig.make(A1, {"1": 2}))
+    data = character_to_json(ch)
+    n = len(data["terms"])
+    data["terms"].reverse()
+    for e in data["edges"]:
+        e["src"], e["dst"] = n - 1 - e["src"], n - 1 - e["dst"]
+    rt = character_from_json(data)
+    assert rt.equals(ch)
+    assert set(rt.edges) == set(ch.edges)
+    for bad in (n, -1, 0.0):
+        data["edges"][0]["dst"] = bad
+        with pytest.raises(ValidationError):
+            character_from_json(data)
