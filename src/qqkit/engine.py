@@ -241,7 +241,7 @@ def reflect(Q_: Quiver, t: Term, i: str, x: Monomial) -> Term | None:
     if sf.is_zero:
         return None
     entries, scalar = a_inverse_monomial(Q_, i, x)
-    child_ym = t.ym * YMonomial(((i, x, -1),) + tuple(entries))
+    child_ym = t.ym * YMonomial(entries)
     return Term(child_ym, t.coeff * sf * scalar)
 
 

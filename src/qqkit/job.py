@@ -113,6 +113,8 @@ class Job:
         fmt = "dot" if command == "hasse" else fmt
         if limit and fmt == "dot":
             raise ValidationError("a classical limit has no reflection graph to draw (hasse, dot)")
+        if command == "affine-expand" and fmt == "dot":
+            raise ValidationError("a partition sum has no reflection graph to draw (affine-expand, dot)")
         weights = WeightConfig.make(quiver, w, params)
         return Job(quiver, weights, command, fmt, sigma, limit, max_deg)
 

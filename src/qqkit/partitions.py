@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .coefficient import Coefficient, s_function
 from .engine import Character, WeightConfig, YMonomial, derivative_case, highest_weight
-from .errors import InvalidPit, ValidationError
+from .errors import CollidingArguments, InvalidPit, PoleError, ValidationError
 from .monomial import Monomial, Q, Q1, Q3, Q4, qfrak
 from .quiver import Quiver, QuiverClass, classify
 
@@ -251,7 +251,8 @@ def affine_character(Q_: Quiver, wc: WeightConfig, max_qdeg: int) -> Character:
     Matches the reflection engine term by term: the Y-monomial of a
     diagram comes from its addable/removable boxes and its colored
     counting factor from its own boxes, while its weight is evaluated on
-    the transposed diagram.  Coinciding weight parameters raise
+    the transposed diagram.  Coinciding weight parameters, and parameters
+    whose ratio puts an S-value of the weight on a pole, raise
     CollidingArguments, as they do in the engine.
     """
     if max_qdeg < 0:
@@ -268,9 +269,10 @@ def affine_character(Q_: Quiver, wc: WeightConfig, max_qdeg: int) -> Character:
     for total in range(max_qdeg + 1):
         for lams in _tuples_of_total(len(comps), total):
             trans = [lam.transpose() for lam in lams]
-            coeff = z_Ar_tuple(
-                trans, [p for _, p in comps], r, nodes=[n for n, _ in comps]
-            )
+            try:
+                coeff = z_Ar_tuple(trans, [p for _, p in comps], r, nodes=[n for n, _ in comps])
+            except PoleError as exc:
+                raise CollidingArguments(f"{exc} in the weight of {tuple(lams)!r}") from exc
             if coeff.is_zero:
                 continue
             counting = Monomial.unit()

@@ -76,6 +76,21 @@ class Quiver:
             return QuiverClass.FINITE, det
         return (QuiverClass.AFFINE if det == 0 else QuiverClass.INDEFINITE), det
 
+    @cached_property
+    def node_scalars(self) -> dict[str, Coefficient]:
+        """The scalar a reflection at each node picks up.
+
+        It is the product of the loop corrections S(mu^c) over the loops at
+        the node, times the counting parameter qfrak(i) on affine quivers.
+        """
+        scalars = {i: Coefficient.one() for i in self.nodes}
+        for a, b, c in self.edges:
+            if a == b:
+                scalars[a] = scalars[a] * s_function(MU**c)
+        if self.classification[0] is QuiverClass.AFFINE:
+            scalars = {i: s * Coefficient.from_monomial(qfrak(i)) for i, s in scalars.items()}
+        return scalars
+
     def _has_cycle(self) -> bool:
         adj: dict[str, list[str]] = {i: [] for i in self.nodes}
         for a, b, _ in self.edges:
@@ -96,9 +111,6 @@ class Quiver:
 
     def dij(self, i: str, j: str) -> int:
         return gcd(self.d[i], self.d[j])
-
-    def loops_at(self, i: str) -> tuple[int, ...]:
-        return tuple(c for a, b, c in self.edges if a == i and b == i)
 
     def to_json(self) -> dict:
         return {
@@ -141,29 +153,6 @@ def builtin_quiver(name: str) -> Quiver:
     raise ValidationError(f"unknown builtin quiver {name!r}")
 
 
-def cartan_matrix(Q_: Quiver) -> list[list[Coefficient]]:
-    """The q1,q2-deformed Cartan matrix as general-form coefficients.
-
-    Entry [j][i] is (1 + q1^{d_i} q2) delta_ij
-    - sum_{e:i->j} sum_{r < d_i/d_ij} mu_e q1^{r d_ij}
-    - sum_{e:j->i} sum_{r < d_i/d_ij} mu_e^{-1} q1^{(r+1) d_ij} q2.
-    """
-    idx = {v: k for k, v in enumerate(Q_.nodes)}
-    polys = [[{} for _ in Q_.nodes] for _ in Q_.nodes]
-    for i, column in Q_.cartan_columns.items():
-        for j, mono, sign in column:
-            p = polys[idx[j]][idx[i]]
-            s = p.get(mono, 0) + sign
-            if s:
-                p[mono] = s
-            else:
-                p.pop(mono, None)
-    return [
-        [Coefficient.general(p, ()) if p else Coefficient.zero() for p in row]
-        for row in polys
-    ]
-
-
 def classical_cartan(Q_: Quiver) -> list[list[int]]:
     """The Cartan matrix with every multiplicative variable set to 1."""
     idx = {v: k for k, v in enumerate(Q_.nodes)}
@@ -202,17 +191,11 @@ def classify(Q_: Quiver) -> tuple[QuiverClass, int]:
 
 
 def a_inverse_monomial(Q_: Quiver, i: str, x: Monomial):
-    """Replacement for one numerator Y_{i,x} under the reflection at (i, x).
+    """A_{i,x}^{-1}, which replaces one numerator Y_{i,x} under the reflection at (i, x).
 
-    Returns (entries, scalar): entries is the list of (node, argument,
-    exponent) whose product replaces Y_{i,x}; the scalar collects the
-    counting parameter (affine quivers) and the loop-edge S-correction.
+    Returns (entries, scalar): entries holds one (node j, argument x m,
+    exponent -sign) per term (j, m, sign) of column i of the deformed Cartan
+    matrix, the unit diagonal term (which consumes Y_{i,x}) included; the
+    scalar is the node's ``node_scalars`` entry.
     """
-    # Y[j, x m]^(-sign) for every term of column i but the unit diagonal one, which opens it
-    entries = [(j, x * mono, -sign) for j, mono, sign in Q_.cartan_columns[i][1:]]
-    scalar = Coefficient.one()
-    for c in Q_.loops_at(i):
-        scalar = scalar * s_function(MU**c)
-    if classify(Q_)[0] is QuiverClass.AFFINE:
-        scalar = scalar * Coefficient.from_monomial(qfrak(i))
-    return entries, scalar
+    return [(j, x * mono, -sign) for j, mono, sign in Q_.cartan_columns[i]], Q_.node_scalars[i]

@@ -139,6 +139,17 @@ def test_coinciding_parameters_exit_4(command, capsys):
     assert err == "colliding arguments: Y[0,x(0,1)]^2 requires the derivative prescription\n"
 
 
+@pytest.mark.parametrize("command", ["expand", "affine-expand"])
+@pytest.mark.parametrize("shift", ["q", "q4", "mu^2", "q3^2*q4", "q^2"])
+def test_pole_resonant_parameters_exit_4(command, shift, capsys):
+    # x(0,2) / x(0,1) puts an S-value on a pole: a reflection's S-factor, or a box of the weight
+    params = json.dumps({"0,2": f"x(0,1)*{shift}"})
+    args = [command, "--quiver", "A0hat", "--w", '{"0": 2}', "--params", params, "--max-deg", "4"]
+    code, out, err = run_cli(args, capsys)
+    assert code == 4 and out == ""
+    assert err.startswith("colliding arguments: ") and err.count("\n") == 1
+
+
 def test_inline_quiver_json(capsys):
     spec = json.dumps({"nodes": [{"id": "1", "d": 1}], "edges": []})
     code, out, _ = run_cli(["expand", "--quiver", spec, "--w", '{"1": 1}', "--format", "json"], capsys)

@@ -48,10 +48,16 @@ MALFORMED = {
     "affine-expand-not-a-cycle": (["affine-expand", "--quiver", D4HAT, "--w", '{"o": 1}', "--max-deg", "2"], None),
     "higgs-list": (["higgs", "--quiver", "A1", "--w", '{"1": 2}', "--higgs", "[1]"], None),
     "limit-as-dot": (["limit", "--quiver", "A1", "--w", '{"1": 1}', "--limit", "q1", "--format", "dot"], None),
+    "affine-expand-as-dot": (
+        ["affine-expand", "--quiver", "A0hat", "--w", '{"0": 2}', "--max-deg", "2", "--format", "dot"], None
+    ),
     "burge-negative-size": (["burge-check", "--i", "0", "--j", "1", "--max-size", "-1"], None),
     "job-unknown-command": (["run", JOB], {"quiver": "A1", "w": {"1": 1}, "command": "bogus"}),
     "job-list": (["run", JOB], [1]),
     "job-hasse-after-limit": (["run", JOB], {"quiver": "A1", "w": {"1": 1}, "command": "hasse", "limit": "q1"}),
+    "job-affine-expand-as-dot": (
+        ["run", JOB], {"quiver": "A0hat", "w": {"0": 2}, "command": "affine-expand", "max_deg": 2, "format": "dot"}
+    ),
 }
 
 

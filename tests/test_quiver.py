@@ -8,7 +8,6 @@ from qqkit.quiver import (
     QuiverClass,
     a_inverse_monomial,
     builtin_quiver,
-    cartan_matrix,
     classical_cartan,
     classify,
 )
@@ -33,25 +32,34 @@ def test_validation():
     Quiver(("1",), {"1": 1}, (("1", "1", 2),))  # loop is a cycle
 
 
+def _deformed_cartan(Q_):
+    """Entry [j][i] sums the terms (j, m, sign) of column i as a general-form coefficient."""
+    idx = {v: k for k, v in enumerate(Q_.nodes)}
+    polys = [[{} for _ in Q_.nodes] for _ in Q_.nodes]
+    for i, column in Q_.cartan_columns.items():
+        for j, mono, sign in column:
+            p = polys[idx[j]][idx[i]]
+            p[mono] = p.get(mono, 0) + sign
+    return [[Coefficient.general({m: c for m, c in p.items() if c}, ()) for p in row] for row in polys]
+
+
 def test_cartan_a1():
-    c = cartan_matrix(builtin_quiver("A1"))
-    assert c[0][0] == Coefficient.general({Monomial.unit(): 1, Q1 * Q2: 1}, ())
+    assert builtin_quiver("A1").cartan_columns == {"1": (("1", Monomial.unit(), 1), ("1", Q1 * Q2, 1))}
 
 
 def test_cartan_a0hat_factors():
-    c00 = cartan_matrix(builtin_quiver("A0hat"))[0][0]
-    expect = Coefficient.general(
-        {Monomial.unit(): 1, Q: 1, MU: -1, MU.inverse() * Q: -1}, ()
-    )
-    assert c00 == expect
+    Q_ = builtin_quiver("A0hat")
+    assert Q_.cartan_columns == {
+        "0": (("0", Monomial.unit(), 1), ("0", Q, 1), ("0", MU, -1), ("0", MU.inverse() * Q, -1))
+    }
     # equals (1 - q3)(1 - q4)
     q3, q4 = MU, MU.inverse() * Q
     prod = Coefficient.factored(1, Monomial.unit(), [(q3, 1), (q4, 1)])
-    assert c00 == prod
+    assert _deformed_cartan(Q_)[0][0] == prod
 
 
 def test_cartan_arhat3_determinant():
-    mat = cartan_matrix(builtin_quiver("Arhat(3)"))
+    mat = _deformed_cartan(builtin_quiver("Arhat(3)"))
     det = Coefficient.zero()
     # Leibniz expansion over S_3
     import itertools
@@ -87,10 +95,14 @@ def test_classical_cartan_and_classification():
     assert classify(wild)[0] is QuiverClass.INDEFINITE
 
 
+MU2_LOOP = Quiver(("0",), {"0": 1}, (("0", "0", 2),), name="mu^2 loop")
+G2_LIKE = Quiver(("1", "2"), {"1": 3, "2": 1}, (("1", "2", 0),), name="d=(3,1)")
+
+
 def test_a_inverse_a1():
     x = xparam("1", 1)
     entries, scalar = a_inverse_monomial(builtin_quiver("A1"), "1", x)
-    assert entries == [("1", x * Q, -1)]
+    assert entries == [("1", x, -1), ("1", x * Q, -1)]
     assert scalar.is_one
 
 
@@ -99,7 +111,7 @@ def test_a_inverse_bc2_node1():
     entries, scalar = a_inverse_monomial(builtin_quiver("BC2"), "1", x)
     assert scalar.is_one
     assert sorted((n, a, e) for n, a, e in entries) == sorted(
-        [("1", x * Q1**2 * Q2, -1), ("2", x, 1), ("2", x * Q1, 1)]
+        [("1", x, -1), ("1", x * Q1**2 * Q2, -1), ("2", x, 1), ("2", x * Q1, 1)]
     )
 
 
@@ -107,21 +119,31 @@ def test_a_inverse_a0hat_scalar():
     x = xparam("0", 1)
     entries, scalar = a_inverse_monomial(builtin_quiver("A0hat"), "0", x)
     assert sorted((n, a, e) for n, a, e in entries) == sorted(
-        [("0", x * Q, -1), ("0", x * MU, 1), ("0", x * MU.inverse() * Q, 1)]
+        [("0", x, -1), ("0", x * Q, -1), ("0", x * MU, 1), ("0", x * MU.inverse() * Q, 1)]
     )
     assert scalar == Coefficient.from_monomial(qfrak("0")) * s_function(MU)
 
 
-def test_a_inverse_degree_vector_matches_cartan_column():
-    for name in ("A1", "A2", "BC2"):
+def test_node_scalars():
+    for Q_ in (builtin_quiver("A1"), builtin_quiver("A2"), builtin_quiver("BC2"), G2_LIKE):
+        assert all(s.is_one for s in Q_.node_scalars.values()), Q_.name
+    for name in ("Arhat(2)", "Arhat(3)"):
         Q_ = builtin_quiver(name)
+        assert Q_.node_scalars == {i: Coefficient.from_monomial(qfrak(i)) for i in Q_.nodes}
+    q0 = Coefficient.from_monomial(qfrak("0"))
+    assert builtin_quiver("A0hat").node_scalars == {"0": q0 * s_function(MU)}
+    assert MU2_LOOP.node_scalars == {"0": q0 * s_function(MU**2)}
+
+
+def test_a_inverse_degree_vector_matches_cartan_column():
+    quivers = [builtin_quiver(name) for name in ("A1", "A2", "BC2", "A0hat", "Arhat(2)", "Arhat(3)")]
+    for Q_ in quivers + [MU2_LOOP, G2_LIKE]:
         classical = classical_cartan(Q_)
         for col, i in enumerate(Q_.nodes):
             x = xparam(i, 1)
             entries, _ = a_inverse_monomial(Q_, i, x)
             deg = {j: 0 for j in Q_.nodes}
-            deg[i] -= 1  # the reflected symbol itself is consumed
             for n, _, e in entries:
                 deg[n] += e
             for row, j in enumerate(Q_.nodes):
-                assert deg[j] == -classical[row][col], (name, i, j)
+                assert deg[j] == -classical[row][col], (Q_.name, i, j)
