@@ -1,0 +1,8 @@
+"""``python -m qqkit``: the qqkit command line (see ``qqkit.cli``)."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

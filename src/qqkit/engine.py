@@ -245,6 +245,14 @@ def reflect(Q_: Quiver, t: Term, i: str, x: Monomial) -> Term | None:
     return Term(child_ym, t.coeff * sf * scalar)
 
 
+def _generic(wc: WeightConfig) -> bool:
+    """True when no ratio of two weight parameters is a monomial in q1, q2 and mu alone."""
+    params = [p for _, _, p in wc.entries]
+    return not any(
+        set((a / b).gens()) <= {"q1", "q2", "mu"} for k, a in enumerate(params) for b in params[:k]
+    )
+
+
 def expand(
     Q_: Quiver,
     wc: WeightConfig,
@@ -272,7 +280,14 @@ def expand(
         if max_qdeg is not None and t.qdeg >= max_qdeg:
             continue
         for i, x, _ in t.ym.numerator_entries():
-            child = reflect(Q_, t, i, x)
+            try:
+                child = reflect(Q_, t, i, x)
+            except CollidingArguments as exc:
+                if isinstance(exc.__cause__, PoleError) and _generic(wc):  # no arguments can collide
+                    raise CollidingArguments(
+                        f"the reflection rule does not reach node {i}: {exc} (the weight parameters are generic)"
+                    ) from exc
+                raise
             if child is None:
                 continue
             edges.append((t.ym, child.ym, (i, x)))

@@ -20,7 +20,8 @@ class NonIntegerLimit(QQError, exit_code=6, label="non-integer limit"):
 
 
 class CollidingArguments(QQError, exit_code=4, label="colliding arguments"):
-    """A reflection hit coinciding Y-arguments (the rejected derivative case)."""
+    """A reflection hit coinciding Y-arguments (the rejected derivative case), or a pole
+    of an S-factor at generic weight parameters, where the reflection rule does not reach."""
 
 
 class PathInconsistency(QQError, exit_code=7, label="internal consistency failure"):

@@ -20,7 +20,11 @@ from .quiver import Quiver, builtin_quiver
 
 @dataclass(frozen=True)
 class KRSpec:
-    """Geometric weight-parameter ladder (x, x s, ..., x s^{k-1}), s = q_m^{d}."""
+    """Geometric weight-parameter ladder (x, x s, ..., x s^{k-1}), s = q_m^{d}.
+
+    A q2 ladder (m = 2) exists only at a node with d = 1: ``kr_params``
+    rejects it elsewhere, since q2^d is no zero of S_d when d >= 2.
+    """
 
     node: str
     k: int
@@ -37,7 +41,10 @@ class KRSpec:
 def kr_params(spec: KRSpec, Q_: Quiver) -> list[Monomial]:
     if spec.node not in Q_.nodes:
         raise ValidationError(f"unknown node {spec.node!r}")
-    shift = (Q1 if spec.m == 1 else Q2) ** Q_.d[spec.node]
+    d = Q_.d[spec.node]
+    if spec.m == 2 and d >= 2:  # the zeros of S_d are q1^d and q2, not q2^d
+        raise ValidationError(f"a q2 ladder needs d = 1, but node {spec.node!r} has d = {d}")
+    shift = (Q1 if spec.m == 1 else Q2) ** d
     return [spec.base * shift**t for t in range(spec.k)]
 
 

@@ -3,7 +3,9 @@
 ``render`` is the one place that decides an output format.  Y-symbols use
 the shorthand Y_{i,x;j,k} whenever the argument is a weight parameter
 times q1^j q2^k; coefficients are re-assembled into S-function products
-by greedy pattern peeling, falling back to raw binomials.
+by greedy pattern peeling, falling back to raw binomials.  Every format
+lists terms in ``sort_key`` order and edges in the order of
+``_ordered_edges``, so the bytes do not depend on how a character was built.
 """
 
 from __future__ import annotations
@@ -25,6 +27,11 @@ from .quiver import Quiver
 def _ordered(terms) -> list[YMonomial]:
     """The Y-monomials of a term map in ``sort_key`` order."""
     return sorted(terms, key=lambda y: y.sort_key())
+
+
+def _ordered_edges(edges, index: dict[YMonomial, int]) -> list:
+    """Edges by the positions (``index``) of source and target, then by label."""
+    return sorted(edges, key=lambda e: (index[e[0]], index[e[1]], e[2][0], e[2][1].sort_key()))
 
 
 def default_names(ch: Character) -> dict[str, str]:
@@ -217,8 +224,8 @@ def character_latex(ch: Character, names: dict[str, str] | None = None) -> str:
     names = names if names is not None else default_names(ch)
     single = len(ch.quiver.nodes) == 1
     pieces = []
-    for ym, c in ch.terms.items():
-        cl = coeff_latex(c, names)
+    for ym in _ordered(ch.terms):
+        cl = coeff_latex(ch.terms[ym], names)
         yl = ym_latex(ym, names, single)
         if yl == "1":
             pieces.append(cl)
@@ -242,14 +249,14 @@ def hasse_dot(ch: Character, names: dict[str, str] | None = None) -> str:
     names = names if names is not None else default_names(ch)
     single = len(ch.quiver.nodes) == 1
     order = _ordered(ch.terms)
-    ids = {ym: f"n{k}" for k, ym in enumerate(order)}
+    idx = {ym: k for k, ym in enumerate(order)}
     lines = ["digraph hasse {", "  rankdir=TB;", '  node [shape=box, fontname="serif"];']
-    for ym in order:
+    for k, ym in enumerate(order):
         label = ym_latex(ym, names, single).replace("\\", "\\\\").replace('"', '\\"')
-        lines.append(f'  {ids[ym]} [label="{label}"];')
-    for src, dst, (i, x) in ch.edges:
+        lines.append(f'  n{k} [label="{label}"];')
+    for src, dst, (i, x) in _ordered_edges(ch.edges, idx):
         lab = edge_label(i, x, names).replace("\\", "\\\\").replace('"', '\\"')
-        lines.append(f'  {ids[src]} -> {ids[dst]} [label="{lab}"];')
+        lines.append(f'  n{idx[src]} -> n{idx[dst]} [label="{lab}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -267,7 +274,7 @@ def character_to_json(ch: Character) -> dict:
         "terms": [{"ym": ym.to_json(), "coeff": ch.terms[ym].to_json()} for ym in order],
         "edges": [
             {"src": idx[s], "dst": idx[d], "label": {"node": i, "arg": x.to_json()}}
-            for s, d, (i, x) in ch.edges
+            for s, d, (i, x) in _ordered_edges(ch.edges, idx)
         ],
     }
     if ch.wc is not None:
@@ -333,9 +340,9 @@ def render(ch: Character | ClassicalCharacter, fmt: str) -> str:
         return character_latex(ch) + "\n"
     if fmt == "dot":
         return hasse_dot(ch)
-    return "\n".join(f"{c!r}  *  {ym!r}" for ym, c in ch.terms.items()) + "\n"
+    return "\n".join(f"{ch.terms[ym]!r}  *  {ym!r}" for ym in _ordered(ch.terms)) + "\n"
 
 
 def json_document(data) -> str:
-    """The JSON text of every document qqkit writes."""
-    return json.dumps(data, indent=1) + "\n"
+    """The JSON text of every document qqkit writes: compact, from the C encoder."""
+    return json.dumps(data) + "\n"

@@ -253,7 +253,10 @@ def test_criterion_9d_character_json_round_trip():
         assert set(rt.terms) == set(ch.terms)
         for ym in ch.terms:
             assert rt.terms[ym] == ch.terms[ym]
-        assert rt.edges == ch.edges
+        # edges come back in canonical order: by the sort_key positions of their ends, then by label
+        pos = {ym: k for k, ym in enumerate(sorted(ch.terms, key=lambda y: y.sort_key()))}
+        key = lambda e: (pos[e[0]], pos[e[1]], e[2][0], e[2][1].sort_key())
+        assert rt.edges == tuple(sorted(ch.edges, key=key))
     print("criterion 9d: PASS (character JSON round trip is the identity)")
 
 

@@ -1,4 +1,5 @@
 import json
+import os
 import shlex
 import shutil
 import subprocess
@@ -150,6 +151,26 @@ def test_pole_resonant_parameters_exit_4(command, shift, capsys):
     assert err.startswith("colliding arguments: ") and err.count("\n") == 1
 
 
+D4 = json.dumps({"nodes": [{"id": i} for i in "1234"], "edges": [{"from": "2", "to": i} for i in "134"]})
+
+
+def test_pole_at_generic_parameters_says_the_rule_does_not_reach(capsys):
+    # the trivalent D4 node: one weight parameter, so no two arguments can collide
+    code, out, err = run_cli(["expand", "--quiver", D4, "--w", '{"2": 1}'], capsys)
+    assert (code, out) == (4, "")
+    assert err == (
+        "colliding arguments: the reflection rule does not reach node 4: S_1 pole at argument q1*q2"
+        " while reflecting Y[4,x(2,1)] (the weight parameters are generic)\n"
+    )
+
+
+def test_pole_on_a_ladder_keeps_the_colliding_arguments_message(capsys):
+    args = ["expand", "--quiver", "BC2", "--w", '{"1": 2}', "--params", '{"1,2": "x(1,1)*q2"}']
+    code, out, err = run_cli(args, capsys)
+    assert (code, out) == (4, "")
+    assert err == "colliding arguments: S_1 pole at argument q1*q2 while reflecting Y[2,x(1,1)]\n"
+
+
 def test_inline_quiver_json(capsys):
     spec = json.dumps({"nodes": [{"id": "1", "d": 1}], "edges": []})
     code, out, _ = run_cli(["expand", "--quiver", spec, "--w", '{"1": 1}', "--format", "json"], capsys)
@@ -177,6 +198,21 @@ def test_verify_cli_exit_zero_on_bundled_corpus(capsys):
     code, out, _ = run_cli(["verify"], capsys)
     assert code == 0
     assert "0 fail" in out
+
+
+def test_python_m_qqkit_runs_verify():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "qqkit", "verify"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    want = run_corpus().text().splitlines()  # the lines carry timings: compare statuses and the summary
+    got = proc.stdout.splitlines()
+    assert [ln.split()[:2] for ln in got[:-1]] == [ln.split()[:2] for ln in want[:-1]]
+    assert got[-1] == want[-1]
 
 
 def test_verify_missing_corpus_exits_2(tmp_path, capsys):

@@ -27,7 +27,12 @@ def test_kr_params():
     assert kr_params(KRSpec("1", 2, 1, x), A1) == [x, x * Q1]
     assert kr_params(KRSpec("1", 3, 1, x), A1) == [x, x * Q1, x * Q1**2]
     assert kr_params(KRSpec("1", 2, 1, x), BC2) == [x, x * Q1**2]
-    assert kr_params(KRSpec("1", 2, 2, x), BC2) == [x, x * Q2**2]
+    with pytest.raises(ValidationError, match="q2 ladder needs d = 1"):
+        kr_params(KRSpec("1", 2, 2, x), BC2)  # q2^2 is no zero of S_2
+    with pytest.raises(ValidationError):
+        kr_sigma(BC2, "1", 2, 2)
+    x2 = xparam("2", 1)
+    assert kr_params(KRSpec("2", 2, 2, x2), BC2) == [x2, x2 * Q2]
     with pytest.raises(ValidationError):
         KRSpec("1", 0, 1, x)
     with pytest.raises(ValidationError):

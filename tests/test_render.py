@@ -1,10 +1,13 @@
+import json
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qqkit.coefficient import Coefficient, s_function, s_r
-from qqkit.engine import WeightConfig, expand
+from qqkit.engine import Character, WeightConfig, YMonomial, expand
 from qqkit.errors import PoleError, ValidationError
-from qqkit.higgsing import higgs, kr_sigma
+from qqkit.higgsing import ClassicalCharacter, classical_limit, higgs, kr_sigma
 from qqkit.monomial import Monomial, Q1, Q2, xparam
 from qqkit.partitions import affine_character
 from qqkit.quiver import builtin_quiver
@@ -13,9 +16,11 @@ from qqkit.render import (
     character_latex,
     character_to_json,
     coeff_latex,
+    default_names,
     edge_label,
     hasse_dot,
     monomial_latex,
+    render,
     s_decompose,
 )
 
@@ -23,6 +28,16 @@ A1 = builtin_quiver("A1")
 A2 = builtin_quiver("A2")
 BC2 = builtin_quiver("BC2")
 A0 = builtin_quiver("A0hat")
+
+
+def sorted_terms(ch) -> list:
+    return sorted(ch.terms, key=lambda y: y.sort_key())
+
+
+def canonical_edges(ch) -> tuple:
+    """The edges by the sort_key positions of source and target, then by node and argument."""
+    pos = {ym: k for k, ym in enumerate(sorted_terms(ch))}
+    return tuple(sorted(ch.edges, key=lambda e: (pos[e[0]], pos[e[1]], e[2][0], e[2][1].sort_key())))
 
 
 def test_monomial_latex():
@@ -132,17 +147,17 @@ def test_coeff_latex():
 def test_character_latex_golden():
     ch = expand(A1, WeightConfig.make(A1, {"1": 2}))
     golden = (
-        "\\mathsf{Y}_{x_{1}} \\mathsf{Y}_{x_{2}}"
+        "\\frac{1}{\\mathsf{Y}_{x_{1};1,1} \\mathsf{Y}_{x_{2};1,1}}"
         " + \\mathscr{S}\\qty(\\frac{x_{2}}{x_{1}}) \\frac{\\mathsf{Y}_{x_{2}}}{\\mathsf{Y}_{x_{1};1,1}}"
         " + \\mathscr{S}\\qty(\\frac{x_{1}}{x_{2}}) \\frac{\\mathsf{Y}_{x_{1}}}{\\mathsf{Y}_{x_{2};1,1}}"
-        " + \\frac{1}{\\mathsf{Y}_{x_{1};1,1} \\mathsf{Y}_{x_{2};1,1}}"
+        " + \\mathsf{Y}_{x_{1}} \\mathsf{Y}_{x_{2}}"
     )
     assert character_latex(ch) == golden
     hg = higgs(ch, kr_sigma(A1, "1", 2, 1))
     golden_kr = (
-        "\\mathsf{Y}_{x;1,0} \\mathsf{Y}_{x}"
+        "\\frac{1}{\\mathsf{Y}_{x;1,1} \\mathsf{Y}_{x;2,1}}"
+        " + \\mathsf{Y}_{x;1,0} \\mathsf{Y}_{x}"
         " + \\mathscr{S}\\qty(q_1^{-1}) \\frac{\\mathsf{Y}_{x}}{\\mathsf{Y}_{x;2,1}}"
-        " + \\frac{1}{\\mathsf{Y}_{x;1,1} \\mathsf{Y}_{x;2,1}}"
     )
     assert character_latex(hg) == golden_kr
 
@@ -175,7 +190,7 @@ def test_character_json_round_trip():
         assert set(rt.terms) == set(ch.terms)
         for ym in ch.terms:
             assert rt.terms[ym] == ch.terms[ym]
-        assert rt.edges == ch.edges
+        assert rt.edges == canonical_edges(ch)
         assert rt.quiver.nodes == ch.quiver.nodes
         if ch.wc is not None:
             assert rt.wc == ch.wc
@@ -195,3 +210,88 @@ def test_character_json_edges_index_the_terms_as_written():
         data["edges"][0]["dst"] = bad
         with pytest.raises(ValidationError):
             character_from_json(data)
+
+
+@lru_cache(maxsize=None)
+def _rendered_characters() -> tuple:
+    a2 = expand(A2, WeightConfig.make(A2, {"1": 2}))
+    kr = higgs(expand(BC2, WeightConfig.make(BC2, {"1": 2})), kr_sigma(BC2, "1", 2, 1))
+    return (
+        expand(A1, WeightConfig.make(A1, {"1": 3})),
+        expand(A2, WeightConfig.make(A2, {"1": 1, "2": 1})),
+        expand(BC2, WeightConfig.make(BC2, {"1": 1, "2": 1})),
+        expand(A0, WeightConfig.make(A0, {"0": 1}), max_qdeg=3),
+        a2,
+        higgs(a2, kr_sigma(A2, "1", 2, 1)),
+        kr,
+        classical_limit(kr, "q1"),
+        affine_character(A0, WeightConfig.make(A0, {"0": 1}), 2),
+    )
+
+
+def _reordered(ch, rnd):
+    """The same character with its terms dict and edges tuple in a shuffled order."""
+    terms = list(ch.terms.items())
+    rnd.shuffle(terms)
+    if isinstance(ch, ClassicalCharacter):
+        return ClassicalCharacter(dict(terms), ch.which)
+    edges = list(ch.edges)
+    rnd.shuffle(edges)
+    return Character(ch.quiver, ch.wc, dict(terms), tuple(edges), ch.meta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.randoms(use_true_random=False))
+def test_every_format_lists_terms_and_edges_in_canonical_order(data, rnd):
+    ch = data.draw(st.sampled_from(_rendered_characters()), label="character")
+    order = sorted_terms(ch)
+    classical = isinstance(ch, ClassicalCharacter)
+    formats = ("json", "latex", "text") if classical else ("json", "latex", "dot", "text")
+    docs = {fmt: render(ch, fmt) for fmt in formats}
+    # the bytes do not depend on the order the terms and edges were built in
+    assert {fmt: render(_reordered(ch, rnd), fmt) for fmt in formats} == docs
+
+    if classical:
+        assert docs["text"] == "".join(f"{ch.terms[ym]:>6d}  {ym!r}\n" for ym in order)
+        assert [YMonomial.from_json(t["ym"]) for t in json.loads(docs["json"])["terms"]] == order
+        return
+    assert docs["text"] == "".join(f"{ch.terms[ym]!r}  *  {ym!r}\n" for ym in order)
+    names = default_names(ch)
+    one_term = [character_latex(Character(ch.quiver, ch.wc, {ym: ch.terms[ym]}), names) for ym in order]
+    assert docs["latex"] == " + ".join(one_term) + "\n"
+    doc = json.loads(docs["json"])
+    if "series" in doc:  # a partition sum: terms by counting degree, each degree in sort_key order
+        for block in doc["series"]:
+            yms = [YMonomial.from_json(t["ym"]) for t in block["terms"]]
+            assert yms == sorted(yms, key=lambda y: y.sort_key())
+        return
+    assert [YMonomial.from_json(t["ym"]) for t in doc["terms"]] == order
+    pos = {ym: k for k, ym in enumerate(order)}
+    edges = canonical_edges(ch)
+    assert [(e["src"], e["dst"]) for e in doc["edges"]] == [(pos[s], pos[d]) for s, d, _ in edges]
+    assert [(e["label"]["node"], e["label"]["arg"]) for e in doc["edges"]] == [(i, x.to_json()) for _, _, (i, x) in edges]
+    arrows = [ln.split(" [")[0].strip() for ln in docs["dot"].splitlines() if " -> " in ln]
+    assert arrows == [f"n{pos[s]} -> n{pos[d]}" for s, d, _ in edges]
+
+
+def _old_document(ch) -> str:
+    """A document as qqkit wrote it before: edges in build order, indented by one space."""
+    data = character_to_json(ch)
+    pos = {ym: k for k, ym in enumerate(sorted_terms(ch))}
+    data["edges"] = [
+        {"src": pos[s], "dst": pos[d], "label": {"node": i, "arg": x.to_json()}} for s, d, (i, x) in ch.edges
+    ]
+    return json.dumps(data, indent=1) + "\n"
+
+
+def test_old_indented_documents_parse_like_new_ones():
+    for ch in _rendered_characters():
+        if isinstance(ch, ClassicalCharacter) or "closed_form" in ch.meta:
+            continue
+        old, new = _old_document(ch), render(ch, "json")
+        rt_old = character_from_json(json.loads(old))
+        rt_new = character_from_json(json.loads(new))
+        assert rt_old.terms == rt_new.terms == ch.terms
+        assert set(rt_old.edges) == set(rt_new.edges) == set(ch.edges)
+        assert rt_old.wc == rt_new.wc == ch.wc
+        assert render(rt_old, "json") == new
