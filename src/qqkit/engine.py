@@ -165,6 +165,10 @@ class WeightConfig:
             raise ValidationError(f"params {sorted(unused)} name no weight unit")
         return WeightConfig(tuple(out))
 
+    def substitute(self, sigma: Mapping[str, Monomial]) -> "WeightConfig":
+        """The same units with sigma applied to each parameter."""
+        return WeightConfig(tuple((i, a, p.substitute(sigma)) for i, a, p in self.entries))
+
     @property
     def w(self) -> dict[str, int]:
         out: dict[str, int] = {}
@@ -245,12 +249,21 @@ def reflect(Q_: Quiver, t: Term, i: str, x: Monomial) -> Term | None:
     return Term(child_ym, t.coeff * sf * scalar)
 
 
+def resonance_classes(wc: WeightConfig) -> list[list[tuple[str, Monomial]]]:
+    """The (node, parameter) pairs of the weight units, grouped by resonance.
+
+    Two parameters resonate when their ratio is a monomial in q1, q2 and mu
+    alone, that is, when they agree in every other generator.
+    """
+    classes: dict[tuple, list[tuple[str, Monomial]]] = {}
+    for i, _, p in wc.entries:
+        classes.setdefault(tuple(ge for ge in p.exps if ge[0] not in ("q1", "q2", "mu")), []).append((i, p))
+    return list(classes.values())
+
+
 def _generic(wc: WeightConfig) -> bool:
-    """True when no ratio of two weight parameters is a monomial in q1, q2 and mu alone."""
-    params = [p for _, _, p in wc.entries]
-    return not any(
-        set((a / b).gens()) <= {"q1", "q2", "mu"} for k, a in enumerate(params) for b in params[:k]
-    )
+    """True when no two weight parameters resonate."""
+    return all(len(cls) == 1 for cls in resonance_classes(wc))
 
 
 def expand(

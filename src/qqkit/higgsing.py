@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .coefficient import Coefficient, s_function
-from .engine import Character, WeightConfig, YMonomial
+from .coefficient import Coefficient, _check_images, s_function
+from .engine import Character, WeightConfig, YMonomial, resonance_classes
 from .errors import ValidationError, YCollision
 from .monomial import Monomial, Q1, Q2, xparam
 from .quiver import Quiver, builtin_quiver
@@ -49,36 +49,80 @@ def kr_params(spec: KRSpec, Q_: Quiver) -> list[Monomial]:
 
 
 def kr_sigma(Q_: Quiver, node: str, k: int, m: int = 1) -> dict[str, Monomial]:
-    """Substitution sending x(node,t) -> x(node,1) q_m^{d (t-1)}."""
-    if k < 2:
-        return {}
-    ladder = kr_params(KRSpec(node, k, m, xparam(node, 1)), Q_)
+    """Substitution sending x(node,t) -> x(node,1) q_m^{d (t-1)}; empty for k < 2."""
+    if k < 0:
+        raise ValidationError("ladder length must be nonnegative")
+    ladder = kr_params(KRSpec(node, max(k, 1), m, xparam(node, 1)), Q_)
     return {f"x({node},{t})": ladder[t - 1] for t in range(2, k + 1)}
 
 
+def fold_weights(Q_: Quiver, wc: WeightConfig, sigma: Mapping[str, Monomial]) -> WeightConfig | None:
+    """The weights at sigma, when expanding there gives ``higgs(expand(wc), sigma)``; else None.
+
+    The expansion drops every child whose S-factor vanishes, which is what
+    Higgsing a Kirillov-Reshetikhin ladder does.  So sigma must map only
+    weight parameters x(i,a) and pass the image check of
+    ``Coefficient.specialize``, and the specialized weights must be ladders
+    (``_ladders_only``).  Other resonant points differ: on BC2 with
+    w = (1, 1), sigma = {x(1,1): x(2,1) q1^2 q2^2} keeps the parameters
+    distinct, yet Y-entries cancel there, and the direct expansion has 22
+    terms where the Higgsed character has 19.
+    """
+    if not all(g.startswith("x(") and g.endswith(")") for g in sigma):
+        return None
+    try:
+        _check_images(sigma)
+    except ValidationError:
+        return None
+    folded = wc.substitute(sigma)
+    return folded if _ladders_only(Q_, folded) else None
+
+
+def _ladders_only(Q_: Quiver, wc: WeightConfig) -> bool:
+    """Whether every class of resonant parameters is a ladder at one node.
+
+    A ladder at node i is x, x s, ..., x s^(k-1), in any order, with a shift
+    s of ``kr_params``: q1^(d_i), or q2 when d_i = 1.
+    """
+    for cls in resonance_classes(wc):
+        if len({i for i, _ in cls}) > 1:
+            return False
+        d = Q_.d[cls[0][0]]
+        params = {p for _, p in cls}
+        shifts = (Q1**d, Q2) if d == 1 else (Q1**d,)
+        if not any(params == {b * s**t for t in range(len(cls))} for s in shifts for b in params):
+            return False
+    return True
+
+
 def higgs(ch: Character, sigma: Mapping[str, Monomial]) -> Character:
-    """Specialize weight parameters; S-zero terms drop, collisions are errors."""
+    """Specialize weight parameters; S-zero terms drop, collisions are errors.
+
+    The result carries the specialized weights.  Each term's Y-monomial is
+    substituted once; an edge survives when both of its ends survive.
+    """
     terms: dict[YMonomial, Coefficient] = {}
+    image: dict[YMonomial, YMonomial] = {}  # surviving term -> its specialized Y-monomial
     dropped: list[YMonomial] = []
     for ym, coeff in ch.terms.items():
         c2 = coeff.specialize(sigma)
         if c2.is_zero:
             dropped.append(ym)
             continue
-        ym2 = ym.substitute(sigma)
+        ym2 = image[ym] = ym.substitute(sigma)
         if ym2 in terms:
             raise YCollision(f"terms collide at {ym2!r} under {sigma!r}")
         terms[ym2] = c2
-    survivors = set(terms)
-    edges = []
-    for src, dst, (i, x) in ch.edges:
-        s2, d2 = src.substitute(sigma), dst.substitute(sigma)
-        if s2 in survivors and d2 in survivors:
-            edges.append((s2, d2, (i, x.substitute(sigma))))
+    edges = tuple(
+        (image[src], image[dst], (i, x.substitute(sigma)))
+        for src, dst, (i, x) in ch.edges
+        if src in image and dst in image
+    )
     meta = dict(ch.meta)
     meta["higgs"] = {g: repr(m) for g, m in sigma.items()}
     meta["dropped"] = tuple(dropped)
-    return Character(ch.quiver, ch.wc, terms, tuple(edges), meta)
+    wc = ch.wc.substitute(sigma) if ch.wc is not None else None
+    return Character(ch.quiver, wc, terms, edges, meta)
 
 
 @dataclass

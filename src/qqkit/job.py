@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .engine import Character, WeightConfig, expand
-from .errors import ValidationError, require_int
-from .higgsing import ClassicalCharacter, classical_limit, higgs
+from .errors import QQError, ValidationError, require_int
+from .higgsing import ClassicalCharacter, classical_limit, fold_weights, higgs
 from .monomial import Monomial, parse_monomial
 from .partitions import affine_character
 from .quiver import Quiver, builtin_quiver
@@ -119,9 +119,25 @@ class Job:
         return Job(quiver, weights, command, fmt, sigma, limit, max_deg)
 
     def run(self) -> Character | ClassicalCharacter:
+        """The job's result.
+
+        A ``higgs`` sigma that ``fold_weights`` accepts is folded into the
+        weights, and the character is expanded once there, with no ``higgs``
+        step; its ``meta`` then has no ``higgs`` or ``dropped`` key.  If that
+        path raises, the generic path ``higgs(expand(weights), sigma)`` decides
+        the result or the error, so both paths answer alike.
+        """
         if self.command == "affine-expand":
             return affine_character(self.quiver, self.weights, self.max_deg)
-        ch = expand(self.quiver, self.weights, max_qdeg=self.max_deg)
         if self.higgs or self.command == "higgs":
-            ch = higgs(ch, self.higgs)
+            folded = fold_weights(self.quiver, self.weights, self.higgs)
+            if folded is not None:
+                try:
+                    return self._limit(expand(self.quiver, folded, max_qdeg=self.max_deg))
+                except QQError:
+                    pass
+            return self._limit(higgs(expand(self.quiver, self.weights, max_qdeg=self.max_deg), self.higgs))
+        return self._limit(expand(self.quiver, self.weights, max_qdeg=self.max_deg))
+
+    def _limit(self, ch: Character) -> Character | ClassicalCharacter:
         return classical_limit(ch, self.limit) if self.limit else ch

@@ -99,6 +99,29 @@ def test_exit_codes(capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize(
+    "image, code, err",
+    [
+        ("x(1,1)", 3, "pole error: denominator factor (1 - x(1,1)*x(1,2)^-1) vanished under substitution\n"),
+        ("x(1,1)*q1*q2", 3, "pole error: denominator factor (1 - q1*q2*x(1,1)*x(1,2)^-1) vanished under substitution\n"),
+        ("x(1,2)*q1", 2, "validation error: substitution image of x(1,2) reuses substituted generators\n"),
+    ],
+)
+def test_higgs_errors_come_from_the_generic_path(image, code, err, capsys):
+    # none of these folds into an expansion at the specialized parameters
+    args = ["higgs", "--quiver", "A1", "--w", '{"1": 2}', "--higgs", json.dumps({"x(1,2)": image})]
+    assert run_cli(args, capsys) == (code, "", err)
+
+
+def test_higgs_document_lists_the_specialized_parameters(capsys):
+    ladder = json.dumps({"x(1,2)": "x(1,1)*q1", "x(1,3)": "x(1,1)*q1^2"})
+    code, out, _ = run_cli(["higgs", "--quiver", "A1", "--w", '{"1": 3}', "--higgs", ladder, "--format", "json"], capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert [w["param"] for w in data["weights"]] == [{"x(1,1)": 1}, {"q1": 1, "x(1,1)": 1}, {"q1": 2, "x(1,1)": 1}]
+    assert len(data["terms"]) == 4
+
+
 # the documented exit code and stderr label of every error type (README, "Exit codes")
 DOCUMENTED_EXITS = {
     "ValidationError": (2, "validation error"),

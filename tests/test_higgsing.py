@@ -9,6 +9,7 @@ from qqkit.higgsing import (
     KRSpec,
     classical_limit,
     factorize_check,
+    fold_weights,
     higgs,
     kr_closed_form_A1,
     kr_params,
@@ -39,12 +40,38 @@ def test_kr_params():
         KRSpec("1", 2, 3, x)
 
 
+def test_kr_sigma_validates_before_returning_an_empty_ladder():
+    assert kr_sigma(A1, "1", 0) == kr_sigma(A1, "1", 1, 2) == {}
+    for node, k, m in [("nope", 1, 1), ("1", 0, 7), ("1", -1, 1), ("1", 1, 2)]:
+        with pytest.raises(ValidationError):
+            kr_sigma(BC2 if m == 2 else A1, node, k, m)  # BC2 node 1 has d = 2: no q2 ladder
+
+
 def test_theorem_ladder_reduction():
     for w in range(7):
         ch = expand(A1, WeightConfig.make(A1, {"1": w}))
         hg = higgs(ch, kr_sigma(A1, "1", w, 1))
         assert len(hg.terms) == w + 1
         assert hg.equals(kr_closed_form_A1(w))
+        assert [p for _, _, p in hg.wc.entries] == [xparam("1", 1) * Q1**t for t in range(w)]
+
+
+def test_fold_weights_takes_only_ladders_of_weight_parameters():
+    wc = WeightConfig.make(A1, {"1": 3})
+    x1, x2 = xparam("1", 1), xparam("1", 2)
+    assert fold_weights(A1, wc, kr_sigma(A1, "1", 3)) == WeightConfig.make(
+        A1, {"1": 3}, {("1", 2): x1 * Q1, ("1", 3): x1 * Q1**2}
+    )
+    assert fold_weights(A1, wc, {"x(1,2)": x1 * Q2**-1, "x(1,3)": x1 * Q2}) is not None  # a q2 ladder, any order
+    assert fold_weights(A1, wc, {}) == wc
+    assert fold_weights(A1, wc, {"q1": Q2}) is None  # not a weight parameter
+    assert fold_weights(A1, wc, {"x(1,2)": x1}) is None  # coinciding parameters
+    assert fold_weights(A1, wc, {"x(1,3)": x2, "x(1,2)": x1 * Q1}) is None  # fails specialize's image check
+    assert fold_weights(A1, wc, {"x(1,2)": x1 * Q1, "x(1,3)": x1 * Q1**3}) is None  # a gap in the ladder
+    assert fold_weights(A1, wc, {"x(1,2)": x1 * Q1, "x(1,3)": x1 * Q2}) is None  # two directions
+    assert fold_weights(BC2, WeightConfig.make(BC2, {"1": 2}), {"x(1,2)": x1 * Q1}) is None  # the step is q1^d
+    bc2 = WeightConfig.make(BC2, {"1": 1, "2": 1})
+    assert fold_weights(BC2, bc2, {"x(2,1)": x1 * Q1**3 * Q2}) is None  # resonant across nodes
 
 
 def test_theorem_classical_limits():
