@@ -84,9 +84,6 @@ class YMonomial:
             return NotImplemented
         return YMonomial._canonical(merge_runs(self._entries, other._entries, _entry_key))
 
-    def __pow__(self, n: int) -> "YMonomial":
-        return YMonomial(tuple((g, a, e * n) for g, a, e in self._entries))
-
     def substitute(self, sigma: Mapping[str, Monomial]) -> "YMonomial":
         return YMonomial(tuple((n, a.substitute(sigma), e) for n, a, e in self._entries))
 
@@ -169,13 +166,6 @@ class WeightConfig:
         """The same units with sigma applied to each parameter."""
         return WeightConfig(tuple((i, a, p.substitute(sigma)) for i, a, p in self.entries))
 
-    @property
-    def w(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for i, _, _ in self.entries:
-            out[i] = out.get(i, 0) + 1
-        return out
-
 
 @dataclass
 class Character:
@@ -187,14 +177,8 @@ class Character:
     edges: tuple[tuple[YMonomial, YMonomial, tuple[str, Monomial]], ...] = ()
     meta: dict = field(default_factory=dict)
 
-    def coefficient(self, ym: YMonomial) -> Coefficient:
-        return self.terms.get(ym, Coefficient.zero())
-
     def equals(self, other: "Character") -> bool:
         return self.terms == other.terms
-
-    def __len__(self) -> int:
-        return len(self.terms)
 
 
 def highest_weight(Q_: Quiver, wc: WeightConfig) -> Term:

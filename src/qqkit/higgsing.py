@@ -18,79 +18,66 @@ from .monomial import Monomial, Q1, Q2, xparam
 from .quiver import Quiver, builtin_quiver
 
 
-@dataclass(frozen=True)
-class KRSpec:
-    """Geometric weight-parameter ladder (x, x s, ..., x s^{k-1}), s = q_m^{d}.
+def _ladder_steps(d: int) -> dict[int, Monomial]:
+    """The step of a q_m ladder at a node with decoration d, by m.
 
-    A q2 ladder (m = 2) exists only at a node with d = 1: ``kr_params``
-    rejects it elsewhere, since q2^d is no zero of S_d when d >= 2.
+    The zeros of S_d are q1^d and q2: the q1 ladder steps by q1^d at any
+    node, and the q2 ladder steps by q2 only at d = 1 (q2^d is no zero of S_d
+    when d >= 2).
     """
-
-    node: str
-    k: int
-    m: int  # 1 or 2: which deformation parameter shifts the ladder
-    base: Monomial
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValidationError("ladder length must be positive")
-        if self.m not in (1, 2):
-            raise ValidationError("shift direction must be 1 or 2")
+    return {1: Q1**d, 2: Q2} if d == 1 else {1: Q1**d}
 
 
-def kr_params(spec: KRSpec, Q_: Quiver) -> list[Monomial]:
-    if spec.node not in Q_.nodes:
-        raise ValidationError(f"unknown node {spec.node!r}")
-    d = Q_.d[spec.node]
-    if spec.m == 2 and d >= 2:  # the zeros of S_d are q1^d and q2, not q2^d
-        raise ValidationError(f"a q2 ladder needs d = 1, but node {spec.node!r} has d = {d}")
-    shift = (Q1 if spec.m == 1 else Q2) ** d
-    return [spec.base * shift**t for t in range(spec.k)]
+def kr_params(Q_: Quiver, node: str, k: int, m: int = 1, base: Monomial | None = None) -> list[Monomial]:
+    """The Kirillov-Reshetikhin ladder (x, x s, ..., x s^(k-1)); x defaults to x(node,1)."""
+    if node not in Q_.nodes:
+        raise ValidationError(f"unknown node {node!r}")
+    if k < 0:
+        raise ValidationError("ladder length must be nonnegative")
+    if m not in (1, 2):
+        raise ValidationError("shift direction must be 1 or 2")
+    steps = _ladder_steps(Q_.d[node])
+    if m not in steps:
+        raise ValidationError(f"a q2 ladder needs d = 1, but node {node!r} has d = {Q_.d[node]}")
+    x = base if base is not None else xparam(node, 1)
+    return [x * steps[m] ** t for t in range(k)]
 
 
 def kr_sigma(Q_: Quiver, node: str, k: int, m: int = 1) -> dict[str, Monomial]:
     """Substitution sending x(node,t) -> x(node,1) q_m^{d (t-1)}; empty for k < 2."""
-    if k < 0:
-        raise ValidationError("ladder length must be nonnegative")
-    ladder = kr_params(KRSpec(node, max(k, 1), m, xparam(node, 1)), Q_)
+    ladder = kr_params(Q_, node, k, m)
     return {f"x({node},{t})": ladder[t - 1] for t in range(2, k + 1)}
 
 
 def fold_weights(Q_: Quiver, wc: WeightConfig, sigma: Mapping[str, Monomial]) -> WeightConfig | None:
     """The weights at sigma, when expanding there gives ``higgs(expand(wc), sigma)``; else None.
 
-    The expansion drops every child whose S-factor vanishes, which is what
-    Higgsing a Kirillov-Reshetikhin ladder does.  So sigma must map only
-    weight parameters x(i,a) and pass the image check of
-    ``Coefficient.specialize``, and the specialized weights must be ladders
-    (``_ladders_only``).  Other resonant points differ: on BC2 with
-    w = (1, 1), sigma = {x(1,1): x(2,1) q1^2 q2^2} keeps the parameters
-    distinct, yet Y-entries cancel there, and the direct expansion has 22
-    terms where the Higgsed character has 19.
+    sigma must pass the image check of ``Coefficient.specialize`` (its
+    ValidationError propagates, so a malformed sigma is rejected before any
+    expansion), map only weight parameters x(i,a), and leave ladders only
+    (``_ladders_only``): the expansion drops every child whose S-factor
+    vanishes, which is what Higgsing a Kirillov-Reshetikhin ladder does.
+    Other resonant points differ: on BC2 with w = (1, 1),
+    sigma = {x(1,1): x(2,1) q1^2 q2^2} keeps the parameters distinct, yet
+    Y-entries cancel there, and the direct expansion has 22 terms where the
+    Higgsed character has 19.
     """
+    _check_images(sigma)
     if not all(g.startswith("x(") and g.endswith(")") for g in sigma):
-        return None
-    try:
-        _check_images(sigma)
-    except ValidationError:
         return None
     folded = wc.substitute(sigma)
     return folded if _ladders_only(Q_, folded) else None
 
 
 def _ladders_only(Q_: Quiver, wc: WeightConfig) -> bool:
-    """Whether every class of resonant parameters is a ladder at one node.
-
-    A ladder at node i is x, x s, ..., x s^(k-1), in any order, with a shift
-    s of ``kr_params``: q1^(d_i), or q2 when d_i = 1.
-    """
+    """Whether every class of resonant parameters is a ``kr_params`` ladder at one node, in any order."""
     for cls in resonance_classes(wc):
-        if len({i for i, _ in cls}) > 1:
+        node = cls[0][0]
+        if any(i != node for i, _ in cls):
             return False
-        d = Q_.d[cls[0][0]]
         params = {p for _, p in cls}
-        shifts = (Q1**d, Q2) if d == 1 else (Q1**d,)
-        if not any(params == {b * s**t for t in range(len(cls))} for s in shifts for b in params):
+        ladders = (kr_params(Q_, node, len(cls), m, b) for m in _ladder_steps(Q_.d[node]) for b in params)
+        if not any(params == set(ladder) for ladder in ladders):
             return False
     return True
 
@@ -132,18 +119,19 @@ class ClassicalCharacter:
     terms: dict[YMonomial, int]
     which: str
 
-    def __len__(self) -> int:
-        return len(self.terms)
-
 
 def classical_limit(ch: Character, which: str) -> ClassicalCharacter:
-    """Send q1 or q2 to 1 in arguments and coefficients, merging collisions."""
+    """Send q1 or q2 to 1 in arguments and coefficients, merging collisions.
+
+    Terms are taken in ``sort_key`` order, so the first term whose limit
+    fails names the error whatever order the character was built in.
+    """
     if which not in ("q1", "q2"):
         raise ValidationError("limit generator must be q1 or q2")
     unity = {which: Monomial.unit()}
     merged: dict[YMonomial, int] = {}
-    for ym, coeff in ch.terms.items():
-        n = coeff.limit_at_unity(which).as_integer()
+    for ym in sorted(ch.terms, key=YMonomial.sort_key):
+        n = ch.terms[ym].limit_at_unity(which).as_integer()
         if n == 0:
             continue
         ym2 = ym.substitute(unity)
@@ -176,11 +164,11 @@ def factorize_check(cc: ClassicalCharacter, factors: list[ClassicalCharacter]) -
     return classical_product(factors) == cc.terms
 
 
-def kr_closed_form_A1(w: int, base: Monomial | None = None) -> Character:
-    """The w+1 term ladder character with coefficients prod S(q1^{1-i-j})."""
+def kr_closed_form_A1(w: int) -> Character:
+    """The w+1 term ladder character at x = x(1,1), with coefficients prod S(q1^{1-i-j})."""
     if w < 0:
         raise ValidationError("weight must be nonnegative")
-    x = base if base is not None else xparam("1", 1)
+    x = xparam("1", 1)
     Q_ = builtin_quiver("A1")
     terms: dict[YMonomial, Coefficient] = {}
     for v in range(w + 1):

@@ -121,15 +121,17 @@ class Job:
     def run(self) -> Character | ClassicalCharacter:
         """The job's result.
 
-        A ``higgs`` sigma that ``fold_weights`` accepts is folded into the
-        weights, and the character is expanded once there, with no ``higgs``
-        step; its ``meta`` then has no ``higgs`` or ``dropped`` key.  If that
-        path raises, the generic path ``higgs(expand(weights), sigma)`` decides
-        the result or the error, so both paths answer alike.
+        ``fold_weights`` rejects a malformed ``higgs`` sigma before anything
+        is expanded.  A sigma that it accepts is folded into the weights, and
+        the character is expanded once there, with no ``higgs`` step; its
+        ``meta`` then has no ``higgs`` or ``dropped`` key.  If that path
+        raises, the generic path ``higgs(expand(weights), sigma)`` decides the
+        result or the error, so both paths answer alike.  Without a sigma,
+        every command but ``affine-expand`` starts from ``expand``.
         """
         if self.command == "affine-expand":
             return affine_character(self.quiver, self.weights, self.max_deg)
-        if self.higgs or self.command == "higgs":
+        if self.higgs:
             folded = fold_weights(self.quiver, self.weights, self.higgs)
             if folded is not None:
                 try:

@@ -40,12 +40,6 @@ class Partition:
         self.parts = ps
         self._transpose = None
 
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
-
     def __eq__(self, other):
         return isinstance(other, Partition) and self.parts == other.parts
 

@@ -42,12 +42,11 @@ FIXTURE_FILES = ("a1.json", "a2.json", "bc2.json", "hasse.json", "affine.json")
 
 
 def load_corpus(directory: str | Path | None = None) -> list[dict]:
+    """Every ``*.json`` fixture file of the directory: the bundled names first, in their order, then the rest sorted."""
     d = Path(directory) if directory else FIXTURE_DIR
     out: list[dict] = []
-    names = FIXTURE_FILES if all((d / f).exists() for f in FIXTURE_FILES) else sorted(
-        p.name for p in d.glob("*.json")
-    )
-    for name in names:
+    others = sorted(p.name for p in d.glob("*.json") if p.name not in FIXTURE_FILES)
+    for name in [f for f in FIXTURE_FILES if (d / f).exists()] + others:
         data = read_json(d / name)
         if not isinstance(data, list):
             raise ValidationError(f"fixture file {name} must hold a list")

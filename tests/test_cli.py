@@ -12,7 +12,7 @@ import pytest
 from qqkit import errors
 from qqkit.cli import main
 from qqkit.job import Job
-from qqkit.verify import FIXTURE_DIR, run_corpus
+from qqkit.verify import FIXTURE_DIR, load_corpus, run_corpus
 
 
 def run_cli(args, capsys):
@@ -111,6 +111,15 @@ def test_higgs_errors_come_from_the_generic_path(image, code, err, capsys):
     # none of these folds into an expansion at the specialized parameters
     args = ["higgs", "--quiver", "A1", "--w", '{"1": 2}', "--higgs", json.dumps({"x(1,2)": image})]
     assert run_cli(args, capsys) == (code, "", err)
+
+
+def test_malformed_sigma_is_rejected_before_expanding(capsys):
+    # the generic A1 w=12 character has 4096 terms; the image check needs none of them
+    args = ["higgs", "--quiver", "A1", "--w", '{"1": 12}', "--higgs", '{"x(1,2)": "x(1,2)*q1"}']
+    start = time.perf_counter()
+    result = run_cli(args, capsys)
+    assert time.perf_counter() - start < 1
+    assert result == (2, "", "validation error: substitution image of x(1,2) reuses substituted generators\n")
 
 
 def test_higgs_document_lists_the_specialized_parameters(capsys):
@@ -215,6 +224,18 @@ def test_verify_perturbed_corpus_fails_once(tmp_path):
     assert not report.ok
     failing = [e for e in report.entries if e.status == "fail"]
     assert failing[0].id == "a2-w20-generic-count"
+
+
+def test_verify_corpus_replays_files_beyond_the_bundled_names(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(FIXTURE_DIR, corpus)
+    extra = {"id": "extra-a1-count", "kind": "count", "quiver": "A1", "w": {"1": 1}, "expect_count": 3}
+    (corpus / "extra.json").write_text(json.dumps([extra]))
+    code, out, _ = run_cli(["verify", "--corpus", str(corpus)], capsys)
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[-2].split()[:2] == ["FAIL", "extra-a1-count"]  # after the bundled files
+    assert [ln.split()[1] for ln in lines[:-2]] == [fx["id"] for fx in load_corpus()]
 
 
 def test_verify_cli_exit_zero_on_bundled_corpus(capsys):

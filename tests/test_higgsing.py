@@ -1,12 +1,12 @@
-from math import comb
+from fractions import Fraction
+from math import comb, prod
 
 import pytest
 
-from qqkit.engine import WeightConfig, YMonomial, expand
-from qqkit.errors import ValidationError, YCollision
+from qqkit.engine import Character, WeightConfig, YMonomial, expand
+from qqkit.errors import NonIntegerLimit, ValidationError, YCollision
 from qqkit.higgsing import (
     ClassicalCharacter,
-    KRSpec,
     classical_limit,
     factorize_check,
     fold_weights,
@@ -15,8 +15,9 @@ from qqkit.higgsing import (
     kr_params,
     kr_sigma,
 )
+from qqkit.job import Job
 from qqkit.monomial import Q, Q1, Q2, xparam
-from qqkit.quiver import builtin_quiver
+from qqkit.quiver import builtin_quiver, classical_cartan
 
 A1 = builtin_quiver("A1")
 A2 = builtin_quiver("A2")
@@ -25,19 +26,22 @@ BC2 = builtin_quiver("BC2")
 
 def test_kr_params():
     x = xparam("1", 1)
-    assert kr_params(KRSpec("1", 2, 1, x), A1) == [x, x * Q1]
-    assert kr_params(KRSpec("1", 3, 1, x), A1) == [x, x * Q1, x * Q1**2]
-    assert kr_params(KRSpec("1", 2, 1, x), BC2) == [x, x * Q1**2]
+    assert kr_params(A1, "1", 2, 1, x) == [x, x * Q1]
+    assert kr_params(A1, "1", 3) == [x, x * Q1, x * Q1**2]
+    assert kr_params(BC2, "1", 2, 1, x) == [x, x * Q1**2]
     with pytest.raises(ValidationError, match="q2 ladder needs d = 1"):
-        kr_params(KRSpec("1", 2, 2, x), BC2)  # q2^2 is no zero of S_2
+        kr_params(BC2, "1", 2, 2, x)  # q2^2 is no zero of S_2
     with pytest.raises(ValidationError):
         kr_sigma(BC2, "1", 2, 2)
     x2 = xparam("2", 1)
-    assert kr_params(KRSpec("2", 2, 2, x2), BC2) == [x2, x2 * Q2]
+    assert kr_params(BC2, "2", 2, 2, x2) == [x2, x2 * Q2]
+    assert kr_params(A1, "1", 0, 1, x) == []
     with pytest.raises(ValidationError):
-        KRSpec("1", 0, 1, x)
+        kr_params(A1, "1", -1, 1, x)
     with pytest.raises(ValidationError):
-        KRSpec("1", 2, 3, x)
+        kr_params(A1, "1", 2, 3, x)
+    with pytest.raises(ValidationError):
+        kr_params(A1, "2", 2, 1, x)
 
 
 def test_kr_sigma_validates_before_returning_an_empty_ladder():
@@ -66,7 +70,8 @@ def test_fold_weights_takes_only_ladders_of_weight_parameters():
     assert fold_weights(A1, wc, {}) == wc
     assert fold_weights(A1, wc, {"q1": Q2}) is None  # not a weight parameter
     assert fold_weights(A1, wc, {"x(1,2)": x1}) is None  # coinciding parameters
-    assert fold_weights(A1, wc, {"x(1,3)": x2, "x(1,2)": x1 * Q1}) is None  # fails specialize's image check
+    with pytest.raises(ValidationError, match="reuses substituted generators"):
+        fold_weights(A1, wc, {"x(1,3)": x2, "x(1,2)": x1 * Q1})  # fails specialize's image check
     assert fold_weights(A1, wc, {"x(1,2)": x1 * Q1, "x(1,3)": x1 * Q1**3}) is None  # a gap in the ladder
     assert fold_weights(A1, wc, {"x(1,2)": x1 * Q1, "x(1,3)": x1 * Q2}) is None  # two directions
     assert fold_weights(BC2, WeightConfig.make(BC2, {"1": 2}), {"x(1,2)": x1 * Q1}) is None  # the step is q1^d
@@ -83,6 +88,61 @@ def test_theorem_classical_limits():
         assert factorize_check(l1, [fund] * w)
         l2 = classical_limit(hg, "q2")
         assert len(l2.terms) == w + 1 and set(l2.terms.values()) <= {1}
+
+
+def _weyl_dimension(Q_, highest: dict[str, int]) -> int:
+    """dim V(lambda) by Weyl's formula, from the classical Cartan matrix and the decorations d.
+
+    Row i of ``classical_cartan`` pairs the coroot of node i with the simple roots, so
+    s_i(beta) = beta - <beta, alpha_i^vee> alpha_i.  The positive roots are the reflection
+    closure of the simple ones.  For beta = sum c_j alpha_j, (lambda + rho, beta^vee) / (rho, beta^vee)
+    = sum c_j d_j (lambda_j + 1) / sum c_j d_j.
+    """
+    cartan, n = classical_cartan(Q_), len(Q_.nodes)
+    simple = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    roots, todo = set(simple), list(simple)
+    while todo:
+        beta = todo.pop()
+        for i in range(n):
+            pairing = sum(c * cartan[i][j] for j, c in enumerate(beta))
+            image = tuple(c - pairing * (j == i) for j, c in enumerate(beta))
+            if min(image) >= 0 and image not in roots:
+                roots.add(image)
+                todo.append(image)
+    d = [Q_.d[i] for i in Q_.nodes]
+    lam = [highest.get(i, 0) for i in Q_.nodes]
+    dim = prod(
+        Fraction(sum(c * e * (k + 1) for c, e, k in zip(beta, d, lam)), sum(c * e for c, e in zip(beta, d)))
+        for beta in roots
+    )
+    assert dim.denominator == 1
+    return int(dim)
+
+
+@pytest.mark.parametrize(
+    "quiver, node, m, k_max",
+    [
+        ("A1", "1", 1, 4), ("A2", "1", 1, 4), ("BC2", "1", 1, 3),  # q1 ladders
+        ("A1", "1", 2, 4), ("A2", "2", 2, 4), ("BC2", "2", 2, 3),  # q2 ladders
+    ],
+)
+def test_higgsed_ladder_has_the_weyl_dimension(quiver, node, m, k_max):
+    Q_ = builtin_quiver(quiver)
+    other = "q2" if m == 1 else "q1"
+    for k in range(1, k_max + 1):
+        sigma = {g: img.to_json() for g, img in kr_sigma(Q_, node, k, m).items()}
+        job = Job.parse({"quiver": quiver, "w": {node: k}, "higgs": sigma, "command": "higgs"})
+        limit = Job.parse({"quiver": quiver, "w": {node: k}, "higgs": sigma, "command": "limit", "limit": other})
+        dim = _weyl_dimension(Q_, {node: k})
+        assert len(job.run().terms) == dim, (k, dim)
+        assert sum(limit.run().terms.values()) == dim, (k, dim)
+
+
+def test_weyl_dimensions_of_the_fundamental_multiples():
+    assert [_weyl_dimension(A1, {"1": k}) for k in range(1, 5)] == [2, 3, 4, 5]
+    assert [_weyl_dimension(A2, {"1": k}) for k in range(1, 5)] == [3, 6, 10, 15]
+    assert [_weyl_dimension(BC2, {"1": k}) for k in range(1, 4)] == [5, 14, 30]
+    assert [_weyl_dimension(BC2, {"2": k}) for k in range(1, 4)] == [4, 10, 20]
 
 
 def test_q1_q2_symmetry_of_simply_laced_ladders():
@@ -143,7 +203,6 @@ def test_higgs_counts():
 
 def test_higgs_collision_detected():
     from qqkit.coefficient import Coefficient
-    from qqkit.engine import Character
 
     x1, x2 = xparam("1", 1), xparam("1", 2)
     ch = Character(
@@ -165,6 +224,21 @@ def test_classical_limit_merges_and_validates():
     assert sorted(l1.terms.values()) == [1, 1, 2]
     with pytest.raises(ValidationError):
         classical_limit(hg, "mu")
+
+
+def test_classical_limit_error_names_the_first_term_in_sort_key_order():
+    Q_ = builtin_quiver("Arhat(2)")
+    wc = WeightConfig.make(Q_, {"1": 2})
+    sigma = {"x(1,2)": xparam("1", 1) * Q1**2 * Q2}
+    generic = higgs(expand(Q_, wc, max_qdeg=3), sigma)
+    rev = Character(Q_, generic.wc, dict(reversed(generic.terms.items())), generic.edges)
+    direct = expand(Q_, wc.substitute(sigma), max_qdeg=3)
+    messages = set()
+    for ch in (generic, rev, direct):
+        with pytest.raises(NonIntegerLimit) as exc:
+            classical_limit(ch, "q1")
+        messages.add(str(exc.value))
+    assert messages == {"coefficient is not an integer: 2*qfrak(0)*qfrak(1)^2"}
 
 
 def test_classical_character_equality():

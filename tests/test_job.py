@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qqkit.cli import main
+from qqkit.coefficient import _check_images
 from qqkit.engine import expand
 from qqkit.errors import QQError, ValidationError
 from qqkit.higgsing import ClassicalCharacter, classical_limit, higgs, kr_sigma
@@ -161,7 +162,9 @@ def test_fuzzed_jobs_exit_with_a_documented_code(job):
 
 
 def _generic(job):
-    """The pipeline without the fold: expand at the generic weights, then higgs, then the limit."""
+    """The pipeline without the fold: check sigma's images, expand at the generic weights, then
+    higgs, then the limit."""
+    _check_images(job.higgs)
     ch = higgs(expand(job.quiver, job.weights, max_qdeg=job.max_deg), job.higgs)
     return classical_limit(ch, job.limit) if job.limit else ch
 
