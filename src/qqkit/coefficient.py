@@ -116,7 +116,7 @@ def _orient(arg: Monomial) -> tuple[Monomial, bool]:
     m and 1/m list the same generators in the same order, so of the two
     the larger sort key is the one whose leading exponent is positive.
     """
-    if arg.exps[0][1] > 0:
+    if arg.sort_key()[0][1] > 0:
         return arg, False
     return arg.inverse(), True
 

@@ -22,7 +22,7 @@ from .errors import (
     ValidationError,
     require_int,
 )
-from .monomial import Monomial, Q, merge_runs, xparam
+from .monomial import COUNTING, Monomial, Q, merge_runs, xparam
 from .quiver import Quiver, QuiverClass, a_inverse_monomial, classify
 
 SAFETY_BOUND = 10**6
@@ -123,16 +123,10 @@ class Term:
     ym: YMonomial
     coeff: Coefficient
 
-    @property
-    def qdeg(self) -> int:
-        return qdeg_of(self.coeff)
-
 
 def qdeg_of(coeff: Coefficient) -> int:
-    """Total counting-parameter degree carried by a coefficient."""
-    if coeff.is_zero:
-        return 0
-    return sum(e for g, e in coeff.unit.exps if g.startswith("qfrak"))
+    """Total degree of the counting parameters qfrak(i) carried by a coefficient."""
+    return sum(e for k, e in coeff.unit.sort_key() if k[0] == COUNTING)
 
 
 @dataclass(frozen=True)
@@ -241,7 +235,7 @@ def resonance_classes(wc: WeightConfig) -> list[list[tuple[str, Monomial]]]:
     """
     classes: dict[tuple, list[tuple[str, Monomial]]] = {}
     for i, _, p in wc.entries:
-        classes.setdefault(tuple(ge for ge in p.exps if ge[0] not in ("q1", "q2", "mu")), []).append((i, p))
+        classes.setdefault(tuple(ke for ke in p.sort_key() if ke[0][0] >= COUNTING), []).append((i, p))
     return list(classes.values())
 
 
@@ -274,7 +268,7 @@ def expand(
     work: deque[Term] = deque([hw])
     while work:
         t = work.popleft()
-        if max_qdeg is not None and t.qdeg >= max_qdeg:
+        if max_qdeg is not None and qdeg_of(t.coeff) >= max_qdeg:
             continue
         for i, x, _ in t.ym.numerator_entries():
             try:

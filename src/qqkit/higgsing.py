@@ -14,7 +14,7 @@ from typing import Iterable, Mapping
 from .coefficient import Coefficient, _check_images, s_function
 from .engine import Character, WeightConfig, YMonomial, resonance_classes
 from .errors import ValidationError, YCollision
-from .monomial import Monomial, Q1, Q2, xparam
+from .monomial import WEIGHT, Monomial, Q1, Q2, gen_key, xparam
 from .quiver import Quiver, builtin_quiver
 
 
@@ -63,7 +63,7 @@ def fold_weights(Q_: Quiver, wc: WeightConfig, sigma: Mapping[str, Monomial]) ->
     Higgsed character has 19.
     """
     _check_images(sigma)
-    if not all(g.startswith("x(") and g.endswith(")") for g in sigma):
+    if not all(gen_key(g)[0] == WEIGHT for g in sigma):
         return None
     folded = wc.substitute(sigma)
     return folded if _ladders_only(Q_, folded) else None

@@ -15,7 +15,7 @@ from typing import Mapping
 from .engine import Character, WeightConfig, expand
 from .errors import QQError, ValidationError, require_int
 from .higgsing import ClassicalCharacter, classical_limit, fold_weights, higgs
-from .monomial import Monomial, parse_monomial
+from .monomial import COUNTING, Monomial, parse_monomial
 from .partitions import affine_character
 from .quiver import Quiver, builtin_quiver
 
@@ -104,6 +104,9 @@ class Job:
         w = {str(i): k for i, k in _get(spec, "w", default={}).items()}
         params = {_unit(key): _image(img, names) for key, img in _get(spec, "params", default={}).items()}
         sigma = {g: _image(img, names) for g, img in _get(spec, "higgs", default={}).items()}
+        for img in (*params.values(), *sigma.values()):
+            if any(k[0] == COUNTING for k, _ in img.sort_key()):
+                raise ValidationError(f"image {img!r} uses a counting parameter qfrak(i), which only the engine sets")
         if command == "limit" and limit is None:
             raise ValidationError("limit needs limit q1 or q2")
         if command == "affine-expand" and (sigma or limit):

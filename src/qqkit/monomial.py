@@ -1,18 +1,20 @@
 """Laurent monomials over named generators.
 
-A monomial is a finite map generator-name -> nonzero integer exponent.
-Generators are plain strings: the deformation parameters "q1", "q2", the
-mass "mu", per-node counting parameters "qfrak(i)", weight parameters
-"x(i,a)", and anything else callers introduce (e.g. "a", "b" for the pit
-resonance substitution).  The canonical generator order is
-q1 < q2 < mu < qfrak(...) < x(...) < other; within a class, qfrak and x
-parameters sort by node and then by integer label, and the name itself
-breaks every remaining tie, so the order is total.  It fixes hashing,
-printing and the orientation of binomial factors.
+A monomial is a finite map generator-name -> nonzero integer exponent.  It
+is stored as its canonical key alone: one (generator key, exponent) pair per
+generator, in canonical order.  A generator key is (kind, node, label, name),
+and its kind is the one rule for what a generator is.  In canonical order,
+the kinds are q1 < q2 < mu (the deformation parameters and the mass) <
+COUNTING (the counting parameters "qfrak(i)") < WEIGHT (the weight parameters
+"x(i,a)") < OTHER (any other name, such as "a" and "b" of the pit resonance
+substitution, or a bare "qfrak").  Within a kind, qfrak and x parameters sort
+by node and then by integer label, and the name itself breaks every remaining
+tie, so the order is total.  It fixes hashing, printing and the orientation
+of binomial factors.
 
 ``Monomial(...)`` is the only normalizer of arbitrary input.  Products,
 powers and quotients of monomials merge or scale their operands' canonical
-runs instead, and never sort.
+keys instead, and never sort.
 """
 
 from __future__ import annotations
@@ -23,30 +25,32 @@ from typing import Iterable, Mapping
 
 from .errors import ValidationError, require_int
 
+COUNTING, WEIGHT, OTHER = 3, 4, 5  # the kinds after q1, q2 and mu (kinds 0, 1, 2)
+
 
 class _GenKeys(dict):
-    """Canonical sort key of each generator name, parsed on first use; it ends in the name."""
+    """Canonical key of each generator name, parsed on first use; it ends in the name."""
 
     def __missing__(self, name: str):
-        if name in ("q1", "q2", "mu", "qfrak"):
-            rank = (("q1", "q2", "mu", "qfrak").index(name), "", 0)
+        if name in ("q1", "q2", "mu"):
+            rank = (("q1", "q2", "mu").index(name), "", 0)
         elif name.startswith("qfrak(") and name.endswith(")"):
-            rank = (3, name[6:-1], 1)
+            rank = (COUNTING, name[6:-1], 0)
         elif name.startswith("x(") and name.endswith(")"):
             node, _, alpha = name[2:-1].partition(",")
             try:
                 a = int(alpha)
             except ValueError:
                 a = 0
-            rank = (4, node, a)
+            rank = (WEIGHT, node, a)
         else:
-            rank = (5, name, 0)
+            rank = (OTHER, name, 0)
         key = self[name] = rank + (name,)
         return key
 
 
 _GEN_KEYS = _GenKeys()
-_gen_key = _GEN_KEYS.__getitem__
+gen_key = _GEN_KEYS.__getitem__
 _first = itemgetter(0)
 
 
@@ -96,7 +100,7 @@ def merge_runs(a: tuple, b: tuple, key) -> tuple:
 class Monomial:
     """Immutable Laurent monomial; exponent-zero generators are never stored."""
 
-    __slots__ = ("_exps", "_key", "_hash")
+    __slots__ = ("_key", "_hash")
 
     def __init__(self, exps: Mapping[str, int] | Iterable[tuple[str, int]] = ()):
         if type(exps) is not tuple:
@@ -105,22 +109,19 @@ class Monomial:
         for g, e in exps:
             if e:
                 merged[g] = merged.get(g, 0) + e
-        gens = sorted([g for g, e in merged.items() if e], key=_gen_key)
-        self._exps = tuple([(g, merged[g]) for g in gens])
-        self._key = tuple([(_GEN_KEYS[g], merged[g]) for g in gens])
-        self._hash = hash(self._exps)
+        self._key = tuple(sorted([(_GEN_KEYS[g], e) for g, e in merged.items() if e], key=_first))
+        self._hash = hash(self._key)
 
     @staticmethod
     def _canonical(key: tuple) -> "Monomial":
-        """A monomial from its sort key, without sorting.
+        """A monomial from its key, without sorting.
 
         ``key`` pairs each generator's key with a nonzero exponent, in
         canonical order, as ``sort_key`` returns it.
         """
         m = object.__new__(Monomial)
-        m._exps = tuple([(k[-1], e) for k, e in key])
         m._key = key
-        m._hash = hash(m._exps)
+        m._hash = hash(key)
         return m
 
     @staticmethod
@@ -133,27 +134,27 @@ class Monomial:
 
     @property
     def exps(self) -> tuple[tuple[str, int], ...]:
-        return self._exps
+        return tuple([(k[-1], e) for k, e in self._key])
 
     def exponent(self, name: str) -> int:
-        for g, e in self._exps:
-            if g == name:
+        for k, e in self._key:
+            if k[-1] == name:
                 return e
         return 0
 
     def gens(self) -> tuple[str, ...]:
-        return tuple(g for g, _ in self._exps)
+        return tuple([k[-1] for k, _ in self._key])
 
     @property
     def is_unit(self) -> bool:
-        return not self._exps
+        return not self._key
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         if not isinstance(other, Monomial):
             return NotImplemented
-        if not self._exps:
+        if not self._key:
             return other
-        if not other._exps:
+        if not other._key:
             return self
         return Monomial._canonical(merge_runs(self._key, other._key, _first))
 
@@ -173,12 +174,12 @@ class Monomial:
 
     def substitute(self, sigma: Mapping[str, "Monomial"]) -> "Monomial":
         """Replace each generator in sigma by its image monomial."""
-        if not any(g in sigma for g, _ in self._exps):
+        if not any(k[-1] in sigma for k, _ in self._key):
             return self
         out: list[tuple[str, int]] = []
-        for g, e in self._exps:
+        for (_, _, _, g), e in self._key:
             if g in sigma:
-                out.extend((h, k * e) for h, k in sigma[g]._exps)
+                out.extend((h[-1], f * e) for h, f in sigma[g]._key)
             else:
                 out.append((g, e))
         return Monomial(tuple(out))
@@ -187,7 +188,7 @@ class Monomial:
         return self._key
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Monomial) and self._exps == other._exps
+        return isinstance(other, Monomial) and self._key == other._key
 
     def __hash__(self) -> int:
         return self._hash
@@ -196,15 +197,12 @@ class Monomial:
         return self._key < other._key
 
     def __repr__(self) -> str:
-        if not self._exps:
+        if not self._key:
             return "1"
-        parts = []
-        for g, e in self._exps:
-            parts.append(g if e == 1 else f"{g}^{e}")
-        return "*".join(parts)
+        return "*".join(k[-1] if e == 1 else f"{k[-1]}^{e}" for k, e in self._key)
 
     def to_json(self) -> dict:
-        return {g: e for g, e in self._exps}
+        return {k[-1]: e for k, e in self._key}
 
     @staticmethod
     def from_json(data: Mapping[str, int]) -> "Monomial":

@@ -16,7 +16,7 @@ from .coefficient import Coefficient, s_r
 from .engine import Character, WeightConfig, YMonomial, qdeg_of
 from .errors import PoleError, ValidationError, require_int
 from .higgsing import ClassicalCharacter
-from .monomial import Monomial
+from .monomial import COUNTING, WEIGHT, Monomial, gen_key
 from .quiver import Quiver
 
 # ---------------------------------------------------------------------------
@@ -36,12 +36,8 @@ def _ordered_edges(edges, index: dict[YMonomial, int]) -> list:
 
 def default_names(ch: Character) -> dict[str, str]:
     """LaTeX names for the free weight parameters of a character."""
-    from .monomial import _gen_key
-
-    xgens = sorted(
-        {g for ym in ch.terms for _, a, _ in ym.entries for g in a.gens() if g.startswith("x(")},
-        key=_gen_key,
-    )
+    keys = {k for ym in ch.terms for _, a, _ in ym.entries for k, _ in a.sort_key() if k[0] == WEIGHT}
+    xgens = [k[-1] for k in sorted(keys)]
     if len(xgens) == 1:
         return {xgens[0]: "x"}
     return {g: f"x_{{{k}}}" for k, g in enumerate(xgens, start=1)}
@@ -55,9 +51,10 @@ def _gen_latex(g: str, names: dict[str, str] | None) -> str:
         return names[g]
     if g in _GEN_LATEX:
         return _GEN_LATEX[g]
-    if g.startswith("qfrak(") and g.endswith(")"):
+    kind = gen_key(g)[0]
+    if kind == COUNTING:
         return f"\\mathfrak{{q}}_{{{g[6:-1]}}}"
-    if g.startswith("x(") and g.endswith(")"):
+    if kind == WEIGHT:
         return f"x_{{{g[2:-1]}}}"
     return g
 
@@ -67,15 +64,16 @@ def monomial_latex(
 ) -> str:
     if m.is_unit:
         return "1"
-    if ratio and any(e < 0 for _, e in m.exps) and any(e > 0 for _, e in m.exps):
-        num = [(g, e) for g, e in m.exps if e > 0]
-        den = [(g, -e) for g, e in m.exps if e < 0]
+    exps = m.exps
+    if ratio and any(e < 0 for _, e in exps) and any(e > 0 for _, e in exps):
+        num = [(g, e) for g, e in exps if e > 0]
+        den = [(g, -e) for g, e in exps if e < 0]
         fmt = lambda gs: " ".join(
             _gen_latex(g, names) + (f"^{{{e}}}" if e != 1 else "") for g, e in gs
         )
         return f"\\frac{{{fmt(num) or '1'}}}{{{fmt(den)}}}"
     parts = []
-    for g, e in m.exps:
+    for g, e in exps:
         s = _gen_latex(g, names)
         parts.append(s if e == 1 else f"{s}^{{{e}}}")
     return " ".join(parts)
@@ -85,7 +83,7 @@ def _split_shift(arg: Monomial, names: dict[str, str]) -> tuple[str, int, int] |
     """Write arg as base * q1^j * q2^k for a named base parameter."""
     rest = {}
     base = None
-    for g, e in arg.exps:
+    for (_, _, _, g), e in arg.sort_key():
         if g in ("q1", "q2"):
             rest[g] = e
         elif g in names and e == 1 and base is None:
@@ -115,7 +113,7 @@ def y_symbol_latex(
 
 
 def _mono_size(m: Monomial) -> int:
-    return sum(abs(e) for _, e in m.exps)
+    return sum(abs(e) for _, e in m.sort_key())
 
 
 def s_decompose(c: Coefficient):

@@ -12,7 +12,7 @@ import pytest
 from qqkit import errors
 from qqkit.cli import main
 from qqkit.job import Job
-from qqkit.verify import FIXTURE_DIR, load_corpus, run_corpus
+from qqkit.verify import BURGE_MAX_R, FIXTURE_DIR, load_corpus, run_corpus
 
 
 def run_cli(args, capsys):
@@ -86,6 +86,31 @@ def test_burge_check_max_size_ceiling(capsys):
     assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
     assert err.startswith("validation error:") and err.count("\n") == 1
+
+
+def test_burge_check_r_ceiling(capsys):
+    start = time.perf_counter()
+    argv = ["burge-check", "--r", str(BURGE_MAX_R + 1), "--i", "0", "--j", "1", "--max-size", "2"]
+    code, out, err = run_cli(argv, capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == f"validation error: burge check needs r <= {BURGE_MAX_R}, got {BURGE_MAX_R + 1}\n"
+
+
+# the counting parameters qfrak(i) are set by the engine alone
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expand", "--params", '{"0,1": "qfrak(0)", "0,2": "y"}'],
+        ["affine-expand", "--params", '{"0,1": "qfrak(0)", "0,2": "y"}'],
+        ["higgs", "--higgs", '{"x(0,2)": "x(0,1)*qfrak(0)"}'],
+    ],
+    ids=lambda a: a[0],
+)
+def test_counting_parameters_in_job_images_exit_2(argv, capsys):
+    code, out, err = run_cli([*argv, "--quiver", "A0hat", "--w", '{"0": 2}', "--max-deg", "2"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("validation error: image ") and "counting parameter qfrak(i)" in err
 
 
 def test_exit_codes(capsys):
@@ -257,6 +282,32 @@ def test_python_m_qqkit_runs_verify():
     got = proc.stdout.splitlines()
     assert [ln.split()[:2] for ln in got[:-1]] == [ln.split()[:2] for ln in want[:-1]]
     assert got[-1] == want[-1]
+
+
+# one job per output path; none of their bytes may depend on str hashing
+HASH_SEED_JOBS = [
+    ["expand", "--quiver", "BC2", "--w", '{"1": 1, "2": 1}', "--format", "json"],
+    ["expand", "--quiver", "A2", "--w", '{"1": 2, "2": 1}', "--format", "latex"],
+    ["hasse", "--quiver", "A1", "--w", '{"1": 3}'],
+    ["limit", "--quiver", "A1", "--w", '{"1": 3}', "--limit", "q1", "--higgs", '{"x(1,2)": "x(1,1)*q1"}'],
+    ["affine-expand", "--quiver", "Arhat(2)", "--w", '{"0": 1, "1": 1}', "--max-deg", "2", "--format", "json"],
+    ["burge-check", "--r", "2", "--i", "0", "--j", "2", "--max-size", "3"],
+]
+
+
+def test_output_does_not_depend_on_the_hash_seed():
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = "import json, sys\nfrom qqkit.cli import main\nsys.exit(max(main(a) for a in json.loads(sys.argv[1])))"
+    outs = []
+    for seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(HASH_SEED_JOBS)],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed},
+        )
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
 
 
 def test_verify_missing_corpus_exits_2(tmp_path, capsys):

@@ -122,9 +122,14 @@ def test_tied_names_are_distinct_generators():
 
 # -- products against the from-scratch constructor -------------------------------
 #
-# Generators of every class.  By name, mu < q1, a < q1 and x(1,10) < x(1,9),
+# Generators of every kind.  By name, mu < q1, a < q1 and x(1,10) < x(1,9),
 # the reverse of the canonical order, and x(1,01) ties x(1,1) up to the name.
-PRODUCT_GENS = ["q1", "q2", "mu", "qfrak(0)", "qfrak(2)", "x(1,01)", "x(1,1)", "x(1,9)", "x(1,10)", "x(2,1)", "a", "t"]
+# x(1,a) is a weight parameter without an integer label; "qfrak" and "qfrakz"
+# are other names, not counting parameters.
+PRODUCT_GENS = [
+    "q1", "q2", "mu", "qfrak(0)", "qfrak(2)", "x(1,01)", "x(1,1)", "x(1,9)", "x(1,10)", "x(2,1)", "x(1,a)",
+    "qfrak", "qfrakz", "a", "t",
+]
 exponent_maps = st.dictionaries(st.sampled_from(PRODUCT_GENS), st.integers(min_value=-3, max_value=3), max_size=6)
 
 
@@ -132,6 +137,10 @@ def _same(m, ref):
     assert m.exps == ref.exps
     assert m.sort_key() == ref.sort_key()
     assert hash(m) == hash(ref)
+    assert list(m.to_json().items()) == list(ref.to_json().items())
+    assert repr(m) == repr(ref)
+    assert m.gens() == ref.gens()
+    assert m == ref
 
 
 def _negated(m):
@@ -154,3 +163,11 @@ def test_products_match_the_constructor(da, db, how, n):
     _same(a.inverse(), Monomial(_negated(a)))
     if how == "cancels":
         assert (a * b).is_unit
+
+
+@settings(max_examples=200, deadline=None)
+@given(exponent_maps, st.dictionaries(st.sampled_from(PRODUCT_GENS), exponent_maps.map(Monomial), max_size=3))
+def test_substitute_matches_the_constructor(d, sigma):
+    m = Monomial(d)
+    pairs = [(h, f * e) for g, e in m.exps for h, f in (sigma[g].exps if g in sigma else ((g, 1),))]
+    _same(m.substitute(sigma), Monomial(tuple(pairs)))

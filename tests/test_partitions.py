@@ -122,14 +122,21 @@ def _unit_quiver(nodes, edges, d=None):
         ),
     ],
 )
-def test_affine_oracle_cyclic(quiver, w, cutoff):
+def test_affine_oracle_cyclic(quiver, w, cutoff, params=None):
     Q_ = builtin_quiver(quiver) if isinstance(quiver, str) else quiver
-    wc = WeightConfig.make(Q_, w)
+    wc = WeightConfig.make(Q_, w, {unit: Monomial.gen(g) for unit, g in (params or {}).items()})
     eng = expand(Q_, wc, max_qdeg=cutoff)
     clo = affine_character(Q_, wc, cutoff)
     assert set(eng.terms) == set(clo.terms)
     for ym, c in clo.terms.items():
         assert eng.terms[ym] == c, ym
+
+
+# only qfrak(i) is a counting parameter: weight parameters named "qfrakz" or
+# "qfrak" add nothing to the counting degree on either side
+@pytest.mark.parametrize("name", ["qfrakz", "qfrak"])
+def test_affine_oracle_cyclic_params(name):
+    test_affine_oracle_cyclic("A0hat", {"0": 2}, 2, {("0", 1): name, ("0", 2): "y"})
 
 
 @st.composite
