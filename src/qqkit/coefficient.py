@@ -23,6 +23,10 @@ Specialization and the classical limits q1 -> 1, q2 -> 1 are one
 substitution, ``Coefficient._substitute``, with one rule for the binomials
 that degenerate to (1 - 1): their net power decides.  ``product_vanishes``
 applies the same rule to a product of factored values without building it.
+Both read sigma through a ``Substitution``, which runs sigma's image check
+once when it is built and keeps the image of each monomial looked up in it:
+a call that applies one sigma to many values builds one, so each argument is
+substituted once per call, with no global cache.
 """
 
 from __future__ import annotations
@@ -172,29 +176,34 @@ def _degenerate_integer(sigma: Mapping[str, Monomial], degenerate, n: int) -> in
     return ratio.numerator
 
 
-def _check_images(sigma: Mapping[str, Monomial]) -> None:
-    for g, img in sigma.items():
-        if any(h in sigma for h in img.gens()):
-            raise ValidationError(f"substitution image of {g} reuses substituted generators")
+class Substitution(dict):
+    """sigma after its image check; ``self[m]`` is ``m.substitute(self.sigma)``.
+
+    Like ``monomial._GenKeys``, it fills itself on first lookup, so the values
+    that share one Substitution have each monomial substituted once.
+    """
+
+    def __init__(self, sigma: Mapping[str, Monomial]):
+        super().__init__()
+        for g, img in sigma.items():
+            if any(h in sigma for h in img.gens()):
+                raise ValidationError(f"substitution image of {g} reuses substituted generators")
+        self.sigma = sigma
+
+    def __missing__(self, m: Monomial) -> Monomial:
+        image = self[m] = m.substitute(self.sigma)
+        return image
 
 
-@lru_cache(maxsize=8192)
-def _becomes_one(arg: Monomial, sigma: tuple) -> bool:
-    """Whether the binomial argument is 1 under sigma, given as its item tuple."""
-    return arg.substitute(dict(sigma)).is_unit
+def product_vanishes(values: Iterable[Coefficient], sub: Substitution) -> bool:
+    """Whether the product of Zero or Factored values is zero under sub.
 
-
-def product_vanishes(values: Iterable[Coefficient], sigma: Mapping[str, Monomial]) -> bool:
-    """Whether the product of Zero or Factored values is zero under sigma.
-
-    Equal to ``prod(values).specialize(sigma).is_zero``, and raising what that
-    call raises, without building the product: the factor arguments that
+    Equal to ``prod(values).specialize(sub.sigma).is_zero``, and raising what
+    that call raises, without building the product: the factor arguments that
     become 1 are merged by canonical argument, as the product merges them,
     and decided by the rule of ``_substitute``.  The S-values of a partition
     sum's weight are such values.
     """
-    _check_images(sigma)
-    key = tuple(sigma.items())
     n = 1
     merged: dict[Monomial, int] = {}
     for v in values:
@@ -204,10 +213,10 @@ def product_vanishes(values: Iterable[Coefficient], sigma: Mapping[str, Monomial
             raise ValidationError("product_vanishes takes Zero or Factored values")
         n *= v.integer
         for a, p in v.factors:
-            if _becomes_one(a, key):
+            if sub[a].is_unit:
                 merged[a] = merged.get(a, 0) + p
     degenerate = _factor_tuple(merged)
-    return bool(degenerate) and _degenerate_integer(sigma, degenerate, n) is None
+    return bool(degenerate) and _degenerate_integer(sub.sigma, degenerate, n) is None
 
 
 class Coefficient:
@@ -445,17 +454,16 @@ class Coefficient:
         Binomials that degenerate to (1 - 1) are decided by their net power:
         see ``_substitute``.
         """
-        _check_images(sigma)
-        return self._substitute(sigma)
+        return self._substitute(Substitution(sigma))
 
     def limit_at_unity(self, which: str) -> "Coefficient":
         """Limit as q1 -> 1 or q2 -> 1: the substitution ``which`` -> 1."""
         if which not in ("q1", "q2"):
             raise ValidationError("limit generator must be q1 or q2")
-        return self._substitute({which: Monomial.unit()})
+        return self._substitute(Substitution({which: Monomial.unit()}))
 
-    def _substitute(self, sigma: Mapping[str, Monomial]) -> "Coefficient":
-        """The value under sigma, with one rule for degenerate binomials.
+    def _substitute(self, sub: Substitution) -> "Coefficient":
+        """The value under ``sub.sigma``, with one rule for degenerate binomials.
 
         The binomials whose argument becomes 1 are decided by
         ``_net_power_ratio``.  A General value has its zeros in the
@@ -469,23 +477,23 @@ class Coefficient:
         if self.kind == "general":
             num, den, degenerate = self.num, [], []
             for a, p in self.den:
-                a2 = a.substitute(sigma)
+                a2 = sub[a]
                 if a2.is_unit:
                     degenerate.append((a, -p))
                 else:
                     den.append((a2, p))
-            if degenerate and len(sigma) == 1:
-                ((g, m),) = sigma.items()
+            if degenerate and len(sub.sigma) == 1:
+                ((g, m),) = sub.sigma.items()
                 t = Monomial.gen(g) / m
                 while (q := _pol_divide_binomial(num, t)) is not None:
                     num = q
                     degenerate.append((t, 1))
-            ratio = _net_power_ratio(sigma, degenerate)
+            ratio = _net_power_ratio(sub.sigma, degenerate)
             if ratio is None:
                 return _ZERO
             out: dict = {}
             for m, c in num.items():
-                m2 = m.substitute(sigma)
+                m2 = sub[m]
                 s = out.get(m2, 0) + c * ratio
                 if s:
                     out[m2] = s
@@ -496,17 +504,17 @@ class Coefficient:
             return Coefficient.general({m: int(c) for m, c in out.items()}, den)
         degenerate, survivors = [], []
         for a, p in self.factors:
-            a2 = a.substitute(sigma)
+            a2 = sub[a]
             if a2.is_unit:
                 degenerate.append((a, p))
             else:
                 survivors.append((a2, p))
         n = self.integer
         if degenerate:
-            n = _degenerate_integer(sigma, degenerate, n)
+            n = _degenerate_integer(sub.sigma, degenerate, n)
             if n is None:
                 return _ZERO
-        return Coefficient.factored(n, self.unit.substitute(sigma), survivors)
+        return Coefficient.factored(n, sub[self.unit], survivors)
 
     # -- serialization --------------------------------------------------------
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .coefficient import Coefficient, _check_images, s_function
+from .coefficient import Coefficient, Substitution, s_function
 from .engine import Character, WeightConfig, YMonomial, resonance_classes
 from .errors import ValidationError, YCollision
 from .monomial import WEIGHT, Monomial, Q1, Q2, gen_key, xparam
@@ -52,9 +52,9 @@ def kr_sigma(Q_: Quiver, node: str, k: int, m: int = 1) -> dict[str, Monomial]:
 def fold_weights(Q_: Quiver, wc: WeightConfig, sigma: Mapping[str, Monomial]) -> WeightConfig | None:
     """The weights at sigma, when expanding there gives ``higgs(expand(wc), sigma)``; else None.
 
-    sigma must pass the image check of ``Coefficient.specialize`` (its
-    ValidationError propagates, so a malformed sigma is rejected before any
-    expansion), map only weight parameters x(i,a), and leave ladders only
+    sigma must pass the image check of ``Substitution`` (its ValidationError
+    propagates, so a malformed sigma is rejected before any expansion), map
+    only weight parameters x(i,a), and leave ladders only
     (``_ladders_only``): the expansion drops every child whose S-factor
     vanishes, which is what Higgsing a Kirillov-Reshetikhin ladder does.
     Other resonant points differ: on BC2 with w = (1, 1),
@@ -62,10 +62,10 @@ def fold_weights(Q_: Quiver, wc: WeightConfig, sigma: Mapping[str, Monomial]) ->
     Y-entries cancel there, and the direct expansion has 22 terms where the
     Higgsed character has 19.
     """
-    _check_images(sigma)
+    sub = Substitution(sigma)
     if not all(gen_key(g)[0] == WEIGHT for g in sigma):
         return None
-    folded = wc.substitute(sigma)
+    folded = WeightConfig(tuple((i, a, sub[p]) for i, a, p in wc.entries))
     return folded if _ladders_only(Q_, folded) else None
 
 
@@ -85,14 +85,15 @@ def _ladders_only(Q_: Quiver, wc: WeightConfig) -> bool:
 def higgs(ch: Character, sigma: Mapping[str, Monomial]) -> Character:
     """Specialize weight parameters; S-zero terms drop, collisions are errors.
 
-    The result carries the specialized weights.  Each term's Y-monomial is
-    substituted once; an edge survives when both of its ends survive.
+    The result carries the specialized weights.  One ``Substitution`` checks
+    sigma once and serves every term; an edge survives when both ends survive.
     """
+    sub = Substitution(sigma)
     terms: dict[YMonomial, Coefficient] = {}
     image: dict[YMonomial, YMonomial] = {}  # surviving term -> its specialized Y-monomial
     dropped: list[YMonomial] = []
     for ym, coeff in ch.terms.items():
-        c2 = coeff.specialize(sigma)
+        c2 = coeff._substitute(sub)
         if c2.is_zero:
             dropped.append(ym)
             continue
@@ -101,7 +102,7 @@ def higgs(ch: Character, sigma: Mapping[str, Monomial]) -> Character:
             raise YCollision(f"terms collide at {ym2!r} under {sigma!r}")
         terms[ym2] = c2
     edges = tuple(
-        (image[src], image[dst], (i, x.substitute(sigma)))
+        (image[src], image[dst], (i, sub[x]))
         for src, dst, (i, x) in ch.edges
         if src in image and dst in image
     )
@@ -128,13 +129,13 @@ def classical_limit(ch: Character, which: str) -> ClassicalCharacter:
     """
     if which not in ("q1", "q2"):
         raise ValidationError("limit generator must be q1 or q2")
-    unity = {which: Monomial.unit()}
+    sub = Substitution({which: Monomial.unit()})
     merged: dict[YMonomial, int] = {}
     for ym in sorted(ch.terms, key=YMonomial.sort_key):
-        n = ch.terms[ym].limit_at_unity(which).as_integer()
+        n = ch.terms[ym]._substitute(sub).as_integer()
         if n == 0:
             continue
-        ym2 = ym.substitute(unity)
+        ym2 = ym.substitute(sub.sigma)
         s = merged.get(ym2, 0) + n
         if s:
             merged[ym2] = s

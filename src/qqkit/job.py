@@ -15,7 +15,7 @@ from typing import Mapping
 from .engine import Character, WeightConfig, expand
 from .errors import QQError, ValidationError, require_int
 from .higgsing import ClassicalCharacter, classical_limit, fold_weights, higgs
-from .monomial import COUNTING, Monomial, parse_monomial
+from .monomial import COUNTING, Monomial, gen_key, parse_monomial
 from .partitions import affine_character
 from .quiver import Quiver, builtin_quiver
 
@@ -104,6 +104,9 @@ class Job:
         w = {str(i): k for i, k in _get(spec, "w", default={}).items()}
         params = {_unit(key): _image(img, names) for key, img in _get(spec, "params", default={}).items()}
         sigma = {g: _image(img, names) for g, img in _get(spec, "higgs", default={}).items()}
+        for g in sigma:  # each key names one generator, and the engine alone sets qfrak(i)
+            if parse_monomial(g) != Monomial.gen(g) or gen_key(g)[0] == COUNTING:
+                raise ValidationError(f"higgs key {g!r} must name one generator, and no counting parameter qfrak(i)")
         for img in (*params.values(), *sigma.values()):
             if any(k[0] == COUNTING for k, _ in img.sort_key()):
                 raise ValidationError(f"image {img!r} uses a counting parameter qfrak(i), which only the engine sets")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
 
-from .coefficient import Coefficient, product_vanishes, s_r
+from .coefficient import Coefficient, Substitution, product_vanishes, s_r
 from .engine import WeightConfig, YMonomial, closed_form_A1, expand
 from .errors import ValidationError
 from .higgsing import (
@@ -259,13 +259,13 @@ def burge_rows(r: int, i_values, j_values, max_size: int):
     xa, xb = Monomial.gen("xa"), Monomial.gen("xb")
     pool = partitions_up_to(max_size)
     pairs = [(la, lb) for la, lb in product(pool, pool) if la.size + lb.size <= max_size]
-    resonances = [(i, j, burge_resonance_sigma(i, j, "xa", "xb")) for i, j in product(i_values, j_values)]
+    resonances = [(i, j, Substitution(burge_resonance_sigma(i, j, "xa", "xb"))) for i, j in product(i_values, j_values)]
     for na, nb in product(range(r), range(r)):
         weights = [z_s_values([la, lb], [xa, xb], r, nodes=[na, nb]) for la, lb in pairs]
-        for i, j, sigma in resonances:
+        for i, j, sub in resonances:
             residue_ok = (i + j - 1 - (na - nb)) % r == 0
             for (la, lb), values in zip(pairs, weights):
-                vanishes = product_vanishes(values, sigma)
+                vanishes = product_vanishes(values, sub)
                 admitted = burge_filter(la, lb, i, j)
                 yield {
                     "nodes": [na, nb], "i": i, "j": j, "a": la.parts, "b": lb.parts,
@@ -294,9 +294,9 @@ def _check_pit(fx: dict):
         for j in range(1, fx["j_max"] + 1):
             if (i + j - 1) % r != 0:
                 continue
-            sigma = pit_resonance_sigma((i, j))
+            sub = Substitution(pit_resonance_sigma((i, j)))
             for lam, values in weights:
-                vanishes = product_vanishes(values, sigma)
+                vanishes = product_vanishes(values, sub)
                 total += 1
                 if vanishes != pit_resonance_vanishes(lam, (i, j), r):
                     return "fail", f"criterion mismatch at {lam.parts}, pit ({i},{j})"

@@ -5,6 +5,7 @@ symbolic equality; there are no numeric tolerances anywhere.
 """
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -268,3 +269,20 @@ def test_corpus_runtime_and_health(report):
         f"corpus: {report.counts['pass']} pass, {report.counts['flag']} flagged misprints, "
         f"{report.counts['fail']} fail in {total:.1f}s"
     )
+
+
+# status, id and detail of every fixture, one line each; a change that alters a
+# detail on purpose rewrites this file and says why
+VERIFY_LISTING = Path(__file__).with_name("verify_listing.txt")
+
+
+def _listing(report) -> str:
+    return "".join(f"{e.status} {e.id} {e.detail}\n" for e in report.entries)
+
+
+def test_corpus_reproduces_the_verify_listing(report):
+    assert _listing(report).splitlines() == VERIFY_LISTING.read_text(encoding="utf-8").splitlines()
+
+
+if __name__ == "__main__":  # PYTHONPATH=src python tests/test_acceptance.py rewrites the listing
+    VERIFY_LISTING.write_text(_listing(run_corpus()), encoding="utf-8")

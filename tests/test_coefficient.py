@@ -4,8 +4,8 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qqkit.coefficient import Coefficient, _orient, s_function, s_product, s_r
-from qqkit.errors import NonIntegerLimit, PoleError, ValidationError
+from qqkit.coefficient import Coefficient, Substitution, _orient, s_function, s_product, s_r
+from qqkit.errors import NonIntegerLimit, PoleError, QQError, ValidationError
 from qqkit.monomial import MU, Monomial, Q, Q1, Q2, xparam
 
 GENS = ["q1", "q2", "mu", "x(1,1)", "x(1,2)"]
@@ -562,3 +562,50 @@ def test_factored_product_matches_the_constructor(sa, sb, how):
     if how == "cancels":
         assert not (a * b).factors and (a * b).unit.is_unit
     assert a**1 is a
+
+
+# -- one Substitution per sigma ---------------------------------------------------
+
+
+def test_substitution_checks_sigma_once_and_keeps_each_image():
+    x1, x2 = xparam("1", 1), xparam("1", 2)
+    sigma = {"x(1,2)": x1 * Q1}
+    sub = Substitution(sigma)
+    m = x2**2 * Q2 / x1
+    image = sub[m]
+    assert image == m.substitute(sigma) == x1 * Q1**2 * Q2
+    assert sub[m] is image
+    with pytest.raises(ValidationError, match=r"^substitution image of x\(1,2\) reuses substituted generators$"):
+        Substitution({"x(1,2)": x2 * Q1})
+
+
+# one-generator, two-generator and limit substitutions, and one that fails the image check
+SHARED_SIGMAS = [
+    SIGMA_T,
+    {"x(1,2)": xparam("1", 1) * Q1},
+    {"x(1,2)": xparam("1", 1), "q2": Q1},
+    {"q1": Monomial.unit()},
+    {"q2": Monomial.unit()},
+    {"x(1,2)": xparam("1", 2) * Q2},
+]
+
+
+def _outcome(compute):
+    try:
+        return _structure(compute())
+    except QQError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(value_specs, max_size=6), st.sampled_from(SHARED_SIGMAS))
+def test_a_shared_substitution_answers_as_a_fresh_one_per_value(specs, sigma):
+    values = [_value(spec) for spec in specs]
+    fresh = [_outcome(lambda: v.specialize(sigma)) for v in values]
+    try:
+        sub = Substitution(sigma)
+    except ValidationError as exc:
+        shared = [(type(exc), str(exc))] * len(values)
+    else:
+        shared = [_outcome(lambda: v._substitute(sub)) for v in values]
+    assert shared == fresh

@@ -119,21 +119,29 @@ def _weyl_dimension(Q_, highest: dict[str, int]) -> int:
     return int(dim)
 
 
+# quiver, node, ladder direction m, k_max, and the step between the highest weights
+# k, k - step, ... of the module's decomposition (None: V(k w_node) alone)
+LADDERS = [
+    ("A1", "1", 1, 4, None), ("A2", "1", 1, 4, None), ("BC2", "1", 1, 3, None),  # q1 ladders
+    ("A1", "1", 2, 4, None), ("A2", "2", 2, 4, None), ("BC2", "2", 2, 3, None),  # q2 ladders
+    # Kirillov-Reshetikhin: 4, 11, 24 = dim V(k w2) + dim V((k-2) w2) + ...
+    ("BC2", "2", 1, 3, 2),
+]
+
+
 @pytest.mark.parametrize(
-    "quiver, node, m, k_max",
-    [
-        ("A1", "1", 1, 4), ("A2", "1", 1, 4), ("BC2", "1", 1, 3),  # q1 ladders
-        ("A1", "1", 2, 4), ("A2", "2", 2, 4), ("BC2", "2", 2, 3),  # q2 ladders
-    ],
+    "quiver, node, m, k_max, step",
+    LADDERS,
+    ids=["-".join(map(str, case[:4])) + (f"-step{case[4]}" if case[4] else "") for case in LADDERS],
 )
-def test_higgsed_ladder_has_the_weyl_dimension(quiver, node, m, k_max):
+def test_higgsed_ladder_has_the_weyl_dimension(quiver, node, m, k_max, step):
     Q_ = builtin_quiver(quiver)
     other = "q2" if m == 1 else "q1"
     for k in range(1, k_max + 1):
         sigma = {g: img.to_json() for g, img in kr_sigma(Q_, node, k, m).items()}
         job = Job.parse({"quiver": quiver, "w": {node: k}, "higgs": sigma, "command": "higgs"})
         limit = Job.parse({"quiver": quiver, "w": {node: k}, "higgs": sigma, "command": "limit", "limit": other})
-        dim = _weyl_dimension(Q_, {node: k})
+        dim = sum(_weyl_dimension(Q_, {node: h}) for h in (range(k, -1, -step) if step else [k]))
         assert len(job.run().terms) == dim, (k, dim)
         assert sum(limit.run().terms.values()) == dim, (k, dim)
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qqkit.cli import main
-from qqkit.coefficient import _check_images
+from qqkit.coefficient import Substitution
 from qqkit.engine import expand
 from qqkit.errors import QQError, ValidationError
 from qqkit.higgsing import ClassicalCharacter, classical_limit, higgs, kr_sigma
@@ -54,6 +54,15 @@ MALFORMED = {
     "affine-expand-without-max-deg": (["affine-expand", "--quiver", "A0hat", "--w", '{"0": 1}'], None),
     "affine-expand-not-a-cycle": (["affine-expand", "--quiver", D4HAT, "--w", '{"o": 1}', "--max-deg", "2"], None),
     "higgs-list": (["higgs", "--quiver", "A1", "--w", '{"1": 2}', "--higgs", "[1]"], None),
+    # a higgs key names one generator that a job may substitute
+    "higgs-key-counting": (
+        ["higgs", "--quiver", "A0hat", "--w", '{"0": 1}', "--max-deg", "2", "--higgs", '{"qfrak(0)": "q1"}'], None
+    ),
+    "higgs-key-alias-q": (["higgs", "--quiver", "A1", "--w", '{"1": 2}', "--higgs", '{"q": "q1"}'], None),
+    "higgs-key-alias-q3": (["higgs", "--quiver", "A1", "--w", '{"1": 2}', "--higgs", '{"q3": "q1"}'], None),
+    "higgs-key-alias-q4": (["higgs", "--quiver", "A1", "--w", '{"1": 2}', "--higgs", '{"q4": "q1"}'], None),
+    "higgs-key-product": (["higgs", "--quiver", "A1", "--w", '{"1": 2}', "--higgs", '{"x(1,2)*q1": "q1"}'], None),
+    "higgs-key-empty": (["higgs", "--quiver", "A1", "--w", '{"1": 2}', "--higgs", '{"": "q1"}'], None),
     "limit-as-dot": (["limit", "--quiver", "A1", "--w", '{"1": 1}', "--limit", "q1", "--format", "dot"], None),
     "affine-expand-as-dot": (
         ["affine-expand", "--quiver", "A0hat", "--w", '{"0": 2}', "--max-deg", "2", "--format", "dot"], None
@@ -164,7 +173,7 @@ def test_fuzzed_jobs_exit_with_a_documented_code(job):
 def _generic(job):
     """The pipeline without the fold: check sigma's images, expand at the generic weights, then
     higgs, then the limit."""
-    _check_images(job.higgs)
+    Substitution(job.higgs)
     ch = higgs(expand(job.quiver, job.weights, max_qdeg=job.max_deg), job.higgs)
     return classical_limit(ch, job.limit) if job.limit else ch
 

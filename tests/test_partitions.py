@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qqkit.coefficient import Coefficient, product_vanishes, s_function
+from qqkit.coefficient import Coefficient, Substitution, product_vanishes, s_function
 from qqkit.engine import WeightConfig, expand
 from qqkit.errors import InvalidPit, QQError, ValidationError
 from qqkit.monomial import MU, Monomial, Q1, Q2, Q3, Q4
@@ -345,4 +345,4 @@ def _outcome(f):
 def test_product_vanishes_matches_specialize(case):
     lams, xs, r, nodes, sigma = case
     expected = _outcome(lambda: z_Ar_tuple(lams, xs, r, nodes).specialize(sigma).is_zero)
-    assert _outcome(lambda: product_vanishes(z_s_values(lams, xs, r, nodes), sigma)) == expected
+    assert _outcome(lambda: product_vanishes(z_s_values(lams, xs, r, nodes), Substitution(sigma))) == expected
