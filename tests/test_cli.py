@@ -9,10 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from qqkit import errors
+from qqkit import cli, errors
 from qqkit.cli import main
 from qqkit.job import Job
-from qqkit.verify import BURGE_MAX_R, FIXTURE_DIR, load_corpus, run_corpus
+from qqkit.render import json_document
+from qqkit.verify import BURGE_MAX_R, FIXTURE_DIR, burge_rows, load_corpus, run_corpus
 
 
 def run_cli(args, capsys):
@@ -78,6 +79,32 @@ def test_burge_check(capsys):
     code, out, _ = run_cli(["burge-check", "--r", "1", "--i", "0", "--j", "1", "--max-size", "2"], capsys)
     assert code == 0
     assert json.loads(out)["agree"] is True
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_burge_check_streams_the_document_of_its_rows(to_file, tmp_path, capsys):
+    path = tmp_path / "burge.json"
+    argv = ["burge-check", "--r", "2", "--i", "0", "--j", "2", "--max-size", "3"]
+    code, out, err = run_cli(argv + (["--out", str(path)] if to_file else []), capsys)
+    rows = list(burge_rows(2, [0], [2], 3))
+    assert (code, err) == (0, "") and all(row["ok"] for row in rows)
+    # the keys of the one-piece document, with "agree" moved after the rows
+    assert (path.read_text() if to_file else out) == json_document({"r": 2, "i": 0, "j": 2, "pairs": rows, "agree": True})
+
+
+def test_burge_check_streams_a_disagreement(monkeypatch, capsys):
+    rows = [{"ok": True}, {"ok": False}, {"ok": True}]
+    monkeypatch.setattr(cli, "burge_rows", lambda *args: iter(rows))
+    code, out, _ = run_cli(["burge-check", "--r", "1", "--i", "0", "--j", "1"], capsys)
+    assert code == 1
+    assert out == json_document({"r": 1, "i": 0, "j": 1, "pairs": rows, "agree": False})
+
+
+def test_burge_check_validation_writes_nothing(tmp_path, capsys):
+    path = tmp_path / "burge.json"
+    code, out, err = run_cli(["burge-check", "--r", "0", "--i", "0", "--j", "1", "--out", str(path)], capsys)
+    assert (code, out) == (2, "") and err.startswith("validation error:")
+    assert not path.exists()
 
 
 def test_burge_check_max_size_ceiling(capsys):
@@ -218,6 +245,18 @@ def test_pole_at_generic_parameters_says_the_rule_does_not_reach(capsys):
     assert err == (
         "colliding arguments: the reflection rule does not reach node 4: S_1 pole at argument q1*q2"
         " while reflecting Y[4,x(2,1)] (the weight parameters are generic)\n"
+    )
+
+
+@pytest.mark.parametrize("edges", [[(i, "4") for i in "123"], [("4", i) for i in "123"]], ids=["into-4", "out-of-4"])
+def test_repeated_argument_at_generic_parameters_says_the_rule_does_not_reach(edges, capsys):
+    # D4 with node 4 trivalent: its one weight parameter comes back squared
+    quiver = json.dumps({"nodes": [{"id": i} for i in "1234"], "edges": [{"from": a, "to": b} for a, b in edges]})
+    code, out, err = run_cli(["expand", "--quiver", quiver, "--w", '{"4": 1}'], capsys)
+    assert (code, out) == (4, "")
+    assert err == (
+        "colliding arguments: the reflection rule does not reach node 4: Y[4,q1*q2*x(4,1)]^2"
+        " requires the derivative prescription (the weight parameters are generic)\n"
     )
 
 

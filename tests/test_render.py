@@ -1,3 +1,4 @@
+import hashlib
 import json
 from functools import lru_cache
 
@@ -12,6 +13,7 @@ from qqkit.monomial import Monomial, Q1, Q2, xparam
 from qqkit.partitions import affine_character
 from qqkit.quiver import builtin_quiver
 from qqkit.render import (
+    _Latex,
     character_from_json,
     character_latex,
     character_to_json,
@@ -21,6 +23,7 @@ from qqkit.render import (
     hasse_dot,
     monomial_latex,
     render,
+    s_candidates,
     s_decompose,
 )
 
@@ -119,6 +122,25 @@ def test_s_decompose_round_trips(c):
     assert (n, unit, sprod, leftover) == _s_decompose_by_rounds(c)
 
 
+@settings(max_examples=200, deadline=None)
+@given(_s_products(), st.lists(_s_products(), max_size=3), st.randoms(use_true_random=False))
+def test_a_shared_candidate_table_changes_nothing(c, others, rnd):
+    if c.is_zero:
+        return
+    coefficients = [c, *others]
+    rnd.shuffle(coefficients)
+    assert s_decompose(c, s_candidates(coefficients)) == _s_decompose_by_rounds(c)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_small_monomials | st.just(Monomial.unit()), st.booleans()), max_size=8))
+def test_a_written_monomial_reads_as_a_fresh_one(calls):
+    names = {"x(1,1)": "x"}
+    latex = _Latex(names, [])
+    for m, ratio in calls + calls:  # the second round reads what the first wrote
+        assert latex.monomial(m, ratio) == monomial_latex(m, names, ratio)
+
+
 def test_s_decompose_peels_whole_products():
     cases = [
         s_function(Q1**-1),
@@ -160,6 +182,24 @@ def test_character_latex_golden():
         " + \\mathscr{S}\\qty(q_1^{-1}) \\frac{\\mathsf{Y}_{x}}{\\mathsf{Y}_{x;2,1}}"
     )
     assert character_latex(hg) == golden_kr
+
+
+# sha256 of render(ch, "latex") for the generic characters whose LaTeX the
+# finite bench workload renders, as written before the S-candidates were
+# ranked once per character
+LATEX_DIGESTS = {
+    ("A1", (("1", 6),)): "3b244cf96d9e27a9bedba4882c8a727aba1da244c9cb2a9f4c2cc190ef3ba1ec",
+    ("A2", (("1", 2), ("2", 2))): "49e649bd9ee3666eb9c9114d130e24a189cd0fb823843d11db1285ae9881438d",
+    ("BC2", (("1", 2), ("2", 1))): "249d11a6a5d4e6cbd784278eb65ed46c941ddb1b6cc8107b6510cf4b4b157ae1",
+    ("BC2", (("1", 2), ("2", 2))): "ab78dc2622f384100ba269b23cf82db5679af4076c171b440833ba4a1262cb25",
+}
+
+
+@pytest.mark.parametrize("quiver, w", list(LATEX_DIGESTS), ids=lambda v: v if isinstance(v, str) else "".join(str(k) for _, k in v))
+def test_latex_bytes_are_pinned(quiver, w):
+    Q_ = builtin_quiver(quiver)
+    doc = render(expand(Q_, WeightConfig.make(Q_, dict(w))), "latex")
+    assert hashlib.sha256(doc.encode()).hexdigest() == LATEX_DIGESTS[quiver, w]
 
 
 def test_edge_label_shorthand():
