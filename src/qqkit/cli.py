@@ -19,7 +19,7 @@ from collections.abc import Iterable
 
 from .errors import QQError, ValidationError
 from .job import COMMANDS, FORMATS, JOB_FIELDS, Job, read_json
-from .render import render
+from .render import json_stream, render
 from .verify import burge_rows, run_corpus
 
 
@@ -70,15 +70,14 @@ def _cmd_burge(args) -> int:
     rows = burge_rows(args.r, [args.i], [args.j], args.max_size)  # a bad argument raises here, before any output
     agree = True
 
-    def chunks():
+    def checked():
         nonlocal agree
-        yield json.dumps({"r": args.r, "i": args.i, "j": args.j})[:-1] + ', "pairs": ['
-        for k, row in enumerate(rows):
+        for row in rows:
             agree = agree and row["ok"]
-            yield (", " if k else "") + json.dumps(row)
-        yield f'], "agree": {json.dumps(agree)}}}\n'
+            yield row
 
-    _emit(chunks(), args.out)
+    head = {"r": args.r, "i": args.i, "j": args.j}
+    _emit(json_stream(head, "pairs", checked(), lambda: {"agree": agree}), args.out)
     return 0 if agree else 1
 
 

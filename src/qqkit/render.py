@@ -11,6 +11,8 @@ lists terms in ``sort_key`` order and edges in the order of
 from __future__ import annotations
 
 import json
+from collections.abc import Callable, Iterable, Iterator
+from itertools import islice
 
 from .coefficient import Coefficient, s_r
 from .engine import Character, WeightConfig, YMonomial, qdeg_of
@@ -380,3 +382,24 @@ def render(ch: Character | ClassicalCharacter, fmt: str) -> str:
 def json_document(data) -> str:
     """The JSON text of every document qqkit writes: compact, from the C encoder."""
     return json.dumps(data) + "\n"
+
+
+_STREAM_BATCH = 4096  # list items encoded per json.dumps call
+
+
+def json_stream(head: dict, key: str, items: Iterable, tail: Callable[[], dict]) -> Iterator[str]:
+    """``json_document(head | {key: list(items)} | tail())`` in pieces.
+
+    The items are encoded a batch at a time as they come, so the list is
+    never held whole; ``tail`` is called after the last item is written, so
+    its keys may report on the items.
+    """
+    opening = json.dumps(head)[:-1]
+    yield opening + (", " if head else "") + json.dumps(key) + ": ["
+    items = iter(items)
+    sep = ""
+    while batch := list(islice(items, _STREAM_BATCH)):
+        yield sep + json.dumps(batch)[1:-1]
+        sep = ", "
+    closing = json.dumps(tail())
+    yield "]" + (", " + closing[1:] if closing != "{}" else "}") + "\n"

@@ -233,8 +233,8 @@ def _check_affine_oracle(fx: dict):
 
 
 BURGE_MAX_SIZE = 12  # the sweep time grows about 1.6-fold with each unit of max_size
-# the sweep runs r^2 colourings: at max_size 12, r = 14 takes 27.9 s through the CLI,
-# which streams its rows and peaks at 19 MB (r = 3: 1.4 s, r = 12: 20.5 s), one run
+# the sweep runs r^2 colourings: at max_size 12, r = 14 takes 23.9 s through the CLI,
+# which streams its rows and peaks at 24 MB (r = 3: 1.4 s, r = 12: 20.5 s), one run
 # each on a 2-core host with Python 3.11
 BURGE_MAX_R = 14
 
@@ -250,7 +250,8 @@ def burge_rows(r: int, i_values, j_values, max_size: int):
     mod r is zero and the filter rejects the pair.  Vanishing is decided from
     the S-values of Z (``product_vanishes``), which are computed once per pair
     and colouring.  r is capped at BURGE_MAX_R and max_size at BURGE_MAX_SIZE;
-    the bounds are checked at the call, before the first row is made.
+    the bounds, and i <= 0 and j >= 1 for every resonance, are checked at the
+    call, before the first row is made.
     """
     if r < 1 or max_size < 0:
         raise ValidationError("burge check needs r >= 1 and max_size >= 0")
@@ -258,6 +259,8 @@ def burge_rows(r: int, i_values, j_values, max_size: int):
         raise ValidationError(f"burge check needs r <= {BURGE_MAX_R}, got {r}")
     if max_size > BURGE_MAX_SIZE:
         raise ValidationError(f"burge check needs max_size <= {BURGE_MAX_SIZE}, got {max_size}")
+    if any(i > 0 for i in i_values) or any(j < 1 for j in j_values):
+        raise ValidationError("burge condition needs i <= 0 and j >= 1")
     return _burge_sweep(r, i_values, j_values, max_size)
 
 

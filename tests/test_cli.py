@@ -100,9 +100,13 @@ def test_burge_check_streams_a_disagreement(monkeypatch, capsys):
     assert out == json_document({"r": 1, "i": 0, "j": 1, "pairs": rows, "agree": False})
 
 
-def test_burge_check_validation_writes_nothing(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "bad", [["--r", "0", "--i", "0", "--j", "1"], ["--i", "1", "--j", "1"], ["--i", "0", "--j", "0"]],
+    ids=["r-0", "i-1", "j-0"],
+)
+def test_burge_check_validation_writes_nothing(bad, tmp_path, capsys):
     path = tmp_path / "burge.json"
-    code, out, err = run_cli(["burge-check", "--r", "0", "--i", "0", "--j", "1", "--out", str(path)], capsys)
+    code, out, err = run_cli(["burge-check", *bad, "--out", str(path)], capsys)
     assert (code, out) == (2, "") and err.startswith("validation error:")
     assert not path.exists()
 

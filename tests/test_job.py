@@ -68,6 +68,8 @@ MALFORMED = {
         ["affine-expand", "--quiver", "A0hat", "--w", '{"0": 2}', "--max-deg", "2", "--format", "dot"], None
     ),
     "burge-negative-size": (["burge-check", "--i", "0", "--j", "1", "--max-size", "-1"], None),
+    "burge-positive-i": (["burge-check", "--i", "1", "--j", "1"], None),
+    "burge-j-0": (["burge-check", "--i", "0", "--j", "0"], None),
     "job-unknown-command": (["run", JOB], {"quiver": "A1", "w": {"1": 1}, "command": "bogus"}),
     "job-list": (["run", JOB], [1]),
     "job-hasse-after-limit": (["run", JOB], {"quiver": "A1", "w": {"1": 1}, "command": "hasse", "limit": "q1"}),

@@ -13,6 +13,7 @@ from qqkit.monomial import Monomial, Q1, Q2, xparam
 from qqkit.partitions import affine_character
 from qqkit.quiver import builtin_quiver
 from qqkit.render import (
+    _STREAM_BATCH,
     _Latex,
     character_from_json,
     character_latex,
@@ -21,6 +22,8 @@ from qqkit.render import (
     default_names,
     edge_label,
     hasse_dot,
+    json_document,
+    json_stream,
     monomial_latex,
     render,
     s_candidates,
@@ -335,3 +338,33 @@ def test_old_indented_documents_parse_like_new_ones():
         assert set(rt_old.edges) == set(rt_new.edges) == set(ch.edges)
         assert rt_old.wc == rt_new.wc == ch.wc
         assert render(rt_old, "json") == new
+
+
+_json_leaf = st.none() | st.booleans() | st.integers(-5, 5) | st.text(max_size=3)
+_json_values = st.recursive(
+    _json_leaf, lambda v: st.lists(v, max_size=3) | st.dictionaries(st.text(max_size=2), v, max_size=3), max_leaves=6
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(st.sampled_from("abc"), _json_values, max_size=3),
+    st.lists(_json_values, max_size=6),
+    st.dictionaries(st.sampled_from("xyz"), _json_values, max_size=2),
+)
+def test_a_streamed_document_reads_as_a_whole_one(head, items, tail):
+    streamed = "".join(json_stream(head, "pairs", iter(items), lambda: tail))
+    assert streamed == json_document(head | {"pairs": items} | tail)
+
+
+@pytest.mark.parametrize("n", [0, 1, _STREAM_BATCH, _STREAM_BATCH + 1, 2 * _STREAM_BATCH + 3])
+def test_a_streamed_list_crosses_its_batches(n):
+    written = []
+
+    def items():
+        for k in range(n):
+            written.append(k)
+            yield {"k": k}
+
+    streamed = "".join(json_stream({"r": 1}, "pairs", items(), lambda: {"count": len(written)}))
+    assert streamed == json_document({"r": 1, "pairs": [{"k": k} for k in range(n)], "count": n})
