@@ -7,13 +7,14 @@ to ``qqkit.job.Job``; ``hasse`` is the dot rendering of the character.
 Exit codes: 0 success, 1 verify failures, 2 validation (any malformed
 input, reported as one ``validation error:`` line), 3 pole,
 4 colliding arguments, 5 specialization collision, 6 non-integer limit,
-7 inconsistency or blow-up.
+7 inconsistency or blow-up, 141 (128 + SIGPIPE) the reader closed stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections.abc import Iterable
 
@@ -30,6 +31,7 @@ def _emit(chunks: Iterable[str], out: str | None):
             fh.writelines(chunks)
     else:
         sys.stdout.writelines(chunks)
+        sys.stdout.flush()  # a closed pipe raises here, inside main, and not at exit
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -113,6 +115,9 @@ def main(argv=None) -> int:
         return 0
     except QQError as exc:
         return _fail(exc)
+    except BrokenPipeError:  # the reader closed stdout: no error, and the flush at exit goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (json.JSONDecodeError, OSError) as exc:
         return _fail(ValidationError(exc))
 

@@ -20,13 +20,13 @@ exactly when their (kind, integer, unit, factors) agree; this is what
 makes coefficients cancel exactly along distinct reflection paths.
 
 Specialization and the classical limits q1 -> 1, q2 -> 1 are one
-substitution, ``Coefficient._substitute``, with one rule for the binomials
+substitution, ``Coefficient.substitute``, with one rule for the binomials
 that degenerate to (1 - 1): their net power decides.  ``product_vanishes``
 applies the same rule to a product of factored values without building it.
-Both read sigma through a ``Substitution``, which runs sigma's image check
-once when it is built and keeps the image of each monomial looked up in it:
-a call that applies one sigma to many values builds one, so each argument is
-substituted once per call, with no global cache.
+Both read sigma through a ``Substitution``: it runs sigma's image check once
+and keeps the image of each monomial looked up in it.  Y-arguments, weights
+and edge labels read it too, so a call that applies one sigma to a character
+substitutes each monomial once, with no global cache.
 """
 
 from __future__ import annotations
@@ -201,8 +201,8 @@ def product_vanishes(values: Iterable[Coefficient], sub: Substitution) -> bool:
     Equal to ``prod(values).specialize(sub.sigma).is_zero``, and raising what
     that call raises, without building the product: the factor arguments that
     become 1 are merged by canonical argument, as the product merges them,
-    and decided by the rule of ``_substitute``.  The S-values of a partition
-    sum's weight are such values.
+    and decided by the rule of ``Coefficient.substitute``.  The S-values of
+    a partition sum's weight are such values.
     """
     n = 1
     merged: dict[Monomial, int] = {}
@@ -452,17 +452,17 @@ class Coefficient:
         """Exact substitution of generators by monomials.
 
         Binomials that degenerate to (1 - 1) are decided by their net power:
-        see ``_substitute``.
+        see ``substitute``.
         """
-        return self._substitute(Substitution(sigma))
+        return self.substitute(Substitution(sigma))
 
     def limit_at_unity(self, which: str) -> "Coefficient":
         """Limit as q1 -> 1 or q2 -> 1: the substitution ``which`` -> 1."""
         if which not in ("q1", "q2"):
             raise ValidationError("limit generator must be q1 or q2")
-        return self._substitute(Substitution({which: Monomial.unit()}))
+        return self.substitute(Substitution({which: Monomial.unit()}))
 
-    def _substitute(self, sub: Substitution) -> "Coefficient":
+    def substitute(self, sub: Substitution) -> "Coefficient":
         """The value under ``sub.sigma``, with one rule for degenerate binomials.
 
         The binomials whose argument becomes 1 are decided by

@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .coefficient import Coefficient, s_r
+from .coefficient import Coefficient, Substitution, s_r
 from .errors import (
     CollidingArguments,
     NonTermination,
@@ -84,8 +84,8 @@ class YMonomial:
             return NotImplemented
         return YMonomial._canonical(merge_runs(self._entries, other._entries, _entry_key))
 
-    def substitute(self, sigma: Mapping[str, Monomial]) -> "YMonomial":
-        return YMonomial(tuple((n, a.substitute(sigma), e) for n, a, e in self._entries))
+    def substitute(self, sub: Substitution) -> "YMonomial":
+        return YMonomial(tuple((n, sub[a], e) for n, a, e in self._entries))
 
     def sort_key(self):
         return tuple((n, a.sort_key(), e) for n, a, e in self._entries)
@@ -156,9 +156,9 @@ class WeightConfig:
             raise ValidationError(f"params {sorted(unused)} name no weight unit")
         return WeightConfig(tuple(out))
 
-    def substitute(self, sigma: Mapping[str, Monomial]) -> "WeightConfig":
-        """The same units with sigma applied to each parameter."""
-        return WeightConfig(tuple((i, a, p.substitute(sigma)) for i, a, p in self.entries))
+    def substitute(self, sub: Substitution) -> "WeightConfig":
+        """The same units, each parameter replaced by its image in ``sub``."""
+        return WeightConfig(tuple((i, a, sub[p]) for i, a, p in self.entries))
 
 
 @dataclass

@@ -65,7 +65,7 @@ def fold_weights(Q_: Quiver, wc: WeightConfig, sigma: Mapping[str, Monomial]) ->
     sub = Substitution(sigma)
     if not all(gen_key(g)[0] == WEIGHT for g in sigma):
         return None
-    folded = WeightConfig(tuple((i, a, sub[p]) for i, a, p in wc.entries))
+    folded = wc.substitute(sub)
     return folded if _ladders_only(Q_, folded) else None
 
 
@@ -86,18 +86,18 @@ def higgs(ch: Character, sigma: Mapping[str, Monomial]) -> Character:
     """Specialize weight parameters; S-zero terms drop, collisions are errors.
 
     The result carries the specialized weights.  One ``Substitution`` checks
-    sigma once and serves every term; an edge survives when both ends survive.
+    sigma once and gives every image; an edge survives when both ends survive.
     """
     sub = Substitution(sigma)
     terms: dict[YMonomial, Coefficient] = {}
     image: dict[YMonomial, YMonomial] = {}  # surviving term -> its specialized Y-monomial
     dropped: list[YMonomial] = []
     for ym, coeff in ch.terms.items():
-        c2 = coeff._substitute(sub)
+        c2 = coeff.substitute(sub)
         if c2.is_zero:
             dropped.append(ym)
             continue
-        ym2 = image[ym] = ym.substitute(sigma)
+        ym2 = image[ym] = ym.substitute(sub)
         if ym2 in terms:
             raise YCollision(f"terms collide at {ym2!r} under {sigma!r}")
         terms[ym2] = c2
@@ -109,7 +109,7 @@ def higgs(ch: Character, sigma: Mapping[str, Monomial]) -> Character:
     meta = dict(ch.meta)
     meta["higgs"] = {g: repr(m) for g, m in sigma.items()}
     meta["dropped"] = tuple(dropped)
-    wc = ch.wc.substitute(sigma) if ch.wc is not None else None
+    wc = ch.wc.substitute(sub) if ch.wc is not None else None
     return Character(ch.quiver, wc, terms, edges, meta)
 
 
@@ -132,10 +132,10 @@ def classical_limit(ch: Character, which: str) -> ClassicalCharacter:
     sub = Substitution({which: Monomial.unit()})
     merged: dict[YMonomial, int] = {}
     for ym in sorted(ch.terms, key=YMonomial.sort_key):
-        n = ch.terms[ym]._substitute(sub).as_integer()
+        n = ch.terms[ym].substitute(sub).as_integer()
         if n == 0:
             continue
-        ym2 = ym.substitute(sub.sigma)
+        ym2 = ym.substitute(sub)
         s = merged.get(ym2, 0) + n
         if s:
             merged[ym2] = s

@@ -130,22 +130,24 @@ class Job:
         ``fold_weights`` rejects a malformed ``higgs`` sigma before anything
         is expanded.  A sigma that it accepts is folded into the weights, and
         the character is expanded once there, with no ``higgs`` step; its
-        ``meta`` then has no ``higgs`` or ``dropped`` key.  If that path
+        ``meta`` then has no ``higgs`` or ``dropped`` key.  If that expansion
         raises, the generic path ``higgs(expand(weights), sigma)`` decides the
-        result or the error, so both paths answer alike.  Without a sigma,
-        every command but ``affine-expand`` starts from ``expand``.
+        character or the error.  A fold that succeeds gives the generic
+        character, so the limit runs once, on whichever was built.  Without
+        a sigma, every command but ``affine-expand`` starts from ``expand``.
         """
         if self.command == "affine-expand":
             return affine_character(self.quiver, self.weights, self.max_deg)
-        if self.higgs:
-            folded = fold_weights(self.quiver, self.weights, self.higgs)
-            if folded is not None:
-                try:
-                    return self._limit(expand(self.quiver, folded, max_qdeg=self.max_deg))
-                except QQError:
-                    pass
-            return self._limit(higgs(expand(self.quiver, self.weights, max_qdeg=self.max_deg), self.higgs))
-        return self._limit(expand(self.quiver, self.weights, max_qdeg=self.max_deg))
-
-    def _limit(self, ch: Character) -> Character | ClassicalCharacter:
+        ch = self._character()
         return classical_limit(ch, self.limit) if self.limit else ch
+
+    def _character(self) -> Character:
+        if not self.higgs:
+            return expand(self.quiver, self.weights, max_qdeg=self.max_deg)
+        folded = fold_weights(self.quiver, self.weights, self.higgs)
+        if folded is not None:
+            try:
+                return expand(self.quiver, folded, max_qdeg=self.max_deg)
+            except QQError:
+                pass
+        return higgs(expand(self.quiver, self.weights, max_qdeg=self.max_deg), self.higgs)

@@ -81,8 +81,8 @@ def monomial_latex(
     return " ".join(parts)
 
 
-def _split_shift(arg: Monomial, names: dict[str, str]) -> tuple[str, int, int] | None:
-    """Write arg as base * q1^j * q2^k for a named base parameter."""
+def _arg_label(arg: Monomial, names: dict[str, str]) -> str:
+    """arg as ``b`` or ``b;j,k`` when it is base * q1^j * q2^k for a named base b, else in full."""
     rest = {}
     base = None
     for (_, _, _, g), e in arg.sort_key():
@@ -91,22 +91,18 @@ def _split_shift(arg: Monomial, names: dict[str, str]) -> tuple[str, int, int] |
         elif g in names and e == 1 and base is None:
             base = g
         else:
-            return None
+            return monomial_latex(arg, names)
     if base is None:
-        return None
-    return names[base], rest.get("q1", 0), rest.get("q2", 0)
+        return monomial_latex(arg, names)
+    j, k = rest.get("q1", 0), rest.get("q2", 0)
+    return names[base] if j == k == 0 else f"{names[base]};{j},{k}"
 
 
 def y_symbol_latex(
     node: str, arg: Monomial, names: dict[str, str], single_node: bool
 ) -> str:
     prefix = "" if single_node else f"{node},"
-    split = _split_shift(arg, names)
-    if split is not None:
-        b, j, k = split
-        inner = b if j == k == 0 else f"{b};{j},{k}"
-        return f"\\mathsf{{Y}}_{{{prefix}{inner}}}"
-    return f"\\mathsf{{Y}}_{{{prefix}{monomial_latex(arg, names)}}}"
+    return f"\\mathsf{{Y}}_{{{prefix}{_arg_label(arg, names)}}}"
 
 
 # ---------------------------------------------------------------------------
@@ -273,11 +269,7 @@ def character_latex(ch: Character, names: dict[str, str] | None = None) -> str:
 
 
 def edge_label(node: str, arg: Monomial, names: dict[str, str]) -> str:
-    split = _split_shift(arg, names)
-    if split is not None:
-        b, j, k = split
-        return f"{node},{b}" if j == k == 0 else f"{node},{b};{j},{k}"
-    return f"{node},{monomial_latex(arg, names)}"
+    return f"{node},{_arg_label(arg, names)}"
 
 
 def hasse_dot(ch: Character, names: dict[str, str] | None = None) -> str:

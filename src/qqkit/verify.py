@@ -174,7 +174,7 @@ def _check_dropped(fx: dict):
     dropped = higgs(expand(job.quiver, job.weights, max_qdeg=job.max_deg), job.higgs).meta["dropped"]
     if len(dropped) != fx["expected_dropped"]:
         return "fail", f"expected {fx['expected_dropped']} dropped terms, got {len(dropped)}"
-    relabel = {g: parse_monomial(m, names) for g, m in fx["relabel"].items()}
+    relabel = Substitution({g: parse_monomial(m, names) for g, m in fx["relabel"].items()})
     relabeled = {ym.substitute(relabel) for ym in dropped}
     ref = Job.parse(fx["reference"]).run()
     if relabeled != set(ref.terms):

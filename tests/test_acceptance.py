@@ -4,7 +4,9 @@ Each criterion prints one PASS/FAIL line.  Every comparison is exact
 symbolic equality; there are no numeric tolerances anywhere.
 """
 
+import ast
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -286,3 +288,21 @@ def test_corpus_reproduces_the_verify_listing(report):
 
 if __name__ == "__main__":  # PYTHONPATH=src python tests/test_acceptance.py rewrites the listing
     VERIFY_LISTING.write_text(_listing(run_corpus()), encoding="utf-8")
+
+
+def test_the_package_imports_only_the_standard_library():
+    src = Path(__file__).resolve().parents[1] / "src" / "qqkit"
+    outside = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside.update(
+                (path.name, name) for name in names
+                if name.partition(".")[0] not in sys.stdlib_module_names | {"qqkit"}
+            )
+    assert not outside

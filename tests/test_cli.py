@@ -111,6 +111,24 @@ def test_burge_check_validation_writes_nothing(bad, tmp_path, capsys):
     assert not path.exists()
 
 
+def test_a_closed_pipe_exits_141_silently():
+    # about 192 KB of rows: more than a pipe holds, so the writer meets the closed end
+    src = Path(__file__).resolve().parents[1] / "src"
+    argv = ["burge-check", "--r", "2", "--i", "0", "--j", "2", "--max-size", "8"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qqkit", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (141, b"")
+    assert head.startswith(b'{"r": 2, "i": 0, "j": 2, "pairs": [')
+
+
 def test_burge_check_max_size_ceiling(capsys):
     start = time.perf_counter()
     code, out, err = run_cli(["burge-check", "--i", "0", "--j", "1", "--max-size", "100"], capsys)

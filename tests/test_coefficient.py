@@ -607,5 +607,5 @@ def test_a_shared_substitution_answers_as_a_fresh_one_per_value(specs, sigma):
     except ValidationError as exc:
         shared = [(type(exc), str(exc))] * len(values)
     else:
-        shared = [_outcome(lambda: v._substitute(sub)) for v in values]
+        shared = [_outcome(lambda: v.substitute(sub)) for v in values]
     assert shared == fresh

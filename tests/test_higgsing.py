@@ -1,8 +1,10 @@
+from collections import Counter
 from fractions import Fraction
 from math import comb, prod
 
 import pytest
 
+from qqkit.coefficient import Substitution
 from qqkit.engine import Character, WeightConfig, YMonomial, expand
 from qqkit.errors import NonIntegerLimit, ValidationError, YCollision
 from qqkit.higgsing import (
@@ -16,7 +18,7 @@ from qqkit.higgsing import (
     kr_sigma,
 )
 from qqkit.job import Job
-from qqkit.monomial import Q, Q1, Q2, xparam
+from qqkit.monomial import Monomial, Q, Q1, Q2, xparam
 from qqkit.quiver import builtin_quiver, classical_cartan
 
 A1 = builtin_quiver("A1")
@@ -188,7 +190,7 @@ def test_higgs_dropped_terms_relabel_to_antifundamental():
     dropped = hg.meta["dropped"]
     assert len(dropped) == 3
     x1 = xparam("1", 1)
-    relabeled = {ym.substitute({"x(1,2)": x1 * Q}) for ym in dropped}
+    relabeled = {ym.substitute(Substitution({"x(1,2)": x1 * Q})) for ym in dropped}
     ref = expand(A2, WeightConfig.make(A2, {"2": 1}, params={("2", 1): x1}))
     assert relabeled == set(ref.terms)
 
@@ -240,7 +242,7 @@ def test_classical_limit_error_names_the_first_term_in_sort_key_order():
     sigma = {"x(1,2)": xparam("1", 1) * Q1**2 * Q2}
     generic = higgs(expand(Q_, wc, max_qdeg=3), sigma)
     rev = Character(Q_, generic.wc, dict(reversed(generic.terms.items())), generic.edges)
-    direct = expand(Q_, wc.substitute(sigma), max_qdeg=3)
+    direct = expand(Q_, wc.substitute(Substitution(sigma)), max_qdeg=3)
     messages = set()
     for ch in (generic, rev, direct):
         with pytest.raises(NonIntegerLimit) as exc:
@@ -270,3 +272,23 @@ def test_factorize_check_negative():
 def test_kr_closed_form_edge_cases():
     assert len(kr_closed_form_A1(0).terms) == 1
     assert list(kr_closed_form_A1(0).terms)[0].is_unit
+
+
+def test_one_call_substitutes_each_monomial_once(monkeypatch):
+    ch = expand(A2, WeightConfig.make(A2, {"1": 2, "2": 1}))
+    calls = Counter()
+    substitute = Monomial.substitute
+
+    def counted(m, sigma):
+        calls[m] += 1
+        return substitute(m, sigma)
+
+    monkeypatch.setattr(Monomial, "substitute", counted)
+    for run in (
+        lambda: higgs(ch, kr_sigma(A2, "1", 2, 1)),
+        lambda: classical_limit(ch, "q1"),
+        lambda: classical_limit(ch, "q2"),
+    ):
+        calls.clear()
+        run()
+        assert calls and max(calls.values()) == 1

@@ -12,11 +12,12 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import qqkit.job
 from qqkit.cli import main
 from qqkit.coefficient import Substitution
 from qqkit.engine import expand
-from qqkit.errors import QQError, ValidationError
-from qqkit.higgsing import ClassicalCharacter, classical_limit, higgs, kr_sigma
+from qqkit.errors import NonIntegerLimit, QQError, ValidationError
+from qqkit.higgsing import ClassicalCharacter, classical_limit, fold_weights, higgs, kr_sigma
 from qqkit.job import COMMANDS, FORMATS, Job
 from qqkit.monomial import parse_monomial, xparam
 from qqkit.quiver import MAX_DECORATION, builtin_quiver
@@ -263,4 +264,22 @@ B3 = json.dumps(
 @example({"quiver": B3, "w": {"2": 2}, "higgs": {"x(2,2)": "x(2,1)*q1^-1"}, "command": "higgs"})
 def test_folded_higgsing_answers_as_the_generic_pipeline(spec):
     job = Job.parse(spec)
+    before_limit = dataclasses.replace(job, limit=None)
+    assert _outcome(before_limit.run) == _outcome(lambda: _generic(before_limit))
     assert _outcome(job.run) == _outcome(lambda: _generic(job))
+
+
+def test_a_limit_error_after_the_fold_expands_once(monkeypatch):
+    # a q2 ladder at the middle node of B3: the folded expansion succeeds, its q1 limit fails
+    spec = {"quiver": B3, "w": {"2": 2}, "higgs": {"x(2,2)": "x(2,1)*q2"}, "limit": "q1", "command": "limit"}
+    job = Job.parse(spec)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return expand(*args, **kwargs)
+
+    monkeypatch.setattr(qqkit.job, "expand", counted)
+    got = _outcome(job.run)
+    assert calls == [fold_weights(job.quiver, job.weights, job.higgs)]
+    assert got == _outcome(lambda: _generic(job)) == (NonIntegerLimit, "limit slope ratio 3/2 is not an integer")
