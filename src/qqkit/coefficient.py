@@ -2,11 +2,11 @@
 
 A Coefficient is one of
 
-* Zero,
 * Factored: integer * monomial * prod (1 - m_k)^{p_k} with canonically
-  oriented binomial arguments, or
+  oriented binomial arguments; zero is the factored value with integer 0
+  (and no monomial or factors), or
 * General: sparse integer Laurent polynomial over a denominator that is a
-  product of binomials with positive powers.
+  product of binomials with positive powers; it is never zero.
 
 Products of Factored values stay Factored: they merge the operands' factor
 runs, which are sorted by argument.  General only arises through
@@ -16,7 +16,7 @@ again.  Binomial arguments are oriented with the identity
 factored form: the Laurent ring has unique factorization, and Moebius
 inversion over the cyclotomic factors of 1 - m^k separates colinear
 arguments m, m^2, ....  So two values that are not General are equal
-exactly when their (kind, integer, unit, factors) agree; this is what
+exactly when their (integer, unit, factors) agree; this is what
 makes coefficients cancel exactly along distinct reflection paths.
 
 Specialization and the classical limits q1 -> 1, q2 -> 1 are one
@@ -119,7 +119,10 @@ def _orient(arg: Monomial) -> tuple[Monomial, bool]:
 
     m and 1/m list the same generators in the same order, so of the two
     the larger sort key is the one whose leading exponent is positive.
+    A unit argument, whose binomial (1 - 1) is zero, is a ValidationError.
     """
+    if arg.is_unit:
+        raise ValidationError("binomial factor with unit argument")
     if arg.sort_key()[0][1] > 0:
         return arg, False
     return arg.inverse(), True
@@ -196,7 +199,7 @@ class Substitution(dict):
 
 
 def product_vanishes(values: Iterable[Coefficient], sub: Substitution) -> bool:
-    """Whether the product of Zero or Factored values is zero under sub.
+    """Whether the product of factored values is zero under sub.
 
     Equal to ``prod(values).specialize(sub.sigma).is_zero``, and raising what
     that call raises, without building the product: the factor arguments that
@@ -207,10 +210,10 @@ def product_vanishes(values: Iterable[Coefficient], sub: Substitution) -> bool:
     n = 1
     merged: dict[Monomial, int] = {}
     for v in values:
-        if v.kind == "zero":
-            return True
         if v.kind != "factored":
-            raise ValidationError("product_vanishes takes Zero or Factored values")
+            raise ValidationError("product_vanishes takes factored values")
+        if v.is_zero:
+            return True
         n *= v.integer
         for a, p in v.factors:
             if sub[a].is_unit:
@@ -225,7 +228,7 @@ class Coefficient:
     __slots__ = ("kind", "integer", "unit", "factors", "num", "den")
 
     def __init__(self, kind, integer=0, unit=None, factors=(), num=None, den=()):
-        self.kind = kind  # "zero" | "factored" | "general"
+        self.kind = kind  # "factored" | "general"
         self.integer = integer
         self.unit = unit if unit is not None else Monomial.unit()
         self.factors = factors  # tuple[(Monomial, int)], canonical args
@@ -250,7 +253,7 @@ class Coefficient:
 
     @staticmethod
     def factored(integer: int, unit: Monomial, factors) -> "Coefficient":
-        """Normalize a factored product; arguments must not be the unit."""
+        """Normalize a factored product; a unit argument is a ValidationError."""
         if integer == 0:
             return _ZERO
         n = integer
@@ -259,8 +262,6 @@ class Coefficient:
         for arg, p in factors:
             if p == 0:
                 continue
-            if arg.is_unit:
-                raise ValidationError("binomial factor with unit argument")
             c, flipped = _orient(arg)
             if flipped:
                 # (1 - arg)^p = (-arg)^p (1 - 1/arg)^p
@@ -306,7 +307,7 @@ class Coefficient:
 
     @property
     def is_zero(self) -> bool:
-        return self.kind == "zero"
+        return self.kind == "factored" and self.integer == 0
 
     @property
     def is_one(self) -> bool:
@@ -319,8 +320,6 @@ class Coefficient:
 
     def as_integer(self) -> int:
         """The value as a plain integer, or raise NonIntegerLimit."""
-        if self.kind == "zero":
-            return 0
         if self.kind == "factored" and self.unit.is_unit and not self.factors:
             return self.integer
         raise NonIntegerLimit(f"coefficient is not an integer: {self!r}")
@@ -330,15 +329,18 @@ class Coefficient:
     def __mul__(self, other: "Coefficient") -> "Coefficient":
         if not isinstance(other, Coefficient):
             return NotImplemented
-        if self.kind == "zero" or other.kind == "zero":
-            return _ZERO
         if self.kind == "factored" and other.kind == "factored":
+            n = self.integer * other.integer
+            if n == 0:
+                return _ZERO
             return Coefficient(
                 "factored",
-                self.integer * other.integer,
+                n,
                 self.unit * other.unit,
                 merge_runs(self.factors, other.factors, _arg_key),
             )
+        if self.is_zero or other.is_zero:
+            return _ZERO
         na, da = self._general_parts()
         nb, db = other._general_parts()
         den: dict[Monomial, int] = dict(da)
@@ -357,30 +359,24 @@ class Coefficient:
             return self
         if n == 0:
             return _ONE
-        if self.kind == "zero":
-            if n < 0:
-                raise ZeroDivisionError("negative power of zero coefficient")
-            return _ZERO
         if self.kind != "factored":
             raise ValidationError("powers implemented for factored coefficients")
         if n < 0 and self.integer not in (1, -1):
+            if self.is_zero:
+                raise ZeroDivisionError("negative power of zero coefficient")
             raise ValidationError("negative power of a non-unit coefficient")
         k = self.integer**n if n > 0 else (self.integer if n % 2 else 1)
         # scaling the powers keeps the arguments, so the factor order holds
         return Coefficient("factored", k, self.unit**n, tuple((a, p * n) for a, p in self.factors))
 
     def __neg__(self) -> "Coefficient":
-        if self.kind == "zero":
-            return _ZERO
         if self.kind == "factored":
             return Coefficient("factored", -self.integer, self.unit, self.factors)
         neg = _pol_scale(self.num, Monomial.unit(), -1)
         return Coefficient("general", 0, Monomial.unit(), (), neg, self.den)
 
     def _general_parts(self) -> tuple[dict, dict]:
-        """Numerator polynomial and denominator dict of this value."""
-        if self.kind == "zero":
-            return {}, {}
+        """Numerator polynomial and denominator dict of this nonzero value."""
         if self.kind == "general":
             return dict(self.num), dict(self.den)
         num = {self.unit: self.integer}
@@ -395,9 +391,9 @@ class Coefficient:
     def __add__(self, other: "Coefficient") -> "Coefficient":
         if not isinstance(other, Coefficient):
             return NotImplemented
-        if self.kind == "zero":
+        if self.is_zero:
             return other
-        if other.kind == "zero":
+        if other.is_zero:
             return self
         na, da = self._general_parts()
         nb, db = other._general_parts()
@@ -421,17 +417,13 @@ class Coefficient:
             return NotImplemented
         if self.kind != "general" and other.kind != "general":
             # the factored form is canonical (see the module docstring)
-            return (self.kind, self.integer, self.unit, self.factors) == (
-                other.kind, other.integer, other.unit, other.factors
-            )
+            return (self.integer, self.unit, self.factors) == (other.integer, other.unit, other.factors)
         return (self - other).is_zero
 
     def __hash__(self):
         raise TypeError("coefficients are not hashable")
 
     def __repr__(self) -> str:
-        if self.kind == "zero":
-            return "0"
         if self.kind == "factored":
             parts = []
             if self.integer != 1 or (self.unit.is_unit and not self.factors):
@@ -472,8 +464,6 @@ class Coefficient:
         quotient counts as a degenerate numerator factor.  A slope ratio that
         leaves a non-integer coefficient raises NonIntegerLimit.
         """
-        if self.kind == "zero":
-            return _ZERO
         if self.kind == "general":
             num, den, degenerate = self.num, [], []
             for a, p in self.den:
@@ -519,8 +509,6 @@ class Coefficient:
     # -- serialization --------------------------------------------------------
 
     def to_json(self) -> dict:
-        if self.kind == "zero":
-            return {"int": 0, "unit": {}, "factors": []}
         if self.kind == "factored":
             return {
                 "int": self.integer,
@@ -546,7 +534,7 @@ class Coefficient:
         return Coefficient.factored(n, unit, fac)
 
 
-_ZERO = Coefficient("zero")
+_ZERO = Coefficient("factored", 0, Monomial.unit(), ())
 _ONE = Coefficient("factored", 1, Monomial.unit(), ())
 
 

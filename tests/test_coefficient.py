@@ -318,6 +318,35 @@ def test_json_round_trip():
         assert Coefficient.from_json(c.to_json()) == c
 
 
+def test_zero_is_the_factored_value_with_integer_0():
+    zero, s = Coefficient.zero(), s_function(Q1**-1)
+    assert (zero.kind, zero.integer, zero.unit, zero.factors) == ("factored", 0, Monomial.unit(), ())
+    assert repr(zero) == "0" and zero.as_integer() == 0
+    assert zero.to_json() == {"int": 0, "unit": {}, "factors": []}
+    routes = [
+        -zero, zero**3, zero * s, s * zero, zero * (s + Coefficient.one()), s + (-s), zero + zero,
+        zero.specialize({"q1": Q2}), Coefficient.from_monomial(Q1, 0), Coefficient.factored(0, Q1, [(Q2, 1)]),
+        Coefficient.from_json({"int": 0}),
+    ]
+    for c in routes:
+        assert c.is_zero and c == zero and repr(c) == "0" and c.to_json() == zero.to_json()
+        assert (c.kind, c.integer, c.unit, c.factors) == ("factored", 0, Monomial.unit(), ())
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Coefficient.factored(1, Q1, [(Monomial.unit(), 1)]),
+        lambda: Coefficient.general({Q1: 1, Q2: 1}, [(Monomial.unit(), 1)]),
+        lambda: Coefficient.from_json({"int": 1, "factors": [{"arg": {}, "pow": -1}]}),
+        lambda: Coefficient.from_json({"num": [[{}, 1]], "den": [{"arg": {}, "pow": 1}]}),
+    ],
+)
+def test_a_unit_binomial_argument_is_a_validation_error(build):
+    with pytest.raises(ValidationError, match="^binomial factor with unit argument$"):
+        build()
+
+
 def test_inverse_requires_unit_integer():
     with pytest.raises(ValidationError):
         Coefficient.from_monomial(Monomial.unit(), 2).inverse()

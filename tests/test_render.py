@@ -78,7 +78,7 @@ def _s_decompose_by_rounds(c: Coefficient):
                 s = s_r(r, z)
             except PoleError:
                 continue
-            if s.kind != "factored" or any(
+            if s.is_zero or any(
                 abs(remaining.get(a, 0)) < abs(p) or remaining.get(a, 0) * p < 0 for a, p in s.factors
             ):
                 continue
