@@ -252,14 +252,17 @@ def expand(
 ) -> Character:
     """Full worklist expansion; exact and deterministic.
 
-    Finite-type quivers terminate on their own; affine ones require a
-    counting-degree cutoff.  Indefinite quivers are rejected.
+    Finite-type quivers terminate on their own, and their terms carry no
+    counting parameter, so ``max_qdeg`` cuts nothing there; affine ones
+    require a counting-degree cutoff.  Indefinite quivers are rejected.
     """
     qclass, _ = classify(Q_)
     if qclass is QuiverClass.INDEFINITE:
         raise ValidationError("indefinite quivers are not supported")
     if qclass is QuiverClass.AFFINE and max_qdeg is None:
         raise ValidationError("affine expansion requires a counting-degree cutoff")
+    if qclass is QuiverClass.FINITE:
+        max_qdeg = None
 
     hw = highest_weight(Q_, wc)
     terms: dict[YMonomial, Coefficient] = {hw.ym: hw.coeff}

@@ -122,6 +122,10 @@ class Job:
         if command == "affine-expand" and fmt == "dot":
             raise ValidationError("a partition sum has no reflection graph to draw (affine-expand, dot)")
         weights = WeightConfig.make(quiver, w, params)
+        named = {"q1", "q2", "mu"}.union(*(p.gens() for _, _, p in weights.entries))
+        unknown = sorted(set(sigma) - named)
+        if unknown:
+            raise ValidationError(f"higgs keys {unknown} name no generator of the weight parameters, q1, q2 or mu")
         return Job(quiver, weights, command, fmt, sigma, limit, max_deg)
 
     def run(self) -> Character | ClassicalCharacter:

@@ -71,10 +71,10 @@ class Quiver:
     @cached_property
     def classification(self) -> tuple[QuiverClass, int]:
         """Class and determinant of the classical Cartan matrix (see ``classify``)."""
-        det = _int_det(classical_cartan(self))
-        if det > 0:
-            return QuiverClass.FINITE, det
-        return (QuiverClass.AFFINE if det == 0 else QuiverClass.INDEFINITE), det
+        cartan = classical_cartan(self)
+        classes = {_component_class(cartan, component) for component in _components(cartan)}
+        qclass = next(c for c in (QuiverClass.INDEFINITE, QuiverClass.AFFINE, QuiverClass.FINITE) if c in classes)
+        return qclass, _int_det(cartan)
 
     @cached_property
     def node_scalars(self) -> dict[str, Coefficient]:
@@ -185,8 +185,55 @@ def _int_det(m: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def _components(m: list[list[int]]) -> list[list[int]]:
+    """The index sets of the connected components of the graph of m's off-diagonal entries."""
+    seen: set[int] = set()
+    out = []
+    for start in range(len(m)):
+        if start in seen:
+            continue
+        seen.add(start)
+        component = [start]
+        for i in component:  # grows while it is walked
+            for j, entry in enumerate(m[i]):
+                if entry and j not in seen:
+                    seen.add(j)
+                    component.append(j)
+        out.append(sorted(component))
+    return out
+
+
+def _component_class(m: list[list[int]], component: list[int]) -> QuiverClass:
+    """Kac's criterion on the principal submatrix of one connected component.
+
+    The matrix is symmetrizable (entry [j][i] over d_i is symmetric), so by
+    Sylvester its leading principal minors decide: all n positive is finite,
+    the first n - 1 positive and the last 0 is affine, anything else is
+    indefinite.  One fraction-free elimination without row swaps yields them
+    as its pivots, and stops at the first that is not positive.
+    """
+    a = [[m[i][j] for j in component] for i in component]
+    n = len(a)
+    prev = 1
+    for k in range(n):
+        if a[k][k] <= 0:
+            return QuiverClass.AFFINE if k == n - 1 and a[k][k] == 0 else QuiverClass.INDEFINITE
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return QuiverClass.FINITE
+
+
 def classify(Q_: Quiver) -> tuple[QuiverClass, int]:
-    """Classify by the sign of the classical Cartan determinant."""
+    """Class and determinant of the classical Cartan matrix.
+
+    Each connected component is finite, affine or indefinite by Kac's
+    criterion (``_component_class``).  The quiver is indefinite if any
+    component is, else affine if any is, else finite.  Two disjoint K4
+    quivers, each with determinant -27, are indefinite although their
+    determinant 729 is positive.
+    """
     return Q_.classification
 
 

@@ -12,6 +12,7 @@ from qqkit.engine import (
     s_factor_coefficient,
 )
 from qqkit.errors import CollidingArguments, NonTermination, ValidationError
+from qqkit.job import Job
 from qqkit.monomial import MU, Monomial, Q, Q1, Q2, xparam
 from qqkit.quiver import Quiver, builtin_quiver
 
@@ -134,6 +135,17 @@ def test_affine_counts_by_degree():
     ch = expand(A0, WeightConfig.make(A0, {"0": 1}), max_qdeg=3)
     # one term per partition of size <= 3
     assert len(ch.terms) == 1 + 1 + 2 + 3
+
+
+def test_a_cutoff_cuts_nothing_on_a_finite_quiver():
+    # finite-type terms carry no counting parameter qfrak(i): each has degree 0 <= max_qdeg
+    wc = WeightConfig.make(A1, {"1": 2})
+    full = expand(A1, wc)
+    for max_qdeg in (0, 1):
+        cut = expand(A1, wc, max_qdeg=max_qdeg)
+        assert (cut.terms, cut.edges) == (full.terms, full.edges)
+    job = {"quiver": "A1", "w": {"1": 2}, "higgs": {"x(1,2)": "x(1,1)*q1"}, "limit": "q1", "command": "limit"}
+    assert Job.parse({**job, "max_deg": 0}).run().terms == Job.parse(job).run().terms
 
 
 def test_safety_bound():

@@ -4,7 +4,7 @@ from math import comb, prod
 
 import pytest
 
-from qqkit.coefficient import Substitution
+from qqkit.coefficient import Coefficient, Substitution
 from qqkit.engine import Character, WeightConfig, YMonomial, expand
 from qqkit.errors import NonIntegerLimit, ValidationError, YCollision
 from qqkit.higgsing import (
@@ -234,6 +234,17 @@ def test_classical_limit_merges_and_validates():
     assert sorted(l1.terms.values()) == [1, 1, 2]
     with pytest.raises(ValidationError):
         classical_limit(hg, "mu")
+
+
+def test_classical_limit_drops_zero_limits_and_cancelled_terms():
+    x = xparam("1", 1)
+    terms = {
+        YMonomial((("1", x, 1),)): Coefficient.one(),
+        YMonomial((("1", x * Q1, 1),)): -Coefficient.one(),  # the same Y-monomial at q1 = 1: they cancel
+        YMonomial((("1", x * Q2, 1),)): Coefficient.factored(1, Monomial.unit(), [(Q1, 1)]),  # (1 - q1) -> 0
+        YMonomial((("1", x * Q, -1),)): Coefficient.from_monomial(Q1, 2),
+    }
+    assert classical_limit(Character(A1, None, terms), "q1").terms == {YMonomial((("1", x * Q2, -1),)): 2}
 
 
 def test_classical_limit_error_names_the_first_term_in_sort_key_order():

@@ -64,6 +64,15 @@ MALFORMED = {
     "higgs-key-alias-q4": (["higgs", "--quiver", "A1", "--w", '{"1": 2}', "--higgs", '{"q4": "q1"}'], None),
     "higgs-key-product": (["higgs", "--quiver", "A1", "--w", '{"1": 2}', "--higgs", '{"x(1,2)*q1": "q1"}'], None),
     "higgs-key-empty": (["higgs", "--quiver", "A1", "--w", '{"1": 2}', "--higgs", '{"": "q1"}'], None),
+    # ... that is q1, q2, mu or a generator of a weight parameter
+    "higgs-key-beyond-the-weight": (
+        ["higgs", "--quiver", "A1", "--w", '{"1": 2}', "--higgs", '{"x(1,3)": "x(1,1)*q1"}'], None
+    ),
+    "higgs-key-unknown-generator": (["higgs", "--quiver", "A1", "--w", '{"1": 2}', "--higgs", '{"y": "x(1,1)*q1"}'], None),
+    "higgs-key-replaced-by-params": (
+        ["higgs", "--quiver", "A1", "--w", '{"1": 2}', "--params", '{"1,1": "y"}', "--higgs", '{"x(1,1)": "y*q1"}'],
+        None,
+    ),
     "limit-as-dot": (["limit", "--quiver", "A1", "--w", '{"1": 1}', "--limit", "q1", "--format", "dot"], None),
     "affine-expand-as-dot": (
         ["affine-expand", "--quiver", "A0hat", "--w", '{"0": 2}', "--max-deg", "2", "--format", "dot"], None
@@ -73,6 +82,8 @@ MALFORMED = {
     "burge-j-0": (["burge-check", "--i", "0", "--j", "0"], None),
     "job-unknown-command": (["run", JOB], {"quiver": "A1", "w": {"1": 1}, "command": "bogus"}),
     "job-list": (["run", JOB], [1]),
+    "job-negative-max-deg": (["run", JOB], {"quiver": "A1", "w": {"1": 1}, "max_deg": -1}),
+    "job-out-not-a-file-name": (["run", JOB], {"quiver": "A1", "w": {"1": 1}, "out": 3}),
     "job-hasse-after-limit": (["run", JOB], {"quiver": "A1", "w": {"1": 1}, "command": "hasse", "limit": "q1"}),
     "job-affine-expand-as-dot": (
         ["run", JOB], {"quiver": "A0hat", "w": {"0": 2}, "command": "affine-expand", "max_deg": 2, "format": "dot"}
@@ -130,11 +141,16 @@ def _valid_jobs(draw):
     image = st.builds(
         "{}*q1^{}*q2^{}".format, st.sampled_from([f"x({u})" for u in units] or ["mu"]), _small, _small
     )
+    params = draw(st.dictionaries(st.sampled_from(units), image, max_size=2)) if units else None
+    # a higgs key names a generator of a weight parameter: of a unit's own x(u), or of its params image
+    named = sorted(
+        {f"x({u})" for u in units if u not in (params or {})} | {img.partition("*")[0] for img in (params or {}).values()}
+    )
     return {
         "quiver": quiver,
         "w": w,
-        "params": draw(st.dictionaries(st.sampled_from(units), image, max_size=2)) if units else None,
-        "higgs": draw(st.dictionaries(st.sampled_from([f"x({u})" for u in units]), image, max_size=2)) if units else None,
+        "params": params,
+        "higgs": draw(st.dictionaries(st.sampled_from(named), image, max_size=2)) if named else None,
         "limit": draw(st.sampled_from([None, "q1", "q2"])),
         "max_deg": draw(st.integers(0, 2)) if quiver in ("A0hat", "Arhat(2)") else None,
         "command": draw(st.sampled_from(COMMANDS)),

@@ -1,5 +1,10 @@
-import pytest
+import itertools
+import json
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from qqkit.cli import main
 from qqkit.coefficient import Coefficient, s_function
 from qqkit.errors import ValidationError
 from qqkit.monomial import MU, Monomial, Q, Q1, Q2, qfrak, xparam
@@ -62,8 +67,6 @@ def test_cartan_arhat3_determinant():
     mat = _deformed_cartan(builtin_quiver("Arhat(3)"))
     det = Coefficient.zero()
     # Leibniz expansion over S_3
-    import itertools
-
     for perm in itertools.permutations(range(3)):
         sign = 1
         seen = list(perm)
@@ -93,6 +96,90 @@ def test_classical_cartan_and_classification():
     wild = Quiver(("1", "2"), {"1": 1, "2": 1},
                   (("1", "2", 0), ("1", "2", 0), ("1", "2", 0)))
     assert classify(wild)[0] is QuiverClass.INDEFINITE
+
+
+def _simple(nodes, edges, d=None):
+    """A quiver with massless edges (a, b) and decorations ``d`` (1 by default)."""
+    return Quiver(tuple(nodes), {i: (d or {}).get(i, 1) for i in nodes}, tuple((a, b, 0) for a, b in edges))
+
+
+def _k4(prefix):
+    nodes = [f"{prefix}{k}" for k in range(4)]
+    return nodes, [(a, b) for k, a in enumerate(nodes) for b in nodes[k + 1:]]
+
+
+(_A, _AE), (_B, _BE) = _k4("a"), _k4("b")
+# a positive or zero determinant, but a component (or the whole) of indefinite type
+INDEFINITE_BY_COMPONENT = {
+    "two-k4": (_simple(_A + _B, _AE + _BE), 729),
+    "joined-k4": (_simple(_A + _B, _AE + _BE + [("a3", "b0")]), 729),
+    "joined-stars": (
+        _simple(
+            ["c", "m", "e"] + [f"c{k}" for k in range(5)] + [f"e{k}" for k in range(5)],
+            [("c", "m"), ("m", "e")] + [("c", f"c{k}") for k in range(5)] + [("e", f"e{k}") for k in range(5)],
+        ),
+        1536,
+    ),
+    "d32-beside-kronecker": (_simple("0123", [("0", "1"), ("2", "3"), ("2", "3")], {"0": 3, "1": 2}), 0),
+}
+
+
+@pytest.mark.parametrize("Q_, det", list(INDEFINITE_BY_COMPONENT.values()), ids=list(INDEFINITE_BY_COMPONENT))
+def test_a_component_of_indefinite_type_makes_the_quiver_indefinite(Q_, det, capsys):
+    assert classify(Q_) == (QuiverClass.INDEFINITE, det)
+    assert main(["expand", "--quiver", json.dumps(Q_.to_json()), "--w", json.dumps({Q_.nodes[0]: 1})]) == 2
+    assert capsys.readouterr().err == "validation error: indefinite quivers are not supported\n"
+
+
+def _det(m):
+    """Laplace expansion along the first row."""
+    if not m:
+        return 1
+    return sum((-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:] for row in m[1:]]) for j in range(len(m)))
+
+
+def _class_by_all_principal_minors(Q_):
+    """Kac's definition on each connected component of the underlying graph."""
+    m = classical_cartan(Q_)
+    idx = {v: k for k, v in enumerate(Q_.nodes)}
+    root = list(range(len(m)))
+
+    def find(k):
+        while root[k] != k:
+            k = root[k]
+        return k
+
+    for a, b, _ in Q_.edges:
+        root[find(idx[a])] = find(idx[b])
+    classes = set()
+    for comp in {tuple(k for k in range(len(m)) if find(k) == r) for r in map(find, range(len(m)))}:
+        subsets = [s for size in range(1, len(comp) + 1) for s in itertools.combinations(comp, size)]
+        minors = {s: _det([[m[i][j] for j in s] for i in s]) for s in subsets}
+        if all(v > 0 for v in minors.values()):
+            classes.add(QuiverClass.FINITE)
+        elif minors[comp] == 0 and all(v > 0 for s, v in minors.items() if s != comp):
+            classes.add(QuiverClass.AFFINE)
+        else:
+            classes.add(QuiverClass.INDEFINITE)
+    for c in (QuiverClass.INDEFINITE, QuiverClass.AFFINE, QuiverClass.FINITE):
+        if c in classes:
+            return c, _det(m)
+
+
+@st.composite
+def small_quivers(draw):
+    n = draw(st.integers(1, 5))
+    nodes = [str(k) for k in range(n)]
+    d = {i: draw(st.sampled_from([1, 2, 3])) for i in nodes}
+    pairs = draw(st.lists(st.tuples(st.sampled_from(nodes), st.sampled_from(nodes)), max_size=7))
+    # a loop is a cycle, so it may (and must) carry a mass
+    return Quiver(tuple(nodes), d, tuple((a, b, int(a == b)) for a, b in pairs))
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_quivers())
+def test_classification_matches_kac_on_all_principal_minors(Q_):
+    assert classify(Q_) == _class_by_all_principal_minors(Q_)
 
 
 MU2_LOOP = Quiver(("0",), {"0": 1}, (("0", "0", 2),), name="mu^2 loop")

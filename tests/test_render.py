@@ -167,6 +167,18 @@ def test_coeff_latex():
     assert coeff_latex(s_function(Q1**-1)) == "\\mathscr{S}\\qty(q_1^{-1})"
     assert coeff_latex(s_r(2, Q1**-1)) == "\\mathscr{S}_{2}\\qty(q_1^{-1})"
     assert coeff_latex(Coefficient.from_monomial(Monomial.unit(), -2)) == "-2"
+    x, names = xparam("1", 1), {"x(1,1)": "x"}
+    assert coeff_latex(-s_function(Q1**-1)) == "- \\mathscr{S}\\qty(q_1^{-1})"
+    # binomials that no S_r(z) peels: a numerator alone, or a fraction
+    assert coeff_latex(Coefficient.factored(1, Monomial.unit(), [(x, 1)]), names) == "(1 - x)^{1}"
+    assert coeff_latex(Coefficient.factored(3, Q1, [(x, -1)]), names) == "3 q_1 \\frac{1}{(1 - x)^{1}}"
+    assert (
+        coeff_latex(Coefficient.factored(1, Monomial.unit(), [(x, 2), (x * Q1, -1)]), names)
+        == "\\frac{(1 - x)^{2}}{(1 - q_1 x)^{1}}"
+    )
+    # general values
+    assert coeff_latex(Coefficient.general({Q1: 2, Q2: 1}, ())) == "2 q_1 + q_2"
+    assert coeff_latex(Coefficient.general({Q1: 1, Q2: 1}, [(x, 1)]), names) == "\\frac{q_1 + q_2}{(1 - x)^{1}}"
 
 
 def test_character_latex_golden():
