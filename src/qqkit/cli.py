@@ -44,7 +44,7 @@ def make_parser() -> argparse.ArgumentParser:
         sub.add_argument("--w", required=True, help='weight vector, e.g. \'{"1": 2}\'')
         sub.add_argument("--params", help='weight parameters, e.g. \'{"1,2": "x(1,1)*q1"}\'')
         sub.add_argument("--max-deg", type=int, default=None)
-        sub.add_argument("--format", default="text", choices=FORMATS)
+        sub.add_argument("--format", choices=FORMATS)  # no default here: Job.parse picks it by command
         sub.add_argument("--out")
         if name in ("higgs", "limit", "hasse"):
             sub.add_argument("--higgs", help="substitution JSON")

@@ -79,7 +79,7 @@ def _unit(key) -> tuple[str, int]:
 
 @dataclass(frozen=True)
 class Job:
-    """A parsed job; build it with ``Job.parse``.  ``format`` is "dot" for hasse."""
+    """A parsed job; build it with ``Job.parse``.  ``format`` is "dot" for hasse, which takes no other."""
 
     quiver: Quiver
     weights: WeightConfig
@@ -95,7 +95,7 @@ class Job:
         if not isinstance(spec, Mapping):
             raise ValidationError(f"a job must be a JSON object, got {type(spec).__name__}")
         command = _get(spec, "command", COMMANDS, "expand")
-        fmt = _get(spec, "format", FORMATS, "text")
+        fmt = _get(spec, "format", FORMATS, "dot" if command == "hasse" else "text")
         limit = _get(spec, "limit", ("q1", "q2"))
         max_deg = spec.get("max_deg")
         if max_deg is not None and require_int(max_deg, "max_deg") < 0:
@@ -116,7 +116,8 @@ class Job:
             raise ValidationError("affine-expand takes no higgs or limit")
         if command == "affine-expand" and max_deg is None:
             raise ValidationError("affine expansion requires a counting-degree cutoff")
-        fmt = "dot" if command == "hasse" else fmt
+        if command == "hasse" and fmt != "dot":
+            raise ValidationError(f"hasse draws the reflection graph and prints only format dot, got {fmt!r}")
         if limit and fmt == "dot":
             raise ValidationError("a classical limit has no reflection graph to draw (hasse, dot)")
         if command == "affine-expand" and fmt == "dot":

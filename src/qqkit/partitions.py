@@ -214,14 +214,35 @@ def _colored_counting(lam: Partition, node: int, r: int, node_names: Sequence[st
 
 
 def _tuples_of_total(count: int, total: int) -> Iterator[tuple[Partition, ...]]:
+    """Every count-tuple of partitions whose sizes add up to total.
+
+    They come in the order of (k_1, lambda_1, k_2, lambda_2, ...): sizes
+    rising, each size's partitions in ``partitions_of`` order, and the last
+    partition of the size that is left.  A stack of choices, one per
+    position, stands in for recursion, so count is not bounded by its limit.
+    """
     if count == 0:
         if total == 0:
             yield ()
         return
-    for k in range(total + 1):
-        for lam in partitions_of(k):
-            for rest in _tuples_of_total(count - 1, total - k):
-                yield (lam,) + rest
+
+    def choices(left: int, last: bool):
+        """(partition, size left after it) for one position."""
+        return ((lam, left - k) for k in ([left] if last else range(left + 1)) for lam in partitions_of(k))
+
+    head: list[Partition] = []
+    stack = [choices(total, count == 1)]
+    while stack:
+        choice = next(stack[-1], None)
+        if choice is None:
+            stack.pop()
+            if head:
+                head.pop()
+        elif len(head) == count - 1 or not choice[1]:  # with nothing left, the rest are empty
+            yield (*head, choice[0], *partitions_of(0) * (count - 1 - len(head)))
+        else:
+            head.append(choice[0])
+            stack.append(choices(choice[1], len(head) == count - 1))
 
 
 def _cycle_nodes(Q_: Quiver) -> list[str]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from math import gcd
+from math import gcd, prod
 from typing import Mapping
 
 from .coefficient import Coefficient, s_function
@@ -72,9 +72,9 @@ class Quiver:
     def classification(self) -> tuple[QuiverClass, int]:
         """Class and determinant of the classical Cartan matrix (see ``classify``)."""
         cartan = classical_cartan(self)
-        classes = {_component_class(cartan, component) for component in _components(cartan)}
+        classes, dets = zip(*(_component_class(cartan, component) for component in _components(cartan)))
         qclass = next(c for c in (QuiverClass.INDEFINITE, QuiverClass.AFFINE, QuiverClass.FINITE) if c in classes)
-        return qclass, _int_det(cartan)
+        return qclass, prod(dets)
 
     @cached_property
     def node_scalars(self) -> dict[str, Coefficient]:
@@ -92,22 +92,26 @@ class Quiver:
         return scalars
 
     def _has_cycle(self) -> bool:
-        adj: dict[str, list[str]] = {i: [] for i in self.nodes}
+        """Whether the quiver has a directed cycle (a loop is one).
+
+        Nodes that no remaining edge enters are dropped until none is left
+        to drop: a cycle exists iff some nodes remain.  No recursion, so a
+        long path is no deeper than a short one.
+        """
+        incoming = dict.fromkeys(self.nodes, 0)
+        targets: dict[str, list[str]] = {i: [] for i in self.nodes}
         for a, b, _ in self.edges:
-            if a == b:
-                return True
-            adj[a].append(b)
-        state: dict[str, int] = {}
-
-        def visit(v: str) -> bool:
-            state[v] = 1
-            for w in adj[v]:
-                if state.get(w) == 1 or (state.get(w) is None and visit(w)):
-                    return True
-            state[v] = 2
-            return False
-
-        return any(state.get(v) is None and visit(v) for v in self.nodes)
+            incoming[b] += 1
+            targets[a].append(b)
+        free = [i for i in self.nodes if not incoming[i]]
+        dropped = 0
+        while free:
+            dropped += 1
+            for b in targets[free.pop()]:
+                incoming[b] -= 1
+                if not incoming[b]:
+                    free.append(b)
+        return dropped < len(self.nodes)
 
     def dij(self, i: str, j: str) -> int:
         return gcd(self.d[i], self.d[j])
@@ -163,28 +167,6 @@ def classical_cartan(Q_: Quiver) -> list[list[int]]:
     return out
 
 
-def _int_det(m: list[list[int]]) -> int:
-    """Fraction-free (Bareiss) determinant."""
-    a = [row[:] for row in m]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k]:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 def _components(m: list[list[int]]) -> list[list[int]]:
     """The index sets of the connected components of the graph of m's off-diagonal entries."""
     seen: set[int] = set()
@@ -203,26 +185,36 @@ def _components(m: list[list[int]]) -> list[list[int]]:
     return out
 
 
-def _component_class(m: list[list[int]], component: list[int]) -> QuiverClass:
-    """Kac's criterion on the principal submatrix of one connected component.
+def _component_class(m: list[list[int]], component: list[int]) -> tuple[QuiverClass, int]:
+    """Kac's class and the determinant of one connected component's principal submatrix.
 
     The matrix is symmetrizable (entry [j][i] over d_i is symmetric), so by
     Sylvester its leading principal minors decide: all n positive is finite,
     the first n - 1 positive and the last 0 is affine, anything else is
-    indefinite.  One fraction-free elimination without row swaps yields them
-    as its pivots, and stops at the first that is not positive.
+    indefinite.  One fraction-free (Bareiss) elimination yields them as its
+    pivots.  A zero pivot before the last swaps in a later row, which flips
+    the determinant's sign; the component is indefinite by then, so no
+    pivot read as a minor comes after a swap.  The determinant is the
+    signed last pivot, or 0 when no row is left to swap in.
     """
     a = [[m[i][j] for j in component] for i in component]
     n = len(a)
-    prev = 1
-    for k in range(n):
-        if a[k][k] <= 0:
-            return QuiverClass.AFFINE if k == n - 1 and a[k][k] == 0 else QuiverClass.INDEFINITE
+    sign, prev, indefinite = 1, 1, False
+    for k in range(n - 1):
+        indefinite = indefinite or a[k][k] <= 0
+        if a[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if a[r][k]), None)
+            if swap is None:
+                return QuiverClass.INDEFINITE, 0
+            a[k], a[swap], sign = a[swap], a[k], -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
-    return QuiverClass.FINITE
+    det = sign * a[n - 1][n - 1]
+    if indefinite or det < 0:
+        return QuiverClass.INDEFINITE, det
+    return (QuiverClass.FINITE if det > 0 else QuiverClass.AFFINE), det
 
 
 def classify(Q_: Quiver) -> tuple[QuiverClass, int]:
@@ -230,7 +222,9 @@ def classify(Q_: Quiver) -> tuple[QuiverClass, int]:
 
     Each connected component is finite, affine or indefinite by Kac's
     criterion (``_component_class``).  The quiver is indefinite if any
-    component is, else affine if any is, else finite.  Two disjoint K4
+    component is, else affine if any is, else finite.  The matrix is
+    block-diagonal by component up to a simultaneous permutation, so its
+    determinant is the product of theirs.  Two disjoint K4
     quivers, each with determinant -27, are indefinite although their
     determinant 729 is positive.
     """

@@ -198,11 +198,11 @@ class _Latex:
             return "0"
         if c.is_one:
             return "1"
-        if c.kind == "general":
-            num = " + ".join(
-                (f"{k} " if k != 1 else "") + self.monomial(m)
-                for m, k in sorted(c.num.items(), key=lambda t: t[0].sort_key())
-            )
+        if c.kind == "general":  # a signed sum: a unit monomial is its integer; a coefficient 1 or -1 is dropped
+            num = ""
+            for m, k in sorted(c.num.items(), key=lambda t: t[0].sort_key()):
+                term = str(abs(k)) if m.is_unit else (f"{abs(k)} " if abs(k) != 1 else "") + self.monomial(m)
+                num = f"{num} {'-' if k < 0 else '+'} {term}" if num else ("-" if k < 0 else "") + term
             den = " ".join(f"(1 - {self.monomial(a)})^{{{p}}}" for a, p in c.den)
             return f"\\frac{{{num}}}{{{den}}}" if den else num
         integer, unit, sprod, leftover = s_decompose(c, self.table)

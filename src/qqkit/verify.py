@@ -233,9 +233,9 @@ def _check_affine_oracle(fx: dict):
 
 
 BURGE_MAX_SIZE = 12  # the sweep time grows about 1.6-fold with each unit of max_size
-# the sweep runs r^2 colourings: at max_size 12, r = 14 takes 23.9 s through the CLI,
-# which streams its rows and peaks at 24 MB (r = 3: 1.4 s, r = 12: 20.5 s), one run
-# each on a 2-core host with Python 3.11
+# the sweep writes r^2 colourings but weighs only r colour offsets: at max_size 12,
+# r = 14 takes 4.1 to 4.6 s through the CLI, which streams its rows and peaks at
+# 24 MB (r = 3: 0.7 s, r = 12: 3.9 s), two runs each on a 2-core host with Python 3.11
 BURGE_MAX_R = 14
 
 
@@ -249,9 +249,9 @@ def burge_rows(r: int, i_values, j_values, max_size: int):
     vanishing happens exactly when the colour residue (i + j - 1 - (na - nb))
     mod r is zero and the filter rejects the pair.  Vanishing is decided from
     the S-values of Z (``product_vanishes``), which are computed once per pair
-    and colouring.  r is capped at BURGE_MAX_R and max_size at BURGE_MAX_SIZE;
-    the bounds, and i <= 0 and j >= 1 for every resonance, are checked at the
-    call, before the first row is made.
+    and colour offset (na - nb) mod r.  r is capped at BURGE_MAX_R and
+    max_size at BURGE_MAX_SIZE; the bounds, and i <= 0 and j >= 1 for every
+    resonance, are checked at the call, before the first row is made.
     """
     if r < 1 or max_size < 0:
         raise ValidationError("burge check needs r >= 1 and max_size >= 0")
@@ -265,21 +265,32 @@ def burge_rows(r: int, i_values, j_values, max_size: int):
 
 
 def _burge_sweep(r: int, i_values, j_values, max_size: int):
+    """The rows in (na, nb, resonance, pair) order.
+
+    Whether a pair is admitted depends on the resonance alone, and the
+    weight of a colouring on its offset delta = (na - nb) mod r alone
+    (``z_s_values`` reads only n_alpha - n_beta mod r).  So each filter runs
+    once per resonance and pair, and each vanishing test once per delta,
+    resonance and pair, when the first colouring with that delta comes up.
+    """
     xa, xb = Monomial.gen("xa"), Monomial.gen("xb")
     pool = partitions_up_to(max_size)
     pairs = [(la, lb) for la, lb in product(pool, pool) if la.size + lb.size <= max_size]
     resonances = [(i, j, Substitution(burge_resonance_sigma(i, j, "xa", "xb"))) for i, j in product(i_values, j_values)]
+    admitted = {(i, j): [burge_filter(la, lb, i, j) for la, lb in pairs] for i, j, _ in resonances}
+    vanishing: dict[int, dict[tuple[int, int], list[bool]]] = {}
     for na, nb in product(range(r), range(r)):
-        weights = [z_s_values([la, lb], [xa, xb], r, nodes=[na, nb]) for la, lb in pairs]
-        for i, j, sub in resonances:
-            residue_ok = (i + j - 1 - (na - nb)) % r == 0
-            for (la, lb), values in zip(pairs, weights):
-                vanishes = product_vanishes(values, sub)
-                admitted = burge_filter(la, lb, i, j)
+        delta = (na - nb) % r
+        if delta not in vanishing:
+            weights = [z_s_values([la, lb], [xa, xb], r, nodes=[delta, 0]) for la, lb in pairs]
+            vanishing[delta] = {(i, j): [product_vanishes(v, sub) for v in weights] for i, j, sub in resonances}
+        for i, j, _ in resonances:
+            residue_ok = (i + j - 1 - delta) % r == 0
+            for (la, lb), vanishes, adm in zip(pairs, vanishing[delta][i, j], admitted[i, j]):
                 yield {
                     "nodes": [na, nb], "i": i, "j": j, "a": la.parts, "b": lb.parts,
-                    "vanishes": vanishes, "admitted": admitted,
-                    "ok": vanishes == (residue_ok and not admitted),
+                    "vanishes": vanishes, "admitted": adm,
+                    "ok": vanishes == (residue_ok and not adm),
                 }
 
 

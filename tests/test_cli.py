@@ -34,6 +34,15 @@ def test_hasse_digraph(capsys):
     assert out.count(" -> ") == 1 and out.startswith("digraph")
 
 
+def test_hasse_takes_only_the_dot_format(capsys):
+    argv = ["hasse", "--quiver", "A1", "--w", '{"1": 1}']
+    assert run_cli([*argv, "--format", "dot"], capsys) == run_cli(argv, capsys)
+    for fmt in ("json", "latex", "text"):
+        code, out, err = run_cli([*argv, "--format", fmt], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"validation error: hasse draws the reflection graph and prints only format dot, got '{fmt}'\n"
+
+
 def test_json_pipeline_round_trip(capsys):
     code, out, _ = run_cli(["expand", "--quiver", "BC2", "--w", '{"1": 1}', "--format", "json"], capsys)
     assert code == 0
@@ -294,6 +303,18 @@ def test_inline_quiver_json(capsys):
     code, out, _ = run_cli(["expand", "--quiver", spec, "--w", '{"1": 1}', "--format", "json"], capsys)
     assert code == 0
     assert len(json.loads(out)["terms"]) == 2
+
+
+def test_mass_on_a_long_acyclic_path_exits_2(tmp_path, capsys):
+    # a path deeper than the recursion limit: the cycle check does not recurse
+    n = 1200
+    edges = [{"from": str(k), "to": str(k + 1)} for k in range(n - 1)]
+    edges[0]["mu"] = 1
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps({"nodes": [{"id": str(k)} for k in range(n)], "edges": edges}))
+    code, out, err = run_cli(["expand", "--quiver", f"@{path}", "--w", '{"0": 1}'], capsys)
+    assert (code, out) == (2, "")
+    assert err == "validation error: mass exponents are only allowed on cyclic quivers\n"
 
 
 def test_verify_perturbed_corpus_fails_once(tmp_path):

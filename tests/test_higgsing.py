@@ -10,6 +10,7 @@ from qqkit.errors import NonIntegerLimit, ValidationError, YCollision
 from qqkit.higgsing import (
     ClassicalCharacter,
     classical_limit,
+    classical_product,
     factorize_check,
     fold_weights,
     higgs,
@@ -19,7 +20,7 @@ from qqkit.higgsing import (
 )
 from qqkit.job import Job
 from qqkit.monomial import Monomial, Q, Q1, Q2, xparam
-from qqkit.quiver import builtin_quiver, classical_cartan
+from qqkit.quiver import Quiver, builtin_quiver, classical_cartan
 
 A1 = builtin_quiver("A1")
 A2 = builtin_quiver("A2")
@@ -153,6 +154,76 @@ def test_weyl_dimensions_of_the_fundamental_multiples():
     assert [_weyl_dimension(A2, {"1": k}) for k in range(1, 5)] == [3, 6, 10, 15]
     assert [_weyl_dimension(BC2, {"1": k}) for k in range(1, 4)] == [5, 14, 30]
     assert [_weyl_dimension(BC2, {"2": k}) for k in range(1, 4)] == [4, 10, 20]
+
+
+def _quiver(name, d, edges):
+    return Quiver(tuple(d), d, tuple((a, b, 0) for a, b in edges), name=name)
+
+
+T_QUIVERS = {
+    "A1": A1,
+    "A2": A2,
+    "A3": _quiver("A3", dict.fromkeys("123", 1), [("1", "2"), ("3", "2")]),
+    "A3-path": _quiver("A3-path", dict.fromkeys("123", 1), [("1", "2"), ("2", "3")]),
+    "A4": _quiver("A4", dict.fromkeys("1234", 1), [("2", "1"), ("2", "3"), ("4", "3")]),
+    "BC2": BC2,
+}
+
+
+def _kr_limit(Q_, node, k, base, m):
+    """W^{(node)}_k(base): the classical limit, in the other direction, of the character at the
+    q_m ladder of length k from base.  W_0 is 1."""
+    ladder = kr_params(Q_, node, k, m, base=base)
+    wc = WeightConfig.make(Q_, {node: k}, {(node, t + 1): p for t, p in enumerate(ladder)})
+    return classical_limit(expand(Q_, wc), "q2" if m == 1 else "q1")
+
+
+def _t_system_product(Q_, i, k, x, m):
+    """The factors of the T-system's second term at node i."""
+    q = Q1 if m == 1 else Q2
+    if Q_.name == "BC2" and i == "1":  # d = 2
+        return [_kr_limit(Q_, "2", 2 * k, x, m)]
+    if Q_.name == "BC2":  # d = 1
+        return [_kr_limit(Q_, "1", (k + 1) // 2, x * q, m), _kr_limit(Q_, "1", k // 2, x * q**2, m)]
+    # simply laced: each neighbour j at x q^e, with e = 0 where i is the edge's source and 1 where it is the target
+    return [_kr_limit(Q_, b if a == i else a, k, x * q ** int(a != i), m) for a, b, _ in Q_.edges if i in (a, b)]
+
+
+def _integer_sum(a, b):
+    out = dict(a)
+    for ym, c in b.items():
+        out[ym] = out.get(ym, 0) + c
+    return {ym: c for ym, c in out.items() if c}
+
+
+# quiver, node, ladder direction m (2: the q2 ladder with q1 -> 1, the mirror at d = 1 nodes), k_max
+T_SYSTEM = [
+    *(("A1", "1", m, 4) for m in (1, 2)),
+    *(("A2", i, m, 3) for i in "12" for m in (1, 2)),
+    *((quiver, i, m, 2) for quiver in ("A3", "A3-path") for i in "123" for m in (1, 2)),
+    *(("A4", i, 1, 2) for i in "1234"),
+    ("BC2", "1", 1, 2),
+    ("BC2", "2", 1, 3),
+]
+
+
+@pytest.mark.parametrize("quiver, node, m, k_max", T_SYSTEM, ids=[f"{q}-{i}-q{m}" for q, i, m, _ in T_SYSTEM])
+def test_higgsed_ladders_satisfy_the_t_system(quiver, node, m, k_max):
+    """W_k(x) W_k(x s) = W_{k+1}(x) W_{k-1}(x s) + the product of ``_t_system_product``, s = q_m^{d_i}.
+
+    Kirillov-Reshetikhin characters obey the T-system, so their Higgsed
+    ladders must, exactly, as integer sums of Y-monomials.
+    """
+    Q_ = T_QUIVERS[quiver]
+    x = Monomial.gen("x")
+    s = (Q1 if m == 1 else Q2) ** Q_.d[node]
+    for k in range(1, k_max + 1):
+        lhs = classical_product([_kr_limit(Q_, node, k, x, m), _kr_limit(Q_, node, k, x * s, m)])
+        rhs = _integer_sum(
+            classical_product([_kr_limit(Q_, node, k + 1, x, m), _kr_limit(Q_, node, k - 1, x * s, m)]),
+            classical_product(_t_system_product(Q_, node, k, x, m)),
+        )
+        assert lhs == rhs, k
 
 
 def test_q1_q2_symmetry_of_simply_laced_ladders():

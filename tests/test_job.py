@@ -85,6 +85,7 @@ MALFORMED = {
     "job-negative-max-deg": (["run", JOB], {"quiver": "A1", "w": {"1": 1}, "max_deg": -1}),
     "job-out-not-a-file-name": (["run", JOB], {"quiver": "A1", "w": {"1": 1}, "out": 3}),
     "job-hasse-after-limit": (["run", JOB], {"quiver": "A1", "w": {"1": 1}, "command": "hasse", "limit": "q1"}),
+    "job-hasse-as-text": (["run", JOB], {"quiver": "A1", "w": {"1": 1}, "command": "hasse", "format": "text"}),
     "job-affine-expand-as-dot": (
         ["run", JOB], {"quiver": "A0hat", "w": {"0": 2}, "command": "affine-expand", "max_deg": 2, "format": "dot"}
     ),
@@ -232,7 +233,7 @@ def _higgs_jobs(draw):
     job = draw(_valid_jobs())
     command = draw(st.sampled_from(["higgs", "limit", "hasse"]))
     limit = None if command == "hasse" else job["limit"] or ("q1" if command == "limit" else None)
-    return {**job, "command": command, "limit": limit, "format": "json"}
+    return {**job, "command": command, "limit": limit, "format": "dot" if command == "hasse" else "json"}
 
 
 # every builtin family; affine ones expand under a cutoff

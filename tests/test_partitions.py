@@ -10,6 +10,7 @@ from qqkit.errors import InvalidPit, QQError, ValidationError
 from qqkit.monomial import MU, Monomial, Q1, Q2, Q3, Q4
 from qqkit.partitions import (
     Partition,
+    _tuples_of_total,
     affine_character,
     burge_filter,
     burge_resonance_sigma,
@@ -246,6 +247,58 @@ def test_burge_rows_r3():
     rows = list(burge_rows(3, [0, -1, -2], [1, 2, 3], 4))
     assert len(rows) == 3078
     assert all(row["ok"] for row in rows)
+
+
+def _burge_rows_per_colouring(r, i_values, j_values, max_size):
+    """The Burge sweep with every filter and weight computed anew for each colouring."""
+    xa, xb = Monomial.gen("xa"), Monomial.gen("xb")
+    pool = partitions_up_to(max_size)
+    pairs = [(la, lb) for la, lb in itertools.product(pool, pool) if la.size + lb.size <= max_size]
+    for na, nb in itertools.product(range(r), range(r)):
+        for i, j in itertools.product(i_values, j_values):
+            sub = Substitution(burge_resonance_sigma(i, j, "xa", "xb"))
+            residue_ok = (i + j - 1 - (na - nb)) % r == 0
+            for la, lb in pairs:
+                vanishes = product_vanishes(z_s_values([la, lb], [xa, xb], r, nodes=[na, nb]), sub)
+                admitted = burge_filter(la, lb, i, j)
+                yield {
+                    "nodes": [na, nb], "i": i, "j": j, "a": la.parts, "b": lb.parts,
+                    "vanishes": vanishes, "admitted": admitted, "ok": vanishes == (residue_ok and not admitted),
+                }
+
+
+@pytest.mark.parametrize(
+    "r, i_values, j_values, max_size",
+    [(1, [0, -1], [1, 2], 5), (2, [0, -1], [1, 2], 4), (3, [0], [1, 3], 5), (4, [-1, 0], [2], 4)],
+)
+def test_burge_rows_match_a_sweep_per_colouring(r, i_values, j_values, max_size):
+    assert list(burge_rows(r, i_values, j_values, max_size)) == list(
+        _burge_rows_per_colouring(r, i_values, j_values, max_size)
+    )
+
+
+def _tuples_by_recursion(count, total):
+    if count == 0:
+        if total == 0:
+            yield ()
+        return
+    for k in range(total + 1):
+        for lam in partitions_of(k):
+            for rest in _tuples_by_recursion(count - 1, total - k):
+                yield (lam,) + rest
+
+
+def test_tuples_of_total_match_the_recursive_order():
+    for count in range(4):
+        for total in range(5):
+            assert list(_tuples_of_total(count, total)) == list(_tuples_by_recursion(count, total)), (count, total)
+
+
+def test_tuples_of_total_reach_past_the_recursion_limit():
+    tuples = list(_tuples_of_total(1200, 1))
+    assert len(tuples) == 1200
+    assert tuples[0] == (Partition(),) * 1199 + (Partition((1,)),)
+    assert tuples[-1] == (Partition((1,)),) + (Partition(),) * 1199
 
 
 def test_pit_r3():

@@ -179,6 +179,12 @@ def test_coeff_latex():
     # general values
     assert coeff_latex(Coefficient.general({Q1: 2, Q2: 1}, ())) == "2 q_1 + q_2"
     assert coeff_latex(Coefficient.general({Q1: 1, Q2: 1}, [(x, 1)]), names) == "\\frac{q_1 + q_2}{(1 - x)^{1}}"
+    # a signed sum: a unit monomial prints as its integer, and a factor 1 or -1 is dropped
+    assert (
+        coeff_latex(s_function(Q1**-1) + Coefficient.one())
+        == "\\frac{2 + q_1 - q_1 q_2 - 2 q_1^{2} q_2}{(1 - q_1^{2} q_2)^{1}}"
+    )
+    assert coeff_latex(Coefficient.general({Q1: -1, Monomial.unit(): -3}, ())) == "-3 - q_1"
 
 
 def test_character_latex_golden():
