@@ -172,6 +172,36 @@ def test_degenerate_zero_over_zero_under_two_generators_is_a_pole():
         c.specialize({"x(1,2)": xparam("1", 1), "x(1,3)": xparam("1", 1)})
 
 
+def _binomial(arg, p):
+    return Coefficient.factored(1, Monomial.unit(), [(arg, p)])
+
+
+def test_degenerate_denominators_are_named_in_argument_order():
+    # the error names the first vanishing denominator by argument, however the value was built
+    x1 = xparam("1", 1)
+    pole = "denominator factor (1 - x(1,1)*x(1,2)^-1) vanished under substitution"
+    for c in (
+        _binomial(T**2, -1) * _binomial(T, -1) * _binomial(Q1, 1),
+        _binomial(Q1, 1) * _binomial(T, -1) * _binomial(T**2, -1),
+        Coefficient.factored(1, Monomial.unit(), [(T**2, -1), (Q1, 1), (T, -1)]),
+    ):
+        with pytest.raises(PoleError) as err:
+            c.specialize(SIGMA_T)
+        assert str(err.value) == pole
+    s = xparam("1", 3) / x1
+    zeros = (
+        "0/0: factors (1 - x(1,1)*x(1,2)^-1)^1*(1 - x(1,1)*x(1,3)^-1)^-1*(1 - x(1,1)^2*x(1,2)^-2)^1"
+        "*(1 - x(1,1)^2*x(1,2)^-1*x(1,3)^-1)^-1 vanished together under substitution"
+    )
+    for c in (
+        _binomial(T, 1) * _binomial(T**2, 1) * _binomial(s, -1) * _binomial(s * T, -1),
+        _binomial(s * T, -1) * _binomial(s, -1) * _binomial(T**2, 1) * _binomial(T, 1),
+    ):
+        with pytest.raises(PoleError) as err:
+            c.specialize({"x(1,2)": x1, "x(1,3)": x1})
+        assert str(err.value) == zeros
+
+
 def test_limit_of_a_general_value_substitutes():
     c = Coefficient.factored(1, Q1, [(Q2, -1)]) + Coefficient.one()  # (q1 + 1 - q2)/(1 - q2)
     assert c.kind == "general"

@@ -187,6 +187,21 @@ def test_coeff_latex():
     assert coeff_latex(Coefficient.general({Q1: -1, Monomial.unit(): -3}, ())) == "-3 - q_1"
 
 
+def test_leftover_factors_come_in_argument_order():
+    x, y, names = xparam("1", 1), xparam("1", 2), {"x(1,1)": "x", "x(1,2)": "y"}
+
+    def binomial(a, p):
+        return Coefficient.factored(1, Monomial.unit(), [(a, p)])
+
+    built = [
+        s_function(y / x) * binomial(x, 2) * binomial(x * Q1, -1) * binomial(y, 1),
+        binomial(y, 1) * binomial(x * Q1, -1) * binomial(x, 2) * s_function(y / x),
+    ]
+    for c in built:
+        assert s_decompose(c) == (1, Monomial.unit(), [(1, y / x, 1)], ((x * Q1, -1), (x, 2), (y, 1)))
+        assert coeff_latex(c, names) == "\\mathscr{S}\\qty(\\frac{y}{x}) \\frac{(1 - x)^{2} (1 - y)^{1}}{(1 - q_1 x)^{1}}"
+
+
 def test_character_latex_golden():
     ch = expand(A1, WeightConfig.make(A1, {"1": 2}))
     golden = (
@@ -255,6 +270,24 @@ def test_character_json_round_trip():
         assert rt.quiver.nodes == ch.quiver.nodes
         if ch.wc is not None:
             assert rt.wc == ch.wc
+
+
+@pytest.mark.parametrize(
+    "quiver, w, kw",
+    [("BC2", {"1": 2, "2": 2}, {}), ("A0hat", {"0": 2}, {"max_qdeg": 5})],
+    ids=["BC2-22", "A0hat-2"],
+)
+def test_a_parsed_character_renders_as_the_original(quiver, w, kw):
+    # parsing builds every coefficient through Coefficient.factored, in the order of its JSON factors
+    Q_ = builtin_quiver(quiver)
+    ch = expand(Q_, WeightConfig.make(Q_, w), **kw)
+    data = json.loads(render(ch, "json"))
+    reversed_data = json.loads(render(ch, "json"))
+    for t in reversed_data["terms"]:
+        t["coeff"]["factors"].reverse()
+    for rt in (character_from_json(data), character_from_json(reversed_data)):
+        for fmt in ("json", "latex", "text"):
+            assert render(rt, fmt) == render(ch, fmt)
 
 
 def test_character_json_edges_index_the_terms_as_written():
