@@ -3,20 +3,24 @@
 A Coefficient is one of
 
 * Factored: integer * monomial * prod (1 - m_k)^{p_k} with canonically
-  oriented binomial arguments; zero is the factored value with integer 0
-  (and no monomial or factors), or
+  oriented binomial arguments, kept as a dict ``powers`` from each argument
+  to its nonzero power; zero is the factored value with integer 0 (and no
+  monomial or factors), or
 * General: sparse integer Laurent polynomial over a denominator that is a
   product of binomials with positive powers; it is never zero.
 
-Products of Factored values stay Factored: they merge the operands' factor
-runs, which are sorted by argument.  General only arises through
+Products of Factored values stay Factored: a product copies the larger
+operand's powers and adds the smaller one's, so it costs the length of the
+shorter operand and never sorts; a dict is never changed once it is built.
+``factors``, the pairs sorted by argument, is built on first read, for
+output and for the values that live long.  General only arises through
 addition, and a sum that reduces to a single numerator term is Factored
 again.  Binomial arguments are oriented with the identity
 (1 - m) = (-m)(1 - 1/m) so that equal rational functions always share one
 factored form: the Laurent ring has unique factorization, and Moebius
 inversion over the cyclotomic factors of 1 - m^k separates colinear
 arguments m, m^2, ....  So two values that are not General are equal
-exactly when their (integer, unit, factors) agree; this is what
+exactly when their (integer, unit, powers) agree; this is what
 makes coefficients cancel exactly along distinct reflection paths.
 
 Specialization and the classical limits q1 -> 1, q2 -> 1 are one
@@ -36,7 +40,7 @@ from functools import lru_cache
 from typing import Iterable, Mapping
 
 from .errors import NonIntegerLimit, PoleError, ValidationError
-from .monomial import Monomial, Q1, Q2, merge_runs
+from .monomial import Monomial, Q1, Q2
 
 # ---------------------------------------------------------------------------
 # sparse Laurent polynomials: dict Monomial -> int
@@ -130,12 +134,12 @@ def _orient(arg: Monomial) -> tuple[Monomial, bool]:
 
 def _arg_key(factor: tuple) -> tuple:
     """The order of factors: by the sort key of their argument."""
-    return factor[0].sort_key()
+    return factor[0]._key
 
 
-def _factor_tuple(powers: Mapping[Monomial, int]) -> tuple:
+def factor_tuple(powers: Mapping[Monomial, int]) -> tuple:
     """The (argument, power) pairs with nonzero power, in argument order."""
-    return tuple(sorted(((a, p) for a, p in powers.items() if p), key=_arg_key))
+    return tuple(sorted([(a, p) for a, p in powers.items() if p], key=_arg_key))
 
 
 def _net_power_ratio(sigma: Mapping[str, Monomial], degenerate) -> Fraction | None:
@@ -218,22 +222,34 @@ def product_vanishes(values: Iterable[Coefficient], sub: Substitution) -> bool:
         for a, p in v.factors:
             if sub[a].is_unit:
                 merged[a] = merged.get(a, 0) + p
-    degenerate = _factor_tuple(merged)
+    degenerate = factor_tuple(merged)
     return bool(degenerate) and _degenerate_integer(sub.sigma, degenerate, n) is None
+
+
+_NO_POWERS: dict[Monomial, int] = {}  # shared by every value without binomials; never changed
 
 
 class Coefficient:
     """Exact rational coefficient; immutable."""
 
-    __slots__ = ("kind", "integer", "unit", "factors", "num", "den")
+    __slots__ = ("kind", "integer", "unit", "powers", "_factors", "num", "den")
 
-    def __init__(self, kind, integer=0, unit=None, factors=(), num=None, den=()):
+    def __init__(self, kind, integer=0, unit=None, powers=_NO_POWERS, num=None, den=()):
         self.kind = kind  # "factored" | "general"
         self.integer = integer
         self.unit = unit if unit is not None else Monomial.unit()
-        self.factors = factors  # tuple[(Monomial, int)], canonical args
+        self.powers = powers  # dict canonical arg -> nonzero power; never changed
+        self._factors = None  # factor_tuple(powers), built on first read
         self.num = num  # dict Monomial -> int (general only)
         self.den = den  # tuple[(Monomial, int)], positive powers
+
+    @property
+    def factors(self) -> tuple:
+        """The (argument, power) pairs of ``powers``, sorted by argument."""
+        f = self._factors
+        if f is None:
+            f = self._factors = factor_tuple(self.powers)
+        return f
 
     # -- constructors -------------------------------------------------------
 
@@ -249,7 +265,7 @@ class Coefficient:
     def from_monomial(m: Monomial, n: int = 1) -> "Coefficient":
         if n == 0:
             return _ZERO
-        return Coefficient("factored", n, m, ())
+        return Coefficient("factored", n, m)
 
     @staticmethod
     def factored(integer: int, unit: Monomial, factors) -> "Coefficient":
@@ -269,7 +285,7 @@ class Coefficient:
                     n = -n
                 u = u * arg**p
             merged[c] = merged.get(c, 0) + p
-        return Coefficient("factored", n, u, _factor_tuple(merged))
+        return Coefficient("factored", n, u, {a: p for a, p in merged.items() if p})
 
     @staticmethod
     def general(num: dict, den) -> "Coefficient":
@@ -301,7 +317,7 @@ class Coefficient:
         if len(num) == 1:
             (mono, c), = num.items()
             return Coefficient.factored(c, mono, tuple((a, -p) for a, p in den.items()))
-        return Coefficient("general", 0, Monomial.unit(), (), num, _factor_tuple(den))
+        return Coefficient("general", 0, Monomial.unit(), _NO_POWERS, num, factor_tuple(den))
 
     # -- predicates ----------------------------------------------------------
 
@@ -315,12 +331,12 @@ class Coefficient:
             self.kind == "factored"
             and self.integer == 1
             and self.unit.is_unit
-            and not self.factors
+            and not self.powers
         )
 
     def as_integer(self) -> int:
         """The value as a plain integer, or raise NonIntegerLimit."""
-        if self.kind == "factored" and self.unit.is_unit and not self.factors:
+        if self.kind == "factored" and self.unit.is_unit and not self.powers:
             return self.integer
         raise NonIntegerLimit(f"coefficient is not an integer: {self!r}")
 
@@ -333,12 +349,18 @@ class Coefficient:
             n = self.integer * other.integer
             if n == 0:
                 return _ZERO
-            return Coefficient(
-                "factored",
-                n,
-                self.unit * other.unit,
-                merge_runs(self.factors, other.factors, _arg_key),
-            )
+            powers, short = self.powers, other.powers
+            if len(powers) < len(short):
+                powers, short = short, powers
+            if short:
+                powers = powers.copy()
+                for a, p in short.items():
+                    p += powers.get(a, 0)
+                    if p:
+                        powers[a] = p
+                    else:
+                        del powers[a]
+            return Coefficient("factored", n, self.unit * other.unit, powers)
         if self.is_zero or other.is_zero:
             return _ZERO
         na, da = self._general_parts()
@@ -366,14 +388,13 @@ class Coefficient:
                 raise ZeroDivisionError("negative power of zero coefficient")
             raise ValidationError("negative power of a non-unit coefficient")
         k = self.integer**n if n > 0 else (self.integer if n % 2 else 1)
-        # scaling the powers keeps the arguments, so the factor order holds
-        return Coefficient("factored", k, self.unit**n, tuple((a, p * n) for a, p in self.factors))
+        return Coefficient("factored", k, self.unit**n, {a: p * n for a, p in self.powers.items()})
 
     def __neg__(self) -> "Coefficient":
         if self.kind == "factored":
-            return Coefficient("factored", -self.integer, self.unit, self.factors)
+            return Coefficient("factored", -self.integer, self.unit, self.powers)
         neg = _pol_scale(self.num, Monomial.unit(), -1)
-        return Coefficient("general", 0, Monomial.unit(), (), neg, self.den)
+        return Coefficient("general", 0, Monomial.unit(), _NO_POWERS, neg, self.den)
 
     def _general_parts(self) -> tuple[dict, dict]:
         """Numerator polynomial and denominator dict of this nonzero value."""
@@ -381,6 +402,8 @@ class Coefficient:
             return dict(self.num), dict(self.den)
         num = {self.unit: self.integer}
         den: dict[Monomial, int] = {}
+        # in argument order: _reduce_general divides in the order of den, and
+        # for colinear arguments (1 - m, 1 - m^2) that order picks the form
         for a, p in self.factors:
             if p > 0:
                 num = _pol_mul(num, _pol_pow_binomial(a, p))
@@ -417,7 +440,7 @@ class Coefficient:
             return NotImplemented
         if self.kind != "general" and other.kind != "general":
             # the factored form is canonical (see the module docstring)
-            return (self.integer, self.unit, self.factors) == (other.integer, other.unit, other.factors)
+            return (self.integer, self.unit, self.powers) == (other.integer, other.unit, other.powers)
         return (self - other).is_zero
 
     def __hash__(self):
@@ -426,7 +449,7 @@ class Coefficient:
     def __repr__(self) -> str:
         if self.kind == "factored":
             parts = []
-            if self.integer != 1 or (self.unit.is_unit and not self.factors):
+            if self.integer != 1 or (self.unit.is_unit and not self.powers):
                 parts.append(str(self.integer))
             if not self.unit.is_unit:
                 parts.append(repr(self.unit))
@@ -493,7 +516,7 @@ class Coefficient:
                 raise NonIntegerLimit(f"limit slope ratio {ratio} leaves a non-integer numerator")
             return Coefficient.general({m: int(c) for m, c in out.items()}, den)
         degenerate, survivors = [], []
-        for a, p in self.factors:
+        for a, p in self.powers.items():
             a2 = sub[a]
             if a2.is_unit:
                 degenerate.append((a, p))
@@ -501,6 +524,7 @@ class Coefficient:
                 survivors.append((a2, p))
         n = self.integer
         if degenerate:
+            degenerate.sort(key=_arg_key)  # so that an error names the factors in argument order
             n = _degenerate_integer(sub.sigma, degenerate, n)
             if n is None:
                 return _ZERO
@@ -534,8 +558,8 @@ class Coefficient:
         return Coefficient.factored(n, unit, fac)
 
 
-_ZERO = Coefficient("factored", 0, Monomial.unit(), ())
-_ONE = Coefficient("factored", 1, Monomial.unit(), ())
+_ZERO = Coefficient("factored", 0)
+_ONE = Coefficient("factored", 1)
 
 
 # ---------------------------------------------------------------------------

@@ -224,7 +224,7 @@ def reflect(Q_: Quiver, t: Term, i: str, x: Monomial) -> Term | None:
         return None
     entries, scalar = a_inverse_monomial(Q_, i, x)
     child_ym = t.ym * YMonomial(entries)
-    return Term(child_ym, t.coeff * sf * scalar)
+    return Term(child_ym, t.coeff * (sf * scalar))  # the long coefficient is copied once
 
 
 def resonance_classes(wc: WeightConfig) -> list[list[tuple[str, Monomial]]]:

@@ -59,8 +59,8 @@ def merge_runs(a: tuple, b: tuple, key) -> tuple:
 
     Each item ends in a nonzero exponent; items with equal keys add their
     exponents, and a sum of 0 drops out.  Only the side that advanced
-    computes its next key.  Monomials, factored coefficients and Y-monomials
-    multiply with this merge.
+    computes its next key.  Monomials and Y-monomials multiply with this
+    merge.
     """
     if not a:
         return b

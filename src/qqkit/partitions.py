@@ -172,6 +172,8 @@ def z_s_values(
     transposes = [lam.transpose() for lam in lams]
     out = []
     for lam_a, x_a, n_a in zip(lams, xs, ns):
+        if not lam_a.parts:  # no boxes, so no S-value with any beta
+            continue
         for t_b, x_b, n_b in zip(transposes, xs, ns):
             ratio = x_b / x_a
             for s1, s2 in lam_a.boxes():

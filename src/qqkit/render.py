@@ -14,7 +14,7 @@ import json
 from collections.abc import Callable, Iterable, Iterator
 from itertools import islice
 
-from .coefficient import Coefficient, s_r
+from .coefficient import Coefficient, factor_tuple, s_r
 from .engine import Character, WeightConfig, YMonomial, qdeg_of
 from .errors import PoleError, ValidationError, require_int
 from .higgsing import ClassicalCharacter
@@ -123,7 +123,7 @@ def s_candidates(coefficients) -> dict[Monomial, list]:
     d to its candidates as (rank, r, z, d).  S-values are taken only when a
     candidate is tried, so the table adds nothing to the ``s_r`` cache.
     """
-    dens = dict.fromkeys(d for c in coefficients for d, p in c.factors if p < 0)
+    dens = dict.fromkeys(d for c in coefficients for d, p in c.powers.items() if p < 0)
     found = sorted(
         ((_mono_size(z), r, z.sort_key(), z, d) for d in dens for r in range(1, 4) for z in (d, d.inverse())),
         key=lambda t: t[:3],
@@ -152,9 +152,9 @@ def s_decompose(c: Coefficient, table: dict[Monomial, list] | None = None):
     if table is None:
         table = s_candidates([c])
     integer, unit = c.integer, c.unit
-    remaining = dict(c.factors)  # keeps the factor order: peeling only lowers powers
+    remaining = dict(c.powers)
     found = []
-    for _, r, z, d in sorted(t for d, p in c.factors if p < 0 for t in table[d]):
+    for _, r, z, d in sorted(t for d, p in remaining.items() if p < 0 for t in table[d]):
         if d not in remaining:  # its (1 - z) is peeled away, so it cannot fit
             continue
         try:
@@ -164,17 +164,17 @@ def s_decompose(c: Coefficient, table: dict[Monomial, list] | None = None):
         if s.is_zero:
             continue
         # how often every factor fits: a negative quotient means opposite signs
-        power = min(remaining.get(a, 0) // p for a, p in s.factors)
+        power = min(remaining.get(a, 0) // p for a, p in s.powers.items())
         if power <= 0:
             continue
-        for a, p in s.factors:
+        for a, p in s.powers.items():
             remaining[a] -= p * power
             if remaining[a] == 0:
                 del remaining[a]
         integer //= s.integer**power
         unit = unit / s.unit**power
         found.append((r, z, power))
-    return integer, unit, found, tuple(remaining.items())
+    return integer, unit, found, factor_tuple(remaining)  # the leftovers, sorted by argument
 
 
 class _Latex:

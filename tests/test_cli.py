@@ -84,6 +84,14 @@ def test_affine_expand_series(capsys):
     assert [blk["qdeg"] for blk in data["series"]] == [0, 1]
 
 
+def test_affine_expand_skips_the_empty_partitions_of_a_large_weight(capsys):
+    # at degree 0 every one of the 1200 partitions is empty, so the weight has no S-value
+    start = time.perf_counter()
+    code, out, _ = run_cli(["affine-expand", "--quiver", "A0hat", "--w", '{"0": 1200}', "--max-deg", "0"], capsys)
+    assert code == 0 and out.count("\n") == 1
+    assert time.perf_counter() - start < 4.0
+
+
 def test_burge_check(capsys):
     code, out, _ = run_cli(["burge-check", "--r", "1", "--i", "0", "--j", "1", "--max-size", "2"], capsys)
     assert code == 0

@@ -604,8 +604,8 @@ def _structure(c):
 
 
 @settings(max_examples=300, deadline=None)
-@given(product_specs, product_specs, st.sampled_from(["independent", "cancels", "partly cancels"]))
-def test_factored_product_matches_the_constructor(sa, sb, how):
+@given(product_specs, product_specs, product_specs, st.sampled_from(["independent", "cancels", "partly cancels"]))
+def test_factored_product_matches_the_constructor(sa, sb, sc, how):
     a = _value(sa)
     inverse = [(arg, -p) for arg, p in a.factors]
     if how == "independent":
@@ -618,6 +618,10 @@ def test_factored_product_matches_the_constructor(sa, sb, how):
     assert _structure(a * b) == _structure(ref)
     keys = [arg.sort_key() for arg, _ in (a * b).factors]
     assert keys == sorted(set(keys))
+    assert all(p for _, p in (a * b).factors)
+    assert a * b == b * a and _structure(a * b) == _structure(b * a)
+    c = _value(sc)
+    assert _structure((a * b) * c) == _structure(a * (b * c))
     if how == "cancels":
         assert not (a * b).factors and (a * b).unit.is_unit
     assert a**1 is a

@@ -320,10 +320,10 @@ def test_colored_tuple_hook_filter():
     assert len(z1.factors) >= len(z2.factors)
 
 
-def _z_by_boxes(lams, xs, r, nodes):
-    """The weight multiplied out box by box, with no S-value list: the reference."""
+def _s_values_by_all_pairs(lams, xs, r, nodes):
+    """The S-values box by box over every ordered pair, empty partitions included: the reference."""
     transposes = [lam.transpose() for lam in lams]
-    out = Coefficient.one()
+    out = []
     for lam_a, x_a, n_a in zip(lams, xs, nodes):
         for t_b, x_b, n_b in zip(transposes, xs, nodes):
             ratio = x_b / x_a
@@ -331,8 +331,30 @@ def _z_by_boxes(lams, xs, r, nodes):
                 arm = lam_a.part(s2) - s1
                 leg = t_b.part(s1) - s2
                 if (arm + leg + 1 - (n_a - n_b)) % r == 0:
-                    out = out * s_function(ratio * Q3 ** (leg + 1) * Q4 ** (-arm))
+                    out.append(s_function(ratio * Q3 ** (leg + 1) * Q4 ** (-arm)))
     return out
+
+
+def _z_by_boxes(lams, xs, r, nodes):
+    """The weight multiplied out box by box, without ``z_s_values``: the reference."""
+    out = Coefficient.one()
+    for value in _s_values_by_all_pairs(lams, xs, r, nodes):
+        out = out * value
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.sampled_from(partitions_up_to(3)) | st.just(Partition()), min_size=1, max_size=5),
+    st.integers(1, 3),
+    st.data(),
+)
+def test_z_s_values_match_the_walk_over_all_pairs(lams, r, data):
+    xs = [Monomial.gen(f"x{k}") for k in range(len(lams))]
+    nodes = data.draw(st.lists(st.integers(0, r - 1), min_size=len(lams), max_size=len(lams)))
+    got = z_s_values(lams, xs, r, nodes)
+    want = _s_values_by_all_pairs(lams, xs, r, nodes)
+    assert len(got) == len(want) and all(g == w for g, w in zip(got, want))
 
 
 def test_z_tuple_is_the_product_of_its_s_values():
