@@ -9,8 +9,8 @@ A Coefficient is one of
 * General: sparse integer Laurent polynomial over a denominator that is a
   product of binomials with positive powers; it is never zero.
 
-Products of Factored values stay Factored: a product copies the larger
-operand's powers and adds the smaller one's, so it costs the length of the
+Products of Factored values stay Factored: a product copies the longer
+operand's powers and adds the shorter one's, so it costs the length of the
 shorter operand and never sorts; a dict is never changed once it is built.
 ``factors``, the pairs sorted by argument, is built on first read, for
 output and for the values that live long.  General only arises through
@@ -317,7 +317,7 @@ class Coefficient:
         if len(num) == 1:
             (mono, c), = num.items()
             return Coefficient.factored(c, mono, tuple((a, -p) for a, p in den.items()))
-        return Coefficient("general", 0, Monomial.unit(), _NO_POWERS, num, factor_tuple(den))
+        return Coefficient("general", num=num, den=factor_tuple(den))
 
     # -- predicates ----------------------------------------------------------
 
@@ -394,7 +394,7 @@ class Coefficient:
         if self.kind == "factored":
             return Coefficient("factored", -self.integer, self.unit, self.powers)
         neg = _pol_scale(self.num, Monomial.unit(), -1)
-        return Coefficient("general", 0, Monomial.unit(), _NO_POWERS, neg, self.den)
+        return Coefficient("general", num=neg, den=self.den)
 
     def _general_parts(self) -> tuple[dict, dict]:
         """Numerator polynomial and denominator dict of this nonzero value."""
