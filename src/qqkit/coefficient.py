@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Iterable, Mapping
 
 from .errors import NonIntegerLimit, PoleError, ValidationError
@@ -303,15 +304,28 @@ class Coefficient:
 
     @staticmethod
     def _reduce_general(num: dict, den: dict) -> "Coefficient":
-        for arg in list(den):
-            while den.get(arg, 0) > 0:
-                q = _pol_divide_binomial(num, arg)
-                if q is None:
-                    break
-                num = q
-                den[arg] -= 1
-            if den.get(arg) == 0:
-                del den[arg]
+        """num / den with every denominator binomial divided out of num while it divides.
+
+        Colinear arguments m, m^2, ... share cyclotomic factors, so the order of
+        division picks the form: dividing (1 - m^2) out of 1 - m^2 leaves a
+        factored value, dividing (1 - m) first leaves (1 + m) / (1 - m^2).  So
+        each colinear family is divided from its highest power down: once
+        (1 - m^k) stops dividing, a quotient by a lower power cannot make it
+        divide again.  Binomials of different families share no factor, so
+        the order of the families does not matter, and the form depends on
+        the value's num and den alone, not on the order of den.
+        """
+        families: dict[Monomial, list[tuple[int, Monomial]]] = {}
+        for arg in den:
+            k = gcd(*(e for _, e in arg.sort_key()))
+            root = Monomial._canonical(tuple((g, e // k) for g, e in arg.sort_key()))
+            families.setdefault(root, []).append((k, arg))
+        for family in families.values():
+            for _, arg in sorted(family, reverse=True):
+                while den[arg] > 0 and (q := _pol_divide_binomial(num, arg)) is not None:
+                    num = q
+                    den[arg] -= 1
+        den = {a: p for a, p in den.items() if p}
         if not num:
             return _ZERO
         if len(num) == 1:
@@ -402,9 +416,7 @@ class Coefficient:
             return dict(self.num), dict(self.den)
         num = {self.unit: self.integer}
         den: dict[Monomial, int] = {}
-        # in argument order: _reduce_general divides in the order of den, and
-        # for colinear arguments (1 - m, 1 - m^2) that order picks the form
-        for a, p in self.factors:
+        for a, p in self.powers.items():
             if p > 0:
                 num = _pol_mul(num, _pol_pow_binomial(a, p))
             else:

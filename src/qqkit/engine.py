@@ -1,16 +1,37 @@
-"""Breadth-first reflection expansion of qq-characters.
+"""Reflection expansion of qq-characters.
 
-Starting from the highest-weight monomial, each numerator Y-symbol is
-reflected, picking up the S-factor correction from its same-node
-companions.  Children whose S-factor vanishes are dropped (no edge); a
-child reached along several paths must receive exactly the same
-coefficient, which is asserted on every merge.
+The definition is a breadth-first worklist (``_bfs``).  Starting from the
+highest-weight monomial, each numerator Y-symbol is reflected, picking up
+the S-factor correction from its same-node companions.  Children whose
+S-factor vanishes are dropped (no edge); a child reached along several
+paths must receive exactly the same coefficient, which is asserted on
+every merge.
+
+``expand`` takes one other route, fusion, for a finite quiver at generic
+weights (no two parameters resonate, ``_generic``) with at least two
+units; affine quivers, resonant weights and single units go through
+``_bfs``.  At generic weights no S-value between two units is 0 or a pole,
+so a character is the product of its units' fundamentals: each term is a
+tuple (m_1, ..., m_n) of fundamental terms, with the coefficient
+prod_k c_k(m_k) * prod_{j<k} P_jk(m_j, m_k).  The pair factor P_jk holds
+the S-factors between units j and k along a path to the tuple, and is
+computed once with unit j reflected first and once with unit k first;
+the two must agree, and ``meta["path_checks"]`` counts these comparisons
+on that route.  Terms and edges are emitted by a breadth-first walk over
+the tuples, each tuple's reflections in entry order, so the output is
+identical to ``_bfs``'s: the same terms in the same insertion order, the
+same coefficients and the same ``edges`` tuple.  Errors are ``_bfs``'s
+too: more than ``safety_bound`` terms raise its ``NonTermination`` before
+any product is built, and a fundamental or pair factor that raises sends
+the whole weights through ``_bfs``.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from math import prod
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .coefficient import Coefficient, Substitution, s_r
@@ -19,6 +40,7 @@ from .errors import (
     NonTermination,
     PathInconsistency,
     PoleError,
+    QQError,
     ValidationError,
     require_int,
 )
@@ -26,6 +48,7 @@ from .monomial import COUNTING, Monomial, Q, merge_runs, xparam
 from .quiver import Quiver, QuiverClass, a_inverse_monomial, classify
 
 SAFETY_BOUND = 10**6
+_first = itemgetter(0)
 
 
 def _entry_key(entry: tuple) -> tuple:
@@ -250,11 +273,14 @@ def expand(
     max_qdeg: int | None = None,
     safety_bound: int = SAFETY_BOUND,
 ) -> Character:
-    """Full worklist expansion; exact and deterministic.
+    """Full expansion; exact and deterministic.
 
     Finite-type quivers terminate on their own, and their terms carry no
     counting parameter, so ``max_qdeg`` cuts nothing there; affine ones
     require a counting-degree cutoff.  Indefinite quivers are rejected.
+    Generic weights of several units on a finite quiver are fused from
+    their fundamentals (see the module docstring); the result is the one
+    ``_bfs`` gives.
     """
     qclass, _ = classify(Q_)
     if qclass is QuiverClass.INDEFINITE:
@@ -262,8 +288,18 @@ def expand(
     if qclass is QuiverClass.AFFINE and max_qdeg is None:
         raise ValidationError("affine expansion requires a counting-degree cutoff")
     if qclass is QuiverClass.FINITE:
+        if len(wc.entries) > 1 and _generic(wc):
+            return _fuse(Q_, wc, safety_bound)
         max_qdeg = None
+    return _bfs(Q_, wc, max_qdeg, safety_bound)
 
+
+def _too_many_terms(safety_bound: int) -> NonTermination:
+    return NonTermination(f"expansion exceeded {safety_bound} terms")
+
+
+def _bfs(Q_: Quiver, wc: WeightConfig, max_qdeg: int | None, safety_bound: int) -> Character:
+    """The worklist expansion, which defines the character; ``expand`` checks its arguments."""
     hw = highest_weight(Q_, wc)
     terms: dict[YMonomial, Coefficient] = {hw.ym: hw.coeff}
     edges: list[tuple[YMonomial, YMonomial, tuple[str, Monomial]]] = []
@@ -296,14 +332,145 @@ def expand(
                 continue
             terms[child.ym] = child.coeff
             if len(terms) > safety_bound:
-                raise NonTermination(f"expansion exceeded {safety_bound} terms")
+                raise _too_many_terms(safety_bound)
             work.append(child)
     return Character(
         Q_,
         wc,
         terms,
         tuple(edges),
-        meta={"path_checks": path_checks, "max_qdeg": max_qdeg, "class": qclass.value},
+        meta={"path_checks": path_checks, "max_qdeg": max_qdeg, "class": classify(Q_)[0].value},
+    )
+
+
+class _Fundamental:
+    """One weight unit's own expansion, read for fusion.
+
+    Terms are numbered in ``_bfs`` order, so the highest weight is 0 and a
+    term's parent, the source of the first edge into it, has a lower
+    number; ``step[b]`` is the entry reflected on that edge, and the
+    parents' steps give term b's path.  ``out[a]`` lists term a's edges in
+    entry order as (entry key, child, entry, the Y-monomial the reflection
+    multiplies in).
+    """
+
+    __slots__ = ("yms", "coeffs", "parent", "step", "out")
+
+    def __init__(self, Q_: Quiver, unit: tuple[str, int, Monomial], safety_bound: int):
+        ch = _bfs(Q_, WeightConfig((unit,)), None, safety_bound)
+        self.yms = list(ch.terms)
+        self.coeffs = list(ch.terms.values())
+        number = {ym: a for a, ym in enumerate(self.yms)}
+        self.parent = [0] * len(self.yms)
+        self.step: list = [None] * len(self.yms)
+        self.out: list[list] = [[] for _ in self.yms]
+        for src, dst, entry in ch.edges:
+            a, b = number[src], number[dst]
+            if self.step[b] is None:
+                self.parent[b], self.step[b] = a, entry
+            delta = YMonomial(a_inverse_monomial(Q_, *entry)[0])
+            self.out[a].append((_entry_key(entry), b, entry, delta))
+
+
+def _cross(Q_: Quiver, f: _Fundamental, g: _Fundamental) -> list[list[Coefficient]]:
+    """W[a][b]: the S-factors that f's term a contributes to the reflections along g's path to b.
+
+    Each reflection of (i, x) takes S_{d_i}(y / x)^e from every entry
+    (i, y, e) of term a, as ``s_factor_coefficient`` does; a row is built
+    along the paths, one reflection per term of g.
+    """
+    out = []
+    for m in f.yms:
+        by_node: dict[str, list] = {}
+        for n, y, e in m.entries:
+            by_node.setdefault(n, []).append((y, e))
+        row = [Coefficient.one()]
+        for b in range(1, len(g.yms)):
+            i, x = g.step[b]
+            w = row[g.parent[b]]
+            for y, e in by_node.get(i, ()):
+                w = w * s_r(Q_.d[i], y / x) ** e
+            row.append(w)
+        out.append(row)
+    return out
+
+
+def _pair_factors(Q_: Quiver, fj: _Fundamental, fk: _Fundamental) -> list[list[Coefficient]]:
+    """P[a][b], the S-factors between units j and k at their terms a and b.
+
+    With j reflected first, its path meets Y_k (term 0 of k), and then k's
+    path meets term a of j; with k first, the roles swap.  Both orders
+    reach the same term, so their products must agree.
+    """
+    wjk, wkj = _cross(Q_, fj, fk), _cross(Q_, fk, fj)
+    y_k, y_j = wkj[0], wjk[0]
+    out = []
+    for a, row in enumerate(wjk):
+        j_first = [y_k[a] * w for w in row]
+        for b, p in enumerate(j_first):
+            k_first = y_j[b] * wkj[b][a]
+            if p != k_first:
+                raise PathInconsistency(f"pair factor mismatch at {fj.yms[a]!r} and {fk.yms[b]!r}: {p!r} vs {k_first!r}")
+        out.append(j_first)
+    return out
+
+
+def _fuse(Q_: Quiver, wc: WeightConfig, safety_bound: int) -> Character:
+    """The character of generic weights of several units on a finite quiver, from its fundamentals."""
+    try:
+        units = [_Fundamental(Q_, unit, safety_bound) for unit in wc.entries]
+    except QQError:
+        return _bfs(Q_, wc, None, safety_bound)
+    if prod(len(f.yms) for f in units) > safety_bound:
+        raise _too_many_terms(safety_bound)
+    n = len(units)
+    try:
+        pairs = {(j, k): _pair_factors(Q_, units[j], units[k]) for k in range(n) for j in range(k)}
+    except QQError:
+        return _bfs(Q_, wc, None, safety_bound)
+    path_checks = sum(len(units[j].yms) * len(units[k].yms) for j, k in pairs)  # one per pair of terms
+
+    prefixes: dict[tuple[int, ...], Coefficient] = {}
+
+    def coefficient(t: tuple[int, ...], k: int) -> Coefficient:
+        """The coefficient of units 0..k-1 at t[:k]; the short factors are multiplied first."""
+        part = units[k - 1].coeffs[t[k - 1]]
+        for j in range(k - 1):
+            part = part * pairs[j, k - 1][t[j]][t[k - 1]]
+        if k == 1:
+            return part
+        head = prefixes.get(t[: k - 1])
+        if head is None:
+            head = prefixes[t[: k - 1]] = coefficient(t, k - 1)
+        return head * part
+
+    start = (0,) * n
+    hw = highest_weight(Q_, wc).ym
+    ym_of = {start: hw}
+    terms: dict[YMonomial, Coefficient] = {hw: coefficient(start, n)}
+    edges: list[tuple[YMonomial, YMonomial, tuple[str, Monomial]]] = []
+    work = deque([start])
+    while work:
+        t = work.popleft()
+        ym = ym_of[t]
+        out = sorted(
+            ((key, k, b, entry, delta) for k in range(n) for key, b, entry, delta in units[k].out[t[k]]),
+            key=_first,
+        )
+        for _, k, b, entry, delta in out:
+            child = t[:k] + (b,) + t[k + 1 :]
+            child_ym = ym_of.get(child)
+            if child_ym is None:
+                child_ym = ym_of[child] = ym * delta
+                terms[child_ym] = coefficient(child, n)
+                work.append(child)
+            edges.append((ym, child_ym, entry))
+    return Character(
+        Q_,
+        wc,
+        terms,
+        tuple(edges),
+        meta={"path_checks": path_checks, "max_qdeg": None, "class": QuiverClass.FINITE.value},
     )
 
 

@@ -40,6 +40,8 @@ STARS = _quiver(
 )
 # a finite pair (d = 3, 2) beside a Kronecker pair
 KRONECKER = _quiver(["0", "1", "2", "3"], [("0", "1"), ("2", "3"), ("2", "3")], {"0": 3, "1": 2})
+# D4 with the trivalent node 2
+D4 = _quiver(["1", "2", "3", "4"], [("2", "1"), ("2", "3"), ("2", "4")])
 
 
 def _job(command, quiver, w, *flags):
@@ -88,6 +90,11 @@ JOBS = [
     _job("expand", JOINED_K4, {"a0": 1}),
     _job("expand", STARS, {"c": 1}),
     _job("expand", KRONECKER, {"0": 1}, "--max-deg", "1"),
+    # generic weights of several units, and the error of a unit whose own expansion fails
+    _job("expand", D4, {"1": 1, "2": 1}),
+    *(_job("expand", "BC2", {"1": 2, "2": 2}, "--format", f) for f in ("json", "dot")),
+    # a sigma across nodes is no ladder: the generic character is expanded, then Higgsed
+    _job("higgs", "A2", {"1": 2, "2": 1}, "--higgs", '{"x(2,1)": "x(1,1)*q1"}', "--format", "json"),
 ]
 
 

@@ -1,12 +1,15 @@
+import json
 import random
+from itertools import permutations
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from qqkit.coefficient import Coefficient, Substitution, _orient, s_function, s_product, s_r
+from qqkit.coefficient import Coefficient, Substitution, _orient, _pol_mul, _pol_pow_binomial, s_function, s_product, s_r
 from qqkit.errors import NonIntegerLimit, PoleError, QQError, ValidationError
 from qqkit.monomial import MU, Monomial, Q, Q1, Q2, xparam
+from qqkit.render import coeff_latex
 
 GENS = ["q1", "q2", "mu", "x(1,1)", "x(1,2)"]
 
@@ -672,3 +675,31 @@ def test_a_shared_substitution_answers_as_a_fresh_one_per_value(specs, sigma):
     else:
         shared = [_outcome(lambda: v.substitute(sub)) for v in values]
     assert shared == fresh
+
+
+# colinear arguments a, a^2, a^3 (in both orientations), and two off the line
+_A = xparam("1", 1)
+_B = xparam("1", 2)
+COLINEAR = [_A, _A**2, _A**3, _A**-1, _A**-2, _A * _B, _B]
+_colinear_binomials = st.tuples(st.sampled_from(COLINEAR), st.integers(min_value=1, max_value=2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(_colinear_binomials, max_size=3),
+    st.dictionaries(st.sampled_from([Monomial.unit(), _A, _A**2, _B]), st.integers(-2, 2).filter(bool), min_size=1, max_size=2),
+    st.lists(_colinear_binomials, min_size=1, max_size=4),
+)
+# (1 - a^2) / ((1 - a)(1 - a^2)): dividing by (1 - a) first used to leave (1 + a)/(1 - a^2)
+@example([(_A**2, 1)], {Monomial.unit(): 1}, [(_A, 1), (_A**2, 1)])
+def test_a_general_value_does_not_depend_on_the_order_of_its_denominators(zeros, cofactor, dens):
+    """The numerator is a cofactor times binomials, so that denominators often divide it."""
+    num = dict(cofactor)
+    for arg, p in zeros:
+        num = _pol_mul(num, _pol_pow_binomial(arg, p))
+    forms = set()
+    for order in permutations(dens):
+        c = Coefficient.general(dict(num), list(order))
+        forms.add((c.kind, json.dumps(c.to_json()), coeff_latex(c)))
+        assert c == Coefficient.general(dict(num), dens)
+    assert len(forms) == 1, forms

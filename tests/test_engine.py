@@ -1,8 +1,14 @@
+from functools import cache, reduce
+from unittest import mock
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+
+import qqkit.engine
 
 from qqkit.coefficient import Coefficient, s_function, s_r
 from qqkit.engine import (
+    SAFETY_BOUND,
     Term,
     WeightConfig,
     YMonomial,
@@ -10,10 +16,12 @@ from qqkit.engine import (
     expand,
     highest_weight,
     s_factor_coefficient,
+    _bfs,
+    _generic,
 )
-from qqkit.errors import CollidingArguments, NonTermination, ValidationError
+from qqkit.errors import CollidingArguments, NonTermination, QQError, ValidationError
 from qqkit.job import Job
-from qqkit.monomial import MU, Monomial, Q, Q1, Q2, xparam
+from qqkit.monomial import MU, Monomial, Q, Q1, Q2, parse_monomial, xparam
 from qqkit.quiver import Quiver, builtin_quiver
 
 A1 = builtin_quiver("A1")
@@ -197,3 +205,154 @@ def test_ymonomial_product_matches_the_constructor(ea, eb, how):
     assert keys == sorted(set(keys))
     if how == "cancels":
         assert product.is_unit
+
+
+# -- fusion of fundamentals --------------------------------------------------------
+
+
+def _quiver(name, d, edges):
+    return Quiver(tuple(d), d, tuple((a, b, 0) for a, b in edges), name=name)
+
+
+FUSION_QUIVERS = {
+    "A1": A1,
+    "A2": A2,
+    "A2-reversed": _quiver("A2-reversed", dict.fromkeys("12", 1), [("2", "1")]),
+    "A3": _quiver("A3", dict.fromkeys("123", 1), [("1", "2"), ("3", "2")]),
+    "A3-path": _quiver("A3-path", dict.fromkeys("123", 1), [("1", "2"), ("2", "3")]),
+    "A4": _quiver("A4", dict.fromkeys("1234", 1), [("2", "1"), ("2", "3"), ("4", "3")]),
+    "A4-path": _quiver("A4-path", dict.fromkeys("1234", 1), [("1", "2"), ("2", "3"), ("3", "4")]),
+    "BC2": BC2,
+    "C3": _quiver("C3", {"1": 1, "2": 1, "3": 2}, [("1", "2"), ("2", "3")]),
+    "B3": _quiver("B3", {"1": 2, "2": 2, "3": 1}, [("1", "2"), ("2", "3")]),
+    "G2": _quiver("G2", {"1": 3, "2": 1}, [("1", "2")]),
+    "D4": _quiver("D4", dict.fromkeys("1234", 1), [("2", "1"), ("2", "3"), ("2", "4")]),
+}
+# the trivalent node of D4 has no fundamental here (the reflection rule stops, exit 4)
+FUSION_NODES = {name: [i for i in Q_.nodes if (name, i) != ("D4", "2")] for name, Q_ in FUSION_QUIVERS.items()}
+MAX_TERMS = 600  # keeps the breadth-first reference quick
+
+
+@cache
+def _fundamental_size(name, node):
+    Q_ = FUSION_QUIVERS[name]
+    return len(expand(Q_, WeightConfig.make(Q_, {node: 1})).terms)
+
+
+@st.composite
+def _generic_weights(draw):
+    """A quiver of FUSION_QUIVERS, 2 to 4 units and generic params images, as (name, w, params).
+
+    An image keeps its unit's own generator x(i,a), times powers of q1, q2, mu and of a
+    generator y; so no ratio of two images is a monomial in q1, q2 and mu alone.
+    """
+    name = draw(st.sampled_from(sorted(FUSION_QUIVERS)))
+    nodes = draw(st.lists(st.sampled_from(FUSION_NODES[name]), min_size=2, max_size=4))
+    while len(nodes) > 2 and reduce(lambda n, i: n * _fundamental_size(name, i), nodes, 1) > MAX_TERMS:
+        nodes.pop()
+    w: dict[str, int] = {}
+    for i in nodes:
+        w[i] = w.get(i, 0) + 1
+    params = {}
+    for i, k in w.items():
+        for a in range(1, k + 1):
+            gens = draw(st.lists(st.sampled_from(["q1", "q2", "mu", "y"]), max_size=3))
+            if gens:
+                params[f"{i},{a}"] = "*".join([f"x({i},{a})"] + [f"{g}^{draw(st.integers(-2, 2))}" for g in gens])
+    return name, w, params
+
+
+def _weights(name, w, params):
+    Q_ = FUSION_QUIVERS[name]
+    images = {}
+    for key, img in params.items():
+        node, _, alpha = key.partition(",")
+        images[node, int(alpha)] = parse_monomial(img)
+    return Q_, WeightConfig.make(Q_, w, images)
+
+
+def _result(compute):
+    try:
+        ch = compute()
+    except QQError as exc:
+        return type(exc), str(exc)
+    return list(ch.terms), list(ch.terms.values()), ch.edges
+
+
+@settings(max_examples=60, deadline=None)
+@given(_generic_weights())
+# the finite workload's generic expansions, with and without the params images of its seed 1
+@example(("A1", {"1": 7}, {}))
+@example(
+    (
+        "A1",
+        {"1": 7},
+        {
+            "1,1": "x(1,1)*q1^1*q2^2", "1,2": "x(1,2)*q1^1*q2^1", "1,3": "x(1,3)*q1^1*q2^1",
+            "1,4": "x(1,4)*q1^2*q2^1", "1,5": "x(1,5)*q1^3*q2^1", "1,6": "x(1,6)*q1^1", "1,7": "x(1,7)*q1^2",
+        },
+    )
+)
+@example(("A2", {"1": 2, "2": 2}, {}))
+@example(
+    (
+        "A2",
+        {"1": 2, "2": 2},
+        {"1,1": "x(1,1)*q1^2*q2^1", "1,2": "x(1,2)*q1^3", "2,1": "x(2,1)*q1^3*q2^1", "2,2": "x(2,2)*q1^2*q2^2"},
+    )
+)
+@example(("BC2", {"1": 2, "2": 2}, {}))
+@example(
+    (
+        "BC2",
+        {"1": 2, "2": 2},
+        {"1,1": "x(1,1)*q1^1*q2^2", "1,2": "x(1,2)*q1^1*q2^1", "2,1": "x(2,1)*q1^1", "2,2": "x(2,2)*q1^1*q2^2"},
+    )
+)
+@example(("BC2", {"1": 2, "2": 1}, {}))
+# a unit at the trivalent node of D4: its fundamental fails, and the error is the breadth-first one
+@example(("D4", {"1": 1, "2": 1}, {}))
+@example(("D4", {"2": 1, "3": 1, "4": 1}, {"2,1": "x(2,1)*y"}))
+def test_fused_expansion_is_the_breadth_first_one(case):
+    """``expand`` fuses generic weights of several units on a finite quiver from their
+    fundamentals; it must equal ``_bfs``, the definition, in the order of its terms, in
+    every coefficient and in its ``edges`` tuple, or raise the same error.
+
+    Why it must hold.  A reflection's S-factor is a product over same-node companions, so
+    the coefficient along a path splits into a part per unit and a part per ordered pair
+    of units.  At generic weights no S-value between two units is 0 or a pole: the ratio
+    of their arguments carries a generator other than q1, q2 and mu.  So a path projected
+    onto one unit is a path of that unit's own expansion, its fundamental, and every
+    tuple of fundamental terms is reached.  Path independence there fixes each unit's part
+    as its fundamental coefficient, and each pair's part as the pair factor taken along
+    any one path (with either unit reflected first).  The breadth-first walk over tuples
+    reflects each tuple's entries in entry order, as ``_bfs`` reflects a term's, so the
+    terms and edges come out in the same order.
+    """
+    Q_, wc = _weights(*case)
+    assert _generic(wc) and len(wc.entries) >= 2
+    with mock.patch.object(qqkit.engine, "_bfs", wraps=_bfs) as bfs:
+        fused = _result(lambda: expand(Q_, wc))
+    assert fused == _result(lambda: _bfs(Q_, wc, None, SAFETY_BOUND))
+    if isinstance(fused[0], list):  # fused, with no breadth-first expansion of all the units
+        assert [len(call.args[1].entries) for call in bfs.call_args_list] == [1] * len(wc.entries)
+        assert len(fused[0]) == reduce(lambda n, e: n * _fundamental_size(case[0], e[0]), wc.entries, 1)
+
+
+def test_fused_expansion_refuses_too_many_terms_before_any_product(monkeypatch):
+    calls = []
+
+    def counted(Q_, wc, max_qdeg, safety_bound):
+        calls.append(len(wc.entries))
+        return _bfs(Q_, wc, max_qdeg, safety_bound)
+
+    monkeypatch.setattr(qqkit.engine, "_bfs", counted)
+    with pytest.raises(NonTermination, match=r"^expansion exceeded 4095 terms$"):
+        expand(A1, WeightConfig.make(A1, {"1": 12}), safety_bound=4095)
+    assert calls == [1] * 12  # one fundamental per unit, and no expansion of all twelve
+
+
+def test_fused_expansion_counts_its_pair_checks():
+    ch = expand(BC2, WeightConfig.make(BC2, {"1": 2, "2": 1}))
+    # one comparison per pair of units and pair of their terms: 5 * 5 + 2 * (5 * 4)
+    assert ch.meta == {"path_checks": 65, "max_qdeg": None, "class": "finite"}

@@ -170,6 +170,38 @@ T_QUIVERS = {
 }
 
 
+# the quivers of every other finite type, named by the dimensions of their fundamentals
+FUNDAMENTAL_QUIVERS = {
+    **T_QUIVERS,
+    "C3": _quiver("C3", {"1": 1, "2": 1, "3": 2}, [("1", "2"), ("2", "3")]),
+    "B3": _quiver("B3", {"1": 2, "2": 2, "3": 1}, [("1", "2"), ("2", "3")]),
+    "G2": _quiver("G2", {"1": 3, "2": 1}, [("1", "2")]),
+    "D4": _quiver("D4", dict.fromkeys("1234", 1), [("2", "1"), ("2", "3"), ("2", "4")]),
+}
+# quiver, node, terms of the fundamental, and the highest weights of its decomposition
+# (Kirillov-Reshetikhin: W^(i)_1 = V(w_i), plus V(0) at B3 node 2 and G2 node 1)
+FUNDAMENTALS = [
+    *(("A3", i, n, [{i: 1}]) for i, n in zip("123", (4, 6, 4))),
+    *(("A4", i, n, [{i: 1}]) for i, n in zip("1234", (5, 10, 10, 5))),
+    *(("C3", i, n, [{i: 1}]) for i, n in zip("123", (6, 14, 14))),
+    ("B3", "1", 7, [{"1": 1}]),
+    ("B3", "2", 22, [{"2": 1}, {}]),
+    ("B3", "3", 8, [{"3": 1}]),
+    ("G2", "1", 15, [{"1": 1}, {}]),
+    ("G2", "2", 7, [{"2": 1}]),
+    *(("D4", i, 8, [{i: 1}]) for i in "134"),
+]
+
+
+@pytest.mark.parametrize("quiver, node, terms, highest", FUNDAMENTALS, ids=[f"{q}-{i}" for q, i, _, _ in FUNDAMENTALS])
+def test_fundamentals_have_the_weyl_dimension(quiver, node, terms, highest):
+    """A generic character's term count is the product of its units' fundamentals' (fusion),
+    so the fundamentals' counts are the ones to check."""
+    Q_ = FUNDAMENTAL_QUIVERS[quiver]
+    assert len(expand(Q_, WeightConfig.make(Q_, {node: 1})).terms) == terms
+    assert sum(_weyl_dimension(Q_, h) for h in highest) == terms
+
+
 def _kr_limit(Q_, node, k, base, m):
     """W^{(node)}_k(base): the classical limit, in the other direction, of the character at the
     q_m ladder of length k from base.  W_0 is 1."""

@@ -256,7 +256,8 @@ def _ladder_jobs(draw):
     return {"quiver": quiver, "w": w, "higgs": sigma, "limit": limit, "max_deg": _LADDER_QUIVERS[quiver], "command": command}
 
 
-B3 = json.dumps(
+# d = (1, 1, 2) on 1->2->3 is C3 by its fundamentals: 6, 14 and 14 terms
+C3 = json.dumps(
     {"nodes": [{"id": "1"}, {"id": "2"}, {"id": "3", "d": 2}], "edges": [{"from": "1", "to": "2"}, {"from": "2", "to": "3"}]}
 )
 
@@ -276,9 +277,9 @@ B3 = json.dumps(
         "command": "higgs",
     }
 )
-# a q1 ladder at the middle node of B3: the direct expansion meets Y^2 (exit 4), and the
+# a q1 ladder at the middle node of C3: the direct expansion meets Y^2 (exit 4), and the
 # generic path's pole (exit 3) stands
-@example({"quiver": B3, "w": {"2": 2}, "higgs": {"x(2,2)": "x(2,1)*q1^-1"}, "command": "higgs"})
+@example({"quiver": C3, "w": {"2": 2}, "higgs": {"x(2,2)": "x(2,1)*q1^-1"}, "command": "higgs"})
 def test_folded_higgsing_answers_as_the_generic_pipeline(spec):
     job = Job.parse(spec)
     before_limit = dataclasses.replace(job, limit=None)
@@ -287,8 +288,8 @@ def test_folded_higgsing_answers_as_the_generic_pipeline(spec):
 
 
 def test_a_limit_error_after_the_fold_expands_once(monkeypatch):
-    # a q2 ladder at the middle node of B3: the folded expansion succeeds, its q1 limit fails
-    spec = {"quiver": B3, "w": {"2": 2}, "higgs": {"x(2,2)": "x(2,1)*q2"}, "limit": "q1", "command": "limit"}
+    # a q2 ladder at the middle node of C3: the folded expansion succeeds, its q1 limit fails
+    spec = {"quiver": C3, "w": {"2": 2}, "higgs": {"x(2,2)": "x(2,1)*q2"}, "limit": "q1", "command": "limit"}
     job = Job.parse(spec)
     calls = []
 
