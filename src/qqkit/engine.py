@@ -24,6 +24,16 @@ same coefficients and the same ``edges`` tuple.  Errors are ``_bfs``'s
 too: more than ``safety_bound`` terms raise its ``NonTermination`` before
 any product is built, and a fundamental or pair factor that raises sends
 the whole weights through ``_bfs``.
+
+Both routes read their S-values through one table per ``expand`` call
+(``SValues``): S_d(a/x)^k by (d, a, x, k), computed on first lookup, with an
+S-zero kept unpowered.  The same companions meet the same reflected argument
+along many paths, so most lookups find their value there; the
+fundamentals, the pair tables and a fallback ``_bfs`` share it.  A pole is
+never stored, so it raises the same text on every lookup, and each
+reflection still checks its companions in entry order: the first zero or
+pole decides, as without the table.  The table lives for the one call, so
+nothing outlives it.
 """
 
 from __future__ import annotations
@@ -208,26 +218,48 @@ def derivative_case(i: str, x: Monomial, e: int) -> CollidingArguments:
     return CollidingArguments(f"Y[{i},{x!r}]^{e} requires the derivative prescription")
 
 
-def s_factor_coefficient(t: Term, i: str, x: Monomial, Q_: Quiver) -> Coefficient:
+class SValues(dict):
+    """S_d(a / x)^k by (d, a, x, k), filled on first lookup; ``expand`` keeps one per call.
+
+    Like ``coefficient.Substitution``, it computes each value once for the
+    reflections that share it.  An S-zero is kept unpowered, so the caller
+    decides what a zero does; a pole raises ``s_r``'s PoleError on every
+    lookup, since a lookup that raises stores nothing.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, key: tuple[int, Monomial, Monomial, int]) -> Coefficient:
+        d, a, x, k = key
+        s = s_r(d, a / x)
+        value = self[key] = s if s.is_zero else s**k
+        return value
+
+
+def s_factor_coefficient(
+    t: Term, i: str, x: Monomial, Q_: Quiver, s_values: SValues | None = None
+) -> Coefficient:
     """S-factor correction for reflecting the numerator entry (i, x) of t.
 
     Product over same-node numerator companions of S_{d_i}(x_a / x),
-    divided by the same for denominator entries.  A companion at the same
-    argument (or an argument on a pole of S_{d_i}) is the rejected
-    derivative case.
+    divided by the same for denominator entries, read through ``s_values``
+    (a fresh table when none is given).  A companion at the same argument
+    (or an argument on a pole of S_{d_i}) is the rejected derivative case.
     """
     e = t.ym.exponent(i, x)
     if e <= 0:
         raise ValidationError(f"({i}, {x!r}) is not a numerator entry")
     if e >= 2:
         raise derivative_case(i, x, e)
+    if s_values is None:
+        s_values = SValues()
     d = Q_.d[i]
     out = Coefficient.one()
     for n, a, k in t.ym.entries:
         if n != i or a == x:
             continue
         try:
-            s = s_r(d, a / x)
+            s = s_values[d, a, x, k]
         except PoleError as exc:
             raise CollidingArguments(
                 f"S_{d} pole at argument {(a / x)!r} while reflecting Y[{i},{x!r}]"
@@ -236,13 +268,13 @@ def s_factor_coefficient(t: Term, i: str, x: Monomial, Q_: Quiver) -> Coefficien
             if k < 0:
                 raise CollidingArguments(f"S_{d} zero in a denominator while reflecting Y[{i},{x!r}]")
             return Coefficient.zero()
-        out = out * s**k
+        out = out * s
     return out
 
 
-def reflect(Q_: Quiver, t: Term, i: str, x: Monomial) -> Term | None:
+def reflect(Q_: Quiver, t: Term, i: str, x: Monomial, s_values: SValues | None = None) -> Term | None:
     """One reflection step; None when the S-factor kills the child."""
-    sf = s_factor_coefficient(t, i, x, Q_)
+    sf = s_factor_coefficient(t, i, x, Q_, s_values)
     if sf.is_zero:
         return None
     entries, scalar = a_inverse_monomial(Q_, i, x)
@@ -287,19 +319,28 @@ def expand(
         raise ValidationError("indefinite quivers are not supported")
     if qclass is QuiverClass.AFFINE and max_qdeg is None:
         raise ValidationError("affine expansion requires a counting-degree cutoff")
+    s_values = SValues()
     if qclass is QuiverClass.FINITE:
         if len(wc.entries) > 1 and _generic(wc):
-            return _fuse(Q_, wc, safety_bound)
+            return _fuse(Q_, wc, safety_bound, s_values)
         max_qdeg = None
-    return _bfs(Q_, wc, max_qdeg, safety_bound)
+    return _bfs(Q_, wc, max_qdeg, safety_bound, s_values)
 
 
 def _too_many_terms(safety_bound: int) -> NonTermination:
     return NonTermination(f"expansion exceeded {safety_bound} terms")
 
 
-def _bfs(Q_: Quiver, wc: WeightConfig, max_qdeg: int | None, safety_bound: int) -> Character:
+def _bfs(
+    Q_: Quiver,
+    wc: WeightConfig,
+    max_qdeg: int | None,
+    safety_bound: int,
+    s_values: SValues | None = None,
+) -> Character:
     """The worklist expansion, which defines the character; ``expand`` checks its arguments."""
+    if s_values is None:
+        s_values = SValues()
     hw = highest_weight(Q_, wc)
     terms: dict[YMonomial, Coefficient] = {hw.ym: hw.coeff}
     edges: list[tuple[YMonomial, YMonomial, tuple[str, Monomial]]] = []
@@ -311,7 +352,7 @@ def _bfs(Q_: Quiver, wc: WeightConfig, max_qdeg: int | None, safety_bound: int) 
             continue
         for i, x, e in t.ym.numerator_entries():
             try:
-                child = reflect(Q_, t, i, x)
+                child = reflect(Q_, t, i, x, s_values)
             except CollidingArguments as exc:
                 # a pole or a repeated argument: at generic weights no two arguments can collide
                 if (e >= 2 or isinstance(exc.__cause__, PoleError)) and _generic(wc):
@@ -356,8 +397,8 @@ class _Fundamental:
 
     __slots__ = ("yms", "coeffs", "parent", "step", "out")
 
-    def __init__(self, Q_: Quiver, unit: tuple[str, int, Monomial], safety_bound: int):
-        ch = _bfs(Q_, WeightConfig((unit,)), None, safety_bound)
+    def __init__(self, Q_: Quiver, unit: tuple[str, int, Monomial], safety_bound: int, s_values: SValues):
+        ch = _bfs(Q_, WeightConfig((unit,)), None, safety_bound, s_values)
         self.yms = list(ch.terms)
         self.coeffs = list(ch.terms.values())
         number = {ym: a for a, ym in enumerate(self.yms)}
@@ -372,12 +413,12 @@ class _Fundamental:
             self.out[a].append((_entry_key(entry), b, entry, delta))
 
 
-def _cross(Q_: Quiver, f: _Fundamental, g: _Fundamental) -> list[list[Coefficient]]:
+def _cross(Q_: Quiver, f: _Fundamental, g: _Fundamental, s_values: SValues) -> list[list[Coefficient]]:
     """W[a][b]: the S-factors that f's term a contributes to the reflections along g's path to b.
 
     Each reflection of (i, x) takes S_{d_i}(y / x)^e from every entry
-    (i, y, e) of term a, as ``s_factor_coefficient`` does; a row is built
-    along the paths, one reflection per term of g.
+    (i, y, e) of term a, read through ``s_values`` as ``s_factor_coefficient``
+    reads it; a row is built along the paths, one reflection per term of g.
     """
     out = []
     for m in f.yms:
@@ -389,20 +430,20 @@ def _cross(Q_: Quiver, f: _Fundamental, g: _Fundamental) -> list[list[Coefficien
             i, x = g.step[b]
             w = row[g.parent[b]]
             for y, e in by_node.get(i, ()):
-                w = w * s_r(Q_.d[i], y / x) ** e
+                w = w * s_values[Q_.d[i], y, x, e]
             row.append(w)
         out.append(row)
     return out
 
 
-def _pair_factors(Q_: Quiver, fj: _Fundamental, fk: _Fundamental) -> list[list[Coefficient]]:
+def _pair_factors(Q_: Quiver, fj: _Fundamental, fk: _Fundamental, s_values: SValues) -> list[list[Coefficient]]:
     """P[a][b], the S-factors between units j and k at their terms a and b.
 
     With j reflected first, its path meets Y_k (term 0 of k), and then k's
     path meets term a of j; with k first, the roles swap.  Both orders
     reach the same term, so their products must agree.
     """
-    wjk, wkj = _cross(Q_, fj, fk), _cross(Q_, fk, fj)
+    wjk, wkj = _cross(Q_, fj, fk, s_values), _cross(Q_, fk, fj, s_values)
     y_k, y_j = wkj[0], wjk[0]
     out = []
     for a, row in enumerate(wjk):
@@ -415,19 +456,19 @@ def _pair_factors(Q_: Quiver, fj: _Fundamental, fk: _Fundamental) -> list[list[C
     return out
 
 
-def _fuse(Q_: Quiver, wc: WeightConfig, safety_bound: int) -> Character:
+def _fuse(Q_: Quiver, wc: WeightConfig, safety_bound: int, s_values: SValues) -> Character:
     """The character of generic weights of several units on a finite quiver, from its fundamentals."""
     try:
-        units = [_Fundamental(Q_, unit, safety_bound) for unit in wc.entries]
+        units = [_Fundamental(Q_, unit, safety_bound, s_values) for unit in wc.entries]
     except QQError:
-        return _bfs(Q_, wc, None, safety_bound)
+        return _bfs(Q_, wc, None, safety_bound, s_values)
     if prod(len(f.yms) for f in units) > safety_bound:
         raise _too_many_terms(safety_bound)
     n = len(units)
     try:
-        pairs = {(j, k): _pair_factors(Q_, units[j], units[k]) for k in range(n) for j in range(k)}
+        pairs = {(j, k): _pair_factors(Q_, units[j], units[k], s_values) for k in range(n) for j in range(k)}
     except QQError:
-        return _bfs(Q_, wc, None, safety_bound)
+        return _bfs(Q_, wc, None, safety_bound, s_values)
     path_checks = sum(len(units[j].yms) * len(units[k].yms) for j, k in pairs)  # one per pair of terms
 
     prefixes: dict[tuple[int, ...], Coefficient] = {}

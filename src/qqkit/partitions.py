@@ -158,11 +158,11 @@ def z_s_values(
 ) -> list[Coefficient]:
     """The S-values whose product is the weight of a tuple, over all ordered pairs (alpha, beta).
 
-    The pair contributes S((x_beta / x_alpha) q3^{l+1} q4^{-a}) for each box
-    of lam_alpha with arm a on lam_alpha, leg l on lam_beta^T and
-    (a + l + 1 - (n_alpha - n_beta)) divisible by r; n are the node offsets
-    (default 0).  alpha = beta is the hook-length filtered diagonal factor;
-    r = 1 keeps every box.
+    The pairs come alpha by alpha, each alpha's with beta in order, and each
+    pair's S-values are ``_pair_s_values``; alpha = beta is the hook-length
+    filtered diagonal factor.  ``affine_character`` keeps each pair's product
+    in a table for the call and multiplies the pairs in this order, so the
+    first pole it meets is the first one in this list, as for ``z_Ar_tuple``.
     """
     if r < 1:
         raise ValidationError("r must be a positive integer")
@@ -175,12 +175,24 @@ def z_s_values(
         if not lam_a.parts:  # no boxes, so no S-value with any beta
             continue
         for t_b, x_b, n_b in zip(transposes, xs, ns):
-            ratio = x_b / x_a
-            for s1, s2 in lam_a.boxes():
-                arm = lam_a.part(s2) - s1
-                leg = t_b.part(s1) - s2
-                if (arm + leg + 1 - (n_a - n_b)) % r == 0:
-                    out.append(_box_s_value(ratio, leg, arm))
+            out.extend(_pair_s_values(lam_a, t_b, x_b / x_a, n_a - n_b, r))
+    return out
+
+
+def _pair_s_values(lam_a: Partition, t_b: Partition, ratio: Monomial, offset: int, r: int) -> list[Coefficient]:
+    """The S-values of one ordered pair (alpha, beta), in the box order of lam_a.
+
+    S(ratio q3^{l+1} q4^{-a}) for each box of lam_a with arm a on lam_a, leg l
+    on t_b = lam_beta^T and (a + l + 1 - offset) divisible by r; ratio is
+    x_beta / x_alpha and offset n_alpha - n_beta, the difference of the node
+    offsets.  r = 1 keeps every box.
+    """
+    out = []
+    for s1, s2 in lam_a.boxes():
+        arm = lam_a.part(s2) - s1
+        leg = t_b.part(s1) - s2
+        if (arm + leg + 1 - offset) % r == 0:
+            out.append(_box_s_value(ratio, leg, arm))
     return out
 
 
@@ -271,6 +283,14 @@ def affine_character(Q_: Quiver, wc: WeightConfig, max_qdeg: int) -> Character:
     the transposed diagram.  Coinciding weight parameters, and parameters
     whose ratio puts an S-value of the weight on a pole, raise
     CollidingArguments, as they do in the engine.
+
+    Components and pairs recur across tuples, so the call keeps two tables:
+    each component's boundary Y-monomial and counting factor by (alpha,
+    lambda), and each ordered pair's product of ``_pair_s_values`` by (alpha,
+    beta, lambda_alpha, lambda_beta).  A tuple's weight is the product of its
+    pairs in ``z_s_values`` order, and every pair is evaluated before a zero
+    weight is skipped, so a pole is met at the same S-value of the same tuple
+    as in ``z_Ar_tuple`` and names that tuple.
     """
     if max_qdeg < 0:
         raise ValidationError("cutoff must be nonnegative")
@@ -282,21 +302,52 @@ def affine_character(Q_: Quiver, wc: WeightConfig, max_qdeg: int) -> Character:
             raise derivative_case(i, x, e)
     r = len(node_names)
     comps = [(node_names.index(i), p) for i, _, p in wc.entries]
+    components: dict[tuple[int, Partition], tuple[YMonomial, Monomial]] = {}
+    pairs: dict[tuple[int, int, Partition, Partition], Coefficient] = {}
+
+    def component(alpha: int, lam: Partition) -> tuple[YMonomial, Monomial]:
+        """Component alpha's boundary Y-monomial and colored counting factor at lam."""
+        key = (alpha, lam)
+        got = components.get(key)
+        if got is None:
+            node, base = comps[alpha]
+            got = components[key] = (
+                _boundary_ym(lam, base, node, r, node_names),
+                _colored_counting(lam, node, r, node_names),
+            )
+        return got
+
+    def pair(alpha: int, beta: int, lam_a: Partition, lam_b: Partition) -> Coefficient:
+        """The product of the pair's S-values, on the transposed diagram of alpha."""
+        key = (alpha, beta, lam_a, lam_b)
+        got = pairs.get(key)
+        if got is None:
+            (n_a, x_a), (n_b, x_b) = comps[alpha], comps[beta]
+            got = Coefficient.one()
+            for value in _pair_s_values(lam_a.transpose(), lam_b, x_b / x_a, n_a - n_b, r):
+                got = got * value
+            pairs[key] = got
+        return got
+
     terms: dict[YMonomial, Coefficient] = {}
     for total in range(max_qdeg + 1):
         for lams in _tuples_of_total(len(comps), total):
-            trans = [lam.transpose() for lam in lams]
+            coeff = Coefficient.one()
             try:
-                coeff = z_Ar_tuple(trans, [p for _, p in comps], r, nodes=[n for n, _ in comps])
+                for alpha, lam_a in enumerate(lams):
+                    if lam_a.parts:
+                        for beta, lam_b in enumerate(lams):
+                            coeff = coeff * pair(alpha, beta, lam_a, lam_b)
             except PoleError as exc:
                 raise CollidingArguments(f"{exc} in the weight of {tuple(lams)!r}") from exc
             if coeff.is_zero:
                 continue
             counting = Monomial.unit()
             ym = YMonomial.unit()
-            for (node, base), lam in zip(comps, lams):
-                counting = counting * _colored_counting(lam, node, r, node_names)
-                ym = ym * _boundary_ym(lam, base, node, r, node_names)
+            for alpha, lam in enumerate(lams):
+                ym_a, counting_a = component(alpha, lam)
+                counting = counting * counting_a
+                ym = ym * ym_a
             coeff = coeff * Coefficient.from_monomial(counting)
             if ym in terms:
                 raise ValidationError(f"colliding configurations at {ym!r}")

@@ -95,6 +95,12 @@ JOBS = [
     *(_job("expand", "BC2", {"1": 2, "2": 2}, "--format", f) for f in ("json", "dot")),
     # a sigma across nodes is no ladder: the generic character is expanded, then Higgsed
     _job("higgs", "A2", {"1": 2, "2": 1}, "--higgs", '{"x(2,1)": "x(1,1)*q1"}', "--format", "json"),
+    # resonant affine weights, both routes: an S-pole in the weight of one tuple (q3^2, q4),
+    # S-zeros that drop terms (q1), and a pole in the sum where the engine needs a derivative
+    *(_job(c, "A0hat", {"0": 2}, "--max-deg", "4", "--params", json.dumps({"0,2": f"x(0,1)*{s}"}))
+      for s in ("q3^2", "q4", "q1") for c in ("expand", "affine-expand")),
+    *(_job(c, "Arhat(2)", {"0": 1, "1": 1}, "--max-deg", "4", "--params", '{"1,1": "x(0,1)*q3"}')
+      for c in ("expand", "affine-expand")),
 ]
 
 

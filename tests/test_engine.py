@@ -9,6 +9,7 @@ import qqkit.engine
 from qqkit.coefficient import Coefficient, s_function, s_r
 from qqkit.engine import (
     SAFETY_BOUND,
+    SValues,
     Term,
     WeightConfig,
     YMonomial,
@@ -71,6 +72,52 @@ def test_s_factor_examples():
     assert s_factor_coefficient(single, "1", x1, A1).is_one
     b = Term(Y(("1", x1, 1), ("1", x2, 1)), Coefficient.one())
     assert s_factor_coefficient(b, "1", x1, BC2) == s_r(2, x2 / x1)
+
+
+def _s_factor_outcome(t, i, x, Q_, *table):
+    try:
+        sf = s_factor_coefficient(t, i, x, Q_, *table)
+    except QQError as exc:
+        return type(exc), str(exc)
+    return sf.kind, sf.to_json()
+
+
+@pytest.mark.parametrize(
+    "Q_, w, params, cutoff",
+    [
+        (A1, {"1": 3}, {}, None),
+        (BC2, {"1": 2, "2": 1}, {}, None),
+        (A0, {"0": 2}, {}, 3),
+        (A0, {"0": 2}, {("0", 2): xparam("0", 1) * Q1}, 3),  # S-zeros drop terms
+        (builtin_quiver("Arhat(2)"), {"0": 1, "1": 1}, {}, 3),
+    ],
+)
+def test_one_s_value_table_gives_what_fresh_calls_give(Q_, w, params, cutoff):
+    """One table read by every reflection of an expansion changes no S-factor."""
+    table = SValues()
+    for ym, coeff in expand(Q_, WeightConfig.make(Q_, w, params), max_qdeg=cutoff).terms.items():
+        t = Term(ym, coeff)
+        for i, x, _ in ym.numerator_entries():
+            assert _s_factor_outcome(t, i, x, Q_, table) == _s_factor_outcome(t, i, x, Q_), (ym, i, x)
+    assert table
+
+
+def test_a_table_stores_no_pole_and_keeps_zeros_unpowered():
+    x = xparam("1", 1)
+    table = SValues()
+    pole = Term(Y(("1", x, 1), ("1", x * Q1 * Q2, 1)), Coefficient.one())
+    zero_below = Term(Y(("1", x, 1), ("1", x * Q1, -1)), Coefficient.one())
+    for t, text in [
+        (pole, r"^S_1 pole at argument q1\*q2 while reflecting Y\[1,x\(1,1\)\]$"),
+        (zero_below, r"^S_1 zero in a denominator while reflecting Y\[1,x\(1,1\)\]$"),
+    ]:
+        for _ in range(2):
+            with pytest.raises(CollidingArguments, match=text):
+                s_factor_coefficient(t, "1", x, A1, table)
+    assert list(table) == [(1, x * Q1, x, -1)] and table[1, x * Q1, x, -1].is_zero
+    zero_above = Term(Y(("1", x, 1), ("1", x * Q1, 2)), Coefficient.one())
+    assert s_factor_coefficient(zero_above, "1", x, A1, table).is_zero
+    assert table[1, x * Q1, x, 2] is Coefficient.zero()
 
 
 def test_colliding_arguments_rejected():
@@ -342,9 +389,9 @@ def test_fused_expansion_is_the_breadth_first_one(case):
 def test_fused_expansion_refuses_too_many_terms_before_any_product(monkeypatch):
     calls = []
 
-    def counted(Q_, wc, max_qdeg, safety_bound):
+    def counted(Q_, wc, *rest):  # rest: the cutoff, the bound and the expansion's S-value table
         calls.append(len(wc.entries))
-        return _bfs(Q_, wc, max_qdeg, safety_bound)
+        return _bfs(Q_, wc, *rest)
 
     monkeypatch.setattr(qqkit.engine, "_bfs", counted)
     with pytest.raises(NonTermination, match=r"^expansion exceeded 4095 terms$"):

@@ -5,11 +5,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qqkit.coefficient import Coefficient, Substitution, product_vanishes, s_function
-from qqkit.engine import WeightConfig, expand
-from qqkit.errors import InvalidPit, QQError, ValidationError
-from qqkit.monomial import MU, Monomial, Q1, Q2, Q3, Q4
+from qqkit.engine import WeightConfig, YMonomial, derivative_case, expand, highest_weight
+from qqkit.errors import CollidingArguments, InvalidPit, PoleError, QQError, ValidationError
+from qqkit.monomial import MU, Monomial, Q1, Q2, Q3, Q4, parse_monomial, xparam
 from qqkit.partitions import (
     Partition,
+    _boundary_ym,
+    _colored_counting,
+    _cycle_nodes,
     _tuples_of_total,
     affine_character,
     burge_filter,
@@ -154,6 +157,109 @@ def _cyclic_jobs(draw):
 @given(_cyclic_jobs())
 def test_affine_oracle_random_cyclic(job):
     test_affine_oracle_cyclic(*job)
+
+
+# Resonant weights: the second parameter is the first times a q-monomial, so S-zeros drop
+# terms on both sides (or, at q1^2 and the Arhat(2) shifts, resonate without dropping any)
+@pytest.mark.parametrize(
+    "quiver, w, unit, shift, n_terms",
+    [
+        ("A0hat", {"0": 2}, ("0", 2), "q1", 20),
+        ("A0hat", {"0": 2}, ("0", 2), "q2", 20),
+        ("A0hat", {"0": 2}, ("0", 2), "q1^2", 38),
+        ("A0hat", {"0": 2}, ("0", 2), "q1^-1", 20),
+        ("Arhat(2)", {"0": 2}, ("0", 2), "q3", 38),
+        ("Arhat(2)", {"0": 2}, ("0", 2), "mu", 38),
+        ("Arhat(2)", {"0": 1, "1": 1}, ("1", 1), "q3^2", 38),
+        ("Arhat(2)", {"0": 1, "1": 1}, ("1", 1), "q3*q4^-1", 38),
+    ],
+)
+def test_affine_oracle_resonant(quiver, w, unit, shift, n_terms):
+    Q_ = builtin_quiver(quiver)
+    wc = WeightConfig.make(Q_, w, {unit: xparam("0", 1) * parse_monomial(shift)})
+    eng = expand(Q_, wc, max_qdeg=4)
+    clo = affine_character(Q_, wc, 4)
+    assert len(clo.terms) == n_terms
+    assert set(eng.terms) == set(clo.terms)
+    for ym, c in clo.terms.items():
+        assert eng.terms[ym] == c, ym
+
+
+def _affine_by_tuples(Q_, wc, max_qdeg):
+    """The partition sum with every tuple's weight, boundary and counting factor built afresh: the reference."""
+    node_names = _cycle_nodes(Q_)
+    for i, x, e in highest_weight(Q_, wc).ym.entries:
+        if e >= 2:
+            raise derivative_case(i, x, e)
+    r = len(node_names)
+    comps = [(node_names.index(i), p) for i, _, p in wc.entries]
+    terms = {}
+    for total in range(max_qdeg + 1):
+        for lams in _tuples_of_total(len(comps), total):
+            trans = [lam.transpose() for lam in lams]
+            try:
+                coeff = z_Ar_tuple(trans, [p for _, p in comps], r, nodes=[n for n, _ in comps])
+            except PoleError as exc:
+                raise CollidingArguments(f"{exc} in the weight of {tuple(lams)!r}") from exc
+            if coeff.is_zero:
+                continue
+            counting = Monomial.unit()
+            ym = YMonomial.unit()
+            for (node, base), lam in zip(comps, lams):
+                counting = counting * _colored_counting(lam, node, r, node_names)
+                ym = ym * _boundary_ym(lam, base, node, r, node_names)
+            terms[ym] = coeff * Coefficient.from_monomial(counting)
+    return terms
+
+
+@st.composite
+def _affine_sums(draw):
+    """Arhat(r) with 2 or 3 units; each parameter after the first is its own generator or a
+    q-shift of an earlier one, so S-zeros, poles and repeated arguments all come up."""
+    r = draw(st.integers(1, 3))
+    nodes = draw(st.lists(st.integers(0, r - 1), min_size=2, max_size=3))
+    w: dict[str, int] = {}
+    for n in nodes:
+        w[str(n)] = w.get(str(n), 0) + 1
+    Q_ = builtin_quiver(f"Arhat({r})")
+    units = WeightConfig.make(Q_, w).entries
+    params = [p for _, _, p in units]
+    for k in range(1, len(params)):
+        if draw(st.integers(0, 3)):  # mostly a shift of an earlier parameter
+            e1, e2, e3 = draw(st.tuples(*[st.integers(-2, 2)] * 3))
+            params[k] = params[draw(st.integers(0, k - 1))] * Q1**e1 * Q2**e2 * MU**e3
+    images = {(i, alpha): p for (i, alpha, _), p in zip(units, params)}
+    return Q_, WeightConfig.make(Q_, w, images), draw(st.integers(1, 5 - len(units)))
+
+
+def _affine_outcome(compute):
+    try:
+        terms = compute()
+    except QQError as exc:
+        return type(exc), str(exc)
+    return [(ym, c.kind, c.to_json()) for ym, c in terms.items()]
+
+
+def _a0hat(*shifts):
+    A0 = builtin_quiver("A0hat")
+    x = xparam("0", 1)
+    return A0, WeightConfig.make(A0, {"0": 1 + len(shifts)}, {("0", k): x * m for k, m in enumerate(shifts, 2)})
+
+
+# a pole in the third pair of the weight of (Partition(2,), Partition(1,)) and in the
+# second pair of (Partition(1,), Partition(1,)); then a zero pair before a pole pair in
+# the weight of (Partition(), Partition(1,), Partition(1,)), which the sum must not skip
+@example(case=(*_a0hat(Q3**2), 4))
+@example(case=(*_a0hat(Q4), 4))
+@example(case=(*_a0hat(Q1**-1 * MU**-1, Q1**-1), 2))
+@settings(max_examples=80, deadline=None)
+@given(case=_affine_sums())
+def test_affine_character_is_the_sum_over_tuples(case):
+    """The per-call tables of ``affine_character`` change nothing: the same terms in the same
+    order, the same coefficient forms, and at a pole the same tuple named in the same text."""
+    Q_, wc, cutoff = case
+    got = _affine_outcome(lambda: affine_character(Q_, wc, cutoff).terms)
+    assert got == _affine_outcome(lambda: _affine_by_tuples(Q_, wc, cutoff))
 
 
 def test_affine_character_validation():
