@@ -5,6 +5,7 @@ symbolic equality; there are no numeric tolerances anywhere.
 """
 
 import ast
+import json
 import random
 import sys
 from pathlib import Path
@@ -252,7 +253,7 @@ def test_criterion_9d_character_json_round_trip():
     ]:
         Q_ = builtin_quiver(name)
         ch = expand(Q_, WeightConfig.make(Q_, w), **kw)
-        rt = character_from_json(character_to_json(ch))
+        rt = character_from_json(json.loads(character_to_json(ch)))
         assert set(rt.terms) == set(ch.terms)
         for ym in ch.terms:
             assert rt.terms[ym] == ch.terms[ym]

@@ -42,6 +42,9 @@ STARS = _quiver(
 KRONECKER = _quiver(["0", "1", "2", "3"], [("0", "1"), ("2", "3"), ("2", "3")], {"0": 3, "1": 2})
 # D4 with the trivalent node 2
 D4 = _quiver(["1", "2", "3", "4"], [("2", "1"), ("2", "3"), ("2", "4")])
+# one node whose id needs escaping in JSON: a non-ASCII letter and a double quote
+ESCAPED_ID = 'é"1'
+ESCAPED = json.dumps({"nodes": [{"id": ESCAPED_ID}], "edges": []})
 
 
 def _job(command, quiver, w, *flags):
@@ -101,6 +104,14 @@ JOBS = [
       for s in ("q3^2", "q4", "q1") for c in ("expand", "affine-expand")),
     *(_job(c, "Arhat(2)", {"0": 1, "1": 1}, "--max-deg", "4", "--params", '{"1,1": "x(0,1)*q3"}')
       for c in ("expand", "affine-expand")),
+    # the largest LaTeX document of the finite bench workload
+    _job("expand", "BC2", {"1": 2, "2": 2}, "--format", "latex"),
+    # a weights block whose parameters are images, and a partition-sum series
+    _job("expand", "A2", {"1": 2, "2": 2}, "--params",
+         '{"1,1": "x(1,1)*q1^2*q2", "1,2": "x(1,2)*q1^3", "2,1": "x(2,1)*q1", "2,2": "x(2,2)*q1^2*q2^2"}', "--format", "json"),
+    _job("affine-expand", "Arhat(2)", {"0": 1, "1": 1}, "--max-deg", "2", "--format", "json"),
+    # a node id that JSON escapes, in every format
+    *(_job("expand", ESCAPED, {ESCAPED_ID: 1}, "--format", f) for f in ("json", "latex", "dot", "text")),
 ]
 
 

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qqkit.coefficient import Coefficient, s_function, s_r
-from qqkit.engine import Character, WeightConfig, YMonomial, expand
+from qqkit.engine import Character, WeightConfig, YMonomial, expand, qdeg_of
 from qqkit.errors import PoleError, ValidationError
 from qqkit.higgsing import ClassicalCharacter, classical_limit, higgs, kr_sigma
 from qqkit.monomial import Monomial, Q1, Q2, xparam
 from qqkit.partitions import affine_character
-from qqkit.quiver import builtin_quiver
+from qqkit.quiver import Quiver, builtin_quiver
 from qqkit.render import (
     _STREAM_BATCH,
     _Latex,
@@ -123,6 +123,52 @@ def test_s_decompose_round_trips(c):
         rebuilt = rebuilt * s_r(r, z) ** p
     assert rebuilt == c
     assert (n, unit, sprod, leftover) == _s_decompose_by_rounds(c)
+    # a table ranked with a coefficient that carries the factors of c's
+    # candidates which c lacks, each with only the opposite sign: it drops
+    # those candidates, and the result stays the same
+    table = s_candidates([c, _opposite_factors(c)])
+    assert s_decompose(c, table) == (n, unit, sprod, leftover)
+
+
+def _opposite_factors(c: Coefficient) -> Coefficient:
+    """The factors of c's S-candidates that c does not carry with their own
+    sign, each with the opposite sign."""
+    signs = {(a, p > 0) for a, p in c.powers.items()}
+    flipped = {}
+    for d in [a for a, p in c.powers.items() if p < 0]:
+        for r in range(1, 4):
+            for z in (d, d.inverse()):
+                try:
+                    s = s_r(r, z)
+                except PoleError:
+                    continue
+                flipped.update((a, -p) for a, p in s.powers.items() if (a, p > 0) not in signs)
+    return Coefficient.factored(1, Monomial.unit(), list(flipped.items()))
+
+
+def test_the_table_drops_a_candidate_whose_factor_has_the_opposite_sign():
+    x = xparam("1", 1)
+    c = Coefficient.factored(1, Monomial.unit(), [(x, -1)])  # 1 / (1 - x): no S_r(z) fits
+    s1 = s_r(1, x)
+    opposite = Coefficient.factored(1, Monomial.unit(), [(a, -p) for a, p in s1.powers.items() if a != x])
+    table = s_candidates([c, opposite])
+
+    def kept():
+        return {tuple(table.ranked[k][:2]) for ranks in table.at.values() for k in ranks}
+
+    assert (1, x) in kept()
+    assert s_decompose(c, table) == _s_decompose_by_rounds(c) == (1, Monomial.unit(), [], ((x, -1),))
+    assert (1, x) not in kept()  # tried once, then dropped
+    assert s_decompose(c, table) == _s_decompose_by_rounds(c)
+
+
+def test_latex_adds_no_more_s_values_than_trying_every_candidate():
+    # 77 entries: what rendering this LaTeX added to the s_r cache when every
+    # candidate at a coefficient's denominators was tried through s_r
+    ch = expand(BC2, WeightConfig.make(BC2, {"1": 2, "2": 2}))
+    s_r.cache_clear()
+    render(ch, "latex")
+    assert s_r.cache_info().currsize <= 77
 
 
 @settings(max_examples=200, deadline=None)
@@ -141,7 +187,7 @@ def test_a_written_monomial_reads_as_a_fresh_one(calls):
     names = {"x(1,1)": "x"}
     latex = _Latex(names, [])
     for m, ratio in calls + calls:  # the second round reads what the first wrote
-        assert latex.monomial(m, ratio) == monomial_latex(m, names, ratio)
+        assert latex.monomials[m, ratio] == monomial_latex(m, names, ratio)
 
 
 def test_s_decompose_peels_whole_products():
@@ -262,7 +308,7 @@ def test_character_json_round_trip():
         affine_character(A0, WeightConfig.make(A0, {"0": 1}), 2),
     ]
     for ch in chars:
-        rt = character_from_json(character_to_json(ch))
+        rt = character_from_json(json.loads(character_to_json(ch)))
         assert set(rt.terms) == set(ch.terms)
         for ym in ch.terms:
             assert rt.terms[ym] == ch.terms[ym]
@@ -292,7 +338,7 @@ def test_a_parsed_character_renders_as_the_original(quiver, w, kw):
 
 def test_character_json_edges_index_the_terms_as_written():
     ch = expand(A1, WeightConfig.make(A1, {"1": 2}))
-    data = character_to_json(ch)
+    data = json.loads(character_to_json(ch))
     n = len(data["terms"])
     data["terms"].reverse()
     for e in data["edges"]:
@@ -368,9 +414,81 @@ def test_every_format_lists_terms_and_edges_in_canonical_order(data, rnd):
     assert arrows == [f"n{pos[s]} -> n{pos[d]}" for s, d, _ in edges]
 
 
+# The documents as plain data, built with the objects' own to_json: the
+# reference that render's JSON, assembled from pieces encoded once, must
+# equal byte for byte once json.dumps encodes it.
+
+
+def _character_data(ch) -> dict:
+    order = sorted_terms(ch)
+    idx = {ym: k for k, ym in enumerate(order)}
+    data = {
+        "quiver": ch.quiver.to_json() | ({"name": ch.quiver.name} if ch.quiver.name else {}),
+        "terms": [{"ym": ym.to_json(), "coeff": ch.terms[ym].to_json()} for ym in order],
+        "edges": [
+            {"src": idx[s], "dst": idx[d], "label": {"node": i, "arg": x.to_json()}}
+            for s, d, (i, x) in canonical_edges(ch)
+        ],
+    }
+    if ch.wc is not None:
+        data["weights"] = [{"node": i, "alpha": a, "param": p.to_json()} for i, a, p in ch.wc.entries]
+    return data
+
+
+def _series_data(ch) -> dict:
+    series: dict = {}
+    for ym in sorted_terms(ch):
+        c = ch.terms[ym]
+        series.setdefault(qdeg_of(c), []).append({"ym": ym.to_json(), "coeff": c.to_json()})
+    return {"series": [{"qdeg": d, "terms": series[d]} for d in sorted(series)]}
+
+
+def _document_data(ch) -> dict:
+    if isinstance(ch, ClassicalCharacter):
+        return {"limit": ch.which, "terms": [{"ym": ym.to_json(), "coeff": ch.terms[ym]} for ym in sorted_terms(ch)]}
+    if ch.meta.get("closed_form") == "affine":
+        return _series_data(ch)
+    return _character_data(ch)
+
+
+ESCAPED_ID = 'é"1'
+
+
+@lru_cache(maxsize=None)
+def _json_oracle_characters() -> tuple:
+    escaped = Quiver.from_json({"nodes": [{"id": ESCAPED_ID}], "edges": []})
+    # a general value: a signed sum over a binomial, as a JSON document may hold it
+    general = character_from_json({
+        "quiver": A1.to_json(),
+        "terms": [
+            {"ym": [{"node": "1", "arg": {"x(1,1)": 1}, "exp": 1}],
+             "coeff": {"num": [[{"q1": 1}, 2], [{}, -1]], "den": [{"arg": {"x(1,1)": 1}, "pow": 1}]}},
+            {"ym": [], "coeff": {"int": -3, "unit": {"q2": 1}, "factors": [{"arg": {"q1": 1}, "pow": -2}]}},
+        ],
+        "edges": [{"src": 0, "dst": 1, "label": {"node": "1", "arg": {"x(1,1)": 1}}}],
+    })
+    kr = higgs(expand(A1, WeightConfig.make(A1, {"1": 3})), kr_sigma(A1, "1", 3, 1))
+    return (
+        *_rendered_characters(),
+        expand(escaped, WeightConfig.make(escaped, {ESCAPED_ID: 1})),
+        general,
+        classical_limit(kr, "q2"),
+        affine_character(builtin_quiver("Arhat(2)"), WeightConfig.make(builtin_quiver("Arhat(2)"), {"0": 1, "1": 1}), 2),
+    )
+
+
+def test_json_documents_equal_the_encoded_reference_data():
+    kinds = set()
+    for ch in _json_oracle_characters():
+        assert render(ch, "json") == json.dumps(_document_data(ch)) + "\n"
+        if not isinstance(ch, ClassicalCharacter):
+            kinds.update(c.kind for c in ch.terms.values())
+    assert kinds == {"factored", "general"}
+
+
 def _old_document(ch) -> str:
     """A document as qqkit wrote it before: edges in build order, indented by one space."""
-    data = character_to_json(ch)
+    data = _character_data(ch)
     pos = {ym: k for k, ym in enumerate(sorted_terms(ch))}
     data["edges"] = [
         {"src": pos[s], "dst": pos[d], "label": {"node": i, "arg": x.to_json()}} for s, d, (i, x) in ch.edges
