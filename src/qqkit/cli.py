@@ -17,6 +17,7 @@ import json
 import os
 import sys
 from collections.abc import Iterable
+from functools import cache
 
 from .errors import QQError, ValidationError
 from .job import COMMANDS, FORMATS, JOB_FIELDS, Job, read_json
@@ -34,6 +35,7 @@ def _emit(chunks: Iterable[str], out: str | None):
         sys.stdout.flush()  # a closed pipe raises here, inside main, and not at exit
 
 
+@cache  # built once per process: building one costs far more than a parse, and leaves reference cycles
 def make_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="qqkit", description=__doc__)
     sp = ap.add_subparsers(dest="command", required=True)

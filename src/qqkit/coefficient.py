@@ -38,10 +38,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import methodcaller
 from typing import Iterable, Mapping
 
 from .errors import NonIntegerLimit, PoleError, ValidationError
-from .monomial import Monomial, Q1, Q2
+from .monomial import Memo, Monomial, Q1, Q2
 
 # ---------------------------------------------------------------------------
 # sparse Laurent polynomials: dict Monomial -> int
@@ -184,23 +185,21 @@ def _degenerate_integer(sigma: Mapping[str, Monomial], degenerate, n: int) -> in
     return ratio.numerator
 
 
-class Substitution(dict):
+class Substitution(Memo):
     """sigma after its image check; ``self[m]`` is ``m.substitute(self.sigma)``.
 
-    Like ``monomial._GenKeys``, it fills itself on first lookup, so the values
-    that share one Substitution have each monomial substituted once.
+    As a ``Memo``, it fills itself on first lookup, so the values that share
+    one Substitution have each monomial substituted once.
     """
 
+    __slots__ = ("sigma",)
+
     def __init__(self, sigma: Mapping[str, Monomial]):
-        super().__init__()
         for g, img in sigma.items():
             if any(h in sigma for h in img.gens()):
                 raise ValidationError(f"substitution image of {g} reuses substituted generators")
+        super().__init__(methodcaller("substitute", sigma))
         self.sigma = sigma
-
-    def __missing__(self, m: Monomial) -> Monomial:
-        image = self[m] = m.substitute(self.sigma)
-        return image
 
 
 def product_vanishes(values: Iterable[Coefficient], sub: Substitution) -> bool:

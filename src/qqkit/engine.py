@@ -26,14 +26,14 @@ any product is built, and a fundamental or pair factor that raises sends
 the whole weights through ``_bfs``.
 
 Both routes read their S-values through one table per ``expand`` call
-(``SValues``): S_d(a/x)^k by (d, a, x, k), computed on first lookup, with an
-S-zero kept unpowered.  The same companions meet the same reflected argument
-along many paths, so most lookups find their value there; the
-fundamentals, the pair tables and a fallback ``_bfs`` share it.  A pole is
+(a ``Memo`` of ``s_value``): S_d(a/x)^k by (d, a, x, k), computed on
+first lookup, with an S-zero kept unpowered.  The same companions meet the
+same reflected argument along many paths, so most lookups find their value
+there; the fundamentals, the pair tables and a fallback ``_bfs`` share it.  A pole is
 never stored, so it raises the same text on every lookup, and each
 reflection still checks its companions in entry order: the first zero or
-pole decides, as without the table.  The table lives for the one call, so
-nothing outlives it.
+pole decides, as without the table.  The table lives for the one call, and
+no reference cycle keeps it, or any other table of the call, alive after it.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from .errors import (
     ValidationError,
     require_int,
 )
-from .monomial import COUNTING, Monomial, Q, merge_runs, xparam
+from .monomial import COUNTING, Memo, Monomial, Q, merge_runs, xparam
 from .quiver import Quiver, QuiverClass, a_inverse_monomial, classify
 
 SAFETY_BOUND = 10**6
@@ -218,26 +218,22 @@ def derivative_case(i: str, x: Monomial, e: int) -> CollidingArguments:
     return CollidingArguments(f"Y[{i},{x!r}]^{e} requires the derivative prescription")
 
 
-class SValues(dict):
-    """S_d(a / x)^k by (d, a, x, k), filled on first lookup; ``expand`` keeps one per call.
+def s_value(key: tuple[int, Monomial, Monomial, int]) -> Coefficient:
+    """S_d(a / x)^k at ``key`` = (d, a, x, k), the value of an S-value table at that key.
 
-    Like ``coefficient.Substitution``, it computes each value once for the
-    reflections that share it.  An S-zero is kept unpowered, so the caller
-    decides what a zero does; a pole raises ``s_r``'s PoleError on every
-    lookup, since a lookup that raises stores nothing.
+    ``expand`` keeps one table, a ``Memo(s_value)``, per call, so each value
+    is computed once for the reflections that share it.  An S-zero is kept
+    unpowered, so the caller decides what a zero does; a pole raises
+    ``s_r``'s PoleError on every lookup, since a lookup that raises stores
+    nothing.
     """
-
-    __slots__ = ()
-
-    def __missing__(self, key: tuple[int, Monomial, Monomial, int]) -> Coefficient:
-        d, a, x, k = key
-        s = s_r(d, a / x)
-        value = self[key] = s if s.is_zero else s**k
-        return value
+    d, a, x, k = key
+    s = s_r(d, a / x)
+    return s if s.is_zero else s**k
 
 
 def s_factor_coefficient(
-    t: Term, i: str, x: Monomial, Q_: Quiver, s_values: SValues | None = None
+    t: Term, i: str, x: Monomial, Q_: Quiver, s_values: Memo | None = None
 ) -> Coefficient:
     """S-factor correction for reflecting the numerator entry (i, x) of t.
 
@@ -252,7 +248,7 @@ def s_factor_coefficient(
     if e >= 2:
         raise derivative_case(i, x, e)
     if s_values is None:
-        s_values = SValues()
+        s_values = Memo(s_value)
     d = Q_.d[i]
     out = Coefficient.one()
     for n, a, k in t.ym.entries:
@@ -272,7 +268,7 @@ def s_factor_coefficient(
     return out
 
 
-def reflect(Q_: Quiver, t: Term, i: str, x: Monomial, s_values: SValues | None = None) -> Term | None:
+def reflect(Q_: Quiver, t: Term, i: str, x: Monomial, s_values: Memo | None = None) -> Term | None:
     """One reflection step; None when the S-factor kills the child."""
     sf = s_factor_coefficient(t, i, x, Q_, s_values)
     if sf.is_zero:
@@ -319,7 +315,7 @@ def expand(
         raise ValidationError("indefinite quivers are not supported")
     if qclass is QuiverClass.AFFINE and max_qdeg is None:
         raise ValidationError("affine expansion requires a counting-degree cutoff")
-    s_values = SValues()
+    s_values = Memo(s_value)
     if qclass is QuiverClass.FINITE:
         if len(wc.entries) > 1 and _generic(wc):
             return _fuse(Q_, wc, safety_bound, s_values)
@@ -336,11 +332,11 @@ def _bfs(
     wc: WeightConfig,
     max_qdeg: int | None,
     safety_bound: int,
-    s_values: SValues | None = None,
+    s_values: Memo | None = None,
 ) -> Character:
     """The worklist expansion, which defines the character; ``expand`` checks its arguments."""
     if s_values is None:
-        s_values = SValues()
+        s_values = Memo(s_value)
     hw = highest_weight(Q_, wc)
     terms: dict[YMonomial, Coefficient] = {hw.ym: hw.coeff}
     edges: list[tuple[YMonomial, YMonomial, tuple[str, Monomial]]] = []
@@ -397,7 +393,7 @@ class _Fundamental:
 
     __slots__ = ("yms", "coeffs", "parent", "step", "out")
 
-    def __init__(self, Q_: Quiver, unit: tuple[str, int, Monomial], safety_bound: int, s_values: SValues):
+    def __init__(self, Q_: Quiver, unit: tuple[str, int, Monomial], safety_bound: int, s_values: Memo):
         ch = _bfs(Q_, WeightConfig((unit,)), None, safety_bound, s_values)
         self.yms = list(ch.terms)
         self.coeffs = list(ch.terms.values())
@@ -413,7 +409,7 @@ class _Fundamental:
             self.out[a].append((_entry_key(entry), b, entry, delta))
 
 
-def _cross(Q_: Quiver, f: _Fundamental, g: _Fundamental, s_values: SValues) -> list[list[Coefficient]]:
+def _cross(Q_: Quiver, f: _Fundamental, g: _Fundamental, s_values: Memo) -> list[list[Coefficient]]:
     """W[a][b]: the S-factors that f's term a contributes to the reflections along g's path to b.
 
     Each reflection of (i, x) takes S_{d_i}(y / x)^e from every entry
@@ -436,7 +432,7 @@ def _cross(Q_: Quiver, f: _Fundamental, g: _Fundamental, s_values: SValues) -> l
     return out
 
 
-def _pair_factors(Q_: Quiver, fj: _Fundamental, fk: _Fundamental, s_values: SValues) -> list[list[Coefficient]]:
+def _pair_factors(Q_: Quiver, fj: _Fundamental, fk: _Fundamental, s_values: Memo) -> list[list[Coefficient]]:
     """P[a][b], the S-factors between units j and k at their terms a and b.
 
     With j reflected first, its path meets Y_k (term 0 of k), and then k's
@@ -456,7 +452,7 @@ def _pair_factors(Q_: Quiver, fj: _Fundamental, fk: _Fundamental, s_values: SVal
     return out
 
 
-def _fuse(Q_: Quiver, wc: WeightConfig, safety_bound: int, s_values: SValues) -> Character:
+def _fuse(Q_: Quiver, wc: WeightConfig, safety_bound: int, s_values: Memo) -> Character:
     """The character of generic weights of several units on a finite quiver, from its fundamentals."""
     try:
         units = [_Fundamental(Q_, unit, safety_bound, s_values) for unit in wc.entries]
@@ -471,24 +467,24 @@ def _fuse(Q_: Quiver, wc: WeightConfig, safety_bound: int, s_values: SValues) ->
         return _bfs(Q_, wc, None, safety_bound, s_values)
     path_checks = sum(len(units[j].yms) * len(units[k].yms) for j, k in pairs)  # one per pair of terms
 
-    prefixes: dict[tuple[int, ...], Coefficient] = {}
+    def part(t: tuple[int, ...]) -> Coefficient:
+        """Unit k = len(t) - 1 at t[k], with its pair factors to units 0..k-1."""
+        k = len(t) - 1
+        c = units[k].coeffs[t[k]]
+        for j in range(k):
+            c = c * pairs[j, k][t[j]][t[k]]
+        return c
 
-    def coefficient(t: tuple[int, ...], k: int) -> Coefficient:
-        """The coefficient of units 0..k-1 at t[:k]; the short factors are multiplied first."""
-        part = units[k - 1].coeffs[t[k - 1]]
-        for j in range(k - 1):
-            part = part * pairs[j, k - 1][t[j]][t[k - 1]]
-        if k == 1:
-            return part
-        head = prefixes.get(t[: k - 1])
-        if head is None:
-            head = prefixes[t[: k - 1]] = coefficient(t, k - 1)
-        return head * part
+    # one table per unit k, of the coefficient of units 0..k at t[:k + 1]: the
+    # table of unit k - 1 at t[:k] times the short factors of unit k
+    coefficient = Memo(part)
+    for _ in range(n - 1):
+        coefficient = Memo(lambda t, head=coefficient: head[t[:-1]] * part(t))
 
     start = (0,) * n
     hw = highest_weight(Q_, wc).ym
     ym_of = {start: hw}
-    terms: dict[YMonomial, Coefficient] = {hw: coefficient(start, n)}
+    terms: dict[YMonomial, Coefficient] = {hw: coefficient[start]}
     edges: list[tuple[YMonomial, YMonomial, tuple[str, Monomial]]] = []
     work = deque([start])
     while work:
@@ -503,7 +499,7 @@ def _fuse(Q_: Quiver, wc: WeightConfig, safety_bound: int, s_values: SValues) ->
             child_ym = ym_of.get(child)
             if child_ym is None:
                 child_ym = ym_of[child] = ym * delta
-                terms[child_ym] = coefficient(child, n)
+                terms[child_ym] = coefficient[child]
                 work.append(child)
             edges.append((ym, child_ym, entry))
     return Character(

@@ -28,28 +28,45 @@ from .errors import ValidationError, require_int
 COUNTING, WEIGHT, OTHER = 3, 4, 5  # the kinds after q1, q2 and mu (kinds 0, 1, 2)
 
 
-class _GenKeys(dict):
-    """Canonical key of each generator name, parsed on first use; it ends in the name."""
+class Memo(dict):
+    """A table whose value at a key is ``make(key)``, computed on the first lookup.
 
-    def __missing__(self, name: str):
-        if name in ("q1", "q2", "mu"):
-            rank = (("q1", "q2", "mu").index(name), "", 0)
-        elif name.startswith("qfrak(") and name.endswith(")"):
-            rank = (COUNTING, name[6:-1], 0)
-        elif name.startswith("x(") and name.endswith(")"):
-            node, _, alpha = name[2:-1].partition(",")
-            try:
-                a = int(alpha)
-            except ValueError:
-                a = 0
-            rank = (WEIGHT, node, a)
-        else:
-            rank = (OTHER, name, 0)
-        key = self[name] = rank + (name,)
-        return key
+    A lookup that raises stores nothing, so it raises again on the next one.
+    qqkit's per-call tables (sigma images, S-values, partition-sum pieces,
+    prefix products, rendered text) are Memos; since no ``make`` refers back
+    to its own table, each is freed when its call returns.
+    """
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
 
 
-_GEN_KEYS = _GenKeys()
+def _gen_key(name: str) -> tuple:
+    """The canonical key of a generator name; it ends in the name."""
+    if name in ("q1", "q2", "mu"):
+        rank = (("q1", "q2", "mu").index(name), "", 0)
+    elif name.startswith("qfrak(") and name.endswith(")"):
+        rank = (COUNTING, name[6:-1], 0)
+    elif name.startswith("x(") and name.endswith(")"):
+        node, _, alpha = name[2:-1].partition(",")
+        try:
+            a = int(alpha)
+        except ValueError:
+            a = 0
+        rank = (WEIGHT, node, a)
+    else:
+        rank = (OTHER, name, 0)
+    return rank + (name,)
+
+
+_GEN_KEYS = Memo(_gen_key)  # parsed once per name, for the process
 gen_key = _GEN_KEYS.__getitem__
 _first = itemgetter(0)
 
@@ -208,6 +225,8 @@ class Monomial:
     def from_json(data: Mapping[str, int]) -> "Monomial":
         if not isinstance(data, Mapping):
             raise ValidationError(f"monomial JSON must be an object, got {data!r}")
+        if not all(isinstance(g, str) and _NAME.match(g) for g in data):
+            raise ValidationError(f"monomial keys must be generator names, which start with a letter, got {list(data)!r}")
         return Monomial({g: require_int(e, f"exponent of {g!r}") for g, e in data.items()})
 
 
@@ -229,27 +248,31 @@ def qfrak(node: str) -> Monomial:
     return Monomial.gen(f"qfrak({node})")
 
 
-_TOKEN = re.compile(r"([^\s*^]+)(?:\^(-?[0-9]+))?")
+_NAME = re.compile(r"[A-Za-z]")  # the first character of a generator name
+_TOKEN = re.compile(r"(1|[A-Za-z][^\s*^]*)(?:\^(-?[0-9]+))?")
 
 
 def parse_monomial(text: str, names: Mapping[str, Monomial] | None = None) -> Monomial:
     """Parse compact strings like ``"x1*q1^-2*q2"``.
 
-    Tokens ``name`` or ``name^n`` (integer n) joined by ``*``, or ``""``/``"1"``
-    for the unit; anything else is a ValidationError.
+    Tokens ``name`` or ``name^n`` (integer n) joined by ``*``, where a name
+    starts with a letter; a factor ``1`` or ``1^n``, and ``""``, is the unit.
+    Anything else is a ValidationError.
     ``q`` expands to q1*q2; ``q3``/``q4`` to the mass aliases; other names
     resolve through ``names`` before falling back to raw generators.
     """
     builtin = {"q": Q, "q1": Q1, "q2": Q2, "q3": Q3, "q4": Q4, "mu": MU}
     out = Monomial.unit()
     text = text.strip()
-    if text in ("", "1"):
+    if not text:
         return out
     for token in text.split("*"):
         match = _TOKEN.fullmatch(token.strip())
         if match is None:
-            raise ValidationError(f"malformed monomial {text!r} at token {token!r}")
+            raise ValidationError(f"malformed monomial {text!r} at token {token!r}: a factor is 1 or a name that starts with a letter")
         name, power = match.groups()
+        if name == "1":
+            continue
         e = int(power) if power else 1
         if names and name in names:
             base = names[name]

@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Sequence
 from .coefficient import Coefficient, s_function
 from .engine import Character, WeightConfig, YMonomial, derivative_case, highest_weight
 from .errors import CollidingArguments, InvalidPit, PoleError, ValidationError
-from .monomial import Monomial, Q, Q1, Q3, Q4, qfrak
+from .monomial import Memo, Monomial, Q, Q1, Q3, Q4, qfrak
 from .quiver import Quiver, QuiverClass, classify
 
 
@@ -284,13 +284,13 @@ def affine_character(Q_: Quiver, wc: WeightConfig, max_qdeg: int) -> Character:
     whose ratio puts an S-value of the weight on a pole, raise
     CollidingArguments, as they do in the engine.
 
-    Components and pairs recur across tuples, so the call keeps two tables:
-    each component's boundary Y-monomial and counting factor by (alpha,
-    lambda), and each ordered pair's product of ``_pair_s_values`` by (alpha,
-    beta, lambda_alpha, lambda_beta).  A tuple's weight is the product of its
-    pairs in ``z_s_values`` order, and every pair is evaluated before a zero
-    weight is skipped, so a pole is met at the same S-value of the same tuple
-    as in ``z_Ar_tuple`` and names that tuple.
+    Components and pairs recur across tuples, so the call keeps two ``Memo``
+    tables: each component's boundary Y-monomial and counting factor by
+    (alpha, lambda), and each ordered pair's product of ``_pair_s_values``
+    by (alpha, beta, lambda_alpha, lambda_beta).  A tuple's weight is the
+    product of its pairs in ``z_s_values`` order, and every pair is
+    evaluated before a zero weight is skipped, so a pole is met at the same
+    S-value of the same tuple as in ``z_Ar_tuple`` and names that tuple.
     """
     if max_qdeg < 0:
         raise ValidationError("cutoff must be nonnegative")
@@ -302,33 +302,23 @@ def affine_character(Q_: Quiver, wc: WeightConfig, max_qdeg: int) -> Character:
             raise derivative_case(i, x, e)
     r = len(node_names)
     comps = [(node_names.index(i), p) for i, _, p in wc.entries]
-    components: dict[tuple[int, Partition], tuple[YMonomial, Monomial]] = {}
-    pairs: dict[tuple[int, int, Partition, Partition], Coefficient] = {}
 
-    def component(alpha: int, lam: Partition) -> tuple[YMonomial, Monomial]:
+    def component(key: tuple[int, Partition]) -> tuple[YMonomial, Monomial]:
         """Component alpha's boundary Y-monomial and colored counting factor at lam."""
-        key = (alpha, lam)
-        got = components.get(key)
-        if got is None:
-            node, base = comps[alpha]
-            got = components[key] = (
-                _boundary_ym(lam, base, node, r, node_names),
-                _colored_counting(lam, node, r, node_names),
-            )
-        return got
+        alpha, lam = key
+        node, base = comps[alpha]
+        return _boundary_ym(lam, base, node, r, node_names), _colored_counting(lam, node, r, node_names)
 
-    def pair(alpha: int, beta: int, lam_a: Partition, lam_b: Partition) -> Coefficient:
+    def pair(key: tuple[int, int, Partition, Partition]) -> Coefficient:
         """The product of the pair's S-values, on the transposed diagram of alpha."""
-        key = (alpha, beta, lam_a, lam_b)
-        got = pairs.get(key)
-        if got is None:
-            (n_a, x_a), (n_b, x_b) = comps[alpha], comps[beta]
-            got = Coefficient.one()
-            for value in _pair_s_values(lam_a.transpose(), lam_b, x_b / x_a, n_a - n_b, r):
-                got = got * value
-            pairs[key] = got
-        return got
+        alpha, beta, lam_a, lam_b = key
+        (n_a, x_a), (n_b, x_b) = comps[alpha], comps[beta]
+        out = Coefficient.one()
+        for value in _pair_s_values(lam_a.transpose(), lam_b, x_b / x_a, n_a - n_b, r):
+            out = out * value
+        return out
 
+    components, pairs = Memo(component), Memo(pair)
     terms: dict[YMonomial, Coefficient] = {}
     for total in range(max_qdeg + 1):
         for lams in _tuples_of_total(len(comps), total):
@@ -337,7 +327,7 @@ def affine_character(Q_: Quiver, wc: WeightConfig, max_qdeg: int) -> Character:
                 for alpha, lam_a in enumerate(lams):
                     if lam_a.parts:
                         for beta, lam_b in enumerate(lams):
-                            coeff = coeff * pair(alpha, beta, lam_a, lam_b)
+                            coeff = coeff * pairs[alpha, beta, lam_a, lam_b]
             except PoleError as exc:
                 raise CollidingArguments(f"{exc} in the weight of {tuple(lams)!r}") from exc
             if coeff.is_zero:
@@ -345,7 +335,7 @@ def affine_character(Q_: Quiver, wc: WeightConfig, max_qdeg: int) -> Character:
             counting = Monomial.unit()
             ym = YMonomial.unit()
             for alpha, lam in enumerate(lams):
-                ym_a, counting_a = component(alpha, lam)
+                ym_a, counting_a = components[alpha, lam]
                 counting = counting * counting_a
                 ym = ym * ym_a
             coeff = coeff * Coefficient.from_monomial(counting)

@@ -20,7 +20,7 @@ from .coefficient import Coefficient, factor_tuple, s_r
 from .engine import Character, WeightConfig, YMonomial, qdeg_of
 from .errors import PoleError, ValidationError, require_int
 from .higgsing import ClassicalCharacter
-from .monomial import COUNTING, WEIGHT, Monomial, gen_key
+from .monomial import COUNTING, WEIGHT, Memo, Monomial, gen_key
 from .quiver import Quiver
 
 # ---------------------------------------------------------------------------
@@ -230,30 +230,17 @@ def s_decompose(c: Coefficient, table: _Candidates | None = None):
     return integer, unit, found, factor_tuple({args[a]: p for a, p in remaining.items()})  # sorted by argument
 
 
-class _Written(dict):
-    """A memo of text: the value of a key is written by ``write`` on its
-    first lookup, then read."""
-
-    def __init__(self, write: Callable):
-        super().__init__()
-        self.write = write
-
-    def __missing__(self, key):
-        s = self[key] = self.write(key)
-        return s
-
-
 class _Latex:
     """What the LaTeX of one character shares: its names, its ranked
     S-candidates, and the string of each monomial (by (monomial, ratio)),
     Y-symbol and DOT-escaped edge label (by (node, argument)), written
-    once.  It lives for one render call."""
+    once into a ``Memo``.  It lives for one render call."""
 
     def __init__(self, names: dict[str, str], coefficients=(), single_node: bool = False):
         self.table = s_candidates(coefficients)
-        self.monomials = _Written(lambda k: monomial_latex(k[0], names, k[1]))
-        self.y_symbols = _Written(lambda k: y_symbol_latex(k[0], k[1], names, single_node))
-        self.edge_labels = _Written(lambda k: _dot_escaped(edge_label(k[0], k[1], names)))
+        self.monomials = Memo(lambda k: monomial_latex(k[0], names, k[1]))
+        self.y_symbols = Memo(lambda k: y_symbol_latex(k[0], k[1], names, single_node))
+        self.edge_labels = Memo(lambda k: _dot_escaped(edge_label(k[0], k[1], names)))
 
     def ym(self, ym: YMonomial) -> str:
         if ym.is_unit:
@@ -361,22 +348,23 @@ class _Json:
 
     The text of each distinct monomial, binomial factor (argument, power),
     Y-factor (node, argument, exponent) and edge label (node, argument) is
-    encoded once by ``json.dumps`` and then appended as often as it
-    occurs, with ``json.dumps``'s separators, so that the document reads
-    byte for byte as ``json_document`` of the same data.  No text of a
-    term or coefficient is built on the way.  It lives for one render call.
+    encoded once by ``json.dumps``, kept in a ``Memo``, and appended as
+    often as it occurs, with ``json.dumps``'s separators, so that the
+    document reads byte for byte as ``json_document`` of the same data.  No
+    text of a term or coefficient is built on the way.  It lives for one
+    render call.
     """
 
     def __init__(self):
         self.pieces: list[str] = []
         # the writers read the local memo, not self, so that no reference
         # cycle keeps a document's pieces alive after the call
-        monomials = self.monomials = _Written(lambda m: json.dumps(m.to_json()))
-        self.factors = _Written(lambda f: f'{{"arg": {monomials[f[0]]}, "pow": {f[1]}}}')
-        self.y_factors = _Written(
+        monomials = self.monomials = Memo(lambda m: json.dumps(m.to_json()))
+        self.factors = Memo(lambda f: f'{{"arg": {monomials[f[0]]}, "pow": {f[1]}}}')
+        self.y_factors = Memo(
             lambda t: f'{{"node": {json.dumps(t[0])}, "arg": {monomials[t[1]]}, "exp": {t[2]}}}'
         )
-        self.labels = _Written(lambda t: f'{{"node": {json.dumps(t[0])}, "arg": {monomials[t[1]]}}}')
+        self.labels = Memo(lambda t: f'{{"node": {json.dumps(t[0])}, "arg": {monomials[t[1]]}}}')
 
     def write(self, *texts: str) -> None:
         self.pieces.extend(texts)

@@ -112,6 +112,9 @@ JOBS = [
     _job("affine-expand", "Arhat(2)", {"0": 1, "1": 1}, "--max-deg", "2", "--format", "json"),
     # a node id that JSON escapes, in every format
     *(_job("expand", ESCAPED, {ESCAPED_ID: 1}, "--format", f) for f in ("json", "latex", "dot", "text")),
+    # a factor 1 is the unit, and a factor 2 is no generator
+    *(_job("higgs", "A1", {"1": 2}, "--higgs", json.dumps({"x(1,2)": f"{n}*x(1,1)*q1"}), "--format", "text")
+      for n in (1, 2)),
 ]
 
 

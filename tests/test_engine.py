@@ -9,7 +9,6 @@ import qqkit.engine
 from qqkit.coefficient import Coefficient, s_function, s_r
 from qqkit.engine import (
     SAFETY_BOUND,
-    SValues,
     Term,
     WeightConfig,
     YMonomial,
@@ -17,12 +16,13 @@ from qqkit.engine import (
     expand,
     highest_weight,
     s_factor_coefficient,
+    s_value,
     _bfs,
     _generic,
 )
 from qqkit.errors import CollidingArguments, NonTermination, QQError, ValidationError
 from qqkit.job import Job
-from qqkit.monomial import MU, Monomial, Q, Q1, Q2, parse_monomial, xparam
+from qqkit.monomial import MU, Memo, Monomial, Q, Q1, Q2, parse_monomial, xparam
 from qqkit.quiver import Quiver, builtin_quiver
 
 A1 = builtin_quiver("A1")
@@ -94,7 +94,7 @@ def _s_factor_outcome(t, i, x, Q_, *table):
 )
 def test_one_s_value_table_gives_what_fresh_calls_give(Q_, w, params, cutoff):
     """One table read by every reflection of an expansion changes no S-factor."""
-    table = SValues()
+    table = Memo(s_value)
     for ym, coeff in expand(Q_, WeightConfig.make(Q_, w, params), max_qdeg=cutoff).terms.items():
         t = Term(ym, coeff)
         for i, x, _ in ym.numerator_entries():
@@ -104,7 +104,7 @@ def test_one_s_value_table_gives_what_fresh_calls_give(Q_, w, params, cutoff):
 
 def test_a_table_stores_no_pole_and_keeps_zeros_unpowered():
     x = xparam("1", 1)
-    table = SValues()
+    table = Memo(s_value)
     pole = Term(Y(("1", x, 1), ("1", x * Q1 * Q2, 1)), Coefficient.one())
     zero_below = Term(Y(("1", x, 1), ("1", x * Q1, -1)), Coefficient.one())
     for t, text in [

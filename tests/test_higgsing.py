@@ -129,7 +129,18 @@ LADDERS = [
     ("A1", "1", 2, 4, None), ("A2", "2", 2, 4, None), ("BC2", "2", 2, 3, None),  # q2 ladders
     # Kirillov-Reshetikhin: 4, 11, 24 = dim V(k w2) + dim V((k-2) w2) + ...
     ("BC2", "2", 1, 3, 2),
+    # the outer nodes of D4 (8, 35, 112) and the long end of B3 (7, 27, 77): V(k w_node) alone
+    *(("D4", node, m, 3, None) for node in "134" for m in (1, 2)),
+    ("B3", "1", 1, 3, None),
 ]
+# the quivers of LADDERS that are no builtin, as a job file gives them
+LADDER_QUIVERS = {
+    "D4": {"nodes": [{"id": i} for i in "1234"], "edges": [{"from": "2", "to": i} for i in "134"]},
+    "B3": {
+        "nodes": [{"id": "1", "d": 2}, {"id": "2", "d": 2}, {"id": "3"}],
+        "edges": [{"from": "1", "to": "2"}, {"from": "2", "to": "3"}],
+    },
+}
 
 
 @pytest.mark.parametrize(
@@ -138,7 +149,8 @@ LADDERS = [
     ids=["-".join(map(str, case[:4])) + (f"-step{case[4]}" if case[4] else "") for case in LADDERS],
 )
 def test_higgsed_ladder_has_the_weyl_dimension(quiver, node, m, k_max, step):
-    Q_ = builtin_quiver(quiver)
+    quiver = LADDER_QUIVERS.get(quiver, quiver)
+    Q_ = Job.parse({"quiver": quiver}).quiver
     other = "q2" if m == 1 else "q1"
     for k in range(1, k_max + 1):
         sigma = {g: img.to_json() for g, img in kr_sigma(Q_, node, k, m).items()}
@@ -154,6 +166,10 @@ def test_weyl_dimensions_of_the_fundamental_multiples():
     assert [_weyl_dimension(A2, {"1": k}) for k in range(1, 5)] == [3, 6, 10, 15]
     assert [_weyl_dimension(BC2, {"1": k}) for k in range(1, 4)] == [5, 14, 30]
     assert [_weyl_dimension(BC2, {"2": k}) for k in range(1, 4)] == [4, 10, 20]
+    d4, b3 = (Job.parse({"quiver": LADDER_QUIVERS[name]}).quiver for name in ("D4", "B3"))
+    for node in "134":
+        assert [_weyl_dimension(d4, {node: k}) for k in range(1, 4)] == [8, 35, 112]
+    assert [_weyl_dimension(b3, {"1": k}) for k in range(1, 4)] == [7, 27, 77]
 
 
 def _quiver(name, d, edges):

@@ -62,6 +62,8 @@ def test_parse():
     assert parse_monomial("q3*q4") == Q
     assert parse_monomial("x*q1", {"x": xparam("1", 1)}) == xparam("1", 1) * Q1
     assert parse_monomial("1").is_unit
+    assert parse_monomial("1^-2").is_unit
+    assert parse_monomial("1*x(1,1)*q1") == parse_monomial("x(1,1)*1^3*q1") == xparam("1", 1) * Q1  # 1 is the unit
 
 
 @pytest.mark.parametrize("text", ["x1", "x(1,2)*q1^-2", "qfrak(0)", "xa", " x1 * q2^3 ", ""])
@@ -69,10 +71,21 @@ def test_parse_accepts_the_grammar(text):
     assert isinstance(parse_monomial(text), Monomial)
 
 
-@pytest.mark.parametrize("text", ["*", "a**b", "q1^", "q1^-", "q1^a", "^2", "q1 q2", "q1^2^3"])
+@pytest.mark.parametrize(
+    "text",
+    ["*", "a**b", "q1^", "q1^-", "q1^a", "^2", "q1 q2", "q1^2^3",
+     # a generator name starts with a letter
+     "2", "2*x(1,1)", "x(1,1)*0", "-x", "(x)", "1x", "_x", "x*2^2"],
+)
 def test_parse_rejects_malformed_text(text):
     with pytest.raises(ValidationError):
         parse_monomial(text)
+
+
+@pytest.mark.parametrize("key", ["1", "2", "-x", "(x)", "", 1])
+def test_json_keys_are_generator_names(key):
+    with pytest.raises(ValidationError, match="must be generator names"):
+        Monomial.from_json({key: 1})
 
 
 @given(monomials)
