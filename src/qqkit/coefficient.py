@@ -41,7 +41,7 @@ from math import gcd
 from operator import methodcaller
 from typing import Iterable, Mapping
 
-from .errors import NonIntegerLimit, PoleError, ValidationError
+from .errors import NonIntegerLimit, PoleError, ValidationError, require_int
 from .monomial import Memo, Monomial, Q1, Q2
 
 # ---------------------------------------------------------------------------
@@ -557,16 +557,21 @@ class Coefficient:
 
     @staticmethod
     def from_json(data: Mapping) -> "Coefficient":
-        if "num" in data:
-            num = {Monomial.from_json(m): int(c) for m, c in data["num"]}
-            den = tuple((Monomial.from_json(f["arg"]), int(f["pow"])) for f in data["den"])
-            return Coefficient.general(num, den)
-        n = int(data.get("int", 0))
-        if n == 0:
-            return _ZERO
-        unit = Monomial.from_json(data.get("unit", {}))
-        fac = tuple((Monomial.from_json(f["arg"]), int(f["pow"])) for f in data.get("factors", ()))
-        return Coefficient.factored(n, unit, fac)
+        try:
+            if "num" in data:
+                num = {Monomial.from_json(m): require_int(c, "numerator coefficient") for m, c in data["num"]}
+                den = tuple((Monomial.from_json(f["arg"]), require_int(f["pow"], 'factor "pow"')) for f in data["den"])
+                return Coefficient.general(num, den)
+            n = require_int(data.get("int", 0), 'coefficient "int"')
+            if n == 0:
+                return _ZERO
+            unit = Monomial.from_json(data.get("unit", {}))
+            fac = tuple(
+                (Monomial.from_json(f["arg"]), require_int(f["pow"], 'factor "pow"')) for f in data.get("factors", ())
+            )
+            return Coefficient.factored(n, unit, fac)
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
+            raise ValidationError(f"malformed coefficient JSON ({type(exc).__name__}: {exc})") from None
 
 
 _ZERO = Coefficient("factored", 0)

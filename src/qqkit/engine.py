@@ -21,7 +21,7 @@ on that route.  Terms and edges are emitted by a breadth-first walk over
 the tuples, each tuple's reflections in entry order, so the output is
 identical to ``_bfs``'s: the same terms in the same insertion order, the
 same coefficients and the same ``edges`` tuple.  Errors are ``_bfs``'s
-too: more than ``safety_bound`` terms raise its ``NonTermination`` before
+too: more than ``SAFETY_BOUND`` terms raise its ``NonTermination`` before
 any product is built, and a fundamental or pair factor that raises sends
 the whole weights through ``_bfs``.
 
@@ -143,9 +143,12 @@ class YMonomial:
 
     @staticmethod
     def from_json(data) -> "YMonomial":
-        return YMonomial(
-            tuple((str(t["node"]), Monomial.from_json(t["arg"]), int(t["exp"])) for t in data)
-        )
+        try:
+            return YMonomial(
+                tuple((str(t["node"]), Monomial.from_json(t["arg"]), require_int(t["exp"], "Y exponent")) for t in data)
+            )
+        except (KeyError, TypeError) as exc:
+            raise ValidationError(f"malformed Y-monomial JSON ({type(exc).__name__}: {exc})") from None
 
 
 _Y_UNIT = YMonomial()
@@ -299,7 +302,6 @@ def expand(
     Q_: Quiver,
     wc: WeightConfig,
     max_qdeg: int | None = None,
-    safety_bound: int = SAFETY_BOUND,
 ) -> Character:
     """Full expansion; exact and deterministic.
 
@@ -318,25 +320,17 @@ def expand(
     s_values = Memo(s_value)
     if qclass is QuiverClass.FINITE:
         if len(wc.entries) > 1 and _generic(wc):
-            return _fuse(Q_, wc, safety_bound, s_values)
+            return _fuse(Q_, wc, s_values)
         max_qdeg = None
-    return _bfs(Q_, wc, max_qdeg, safety_bound, s_values)
+    return _bfs(Q_, wc, max_qdeg, s_values)
 
 
-def _too_many_terms(safety_bound: int) -> NonTermination:
-    return NonTermination(f"expansion exceeded {safety_bound} terms")
+def _too_many_terms() -> NonTermination:
+    return NonTermination(f"expansion exceeded {SAFETY_BOUND} terms")
 
 
-def _bfs(
-    Q_: Quiver,
-    wc: WeightConfig,
-    max_qdeg: int | None,
-    safety_bound: int,
-    s_values: Memo | None = None,
-) -> Character:
+def _bfs(Q_: Quiver, wc: WeightConfig, max_qdeg: int | None, s_values: Memo) -> Character:
     """The worklist expansion, which defines the character; ``expand`` checks its arguments."""
-    if s_values is None:
-        s_values = Memo(s_value)
     hw = highest_weight(Q_, wc)
     terms: dict[YMonomial, Coefficient] = {hw.ym: hw.coeff}
     edges: list[tuple[YMonomial, YMonomial, tuple[str, Monomial]]] = []
@@ -368,8 +362,8 @@ def _bfs(
                     )
                 continue
             terms[child.ym] = child.coeff
-            if len(terms) > safety_bound:
-                raise _too_many_terms(safety_bound)
+            if len(terms) > SAFETY_BOUND:
+                raise _too_many_terms()
             work.append(child)
     return Character(
         Q_,
@@ -393,8 +387,8 @@ class _Fundamental:
 
     __slots__ = ("yms", "coeffs", "parent", "step", "out")
 
-    def __init__(self, Q_: Quiver, unit: tuple[str, int, Monomial], safety_bound: int, s_values: Memo):
-        ch = _bfs(Q_, WeightConfig((unit,)), None, safety_bound, s_values)
+    def __init__(self, Q_: Quiver, unit: tuple[str, int, Monomial], s_values: Memo):
+        ch = _bfs(Q_, WeightConfig((unit,)), None, s_values)
         self.yms = list(ch.terms)
         self.coeffs = list(ch.terms.values())
         number = {ym: a for a, ym in enumerate(self.yms)}
@@ -452,19 +446,19 @@ def _pair_factors(Q_: Quiver, fj: _Fundamental, fk: _Fundamental, s_values: Memo
     return out
 
 
-def _fuse(Q_: Quiver, wc: WeightConfig, safety_bound: int, s_values: Memo) -> Character:
+def _fuse(Q_: Quiver, wc: WeightConfig, s_values: Memo) -> Character:
     """The character of generic weights of several units on a finite quiver, from its fundamentals."""
     try:
-        units = [_Fundamental(Q_, unit, safety_bound, s_values) for unit in wc.entries]
+        units = [_Fundamental(Q_, unit, s_values) for unit in wc.entries]
     except QQError:
-        return _bfs(Q_, wc, None, safety_bound, s_values)
-    if prod(len(f.yms) for f in units) > safety_bound:
-        raise _too_many_terms(safety_bound)
+        return _bfs(Q_, wc, None, s_values)
+    if prod(len(f.yms) for f in units) > SAFETY_BOUND:
+        raise _too_many_terms()
     n = len(units)
     try:
         pairs = {(j, k): _pair_factors(Q_, units[j], units[k], s_values) for k in range(n) for j in range(k)}
     except QQError:
-        return _bfs(Q_, wc, None, safety_bound, s_values)
+        return _bfs(Q_, wc, None, s_values)
     path_checks = sum(len(units[j].yms) * len(units[k].yms) for j, k in pairs)  # one per pair of terms
 
     def part(t: tuple[int, ...]) -> Coefficient:

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from graphlib import CycleError, TopologicalSorter
 from math import gcd, prod
 from typing import Mapping
 
@@ -92,26 +93,15 @@ class Quiver:
         return scalars
 
     def _has_cycle(self) -> bool:
-        """Whether the quiver has a directed cycle (a loop is one).
-
-        Nodes that no remaining edge enters are dropped until none is left
-        to drop: a cycle exists iff some nodes remain.  No recursion, so a
-        long path is no deeper than a short one.
-        """
-        incoming = dict.fromkeys(self.nodes, 0)
-        targets: dict[str, list[str]] = {i: [] for i in self.nodes}
+        """Whether the quiver has a directed cycle (a loop is one); ``graphlib`` finds it without recursion."""
+        order = TopologicalSorter()
         for a, b, _ in self.edges:
-            incoming[b] += 1
-            targets[a].append(b)
-        free = [i for i in self.nodes if not incoming[i]]
-        dropped = 0
-        while free:
-            dropped += 1
-            for b in targets[free.pop()]:
-                incoming[b] -= 1
-                if not incoming[b]:
-                    free.append(b)
-        return dropped < len(self.nodes)
+            order.add(b, a)
+        try:
+            order.prepare()
+        except CycleError:
+            return True
+        return False
 
     def dij(self, i: str, j: str) -> int:
         return gcd(self.d[i], self.d[j])
@@ -131,9 +121,11 @@ class Quiver:
                 (str(e["from"]), str(e["to"]), require_int(e.get("mu", 0), "edge mu"))
                 for e in data.get("edges", ())
             )
-            name = str(data.get("name", ""))
+            name = data.get("name", "")
         except (KeyError, TypeError, AttributeError) as exc:
             raise ValidationError(f"malformed quiver JSON ({type(exc).__name__}: {exc})") from None
+        if not isinstance(name, str):
+            raise ValidationError(f"quiver name must be a string, got {name!r}")
         return Quiver(nodes, d, edges, name=name)
 
 

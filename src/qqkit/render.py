@@ -455,27 +455,31 @@ def affine_series_to_json(ch: Character) -> str:
 
 
 def character_from_json(data: dict) -> Character:
-    quiver = Quiver.from_json(data["quiver"])
-    order = [YMonomial.from_json(t["ym"]) for t in data["terms"]]
-    terms = {ym: Coefficient.from_json(t["coeff"]) for ym, t in zip(order, data["terms"])}
+    """The character of a JSON document as ``character_to_json`` writes it; a malformed one is a ValidationError."""
 
     def term(k) -> YMonomial:  # edges index the terms list as written
         if not 0 <= require_int(k, "edge endpoint") < len(order):
             raise ValidationError(f"edge endpoint {k} is not an index of the {len(order)} terms")
         return order[k]
 
-    edges = tuple(
-        (term(e["src"]), term(e["dst"]), (str(e["label"]["node"]), Monomial.from_json(e["label"]["arg"])))
-        for e in data.get("edges", ())
-    )
-    wc = None
-    if "weights" in data:
-        wc = WeightConfig(
-            tuple(
-                (str(t["node"]), int(t["alpha"]), Monomial.from_json(t["param"]))
-                for t in data["weights"]
-            )
+    try:
+        quiver = Quiver.from_json(data["quiver"])
+        order = [YMonomial.from_json(t["ym"]) for t in data["terms"]]
+        terms = {ym: Coefficient.from_json(t["coeff"]) for ym, t in zip(order, data["terms"])}
+        edges = tuple(
+            (term(e["src"]), term(e["dst"]), (str(e["label"]["node"]), Monomial.from_json(e["label"]["arg"])))
+            for e in data.get("edges", ())
         )
+        wc = None
+        if "weights" in data:
+            wc = WeightConfig(
+                tuple(
+                    (str(t["node"]), require_int(t["alpha"], 'weight "alpha"'), Monomial.from_json(t["param"]))
+                    for t in data["weights"]
+                )
+            )
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValidationError(f"malformed character JSON ({type(exc).__name__}: {exc})") from None
     return Character(quiver, wc, terms, edges)
 
 

@@ -24,7 +24,7 @@ from .higgsing import (
     kr_sigma,
 )
 from .job import Job, read_json
-from .monomial import Q1, Q2, Monomial, parse_monomial
+from .monomial import Q1, Q2, Memo, Monomial, parse_monomial
 from .partitions import (
     burge_filter,
     burge_resonance_sigma,
@@ -271,19 +271,22 @@ def _burge_sweep(r: int, i_values, j_values, max_size: int):
     weight of a colouring on its offset delta = (na - nb) mod r alone
     (``z_s_values`` reads only n_alpha - n_beta mod r).  So each filter runs
     once per resonance and pair, and each vanishing test once per delta,
-    resonance and pair, when the first colouring with that delta comes up.
+    resonance and pair (``vanishing``, a ``Memo`` of delta), when the first
+    colouring with that delta comes up.
     """
     xa, xb = Monomial.gen("xa"), Monomial.gen("xb")
     pool = partitions_up_to(max_size)
     pairs = [(la, lb) for la, lb in product(pool, pool) if la.size + lb.size <= max_size]
     resonances = [(i, j, Substitution(burge_resonance_sigma(i, j, "xa", "xb"))) for i, j in product(i_values, j_values)]
     admitted = {(i, j): [burge_filter(la, lb, i, j) for la, lb in pairs] for i, j, _ in resonances}
-    vanishing: dict[int, dict[tuple[int, int], list[bool]]] = {}
+
+    def weigh(delta: int) -> dict[tuple[int, int], list[bool]]:
+        weights = [z_s_values([la, lb], [xa, xb], r, nodes=[delta, 0]) for la, lb in pairs]
+        return {(i, j): [product_vanishes(v, sub) for v in weights] for i, j, sub in resonances}
+
+    vanishing = Memo(weigh)
     for na, nb in product(range(r), range(r)):
         delta = (na - nb) % r
-        if delta not in vanishing:
-            weights = [z_s_values([la, lb], [xa, xb], r, nodes=[delta, 0]) for la, lb in pairs]
-            vanishing[delta] = {(i, j): [product_vanishes(v, sub) for v in weights] for i, j, sub in resonances}
         for i, j, _ in resonances:
             residue_ok = (i + j - 1 - delta) % r == 0
             for (la, lb), vanishes, adm in zip(pairs, vanishing[delta][i, j], admitted[i, j]):

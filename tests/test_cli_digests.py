@@ -115,6 +115,8 @@ JOBS = [
     # a factor 1 is the unit, and a factor 2 is no generator
     *(_job("higgs", "A1", {"1": 2}, "--higgs", json.dumps({"x(1,2)": f"{n}*x(1,1)*q1"}), "--format", "text")
       for n in (1, 2)),
+    # a quiver name that is not a string
+    _job("expand", json.dumps({"nodes": [{"id": "1"}], "edges": [], "name": {"a": 1}}), {"1": 1}, "--format", "json"),
 ]
 
 

@@ -8,7 +8,6 @@ import qqkit.engine
 
 from qqkit.coefficient import Coefficient, s_function, s_r
 from qqkit.engine import (
-    SAFETY_BOUND,
     Term,
     WeightConfig,
     YMonomial,
@@ -203,9 +202,10 @@ def test_a_cutoff_cuts_nothing_on_a_finite_quiver():
     assert Job.parse({**job, "max_deg": 0}).run().terms == Job.parse(job).run().terms
 
 
-def test_safety_bound():
-    with pytest.raises(NonTermination):
-        expand(A1, WeightConfig.make(A1, {"1": 4}), safety_bound=3)
+def test_safety_bound(monkeypatch):
+    monkeypatch.setattr(qqkit.engine, "SAFETY_BOUND", 3)
+    with pytest.raises(NonTermination, match=r"^expansion exceeded 3 terms$"):
+        expand(A1, WeightConfig.make(A1, {"1": 4}))
 
 
 def test_deterministic_repeat():
@@ -380,7 +380,7 @@ def test_fused_expansion_is_the_breadth_first_one(case):
     assert _generic(wc) and len(wc.entries) >= 2
     with mock.patch.object(qqkit.engine, "_bfs", wraps=_bfs) as bfs:
         fused = _result(lambda: expand(Q_, wc))
-    assert fused == _result(lambda: _bfs(Q_, wc, None, SAFETY_BOUND))
+    assert fused == _result(lambda: _bfs(Q_, wc, None, Memo(s_value)))
     if isinstance(fused[0], list):  # fused, with no breadth-first expansion of all the units
         assert [len(call.args[1].entries) for call in bfs.call_args_list] == [1] * len(wc.entries)
         assert len(fused[0]) == reduce(lambda n, e: n * _fundamental_size(case[0], e[0]), wc.entries, 1)
@@ -389,13 +389,14 @@ def test_fused_expansion_is_the_breadth_first_one(case):
 def test_fused_expansion_refuses_too_many_terms_before_any_product(monkeypatch):
     calls = []
 
-    def counted(Q_, wc, *rest):  # rest: the cutoff, the bound and the expansion's S-value table
+    def counted(Q_, wc, *rest):  # rest: the cutoff and the expansion's S-value table
         calls.append(len(wc.entries))
         return _bfs(Q_, wc, *rest)
 
     monkeypatch.setattr(qqkit.engine, "_bfs", counted)
+    monkeypatch.setattr(qqkit.engine, "SAFETY_BOUND", 4095)
     with pytest.raises(NonTermination, match=r"^expansion exceeded 4095 terms$"):
-        expand(A1, WeightConfig.make(A1, {"1": 12}), safety_bound=4095)
+        expand(A1, WeightConfig.make(A1, {"1": 12}))
     assert calls == [1] * 12  # one fundamental per unit, and no expansion of all twelve
 
 

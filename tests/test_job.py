@@ -25,6 +25,7 @@ from qqkit.verify import load_corpus
 
 JOB = "<job file>"  # replaced by the path of a file holding the case's job
 EDGE_WITHOUT_FROM = json.dumps({"nodes": [{"id": "1"}, {"id": "2"}], "edges": [{"to": "2"}]})
+NAME_NOT_A_STRING = json.dumps({"nodes": [{"id": "1"}], "edges": [], "name": {"a": 1}})
 LOOP_WITHOUT_MASS = json.dumps({"nodes": [{"id": "0"}], "edges": [{"from": "0", "to": "0", "mu": 0}]})
 # checked before the Cartan columns, which would hold about 10^9 terms
 HUGE_DECORATION = json.dumps(
@@ -50,6 +51,7 @@ MALFORMED = {
     "params-node-without-unit": (_expand("--w", '{"1": 1}', "--params", '{"2,1": "x(1,1)*q1"}'), None),
     "quiver-bad-rank": (["expand", "--quiver", "Arhat(x)", "--w", "{}"], None),
     "quiver-edge-without-from": (["expand", "--quiver", EDGE_WITHOUT_FROM, "--w", '{"1": 1}'], None),
+    "quiver-name-not-a-string": (["expand", "--quiver", NAME_NOT_A_STRING, "--w", '{"1": 1}'], None),
     "quiver-loop-mu-0": (["expand", "--quiver", LOOP_WITHOUT_MASS, "--w", '{"0": 1}', "--max-deg", "2"], None),
     "quiver-decoration-above-ceiling": (["expand", "--quiver", HUGE_DECORATION, "--w", '{"1": 1}'], None),
     "affine-expand-without-max-deg": (["affine-expand", "--quiver", "A0hat", "--w", '{"0": 1}'], None),

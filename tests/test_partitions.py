@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import qqkit.verify
 from qqkit.coefficient import Coefficient, Substitution, product_vanishes, s_function
 from qqkit.engine import WeightConfig, YMonomial, derivative_case, expand, highest_weight
 from qqkit.errors import CollidingArguments, InvalidPit, PoleError, QQError, ValidationError
@@ -353,6 +354,22 @@ def test_burge_rows_r3():
     rows = list(burge_rows(3, [0, -1, -2], [1, 2, 3], 4))
     assert len(rows) == 3078
     assert all(row["ok"] for row in rows)
+
+
+def test_the_burge_sweep_weighs_each_colour_offset_once(monkeypatch):
+    offsets = []
+
+    def counted(lams, params, r, nodes):
+        offsets.append(nodes[0])
+        return z_s_values(lams, params, r, nodes=nodes)
+
+    monkeypatch.setattr(qqkit.verify, "z_s_values", counted)
+    rows = burge_rows(3, [0, -1], [1, 2], 4)
+    next(rows)  # the rows stream: the first colouring (0, 0) weighs offset 0 alone
+    assert offsets == [0] * 38  # 38 pairs with |a| + |b| <= 4
+    assert sum(1 for _ in rows) == 9 * 4 * 38 - 1
+    # one call per offset and pair, in the order the colourings (0, 0), (0, 1), (0, 2) first meet them
+    assert offsets == [0] * 38 + [2] * 38 + [1] * 38
 
 
 def _burge_rows_per_colouring(r, i_values, j_values, max_size):

@@ -37,6 +37,38 @@ def test_validation():
     Quiver(("1",), {"1": 1}, (("1", "1", 2),))  # loop is a cycle
 
 
+@st.composite
+def _digraphs(draw):
+    """(n, edges, k): a digraph on nodes 0..n-1 with 1 <= n <= 6 and at least one edge, loops and parallel
+    edges allowed, and the index k of the edge that carries the mass."""
+    n = draw(st.integers(1, 6))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), min_size=1, max_size=12))
+    return n, edges, draw(st.integers(0, len(edges) - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_digraphs())
+def test_a_mass_edge_is_accepted_exactly_on_a_cyclic_quiver(case):
+    n, edges, mass = case
+    reach = [[False] * n for _ in range(n)]  # the reference: the transitive closure (Warshall)
+    for a, b in edges:
+        reach[a][b] = True
+    for k in range(n):
+        for i in range(n):
+            if reach[i][k]:
+                for j in range(n):
+                    reach[i][j] = reach[i][j] or reach[k][j]
+    cyclic = any(reach[i][i] for i in range(n))
+    # one mass edge, and every loop needs a nonzero mu of its own
+    spec = [(str(a), str(b), int(a == b or k == mass)) for k, (a, b) in enumerate(edges)]
+    nodes = tuple(str(k) for k in range(n))
+    if cyclic:
+        assert Quiver(nodes, dict.fromkeys(nodes, 1), tuple(spec))._has_cycle()
+    else:
+        with pytest.raises(ValidationError, match="^mass exponents are only allowed on cyclic quivers$"):
+            Quiver(nodes, dict.fromkeys(nodes, 1), tuple(spec))
+
+
 def _deformed_cartan(Q_):
     """Entry [j][i] sums the terms (j, m, sign) of column i as a general-form coefficient."""
     idx = {v: k for k, v in enumerate(Q_.nodes)}

@@ -318,6 +318,42 @@ def test_character_json_round_trip():
             assert rt.wc == ch.wc
 
 
+def _set_first_y_exponent(doc, value):
+    doc["terms"][0]["ym"][0]["exp"] = value
+
+
+def _set_first_factor_power(doc, value):
+    next(t["coeff"] for t in doc["terms"] if t["coeff"]["factors"])["factors"][0]["pow"] = value
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda doc: _set_first_y_exponent(doc, 2.7), "Y exponent must be an integer, got 2.7"),
+        (lambda doc: doc["terms"][0]["coeff"].update(int="3"), "coefficient \"int\" must be an integer, got '3'"),
+        (lambda doc: _set_first_factor_power(doc, True), 'factor "pow" must be an integer, got True'),
+        (lambda doc: _set_first_factor_power(doc, 0.5), 'factor "pow" must be an integer, got 0.5'),
+        (lambda doc: doc["weights"][0].update(alpha=1.9), 'weight "alpha" must be an integer, got 1.9'),
+        (lambda doc: doc["terms"][0].update(ym=[{}]), "malformed Y-monomial JSON (KeyError: 'node')"),
+        (lambda doc: doc.update(terms=5), "malformed character JSON (TypeError: 'int' object is not iterable)"),
+        (lambda doc: doc["terms"][0].update(coeff=5), "malformed coefficient JSON (TypeError: "),
+        (lambda doc: doc["terms"][0].update(coeff={"num": [[{}]], "den": []}), "malformed coefficient JSON (ValueError: "),
+        (lambda doc: doc["edges"][0].pop("label"), "malformed character JSON (KeyError: 'label')"),
+        (lambda doc: doc["quiver"].update(name={"a": 1}), "quiver name must be a string, got {'a': 1}"),
+    ],
+    ids=["exp-float", "int-str", "pow-bool", "pow-half", "alpha-float", "ym-empty", "terms-int", "coeff-int",
+         "num-short", "edge-no-label", "name-dict"],
+)
+def test_a_malformed_character_document_is_a_validation_error(corrupt, message):
+    # int() would read 2.7 as 2, "3" as 3, true as 1 and 0.5 as 0 (dropping the factor), and a
+    # missing key or a wrong shape would reach the caller as a KeyError or a TypeError
+    doc = json.loads(character_to_json(expand(A1, WeightConfig.make(A1, {"1": 2}))))
+    corrupt(doc)
+    with pytest.raises(ValidationError) as exc:
+        character_from_json(doc)
+    assert str(exc.value).startswith(message)
+
+
 @pytest.mark.parametrize(
     "quiver, w, kw",
     [("BC2", {"1": 2, "2": 2}, {}), ("A0hat", {"0": 2}, {"max_qdeg": 5})],
