@@ -136,7 +136,7 @@ def _orient(arg: Monomial) -> tuple[Monomial, bool]:
 
 def _arg_key(factor: tuple) -> tuple:
     """The order of factors: by the sort key of their argument."""
-    return factor[0]._key
+    return factor[0].sort_key()
 
 
 def factor_tuple(powers: Mapping[Monomial, int]) -> tuple:
@@ -156,13 +156,13 @@ def _net_power_ratio(sigma: Mapping[str, Monomial], degenerate) -> Fraction | No
     net = sum(p for _, p in degenerate)
     if net > 0:
         return None
-    if net < 0:
-        a = next(a for a, p in degenerate if p < 0)
+    if net < 0:  # an error names the factors in argument order
+        a = next(a for a, p in sorted(degenerate, key=_arg_key) if p < 0)
         raise PoleError(f"denominator factor (1 - {a!r}) vanished under substitution")
     ratio = Fraction(1)
     if degenerate:
         if len(sigma) != 1:
-            zeros = "*".join(f"(1 - {a!r})^{p}" for a, p in degenerate)
+            zeros = "*".join(f"(1 - {a!r})^{p}" for a, p in sorted(degenerate, key=_arg_key))
             raise PoleError(f"0/0: factors {zeros} vanished together under substitution")
         (g,) = sigma
         for a, p in degenerate:
@@ -316,8 +316,8 @@ class Coefficient:
         """
         families: dict[Monomial, list[tuple[int, Monomial]]] = {}
         for arg in den:
-            k = gcd(*(e for _, e in arg.sort_key()))
-            root = Monomial._canonical(tuple((g, e // k) for g, e in arg.sort_key()))
+            k = gcd(*(e for _, e in arg.exps))
+            root = Monomial(tuple([(g, e // k) for g, e in arg.exps]))
             families.setdefault(root, []).append((k, arg))
         for family in families.values():
             for _, arg in sorted(family, reverse=True):
@@ -535,7 +535,6 @@ class Coefficient:
                 survivors.append((a2, p))
         n = self.integer
         if degenerate:
-            degenerate.sort(key=_arg_key)  # so that an error names the factors in argument order
             n = _degenerate_integer(sub.sigma, degenerate, n)
             if n is None:
                 return _ZERO

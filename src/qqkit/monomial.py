@@ -1,25 +1,34 @@
 """Laurent monomials over named generators.
 
-A monomial is a finite map generator-name -> nonzero integer exponent.  It
-is stored as its canonical key alone: one (generator key, exponent) pair per
-generator, in canonical order.  A generator key is (kind, node, label, name),
-and its kind is the one rule for what a generator is.  In canonical order,
-the kinds are q1 < q2 < mu (the deformation parameters and the mass) <
-COUNTING (the counting parameters "qfrak(i)") < WEIGHT (the weight parameters
-"x(i,a)") < OTHER (any other name, such as "a" and "b" of the pit resonance
-substitution, or a bare "qfrak").  Within a kind, qfrak and x parameters sort
-by node and then by integer label, and the name itself breaks every remaining
-tie, so the order is total.  It fixes hashing, printing and the orientation
-of binomial factors.
+A monomial is a finite map generator-name -> nonzero integer exponent,
+stored packed as the integer sum of e_g * 2^(64 k_g): the first sight of a
+name gives it the next index k_g, and each exponent is one balanced 64-bit
+digit.  So a product is an integer sum, a quotient a difference and a power
+a multiple, and hash and equality are the integer's.  An exponent must lie
+in -2^63 < e < 2^63, or its digit would carry into the next: the
+constructor (and so ``parse_monomial`` and ``from_json``) checks each one,
+and each monomial keeps a bound on its |e| that products add up and powers
+multiply; a result whose bound reaches 2^63 is built by the constructor,
+which raises a ValidationError when an exponent really crosses.  The
+integer is as long as the highest index among its generators, so its size
+grows with the number of distinct names the process has seen.
 
-``Monomial(...)`` is the only normalizer of arbitrary input.  Products,
-powers and quotients of monomials merge or scale their operands' canonical
-keys instead, and never sort.
+The canonical key, one (generator key, exponent) pair per generator in
+canonical order, is decoded on first read.  A generator key is (kind,
+node, label, name), and its kind is the one rule for what a generator is.
+In canonical order, the kinds are q1 < q2 < mu (the deformation parameters
+and the mass) < COUNTING (the counting parameters "qfrak(i)") < WEIGHT (the
+weight parameters "x(i,a)") < OTHER (any other name, such as "a" and "b" of
+the pit resonance substitution, or a bare "qfrak").  Within a kind, qfrak
+and x parameters sort by node and then by integer label, and the name
+itself breaks every remaining tie, so the order is total.  It fixes
+printing and the orientation of binomial factors.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import count
 from operator import itemgetter
 from typing import Iterable, Mapping
 
@@ -76,8 +85,7 @@ def merge_runs(a: tuple, b: tuple, key) -> tuple:
 
     Each item ends in a nonzero exponent; items with equal keys add their
     exponents, and a sum of 0 drops out.  Only the side that advanced
-    computes its next key.  Monomials and Y-monomials multiply with this
-    merge.
+    computes its next key.  Y-monomials multiply with this merge.
     """
     if not a:
         return b
@@ -114,10 +122,65 @@ def merge_runs(a: tuple, b: tuple, key) -> tuple:
     return tuple(out)
 
 
+# -- the packed form -------------------------------------------------------------
+
+_KEYS: dict[int, tuple] = {}  # the registry: the generator of digit k has the key _KEYS[k]
+_INDEXES = count()
+
+
+def _register(name: str) -> int:
+    """64 k, the bit offset of a new generator's digit k."""
+    k = next(_INDEXES)
+    _KEYS[k] = _GEN_KEYS[name]
+    return _SHIFT.setdefault(name, k << 6)  # atomic: threads registering one name all take the first index
+
+
+_SHIFT = Memo(_register)
+_HALF, _MASK = 1 << 63, (1 << 64) - 1  # a digit is the balanced residue of its 64 bits
+_new = object.__new__
+
+
+def _decode(n: int) -> tuple:
+    """The canonical key of the packed integer ``n``.
+
+    The lowest set bit of ``n`` lies in its lowest nonzero digit, so the loop
+    visits the nonzero digits alone, however many generators are registered.
+    """
+    pairs = []
+    k = 0
+    while n:
+        skip = ((n & -n).bit_length() - 1) >> 6
+        n >>= skip << 6
+        k += skip
+        e = ((n + _HALF) & _MASK) - _HALF
+        pairs.append(_PAIRS[k, e])
+        n = (n - e) >> 64
+        k += 1
+    pairs.sort(key=_first)
+    return tuple(pairs)
+
+
+# Each (generator key, exponent) pair and each canonical key is made once per
+# process and shared: by the keys that hold the pair, and by the monomials of
+# the key's value.
+_PAIRS = Memo(lambda ke: (_KEYS[ke[0]], ke[1]))
+_DECODED = Memo(_decode)
+
+
+def _packed(n: int, b: int) -> "Monomial":
+    m = _new(Monomial)
+    m._n = n
+    m._b = b
+    m._hash = hash(n)
+    return m
+
+
 class Monomial:
     """Immutable Laurent monomial; exponent-zero generators are never stored."""
 
-    __slots__ = ("_key", "_hash")
+    # _n: the packed integer; _b: a bound on its |exponents| that products add up;
+    # _key: the canonical key, set on first read
+    __slots__ = ("_n", "_b", "_hash", "_key")
 
     def __init__(self, exps: Mapping[str, int] | Iterable[tuple[str, int]] = ()):
         if type(exps) is not tuple:
@@ -126,20 +189,16 @@ class Monomial:
         for g, e in exps:
             if e:
                 merged[g] = merged.get(g, 0) + e
-        self._key = tuple(sorted([(_GEN_KEYS[g], e) for g, e in merged.items() if e], key=_first))
-        self._hash = hash(self._key)
-
-    @staticmethod
-    def _canonical(key: tuple) -> "Monomial":
-        """A monomial from its key, without sorting.
-
-        ``key`` pairs each generator's key with a nonzero exponent, in
-        canonical order, as ``sort_key`` returns it.
-        """
-        m = object.__new__(Monomial)
-        m._key = key
-        m._hash = hash(key)
-        return m
+        n = b = 0
+        for g, e in merged.items():
+            if e:
+                if not -_HALF < e < _HALF:
+                    raise ValidationError(f"exponent of {g} is outside the bound |e| < 2^63")
+                n += e << _SHIFT[g]
+                b = max(b, abs(e))
+        self._n = n
+        self._b = b
+        self._hash = hash(n)
 
     @staticmethod
     def unit() -> "Monomial":
@@ -151,75 +210,89 @@ class Monomial:
 
     @property
     def exps(self) -> tuple[tuple[str, int], ...]:
-        return tuple([(k[-1], e) for k, e in self._key])
+        return tuple([(k[-1], e) for k, e in self.sort_key()])
 
     def exponent(self, name: str) -> int:
-        for k, e in self._key:
-            if k[-1] == name:
-                return e
-        return 0
+        shift = _SHIFT.get(name)
+        if shift is None:
+            return 0
+        n = self._n
+        if shift:  # round, so that a negative digit below does not borrow from this one
+            n = ((n >> (shift - 1)) + 1) >> 1
+        return ((n + _HALF) & _MASK) - _HALF
 
     def gens(self) -> tuple[str, ...]:
-        return tuple([k[-1] for k, _ in self._key])
+        return tuple([k[-1] for k, _ in self.sort_key()])
 
     @property
     def is_unit(self) -> bool:
-        return not self._key
+        return not self._n
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         if not isinstance(other, Monomial):
             return NotImplemented
-        if not self._key:
-            return other
-        if not other._key:
+        if not other._n:
             return self
-        return Monomial._canonical(merge_runs(self._key, other._key, _first))
+        if not self._n:
+            return other
+        b = self._b + other._b
+        if b < _HALF:
+            return _packed(self._n + other._n, b)
+        return Monomial(self.exps + other.exps)
 
     def __pow__(self, n: int) -> "Monomial":
         if n == 1:
             return self
-        if n == 0:
-            return _UNIT
-        # scaling every exponent keeps the generator order
-        return Monomial._canonical(tuple([(k, e * n) for k, e in self._key]))
+        b = self._b * abs(n)
+        if b < _HALF:
+            return _packed(self._n * n, b)
+        return Monomial(tuple([(g, e * n) for g, e in self.exps]))
 
     def inverse(self) -> "Monomial":
-        return self ** -1
+        return _packed(-self._n, self._b)
 
     def __truediv__(self, other: "Monomial") -> "Monomial":
         return self * other.inverse()
 
     def substitute(self, sigma: Mapping[str, "Monomial"]) -> "Monomial":
         """Replace each generator in sigma by its image monomial."""
-        if not any(k[-1] in sigma for k, _ in self._key):
+        n, b = self._n, self._b
+        for g, img in sigma.items():
+            e = self.exponent(g)
+            if e:
+                n += e * (img._n - (1 << _SHIFT[g]))
+                b += abs(e) * img._b
+        if n == self._n:
             return self
-        out: list[tuple[str, int]] = []
-        for (_, _, _, g), e in self._key:
-            if g in sigma:
-                out.extend((h[-1], f * e) for h, f in sigma[g]._key)
-            else:
-                out.append((g, e))
-        return Monomial(tuple(out))
+        if b < _HALF:
+            return _packed(n, b)
+        images = {g: img.exps for g, img in sigma.items()}
+        return Monomial(tuple([(h, f * e) for g, e in self.exps for h, f in images.get(g, ((g, 1),))]))
 
-    def sort_key(self):
-        return self._key
+    def sort_key(self) -> tuple:
+        """The canonical key, decoded on first read."""
+        try:
+            return self._key
+        except AttributeError:
+            self._key = key = _DECODED[self._n]
+            return key
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Monomial) and self._key == other._key
+        return isinstance(other, Monomial) and self._n == other._n
 
     def __hash__(self) -> int:
         return self._hash
 
     def __lt__(self, other: "Monomial") -> bool:
-        return self._key < other._key
+        return self.sort_key() < other.sort_key()
 
     def __repr__(self) -> str:
-        if not self._key:
+        if not self._n:
             return "1"
-        return "*".join(k[-1] if e == 1 else f"{k[-1]}^{e}" for k, e in self._key)
+        return "*".join(k[-1] if e == 1 else f"{k[-1]}^{e}" for k, e in self.sort_key())
 
     def to_json(self) -> dict:
-        return {k[-1]: e for k, e in self._key}
+        return {k[-1]: e for k, e in self.sort_key()}
 
     @staticmethod
     def from_json(data: Mapping[str, int]) -> "Monomial":
@@ -273,7 +346,10 @@ def parse_monomial(text: str, names: Mapping[str, Monomial] | None = None) -> Mo
         name, power = match.groups()
         if name == "1":
             continue
-        e = int(power) if power else 1
+        try:
+            e = int(power) if power else 1
+        except ValueError:  # more digits than int() converts: far outside the bound
+            raise ValidationError(f"exponent of {name} is outside the bound |e| < 2^63") from None
         if names and name in names:
             base = names[name]
         elif name in builtin:

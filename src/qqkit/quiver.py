@@ -22,6 +22,13 @@ from .monomial import MU, Monomial, Q1, Q2, qfrak
 MAX_DECORATION = 1000  # cartan_columns builds about d_i / d_ij terms per edge
 
 
+def _node_id(value) -> str:
+    """A node id or edge endpoint of quiver JSON, a string or an integer, as a string."""
+    if type(value) not in (str, int):
+        raise ValidationError(f"a node id is a string or an integer, got {value!r}")
+    return str(value)
+
+
 class QuiverClass(Enum):
     FINITE = "finite"
     AFFINE = "affine"
@@ -115,10 +122,10 @@ class Quiver:
     @staticmethod
     def from_json(data: Mapping) -> "Quiver":
         try:
-            nodes = tuple(str(n["id"]) for n in data["nodes"])
-            d = {str(n["id"]): require_int(n.get("d", 1), "decoration d") for n in data["nodes"]}
+            nodes = tuple(_node_id(n["id"]) for n in data["nodes"])
+            d = {_node_id(n["id"]): require_int(n.get("d", 1), "decoration d") for n in data["nodes"]}
             edges = tuple(
-                (str(e["from"]), str(e["to"]), require_int(e.get("mu", 0), "edge mu"))
+                (_node_id(e["from"]), _node_id(e["to"]), require_int(e.get("mu", 0), "edge mu"))
                 for e in data.get("edges", ())
             )
             name = data.get("name", "")

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .coefficient import Coefficient, Substitution, product_vanishes, s_r
 from .engine import WeightConfig, YMonomial, closed_form_A1, expand
-from .errors import ValidationError
+from .errors import ValidationError, require_int
 from .higgsing import (
     ClassicalCharacter,
     classical_limit,
@@ -75,17 +75,20 @@ def _run(fx: dict):
 def _parse_ym(rows, names) -> YMonomial:
     entries = []
     for node, base, j, k, e in rows:
-        arg = parse_monomial(base, names) * Q1 ** int(j) * Q2 ** int(k)
-        entries.append((str(node), arg, int(e)))
+        arg = parse_monomial(base, names) * Q1 ** require_int(j, "q1 shift") * Q2 ** require_int(k, "q2 shift")
+        entries.append((str(node), arg, require_int(e, "Y exponent")))
     return YMonomial(tuple(entries))
 
 
 def _parse_coeff(spec, names) -> Coefficient:
-    if isinstance(spec, int):
+    if type(spec) is int:
         return Coefficient.from_monomial(Monomial.unit(), spec)
-    c = Coefficient.from_monomial(parse_monomial(spec.get("m", ""), names), int(spec.get("n", 1)))
+    if not isinstance(spec, dict):
+        raise ValidationError(f"a fixture coefficient is an integer or an object, got {spec!r}")
+    n = require_int(spec.get("n", 1), 'coefficient "n"')
+    c = Coefficient.from_monomial(parse_monomial(spec.get("m", ""), names), n)
     for r, mono, p in spec.get("S", ()):
-        c = c * s_r(int(r), parse_monomial(mono, names)) ** int(p)
+        c = c * s_r(require_int(r, "S index"), parse_monomial(mono, names)) ** require_int(p, "S power")
     return c
 
 
@@ -114,7 +117,7 @@ def _check_character(fx: dict):
 
 def _check_limit(fx: dict):
     names, cc = _run(fx)
-    expect = {_parse_ym(t["y"], names): int(t["c"]) for t in fx["terms"]}
+    expect = {_parse_ym(t["y"], names): require_int(t["c"], "limit coefficient") for t in fx["terms"]}
     if cc.terms != expect:
         diffs = {ym for ym in set(cc.terms) | set(expect) if cc.terms.get(ym) != expect.get(ym)}
         return "fail", f"{len(diffs)} differing monomials; first {sorted(diffs, key=lambda y: y.sort_key())[:1]!r}"

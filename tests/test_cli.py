@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import shlex
@@ -13,7 +14,7 @@ from qqkit import cli, errors
 from qqkit.cli import main
 from qqkit.job import Job
 from qqkit.render import json_document
-from qqkit.verify import BURGE_MAX_R, FIXTURE_DIR, burge_rows, load_corpus, run_corpus
+from qqkit.verify import BURGE_MAX_R, FIXTURE_DIR, burge_rows, load_corpus, run_corpus, run_fixture
 
 
 def run_cli(args, capsys):
@@ -339,6 +340,46 @@ def test_verify_perturbed_corpus_fails_once(tmp_path):
     assert not report.ok
     failing = [e for e in report.entries if e.status == "fail"]
     assert failing[0].id == "a2-w20-generic-count"
+
+
+def _fixture(fid):
+    return copy.deepcopy(next(fx for fx in load_corpus() if fx["id"] == fid))
+
+
+def _set(fx, path, value):
+    *head, last = path
+    for k in head:
+        fx = fx[k]
+    fx[last] = value
+
+
+# where a fixture holds an integer: a Y exponent, a q1 or q2 shift, a coefficient, its "n",
+# an S index and an S power (a1-w2-generic), and a limit coefficient (a1-w2-kr-limit-q1)
+INTEGER_SLOTS = {
+    "Y exponent": ("a1-w2-generic", ("terms", 1, "y", 0, 4)),
+    "q1 shift": ("a1-w2-generic", ("terms", 1, "y", 1, 2)),
+    "q2 shift": ("a1-w2-generic", ("terms", 1, "y", 1, 3)),
+    "coefficient": ("a1-w2-generic", ("terms", 0, "c")),
+    'coefficient "n"': ("a1-w2-generic", ("terms", 1, "c", "n")),
+    "S index": ("a1-w2-generic", ("terms", 1, "c", "S", 0, 0)),
+    "S power": ("a1-w2-generic", ("terms", 1, "c", "S", 0, 2)),
+    "limit coefficient": ("a1-w2-kr-limit-q1", ("terms", 1, "c")),
+}
+
+
+@pytest.mark.parametrize("slot", INTEGER_SLOTS)
+@pytest.mark.parametrize("bad", [1.5, 0.5, True])
+def test_fixture_readers_take_only_integers(slot, bad):
+    """A fixture's integers are JSON integers: 1.5 is no Y exponent (int() would read 1), 0.5 no
+    S power (int() would read 0 and drop the factor), and true no integer anywhere."""
+    fid, path = INTEGER_SLOTS[slot]
+    assert run_fixture(_fixture(fid)).status == "pass"
+    fx = _fixture(fid)
+    _set(fx, path, bad)
+    entry = run_fixture(fx)
+    assert entry.status == "fail"
+    assert entry.detail.startswith("ValidationError: ")
+    assert f"must be an integer, got {bad!r}" in entry.detail or f"or an object, got {bad!r}" in entry.detail
 
 
 def test_verify_corpus_replays_files_beyond_the_bundled_names(tmp_path, capsys):

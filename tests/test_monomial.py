@@ -1,8 +1,15 @@
+import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qqkit.errors import ValidationError
-from qqkit.monomial import MU, Monomial, Q, Q1, Q2, parse_monomial, qfrak, xparam
+from qqkit.monomial import MU, Monomial, Q, Q1, Q2, gen_key, parse_monomial, qfrak, xparam
 
 GENS = ["q1", "q2", "mu", "qfrak(0)", "x(1,1)", "x(1,2)", "x(2,1)"]
 
@@ -184,3 +191,169 @@ def test_substitute_matches_the_constructor(d, sigma):
     m = Monomial(d)
     pairs = [(h, f * e) for g, e in m.exps for h, f in (sigma[g].exps if g in sigma else ((g, 1),))]
     _same(m.substitute(sigma), Monomial(tuple(pairs)))
+
+
+# -- the packed form ---------------------------------------------------------------
+#
+# A monomial is the integer sum of e_g * 2^(64 k_g), k_g the registry index of g,
+# with balanced digits: a negative digit borrows from the digits above it.
+
+BOUND = 2**63  # every exponent e has |e| < BOUND
+_fresh = itertools.count()
+
+
+def _fresh_names(n):
+    """n generator names that no test has registered yet, of every kind."""
+    c = next(_fresh)
+    kinds = [f"x(fresh{c},{{}})", f"qfrak(fresh{c}_{{}})", f"fresh{c}_{{}}"]
+    return [kinds[i % 3].format(i) for i in range(n)]
+
+
+def test_a_negative_lower_digit_does_not_borrow_from_the_next():
+    m = Q1 * Q2**-1 * xparam("1", 1)
+    assert (m.exponent("q1"), m.exponent("q2"), m.exponent("x(1,1)"), m.exponent("mu")) == (1, -1, 1, 0)
+    assert m.exps == (("q1", 1), ("q2", -1), ("x(1,1)", 1))
+    lo, mid, hi = _fresh_names(3)  # registered in this order: lo has the lowest digit
+    for g in (lo, mid, hi):
+        Monomial.gen(g)
+    for e_lo, e_hi in [(-1, 1), (-1, -1), (1, -1), (-(BOUND - 1), BOUND - 1), (-(BOUND - 1), -(BOUND - 1))]:
+        m = Monomial({lo: e_lo, hi: e_hi})
+        assert (m.exponent(lo), m.exponent(mid), m.exponent(hi)) == (e_lo, 0, e_hi)
+        assert m.to_json() == Monomial({hi: e_hi, lo: e_lo}).to_json() == {lo: e_lo, hi: e_hi}
+        assert m.sort_key() == tuple(sorted([(gen_key(lo), e_lo), (gen_key(hi), e_hi)]))
+        assert Monomial.gen(lo, e_lo) * Monomial.gen(hi, e_hi) == m
+
+
+def test_exponents_at_the_bound():
+    top = BOUND - 1
+    for e in (top, -top):
+        m = Monomial({"q1": e, "q2": 1})
+        assert (m.exponent("q1"), m.exponent("q2")) == (e, 1)
+        assert Q1**e == Monomial.gen("q1", e) == parse_monomial(f"q1^{e}") == Monomial.from_json({"q1": e})
+        assert (Q1**e).inverse() == Q1 ** -e
+    assert Monomial.gen("q1", top) * Monomial.gen("q1", -top) == Monomial.unit()
+    # a bound that reaches 2^63 is checked exactly: these sums stay inside it
+    assert Monomial.gen("q1", top) * Monomial.gen("q2", top) == Monomial({"q1": top, "q2": top})
+    assert (Monomial.gen("q1", top) * Q2**top) * Q1**-1 == Monomial({"q1": top - 1, "q2": top})
+    assert (Monomial.gen("q1", top) * Q1**-1) * Q1 == Monomial.gen("q1", top)
+    assert (Q1 * Q2**-1) ** top == Monomial({"q1": top, "q2": -top})
+    x, y = xparam("1", 1), xparam("1", 2)
+    assert (x**top * Q1).substitute({"x(1,1)": y}) == y**top * Q1
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Monomial({"q1": BOUND}),
+        lambda: Monomial({"q1": -BOUND}),
+        lambda: Monomial((("q1", BOUND - 1), ("q1", 1))),
+        lambda: Monomial.gen("q2", BOUND),
+        lambda: Monomial.from_json({"q1": BOUND}),
+        lambda: parse_monomial(f"q1^{BOUND}"),
+        lambda: parse_monomial(f"q1^-{BOUND}"),
+        lambda: parse_monomial("q1^" + "9" * 5000),  # longer than int() converts
+        lambda: parse_monomial(f"q^{BOUND // 2}*q1^{BOUND // 2}"),
+        lambda: Q1**BOUND,
+        lambda: (Q1 * Q2) ** -BOUND,
+        lambda: Q1 ** (BOUND // 2) * Q1 ** (BOUND // 2),
+        lambda: Monomial.gen("q1", BOUND - 1) * Q1,
+        lambda: Monomial.gen("q1", -(BOUND - 1)) / Q1,
+        lambda: (Q1 ** (BOUND // 2)) ** 2,
+        lambda: (xparam("1", 1) ** (BOUND // 2) * Q1).substitute({"x(1,1)": Q1**2}),
+    ],
+)
+def test_one_past_the_bound_is_a_validation_error(build):
+    """A digit past the bound would carry into its neighbour; every way in raises instead."""
+    with pytest.raises(ValidationError, match=r"outside the bound \|e\| < 2\^63"):
+        build()
+
+
+def test_an_exponent_past_the_bound_exits_2(capsys):
+    from qqkit.cli import main
+
+    params = json.dumps({"1,1": f"x(1,1)*q1^{BOUND}"})
+    assert main(["expand", "--quiver", "A1", "--w", '{"1": 1}', "--params", params]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "validation error: exponent of q1 is outside the bound |e| < 2^63\n"
+
+
+def _reference(d):
+    """The canonical key, repr and JSON of an exponent map, computed from the map alone."""
+    key = tuple(sorted([(gen_key(g), e) for g, e in d.items() if e]))
+    text = "*".join(k[-1] if e == 1 else f"{k[-1]}^{e}" for k, e in key) or "1"
+    return key, text, [(k[-1], e) for k, e in key]
+
+
+def _added(*maps):
+    out = {}
+    for d, n in maps:
+        for g, e in d.items():
+            out[g] = out.get(g, 0) + n * e
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_packed_arithmetic_does_not_depend_on_registration_order(data):
+    names = _fresh_names(6)
+    for g in data.draw(st.permutations(names)):
+        Monomial.gen(g)  # the first sight of g gives it the next digit
+    gens = names + ["q1", "mu"]
+    maps = st.dictionaries(st.sampled_from(gens), st.integers(min_value=-3, max_value=3), max_size=5)
+    da, db, n = data.draw(maps), data.draw(maps), data.draw(st.integers(min_value=-3, max_value=3))
+    images = data.draw(st.dictionaries(st.sampled_from(gens), maps, max_size=3))
+    a, b = Monomial(da), Monomial(db)
+    substituted = _added(*[(images[g], e) if g in images else ({g: e}, 1) for g, e in da.items()])
+    for m, d in [
+        (a * b, _added((da, 1), (db, 1))),
+        (a / b, _added((da, 1), (db, -1))),
+        (a**n, _added((da, n))),
+        (a.inverse(), _added((da, -1))),
+        (a.substitute({g: Monomial(img) for g, img in images.items()}), substituted),
+    ]:
+        key, text, pairs = _reference(d)
+        assert m == Monomial(d) and hash(m) == hash(Monomial(d))
+        assert m.sort_key() == key
+        assert repr(m) == text
+        assert list(m.to_json().items()) == pairs
+        assert all(m.exponent(g) == d.get(g, 0) for g in gens)
+
+
+# Generator names that one corpus run registers, replayed in reverse order by a fresh
+# interpreter; the pinned jobs must print the bytes of their lines in cli_digests.txt.
+REPLAY = """
+import json, sys
+from qqkit import monomial
+from qqkit.verify import run_corpus
+names, jobs = json.loads(sys.argv[1])
+if names is None:
+    run_corpus()
+    print(json.dumps([k[-1] for k in monomial._KEYS.values()]))
+else:
+    for g in reversed(names):
+        monomial.Monomial.gen(g)
+    from test_cli_digests import _digest
+    print("\\n".join(_digest(argv) for argv in jobs))
+"""
+
+REPLAYED_COMMANDS = {"expand", "affine-expand", "higgs", "limit"}
+
+
+def test_digests_do_not_depend_on_registration_order():
+    tests = Path(__file__).resolve().parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
+    lines = (tests / "cli_digests.txt").read_text(encoding="utf-8").splitlines()
+    pinned = [ln for ln in lines if json.loads(ln.split(" ", 3)[3])[0] in REPLAYED_COMMANDS][::4]
+    jobs = [json.loads(ln.split(" ", 3)[3]) for ln in pinned]
+
+    def replay(names):
+        proc = subprocess.run(
+            [sys.executable, "-c", REPLAY, json.dumps([names, jobs])], capture_output=True, text=True, env=env
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        return proc.stdout.splitlines()
+
+    names = json.loads(replay(None)[0])
+    assert len(names) > 15 and {"x(1,1)", "x(2,1)", "x(0,1)", "qfrak(0)"} <= set(names)
+    assert len(jobs) >= 12
+    assert replay(names) == pinned

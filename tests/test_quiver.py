@@ -37,6 +37,27 @@ def test_validation():
     Quiver(("1",), {"1": 1}, (("1", "1", 2),))  # loop is a cycle
 
 
+@pytest.mark.parametrize("bad", [None, True, {"a": 1}])
+@pytest.mark.parametrize("where", ["node", "edge"])
+def test_a_node_id_is_a_string_or_an_integer(bad, where, capsys):
+    """A node id or edge endpoint that is neither a string nor an integer exits 2, before any expansion."""
+    if where == "node":
+        quiver = {"nodes": [{"id": bad}], "edges": []}
+    else:
+        quiver = {"nodes": [{"id": "1"}, {"id": 2}], "edges": [{"from": "1", "to": bad}]}
+    with pytest.raises(ValidationError, match="a node id is a string or an integer"):
+        Quiver.from_json(quiver)
+    code = main(["expand", "--quiver", json.dumps(quiver), "--w", json.dumps({str(bad): 1})])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("validation error: a node id is a string or an integer")
+
+
+def test_integer_node_ids_read_as_strings():
+    Q_ = Quiver.from_json({"nodes": [{"id": 1}, {"id": "2"}], "edges": [{"from": 1, "to": "2"}]})
+    assert Q_.nodes == ("1", "2") and Q_.edges == (("1", "2", 0),)
+
+
 @st.composite
 def _digraphs(draw):
     """(n, edges, k): a digraph on nodes 0..n-1 with 1 <= n <= 6 and at least one edge, loops and parallel
