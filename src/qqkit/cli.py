@@ -13,14 +13,13 @@ input, reported as one ``validation error:`` line), 3 pole,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from collections.abc import Iterable
 from functools import cache
 
 from .errors import QQError, ValidationError
-from .job import COMMANDS, FORMATS, JOB_FIELDS, Job, read_json
+from .job import COMMANDS, FORMATS, JOB_FIELDS, Job, decode_json, read_json
 from .render import json_stream, render
 from .verify import burge_rows, run_corpus
 
@@ -103,7 +102,7 @@ def main(argv=None) -> int:
             spec = read_json(args.job)
         else:  # the flags carry the job fields' names; w, params and higgs hold JSON text
             spec = {
-                key: json.loads(v) if key in ("w", "params", "higgs") and v is not None else v
+                key: decode_json(v) if key in ("w", "params", "higgs") and v is not None else v
                 for key, v in vars(args).items() if key in JOB_FIELDS
             }
         job = Job.parse(spec)  # type and shape errors first, then the fields only a job file can get wrong
@@ -120,7 +119,7 @@ def main(argv=None) -> int:
     except BrokenPipeError:  # the reader closed stdout: no error, and the flush at exit goes to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (json.JSONDecodeError, OSError) as exc:
+    except OSError as exc:  # --out
         return _fail(ValidationError(exc))
 
 

@@ -7,29 +7,30 @@ S-factor vanishes are dropped (no edge); a child reached along several
 paths must receive exactly the same coefficient, which is asserted on
 every merge.
 
-``expand`` takes one other route, fusion, for a finite quiver at generic
-weights (no two parameters resonate, ``_generic``) with at least two
-units; affine quivers, resonant weights and single units go through
-``_bfs``.  At generic weights no S-value between two units is 0 or a pole,
-so a character is the product of its units' fundamentals: each term is a
-tuple (m_1, ..., m_n) of fundamental terms, with the coefficient
-prod_k c_k(m_k) * prod_{j<k} P_jk(m_j, m_k).  The pair factor P_jk holds
-the S-factors between units j and k along a path to the tuple, and is
-computed once with unit j reflected first and once with unit k first;
-the two must agree, and ``meta["path_checks"]`` counts these comparisons
-on that route.  Terms and edges are emitted by a breadth-first walk over
-the tuples, each tuple's reflections in entry order, so the output is
-identical to ``_bfs``'s: the same terms in the same insertion order, the
-same coefficients and the same ``edges`` tuple.  Errors are ``_bfs``'s
-too: more than ``SAFETY_BOUND`` terms raise its ``NonTermination`` before
-any product is built, and a fundamental or pair factor that raises sends
-the whole weights through ``_bfs``.
+``expand`` takes one other route, fusion, for a finite quiver whose
+weights split into two or more resonance classes (``resonance_classes``);
+affine quivers and weights of one class go through ``_bfs``.  No S-value
+between two classes is 0 or a pole, so a character is the product of its
+classes' own characters, its parts (a generic unit's part is its
+fundamental).  Each term is a tuple (m_1, ..., m_n) of part terms, with
+coefficient prod_k c_k(m_k) * prod_{j<k} P_jk(m_j, m_k).  The pair factor
+P_jk holds the S-factors between parts j and k along a path to the tuple,
+and is computed once with part j reflected first and once with part k
+first; the two must agree.  ``meta["path_checks"]`` counts these
+comparisons only, not the merges inside a part's own ``_bfs``.  Terms
+and edges are emitted by a breadth-first walk over the tuples, each
+tuple's reflections in entry order, so the output is identical to
+``_bfs``'s: the same terms in the same insertion order, the same
+coefficients and the same ``edges`` tuple.  Errors are ``_bfs``'s too:
+more than ``SAFETY_BOUND`` terms (the product of the parts' sizes) raise
+its ``NonTermination`` before any product is built, and a part or pair
+factor that raises sends the whole weights through ``_bfs``.
 
 Both routes read their S-values through one table per ``expand`` call
 (a ``Memo`` of ``s_value``): S_d(a/x)^k by (d, a, x, k), computed on
 first lookup, with an S-zero kept unpowered.  The same companions meet the
 same reflected argument along many paths, so most lookups find their value
-there; the fundamentals, the pair tables and a fallback ``_bfs`` share it.  A pole is
+there; the parts, the pair tables and a fallback ``_bfs`` share it.  A pole is
 never stored, so it raises the same text on every lookup, and each
 reflection still checks its companions in entry order: the first zero or
 pole decides, as without the table.  The table lives for the one call, and
@@ -281,21 +282,16 @@ def reflect(Q_: Quiver, t: Term, i: str, x: Monomial, s_values: Memo | None = No
     return Term(child_ym, t.coeff * (sf * scalar))  # the long coefficient is copied once
 
 
-def resonance_classes(wc: WeightConfig) -> list[list[tuple[str, Monomial]]]:
-    """The (node, parameter) pairs of the weight units, grouped by resonance.
+def resonance_classes(wc: WeightConfig) -> list[list[tuple[str, int, Monomial]]]:
+    """The weight units grouped by resonance, each class in entry order.
 
     Two parameters resonate when their ratio is a monomial in q1, q2 and mu
     alone, that is, when they agree in every other generator.
     """
-    classes: dict[tuple, list[tuple[str, Monomial]]] = {}
-    for i, _, p in wc.entries:
-        classes.setdefault(tuple(ke for ke in p.sort_key() if ke[0][0] >= COUNTING), []).append((i, p))
+    classes: dict[tuple, list[tuple[str, int, Monomial]]] = {}
+    for unit in wc.entries:
+        classes.setdefault(tuple(ke for ke in unit[2].sort_key() if ke[0][0] >= COUNTING), []).append(unit)
     return list(classes.values())
-
-
-def _generic(wc: WeightConfig) -> bool:
-    """True when no two weight parameters resonate."""
-    return all(len(cls) == 1 for cls in resonance_classes(wc))
 
 
 def expand(
@@ -308,9 +304,9 @@ def expand(
     Finite-type quivers terminate on their own, and their terms carry no
     counting parameter, so ``max_qdeg`` cuts nothing there; affine ones
     require a counting-degree cutoff.  Indefinite quivers are rejected.
-    Generic weights of several units on a finite quiver are fused from
-    their fundamentals (see the module docstring); the result is the one
-    ``_bfs`` gives.
+    Weights of two or more resonance classes on a finite quiver are fused
+    from their classes' characters (see the module docstring); the result
+    is the one ``_bfs`` gives.
     """
     qclass, _ = classify(Q_)
     if qclass is QuiverClass.INDEFINITE:
@@ -319,8 +315,8 @@ def expand(
         raise ValidationError("affine expansion requires a counting-degree cutoff")
     s_values = Memo(s_value)
     if qclass is QuiverClass.FINITE:
-        if len(wc.entries) > 1 and _generic(wc):
-            return _fuse(Q_, wc, s_values)
+        if len(wc.entries) > 1 and len(classes := resonance_classes(wc)) > 1:
+            return _fuse(Q_, wc, classes, s_values)
         max_qdeg = None
     return _bfs(Q_, wc, max_qdeg, s_values)
 
@@ -344,8 +340,8 @@ def _bfs(Q_: Quiver, wc: WeightConfig, max_qdeg: int | None, s_values: Memo) -> 
             try:
                 child = reflect(Q_, t, i, x, s_values)
             except CollidingArguments as exc:
-                # a pole or a repeated argument: at generic weights no two arguments can collide
-                if (e >= 2 or isinstance(exc.__cause__, PoleError)) and _generic(wc):
+                # a pole or a repeated argument: at generic weights (one unit per class) no two arguments collide
+                if (e >= 2 or isinstance(exc.__cause__, PoleError)) and len(resonance_classes(wc)) == len(wc.entries):
                     raise CollidingArguments(
                         f"the reflection rule does not reach node {i}: {exc} (the weight parameters are generic)"
                     ) from exc
@@ -375,7 +371,7 @@ def _bfs(Q_: Quiver, wc: WeightConfig, max_qdeg: int | None, s_values: Memo) -> 
 
 
 class _Fundamental:
-    """One weight unit's own expansion, read for fusion.
+    """One resonance class's own expansion, a part for fusion (a single unit's is its fundamental).
 
     Terms are numbered in ``_bfs`` order, so the highest weight is 0 and a
     term's parent, the source of the first edge into it, has a lower
@@ -387,8 +383,8 @@ class _Fundamental:
 
     __slots__ = ("yms", "coeffs", "parent", "step", "out")
 
-    def __init__(self, Q_: Quiver, unit: tuple[str, int, Monomial], s_values: Memo):
-        ch = _bfs(Q_, WeightConfig((unit,)), None, s_values)
+    def __init__(self, Q_: Quiver, cls: list[tuple[str, int, Monomial]], s_values: Memo):
+        ch = _bfs(Q_, WeightConfig(tuple(cls)), None, s_values)
         self.yms = list(ch.terms)
         self.coeffs = list(ch.terms.values())
         number = {ym: a for a, ym in enumerate(self.yms)}
@@ -427,7 +423,7 @@ def _cross(Q_: Quiver, f: _Fundamental, g: _Fundamental, s_values: Memo) -> list
 
 
 def _pair_factors(Q_: Quiver, fj: _Fundamental, fk: _Fundamental, s_values: Memo) -> list[list[Coefficient]]:
-    """P[a][b], the S-factors between units j and k at their terms a and b.
+    """P[a][b], the S-factors between parts j and k at their terms a and b.
 
     With j reflected first, its path meets Y_k (term 0 of k), and then k's
     path meets term a of j; with k first, the roles swap.  Both orders
@@ -446,31 +442,31 @@ def _pair_factors(Q_: Quiver, fj: _Fundamental, fk: _Fundamental, s_values: Memo
     return out
 
 
-def _fuse(Q_: Quiver, wc: WeightConfig, s_values: Memo) -> Character:
-    """The character of generic weights of several units on a finite quiver, from its fundamentals."""
+def _fuse(Q_: Quiver, wc: WeightConfig, classes: list[list], s_values: Memo) -> Character:
+    """The character of weights of two or more resonance ``classes`` on a finite quiver, from their parts."""
     try:
-        units = [_Fundamental(Q_, unit, s_values) for unit in wc.entries]
+        parts = [_Fundamental(Q_, cls, s_values) for cls in classes]
     except QQError:
         return _bfs(Q_, wc, None, s_values)
-    if prod(len(f.yms) for f in units) > SAFETY_BOUND:
+    if prod(len(f.yms) for f in parts) > SAFETY_BOUND:
         raise _too_many_terms()
-    n = len(units)
+    n = len(parts)
     try:
-        pairs = {(j, k): _pair_factors(Q_, units[j], units[k], s_values) for k in range(n) for j in range(k)}
+        pairs = {(j, k): _pair_factors(Q_, parts[j], parts[k], s_values) for k in range(n) for j in range(k)}
     except QQError:
         return _bfs(Q_, wc, None, s_values)
-    path_checks = sum(len(units[j].yms) * len(units[k].yms) for j, k in pairs)  # one per pair of terms
+    path_checks = sum(len(parts[j].yms) * len(parts[k].yms) for j, k in pairs)  # one per pair of terms
 
     def part(t: tuple[int, ...]) -> Coefficient:
-        """Unit k = len(t) - 1 at t[k], with its pair factors to units 0..k-1."""
+        """Part k = len(t) - 1 at t[k], with its pair factors to parts 0..k-1."""
         k = len(t) - 1
-        c = units[k].coeffs[t[k]]
+        c = parts[k].coeffs[t[k]]
         for j in range(k):
             c = c * pairs[j, k][t[j]][t[k]]
         return c
 
-    # one table per unit k, of the coefficient of units 0..k at t[:k + 1]: the
-    # table of unit k - 1 at t[:k] times the short factors of unit k
+    # one table per part k, of the coefficient of parts 0..k at t[:k + 1]: the
+    # table of part k - 1 at t[:k] times the short factors of part k
     coefficient = Memo(part)
     for _ in range(n - 1):
         coefficient = Memo(lambda t, head=coefficient: head[t[:-1]] * part(t))
@@ -485,7 +481,7 @@ def _fuse(Q_: Quiver, wc: WeightConfig, s_values: Memo) -> Character:
         t = work.popleft()
         ym = ym_of[t]
         out = sorted(
-            ((key, k, b, entry, delta) for k in range(n) for key, b, entry, delta in units[k].out[t[k]]),
+            ((key, k, b, entry, delta) for k in range(n) for key, b, entry, delta in parts[k].out[t[k]]),
             key=_first,
         )
         for _, k, b, entry, delta in out:

@@ -73,9 +73,9 @@ def _ladders_only(Q_: Quiver, wc: WeightConfig) -> bool:
     """Whether every class of resonant parameters is a ``kr_params`` ladder at one node, in any order."""
     for cls in resonance_classes(wc):
         node = cls[0][0]
-        if any(i != node for i, _ in cls):
+        if any(i != node for i, _, _ in cls):
             return False
-        params = {p for _, p in cls}
+        params = {p for _, _, p in cls}
         ladders = (kr_params(Q_, node, len(cls), m, b) for m in _ladder_steps(Q_.d[node]) for b in params)
         if not any(params == set(ladder) for ladder in ladders):
             return False

@@ -36,15 +36,20 @@ def read_json(path):
         raise ValidationError(f"{path}: {exc}") from None
 
 
+def decode_json(text: str, where: str = ""):
+    """Decode JSON text; malformed text or an integer too long to convert is a ValidationError."""
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise ValidationError(f"{where}{exc}") from None
+
+
 def _load_quiver(spec) -> Quiver:
     """A builtin name, ``@file``, inline JSON text, or a decoded JSON object."""
     if isinstance(spec, str):
         if not spec.startswith("@") and not spec.lstrip().startswith("{"):
             return builtin_quiver(spec)
-        try:
-            spec = read_json(spec[1:]) if spec.startswith("@") else json.loads(spec)
-        except ValueError as exc:
-            raise ValidationError(f"inline quiver: {exc}") from None
+        spec = read_json(spec[1:]) if spec.startswith("@") else decode_json(spec, "inline quiver: ")
     if not isinstance(spec, Mapping):
         raise ValidationError(f"quiver must be a builtin name, @file or a JSON object, got {spec!r}")
     return Quiver.from_json(spec)

@@ -314,6 +314,24 @@ def test_inline_quiver_json(capsys):
     assert len(json.loads(out)["terms"]) == 2
 
 
+LONG_INT = "9" * 5000  # past Python's limit on converting a decimal string to an integer
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expand", "--quiver", "A1", "--w", f'{{"1": {LONG_INT}}}'],
+        ["expand", "--quiver", "A1", "--w", '{"1": 1}', "--params", f'{{"1,1": {LONG_INT}}}'],
+        ["higgs", "--quiver", "A1", "--w", '{"1": 2}', "--higgs", f'{{"x(1,2)": {{"q1": {LONG_INT}}}}}'],
+    ],
+    ids=["w", "params", "higgs"],
+)
+def test_an_overlong_integer_in_a_json_flag_exits_2(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("validation error: ") and "digits" in err and err.count("\n") == 1
+
+
 def test_mass_on_a_long_acyclic_path_exits_2(tmp_path, capsys):
     # a path deeper than the recursion limit: the cycle check does not recurse
     n = 1200

@@ -1,4 +1,5 @@
 from functools import cache, reduce
+from math import prod
 from unittest import mock
 
 import pytest
@@ -14,12 +15,13 @@ from qqkit.engine import (
     closed_form_A1,
     expand,
     highest_weight,
+    resonance_classes,
     s_factor_coefficient,
     s_value,
     _bfs,
-    _generic,
 )
 from qqkit.errors import CollidingArguments, NonTermination, QQError, ValidationError
+from qqkit.higgsing import _ladder_steps, kr_params
 from qqkit.job import Job
 from qqkit.monomial import MU, Memo, Monomial, Q, Q1, Q2, parse_monomial, xparam
 from qqkit.quiver import Quiver, builtin_quiver
@@ -254,7 +256,7 @@ def test_ymonomial_product_matches_the_constructor(ea, eb, how):
         assert product.is_unit
 
 
-# -- fusion of fundamentals --------------------------------------------------------
+# -- fusion of resonance classes -------------------------------------------------
 
 
 def _quiver(name, d, edges):
@@ -309,6 +311,71 @@ def _generic_weights(draw):
     return name, w, params
 
 
+@cache
+def _ladders():
+    """(name, node, m, k): the q_m ladders of k units at x(node,1) that leave room for one more unit.
+
+    A ladder whose own expansion raises counts as one term; the fusion falls back on its error.
+    """
+    out = []
+    for name, Q_ in FUSION_QUIVERS.items():
+        smallest = min(_fundamental_size(name, i) for i in FUSION_NODES[name])
+        for i in FUSION_NODES[name]:
+            for m in _ladder_steps(Q_.d[i]):
+                for k in (2, 3):
+                    ladder = tuple(zip([i] * k, range(1, k + 1), kr_params(Q_, i, k, m)))
+                    if _class_size(name, ladder) * smallest <= MAX_TERMS:
+                        out.append((name, i, m, k))
+    return out
+
+
+@cache
+def _class_size(name, units):
+    """The number of terms of one class's own expansion, or 1 when it raises."""
+    try:
+        return len(_bfs(FUSION_QUIVERS[name], WeightConfig(units), None, Memo(s_value)).terms)
+    except QQError:
+        return 1
+
+
+@st.composite
+def _resonant_weights(draw):
+    """A quiver of FUSION_QUIVERS, a ladder of 2 or 3 units and 1 to 3 more units, as (name, w, params).
+
+    The ladder is a ``kr_params`` one at x(i,1) of node i, in q1 or, where d = 1, in q2.  The first
+    further unit is generic, so that there are two classes or more; each later one is generic too or,
+    at any node, joins the ladder's class with an image x(i,1) q1^a q2^b, on the ladder or off it.
+    Units are dropped from the end, and the generic one moved to the node of the smallest
+    fundamental, until the product of the class sizes is at most MAX_TERMS.
+    """
+    name, node, m, k = draw(st.sampled_from(_ladders()))
+    Q_ = FUSION_QUIVERS[name]
+    images = [(node, repr(p)) for p in kr_params(Q_, node, k, m)]
+    extra = [(draw(st.sampled_from(FUSION_NODES[name])), None)]
+    for _ in range(draw(st.integers(0, 2))):
+        shift = f"x({node},1)*q1^{draw(st.integers(-1, 3))}*q2^{draw(st.integers(0, 2))}"
+        extra.append((draw(st.sampled_from(FUSION_NODES[name])), draw(st.sampled_from([None, shift]))))
+
+    def case():
+        w: dict[str, int] = {}
+        params = {}
+        for i, image in images + extra:
+            w[i] = w.get(i, 0) + 1
+            if image is not None:
+                params[f"{i},{w[i]}"] = image
+        return name, w, params
+
+    def size():
+        _, wc = _weights(*case())
+        return prod(_class_size(name, tuple(cls)) for cls in resonance_classes(wc))
+
+    while len(extra) > 1 and size() > MAX_TERMS:
+        extra.pop()
+    if size() > MAX_TERMS:
+        extra = [(min(FUSION_NODES[name], key=lambda i: _fundamental_size(name, i)), None)]
+    return case()
+
+
 def _weights(name, w, params):
     Q_ = FUSION_QUIVERS[name]
     images = {}
@@ -326,8 +393,8 @@ def _result(compute):
     return list(ch.terms), list(ch.terms.values()), ch.edges
 
 
-@settings(max_examples=60, deadline=None)
-@given(_generic_weights())
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(_generic_weights(), _resonant_weights()))
 # the finite workload's generic expansions, with and without the params images of its seed 1
 @example(("A1", {"1": 7}, {}))
 @example(
@@ -360,30 +427,51 @@ def _result(compute):
 # a unit at the trivalent node of D4: its fundamental fails, and the error is the breadth-first one
 @example(("D4", {"1": 1, "2": 1}, {}))
 @example(("D4", {"2": 1, "3": 1, "4": 1}, {"2,1": "x(2,1)*y"}))
+# ladders and extra units: q1 ladders, q2 ladders where d = 1, and classes across nodes and off the ladder
+@example(("A2", {"1": 2, "2": 1}, {"1,2": "x(1,1)*q1"}))
+@example(("A2", {"1": 3, "2": 2}, {"1,2": "x(1,1)*q2", "1,3": "x(1,1)*q2^2"}))
+@example(("A2", {"1": 1, "2": 2}, {"2,1": "x(1,1)*q1"}))
+@example(("BC2", {"1": 2, "2": 2}, {"2,2": "x(2,1)*q1"}))
+@example(("BC2", {"1": 2, "2": 1}, {"1,2": "x(1,1)*q1^2"}))
+@example(("BC2", {"1": 1, "2": 3}, {"2,2": "x(2,1)*q2", "2,3": "x(2,1)*q2^2"}))
+@example(("C3", {"1": 2, "3": 1}, {"1,2": "x(1,1)*q1"}))
+@example(("C3", {"1": 1, "2": 2}, {"2,2": "x(2,1)*q2"}))
+@example(("C3", {"1": 1, "3": 2}, {"3,2": "x(3,1)*q1^2"}))
+@example(("B3", {"1": 1, "3": 2}, {"3,2": "x(3,1)*q2"}))
+@example(("B3", {"1": 2, "3": 1}, {"1,2": "x(1,1)*q1^2"}))
+@example(("G2", {"1": 1, "2": 2}, {"2,2": "x(2,1)*q2"}))
+@example(("D4", {"1": 2, "3": 1}, {"1,2": "x(1,1)*q1"}))
+@example(("D4", {"3": 1, "4": 2}, {"4,2": "x(4,1)*q2"}))
+@example(("A1", {"1": 3}, {"1,2": "x(1,1)*q1^3"}))
+# a class part that raises: the error is the breadth-first one
+@example(("C3", {"2": 3, "3": 1}, {"2,2": "x(2,1)*q1", "2,3": "x(2,1)*q1^2"}))
+@example(("A2", {"1": 2, "2": 2}, {"2,1": "x(1,1)*q1*q2", "2,2": "x(1,2)*q1"}))
+@example(("A3", {"1": 2, "2": 1, "3": 1}, {"1,2": "x(1,1)*q1", "3,1": "x(1,1)*q1^2*q2"}))
 def test_fused_expansion_is_the_breadth_first_one(case):
-    """``expand`` fuses generic weights of several units on a finite quiver from their
-    fundamentals; it must equal ``_bfs``, the definition, in the order of its terms, in
-    every coefficient and in its ``edges`` tuple, or raise the same error.
+    """``expand`` fuses weights of two or more resonance classes on a finite quiver from the
+    classes' own expansions; it must equal ``_bfs``, the definition, in the order of its terms,
+    in every coefficient and in its ``edges`` tuple, or raise the same error.
 
     Why it must hold.  A reflection's S-factor is a product over same-node companions, so
-    the coefficient along a path splits into a part per unit and a part per ordered pair
-    of units.  At generic weights no S-value between two units is 0 or a pole: the ratio
-    of their arguments carries a generator other than q1, q2 and mu.  So a path projected
-    onto one unit is a path of that unit's own expansion, its fundamental, and every
-    tuple of fundamental terms is reached.  Path independence there fixes each unit's part
-    as its fundamental coefficient, and each pair's part as the pair factor taken along
-    any one path (with either unit reflected first).  The breadth-first walk over tuples
-    reflects each tuple's entries in entry order, as ``_bfs`` reflects a term's, so the
-    terms and edges come out in the same order.
+    the coefficient along a path splits into a part per class and a part per ordered pair
+    of classes.  No S-value between two classes is 0 or a pole: the ratio of their
+    arguments carries a generator other than q1, q2 and mu.  So a path projected onto one
+    class is a path of that class's own expansion, and every tuple of class terms is
+    reached.  Path independence there fixes each class's part as its own coefficient, and
+    each pair's part as the pair factor taken along any one path (with either class
+    reflected first).  The breadth-first walk over tuples reflects each tuple's entries in
+    entry order, as ``_bfs`` reflects a term's, so the terms and edges come out in the same
+    order.  Generic weights are the case where every class is one unit.
     """
     Q_, wc = _weights(*case)
-    assert _generic(wc) and len(wc.entries) >= 2
+    classes = [tuple(cls) for cls in resonance_classes(wc)]
+    assert len(classes) >= 2
     with mock.patch.object(qqkit.engine, "_bfs", wraps=_bfs) as bfs:
         fused = _result(lambda: expand(Q_, wc))
     assert fused == _result(lambda: _bfs(Q_, wc, None, Memo(s_value)))
     if isinstance(fused[0], list):  # fused, with no breadth-first expansion of all the units
-        assert [len(call.args[1].entries) for call in bfs.call_args_list] == [1] * len(wc.entries)
-        assert len(fused[0]) == reduce(lambda n, e: n * _fundamental_size(case[0], e[0]), wc.entries, 1)
+        assert [call.args[1].entries for call in bfs.call_args_list] == classes
+        assert len(fused[0]) == prod(_class_size(case[0], cls) for cls in classes)
 
 
 def test_fused_expansion_refuses_too_many_terms_before_any_product(monkeypatch):
@@ -395,9 +483,32 @@ def test_fused_expansion_refuses_too_many_terms_before_any_product(monkeypatch):
 
     monkeypatch.setattr(qqkit.engine, "_bfs", counted)
     monkeypatch.setattr(qqkit.engine, "SAFETY_BOUND", 4095)
-    with pytest.raises(NonTermination, match=r"^expansion exceeded 4095 terms$"):
-        expand(A1, WeightConfig.make(A1, {"1": 12}))
-    assert calls == [1] * 12  # one fundamental per unit, and no expansion of all twelve
+    ladder = {("1", 2): xparam("1", 1) * Q1, ("1", 3): xparam("1", 1) * Q1**2}
+    # twelve generic units, 2^12 terms; a ladder of three (4 terms) and ten more units, 4 * 2^10 terms
+    for w, params, parts in [({"1": 12}, {}, [1] * 12), ({"1": 13}, ladder, [3] + [1] * 10)]:
+        calls.clear()
+        with pytest.raises(NonTermination, match=r"^expansion exceeded 4095 terms$"):
+            expand(A1, WeightConfig.make(A1, w, params))
+        assert calls == parts  # one expansion per class, and none of all the units
+
+
+@pytest.mark.parametrize(
+    "case, err",
+    [
+        (("C3", {"2": 3, "3": 1}, {"2,2": "x(2,1)*q1", "2,3": "x(2,1)*q1^2"}),
+         "Y[2,q1^3*q2*x(2,1)]^2 requires the derivative prescription"),
+        (("A2", {"1": 2, "2": 2}, {"2,1": "x(1,1)*q1*q2", "2,2": "x(1,2)*q1"}),
+         "S_1 pole at argument q1*q2 while reflecting Y[2,x(1,1)]"),
+    ],
+    ids=["C3-q1-ladder", "A2-cross-node"],
+)
+def test_a_class_part_that_raises_gives_the_breadth_first_error(case, err):
+    Q_, wc = _weights(*case)
+    with mock.patch.object(qqkit.engine, "_bfs", wraps=_bfs) as bfs, pytest.raises(CollidingArguments) as exc:
+        expand(Q_, wc)
+    assert str(exc.value) == err
+    # the first class raises, and the fallback expands all the units
+    assert [call.args[1].entries for call in bfs.call_args_list] == [tuple(resonance_classes(wc)[0]), wc.entries]
 
 
 def test_fused_expansion_counts_its_pair_checks():
