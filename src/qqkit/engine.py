@@ -7,24 +7,38 @@ S-factor vanishes are dropped (no edge); a child reached along several
 paths must receive exactly the same coefficient, which is asserted on
 every merge.
 
-``expand`` takes one other route, fusion, for a finite quiver whose
-weights split into two or more resonance classes (``resonance_classes``);
-affine quivers and weights of one class go through ``_bfs``.  No S-value
+``expand`` takes one other route, fusion, for weights that split into two
+or more resonance classes (``resonance_classes``), on finite and affine
+quivers alike; weights of one class go through ``_bfs``.  No S-value
 between two classes is 0 or a pole, so a character is the product of its
 classes' own characters, its parts (a generic unit's part is its
-fundamental).  Each term is a tuple (m_1, ..., m_n) of part terms, with
-coefficient prod_k c_k(m_k) * prod_{j<k} P_jk(m_j, m_k).  The pair factor
-P_jk holds the S-factors between parts j and k along a path to the tuple,
-and is computed once with part j reflected first and once with part k
-first; the two must agree.  ``meta["path_checks"]`` counts these
-comparisons only, not the merges inside a part's own ``_bfs``.  Terms
-and edges are emitted by a breadth-first walk over the tuples, each
-tuple's reflections in entry order, so the output is identical to
-``_bfs``'s: the same terms in the same insertion order, the same
-coefficients and the same ``edges`` tuple.  Errors are ``_bfs``'s too:
-more than ``SAFETY_BOUND`` terms (the product of the parts' sizes) raise
-its ``NonTermination`` before any product is built, and a part or pair
-factor that raises sends the whole weights through ``_bfs``.
+fundamental), and a cutoff does not change that (Kimura-Pestun,
+arXiv:1512.08533).  Each term is a tuple (m_1, ..., m_n) of part terms,
+with coefficient prod_k c_k(m_k) * prod_{j<k} P_jk(m_j, m_k).  The pair
+factor P_jk holds the S-factors between parts j and k along a path to the
+tuple, and is computed once with part j reflected first and once with
+part k first; the two must agree.  ``meta["path_checks"]`` counts these
+comparisons only, not the merges inside a part's own ``_bfs``.  Terms and
+edges are emitted by a breadth-first walk over the tuples, each tuple's
+reflections in entry order, so the output is identical to ``_bfs``'s: the
+same terms in the same insertion order, the same coefficients and the
+same ``edges`` tuple.
+
+On an affine quiver every reflection multiplies in exactly one qfrak(i)
+(``Quiver.node_scalars``), and no weight parameter carries one, so a
+term's counting degree is its depth: part terms come in nondecreasing
+degree, and a tuple's degree is the sum of its parts'.  Each part is its
+own ``_bfs`` to the cutoff D, a pair factor is computed only for pairs of
+total degree at most D, and the walk does not reflect a tuple of degree
+D or more, as ``_bfs`` does not reflect such a term; no tuple past the
+cutoff is formed.  On a finite quiver every degree is 0 and nothing is
+cut.  Errors are ``_bfs``'s too: more than ``SAFETY_BOUND`` terms (the
+tuples within the cutoff, counted from the parts' degrees) raise its
+``NonTermination`` before any product is built, and a part or pair factor
+that raises sends the whole weights through ``_bfs``.  So do weights whose
+pairs of parts outnumber those tuples, as many units at a low cutoff do:
+their pair tables would cost more than the character (at a cutoff of 0,
+a thousand units would build half a million tables for one term).
 
 Both routes read their S-values through one table per ``expand`` call
 (a ``Memo`` of ``s_value``): S_d(a/x)^k by (d, a, x, k), computed on
@@ -39,9 +53,10 @@ no reference cycle keeps it, or any other table of the call, alive after it.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
-from math import prod
+from math import inf
 from operator import itemgetter
 from typing import Iterable, Mapping
 
@@ -303,21 +318,24 @@ def expand(
 
     Finite-type quivers terminate on their own, and their terms carry no
     counting parameter, so ``max_qdeg`` cuts nothing there; affine ones
-    require a counting-degree cutoff.  Indefinite quivers are rejected.
-    Weights of two or more resonance classes on a finite quiver are fused
-    from their classes' characters (see the module docstring); the result
-    is the one ``_bfs`` gives.
+    require a counting-degree cutoff.  Indefinite quivers are rejected, and
+    so is a weight parameter that carries a counting parameter qfrak(i).
+    Weights of two or more resonance classes are fused from their classes'
+    characters (see the module docstring); the result is the one ``_bfs``
+    gives.
     """
     qclass, _ = classify(Q_)
     if qclass is QuiverClass.INDEFINITE:
         raise ValidationError("indefinite quivers are not supported")
     if qclass is QuiverClass.AFFINE and max_qdeg is None:
         raise ValidationError("affine expansion requires a counting-degree cutoff")
-    s_values = Memo(s_value)
+    if any(k[0] == COUNTING for _, _, p in wc.entries for k, _ in p.sort_key()):
+        raise ValidationError("a weight parameter uses a counting parameter qfrak(i), which only the engine sets")
     if qclass is QuiverClass.FINITE:
-        if len(wc.entries) > 1 and len(classes := resonance_classes(wc)) > 1:
-            return _fuse(Q_, wc, classes, s_values)
         max_qdeg = None
+    s_values = Memo(s_value)
+    if len(wc.entries) > 1 and len(classes := resonance_classes(wc)) > 1:
+        return _fuse(Q_, wc, classes, s_values, max_qdeg)
     return _bfs(Q_, wc, max_qdeg, s_values)
 
 
@@ -371,22 +389,24 @@ def _bfs(Q_: Quiver, wc: WeightConfig, max_qdeg: int | None, s_values: Memo) -> 
 
 
 class _Fundamental:
-    """One resonance class's own expansion, a part for fusion (a single unit's is its fundamental).
+    """One resonance class's own expansion to the cutoff, a part for fusion (a single unit's is its fundamental).
 
     Terms are numbered in ``_bfs`` order, so the highest weight is 0 and a
     term's parent, the source of the first edge into it, has a lower
     number; ``step[b]`` is the entry reflected on that edge, and the
-    parents' steps give term b's path.  ``out[a]`` lists term a's edges in
-    entry order as (entry key, child, entry, the Y-monomial the reflection
-    multiplies in).
+    parents' steps give term b's path.  ``degree[a]`` is term a's counting
+    degree, nondecreasing in a (0 on a finite quiver, the term's depth on
+    an affine one).  ``out[a]`` lists term a's edges in entry order as
+    (entry key, child, entry, the Y-monomial the reflection multiplies in).
     """
 
-    __slots__ = ("yms", "coeffs", "parent", "step", "out")
+    __slots__ = ("yms", "coeffs", "degree", "parent", "step", "out")
 
-    def __init__(self, Q_: Quiver, cls: list[tuple[str, int, Monomial]], s_values: Memo):
-        ch = _bfs(Q_, WeightConfig(tuple(cls)), None, s_values)
+    def __init__(self, Q_: Quiver, cls: list[tuple[str, int, Monomial]], max_qdeg: int | None, s_values: Memo):
+        ch = _bfs(Q_, WeightConfig(tuple(cls)), max_qdeg, s_values)
         self.yms = list(ch.terms)
         self.coeffs = list(ch.terms.values())
+        self.degree = [qdeg_of(c) for c in self.coeffs]
         number = {ym: a for a, ym in enumerate(self.yms)}
         self.parent = [0] * len(self.yms)
         self.step: list = [None] * len(self.yms)
@@ -399,20 +419,21 @@ class _Fundamental:
             self.out[a].append((_entry_key(entry), b, entry, delta))
 
 
-def _cross(Q_: Quiver, f: _Fundamental, g: _Fundamental, s_values: Memo) -> list[list[Coefficient]]:
+def _cross(Q_: Quiver, f: _Fundamental, g: _Fundamental, top: float, s_values: Memo) -> list[list[Coefficient]]:
     """W[a][b]: the S-factors that f's term a contributes to the reflections along g's path to b.
 
     Each reflection of (i, x) takes S_{d_i}(y / x)^e from every entry
     (i, y, e) of term a, read through ``s_values`` as ``s_factor_coefficient``
-    reads it; a row is built along the paths, one reflection per term of g.
+    reads it; a row is built along the paths, one reflection per term of g,
+    and only as far as the terms b of degree at most ``top`` - degree(a).
     """
     out = []
-    for m in f.yms:
+    for m, deg in zip(f.yms, f.degree):
         by_node: dict[str, list] = {}
         for n, y, e in m.entries:
             by_node.setdefault(n, []).append((y, e))
         row = [Coefficient.one()]
-        for b in range(1, len(g.yms)):
+        for b in range(1, bisect_right(g.degree, top - deg)):
             i, x = g.step[b]
             w = row[g.parent[b]]
             for y, e in by_node.get(i, ()):
@@ -422,14 +443,16 @@ def _cross(Q_: Quiver, f: _Fundamental, g: _Fundamental, s_values: Memo) -> list
     return out
 
 
-def _pair_factors(Q_: Quiver, fj: _Fundamental, fk: _Fundamental, s_values: Memo) -> list[list[Coefficient]]:
-    """P[a][b], the S-factors between parts j and k at their terms a and b.
+def _pair_factors(
+    Q_: Quiver, fj: _Fundamental, fk: _Fundamental, top: float, s_values: Memo
+) -> list[list[Coefficient]]:
+    """P[a][b], the S-factors between parts j and k at their terms a and b of total degree at most ``top``.
 
     With j reflected first, its path meets Y_k (term 0 of k), and then k's
     path meets term a of j; with k first, the roles swap.  Both orders
     reach the same term, so their products must agree.
     """
-    wjk, wkj = _cross(Q_, fj, fk, s_values), _cross(Q_, fk, fj, s_values)
+    wjk, wkj = _cross(Q_, fj, fk, top, s_values), _cross(Q_, fk, fj, top, s_values)
     y_k, y_j = wkj[0], wjk[0]
     out = []
     for a, row in enumerate(wjk):
@@ -442,20 +465,40 @@ def _pair_factors(Q_: Quiver, fj: _Fundamental, fk: _Fundamental, s_values: Memo
     return out
 
 
-def _fuse(Q_: Quiver, wc: WeightConfig, classes: list[list], s_values: Memo) -> Character:
-    """The character of weights of two or more resonance ``classes`` on a finite quiver, from their parts."""
+def _tuple_count(parts: list[_Fundamental], top: float) -> int:
+    """The number of tuples of part terms whose degrees add up to at most ``top``: the convolution
+    of the parts' degree histograms, cut at ``top`` (the product of their sizes when ``top`` is inf)."""
+    counts = [1]  # counts[d]: the tuples of the parts so far of degree d
+    for f in parts:
+        hist = [0] * (f.degree[-1] + 1)
+        for e in f.degree:
+            hist[e] += 1
+        sums = [0] * (len(counts) + len(hist) - 1)
+        for d, c in enumerate(counts):
+            for e, m in enumerate(hist):
+                sums[d + e] += c * m
+        counts = [c for d, c in enumerate(sums) if d <= top]
+    return sum(counts)
+
+
+def _fuse(Q_: Quiver, wc: WeightConfig, classes: list[list], s_values: Memo, max_qdeg: int | None) -> Character:
+    """The character of weights of two or more resonance ``classes``, from their parts, to the cutoff ``max_qdeg``."""
     try:
-        parts = [_Fundamental(Q_, cls, s_values) for cls in classes]
+        parts = [_Fundamental(Q_, cls, max_qdeg, s_values) for cls in classes]
     except QQError:
-        return _bfs(Q_, wc, None, s_values)
-    if prod(len(f.yms) for f in parts) > SAFETY_BOUND:
+        return _bfs(Q_, wc, max_qdeg, s_values)
+    top = inf if max_qdeg is None else max(max_qdeg, 0)  # the highest weight is kept at any cutoff
+    count = _tuple_count(parts, top)
+    if count > SAFETY_BOUND:
         raise _too_many_terms()
     n = len(parts)
+    if n * (n - 1) // 2 > count:  # more pair tables than terms: the worklist costs less
+        return _bfs(Q_, wc, max_qdeg, s_values)
     try:
-        pairs = {(j, k): _pair_factors(Q_, parts[j], parts[k], s_values) for k in range(n) for j in range(k)}
+        pairs = {(j, k): _pair_factors(Q_, parts[j], parts[k], top, s_values) for k in range(n) for j in range(k)}
     except QQError:
-        return _bfs(Q_, wc, None, s_values)
-    path_checks = sum(len(parts[j].yms) * len(parts[k].yms) for j, k in pairs)  # one per pair of terms
+        return _bfs(Q_, wc, max_qdeg, s_values)
+    path_checks = sum(len(row) for p in pairs.values() for row in p)  # one per pair of terms
 
     def part(t: tuple[int, ...]) -> Coefficient:
         """Part k = len(t) - 1 at t[k], with its pair factors to parts 0..k-1."""
@@ -465,20 +508,30 @@ def _fuse(Q_: Quiver, wc: WeightConfig, classes: list[list], s_values: Memo) -> 
             c = c * pairs[j, k][t[j]][t[k]]
         return c
 
-    # one table per part k, of the coefficient of parts 0..k at t[:k + 1]: the
-    # table of part k - 1 at t[:k] times the short factors of part k
-    coefficient = Memo(part)
-    for _ in range(n - 1):
-        coefficient = Memo(lambda t, head=coefficient: head[t[:-1]] * part(t))
+    # prefix[t[:k]]: the coefficient of parts 0..k - 1 at t[:k], kept for every prefix met; a
+    # tuple's extends its longest known prefix by the short factors of each later part, in a
+    # loop, so the depth of the call stack does not grow with the number of parts
+    prefix = {(): Coefficient.one()}
+
+    def coefficient(t: tuple[int, ...]) -> Coefficient:
+        k = n - 1
+        while t[:k] not in prefix:
+            k -= 1
+        c = prefix[t[:k]]
+        for j in range(k + 1, n + 1):
+            c = prefix[t[:j]] = c * part(t[:j])
+        return c
 
     start = (0,) * n
     hw = highest_weight(Q_, wc).ym
     ym_of = {start: hw}
-    terms: dict[YMonomial, Coefficient] = {hw: coefficient[start]}
+    terms: dict[YMonomial, Coefficient] = {hw: coefficient(start)}
     edges: list[tuple[YMonomial, YMonomial, tuple[str, Monomial]]] = []
-    work = deque([start])
+    work = deque([(start, 0)])  # each tuple with its degree
     while work:
-        t = work.popleft()
+        t, deg = work.popleft()
+        if deg >= top:
+            continue  # as ``_bfs`` skips a term at the cutoff
         ym = ym_of[t]
         out = sorted(
             ((key, k, b, entry, delta) for k in range(n) for key, b, entry, delta in parts[k].out[t[k]]),
@@ -489,15 +542,15 @@ def _fuse(Q_: Quiver, wc: WeightConfig, classes: list[list], s_values: Memo) -> 
             child_ym = ym_of.get(child)
             if child_ym is None:
                 child_ym = ym_of[child] = ym * delta
-                terms[child_ym] = coefficient[child]
-                work.append(child)
+                terms[child_ym] = coefficient(child)
+                work.append((child, deg + parts[k].degree[b] - parts[k].degree[t[k]]))
             edges.append((ym, child_ym, entry))
     return Character(
         Q_,
         wc,
         terms,
         tuple(edges),
-        meta={"path_checks": path_checks, "max_qdeg": None, "class": QuiverClass.FINITE.value},
+        meta={"path_checks": path_checks, "max_qdeg": max_qdeg, "class": classify(Q_)[0].value},
     )
 
 

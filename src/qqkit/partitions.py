@@ -21,9 +21,10 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
+from . import engine
 from .coefficient import Coefficient, s_function
 from .engine import Character, WeightConfig, YMonomial, derivative_case, highest_weight
-from .errors import CollidingArguments, InvalidPit, PoleError, ValidationError
+from .errors import CollidingArguments, InvalidPit, NonTermination, PoleError, ValidationError
 from .monomial import Memo, Monomial, Q, Q1, Q3, Q4, qfrak
 from .quiver import Quiver, QuiverClass, classify
 
@@ -259,6 +260,27 @@ def _tuples_of_total(count: int, total: int) -> Iterator[tuple[Partition, ...]]:
             stack.append(choices(choice[1], len(head) == count - 1))
 
 
+def _refuse_too_many_tuples(count: int, top: int) -> None:
+    """Raise NonTermination when more than ``engine.SAFETY_BOUND`` count-tuples of partitions have total at most top.
+
+    The tuples of total k number c_k, the coefficient of q^k in P(q)^count
+    with P the partition generating function.  Since log P(q) is the sum of
+    sigma(j) q^j / j over j >= 1, sigma the divisor sum, k c_k is count times
+    the sum of sigma(j) c_{k-j} over 1 <= j <= k.  The count stops once it
+    passes the bound, which at 10^6 and one unit happens at k = 49 (sooner
+    with more units), so a large top costs a few dozen steps.
+    """
+    c, sigma, seen = [1], [0], 1
+    for k in range(1, top + 1):
+        if seen > engine.SAFETY_BOUND:
+            break
+        sigma.append(sum(d for d in range(1, k + 1) if k % d == 0))
+        c.append(count * sum(sigma[j] * c[k - j] for j in range(1, k + 1)) // k)
+        seen += c[k]
+    if seen > engine.SAFETY_BOUND:
+        raise NonTermination(f"partition sum exceeded {engine.SAFETY_BOUND} tuples")
+
+
 def _cycle_nodes(Q_: Quiver) -> list[str]:
     """The nodes in order along the one oriented unit cycle that the sum needs, from the first."""
     succ = {a: b for a, b, c in Q_.edges if c == 1}
@@ -291,6 +313,9 @@ def affine_character(Q_: Quiver, wc: WeightConfig, max_qdeg: int) -> Character:
     product of its pairs in ``z_s_values`` order, and every pair is
     evaluated before a zero weight is skipped, so a pole is met at the same
     S-value of the same tuple as in ``z_Ar_tuple`` and names that tuple.
+
+    More than ``engine.SAFETY_BOUND`` tuples up to the cutoff raise
+    NonTermination before any tuple is enumerated.
     """
     if max_qdeg < 0:
         raise ValidationError("cutoff must be nonnegative")
@@ -318,9 +343,11 @@ def affine_character(Q_: Quiver, wc: WeightConfig, max_qdeg: int) -> Character:
             out = out * value
         return out
 
+    top = max_qdeg if comps else 0  # with no units, only the empty tuple, of total 0
+    _refuse_too_many_tuples(len(comps), top)
     components, pairs = Memo(component), Memo(pair)
     terms: dict[YMonomial, Coefficient] = {}
-    for total in range(max_qdeg + 1):
+    for total in range(top + 1):
         for lams in _tuples_of_total(len(comps), total):
             coeff = Coefficient.one()
             try:

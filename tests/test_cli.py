@@ -93,6 +93,22 @@ def test_affine_expand_skips_the_empty_partitions_of_a_large_weight(capsys):
     assert time.perf_counter() - start < 4.0
 
 
+@pytest.mark.parametrize(
+    "w, max_deg, code, out, err",
+    [
+        # the partitions of size <= 200 number about 4.7 * 10^13: refused before any is enumerated
+        ('{"0": 1}', "200", 7, "", "internal consistency failure: partition sum exceeded 1000000 tuples\n"),
+        # with no units the sum is the one empty tuple, at any cutoff
+        ("{}", "1000000000", 0, "1  *  1\n", ""),
+    ],
+    ids=["one-unit", "no-units"],
+)
+def test_affine_expand_finishes_at_once_at_any_cutoff(w, max_deg, code, out, err, capsys):
+    start = time.perf_counter()
+    assert run_cli(["affine-expand", "--quiver", "A0hat", "--w", w, "--max-deg", max_deg], capsys) == (code, out, err)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_burge_check(capsys):
     code, out, _ = run_cli(["burge-check", "--r", "1", "--i", "0", "--j", "1", "--max-size", "2"], capsys)
     assert code == 0

@@ -1,4 +1,5 @@
 from functools import cache, reduce
+from itertools import product
 from math import prod
 from unittest import mock
 
@@ -15,6 +16,7 @@ from qqkit.engine import (
     closed_form_A1,
     expand,
     highest_weight,
+    qdeg_of,
     resonance_classes,
     s_factor_coefficient,
     s_value,
@@ -330,12 +332,47 @@ def _ladders():
 
 
 @cache
+def _class_degrees(name, units, cutoff=None):
+    """The counting degrees of one class's own expansion to the cutoff, or (0,) when it raises."""
+    try:
+        return tuple(map(qdeg_of, _bfs(_quiver_named(name), WeightConfig(units), cutoff, Memo(s_value)).terms.values()))
+    except QQError:
+        return (0,)
+
+
 def _class_size(name, units):
     """The number of terms of one class's own expansion, or 1 when it raises."""
-    try:
-        return len(_bfs(FUSION_QUIVERS[name], WeightConfig(units), None, Memo(s_value)).terms)
-    except QQError:
-        return 1
+    return len(_class_degrees(name, units))
+
+
+AFFINE_QUIVERS = ["A0hat", "Arhat(2)", "Arhat(3)"]
+
+
+def _quiver_named(name):
+    return FUSION_QUIVERS[name] if name in FUSION_QUIVERS else builtin_quiver(name)
+
+
+@st.composite
+def _affine_weights(draw):
+    """An affine quiver, 2 to 4 units and a cutoff 0..5, as (name, w, params, cutoff).
+
+    The first two units are generic.  Each later one is generic too or, at any node, joins the
+    first unit's class with an image x(i,1) q1^a q2^b mu^c: an S-zero or a pole inside the class.
+    """
+    name = draw(st.sampled_from(AFFINE_QUIVERS))
+    nodes = _quiver_named(name).nodes
+    first = draw(st.sampled_from(nodes))
+    units = [(first, None), (draw(st.sampled_from(nodes)), None)]
+    for _ in range(draw(st.integers(0, 2))):
+        shift = f"x({first},1)*q1^{draw(st.integers(-1, 2))}*q2^{draw(st.integers(0, 2))}*mu^{draw(st.integers(0, 2))}"
+        units.append((draw(st.sampled_from(nodes)), draw(st.sampled_from([None, shift]))))
+    w: dict[str, int] = {}
+    params = {}
+    for i, image in units:
+        w[i] = w.get(i, 0) + 1
+        if image is not None:
+            params[f"{i},{w[i]}"] = image
+    return name, w, params, draw(st.integers(0, 5))
 
 
 @st.composite
@@ -377,7 +414,7 @@ def _resonant_weights(draw):
 
 
 def _weights(name, w, params):
-    Q_ = FUSION_QUIVERS[name]
+    Q_ = _quiver_named(name)
     images = {}
     for key, img in params.items():
         node, _, alpha = key.partition(",")
@@ -394,7 +431,7 @@ def _result(compute):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.one_of(_generic_weights(), _resonant_weights()))
+@given(st.one_of(_generic_weights(), _resonant_weights(), _affine_weights()))
 # the finite workload's generic expansions, with and without the params images of its seed 1
 @example(("A1", {"1": 7}, {}))
 @example(
@@ -447,10 +484,25 @@ def _result(compute):
 @example(("C3", {"2": 3, "3": 1}, {"2,2": "x(2,1)*q1", "2,3": "x(2,1)*q1^2"}))
 @example(("A2", {"1": 2, "2": 2}, {"2,1": "x(1,1)*q1*q2", "2,2": "x(1,2)*q1"}))
 @example(("A3", {"1": 2, "2": 1, "3": 1}, {"1,2": "x(1,1)*q1", "3,1": "x(1,1)*q1^2*q2"}))
+# affine quivers, each case with its cutoff: generic units at cutoffs 0 to 5
+@example(("A0hat", {"0": 2}, {}, 0))
+@example(("A0hat", {"0": 2}, {}, 5))
+@example(("A0hat", {"0": 3}, {}, 4))
+@example(("A0hat", {"0": 4}, {}, 3))
+@example(("Arhat(2)", {"0": 1, "1": 1}, {}, 5))
+@example(("Arhat(2)", {"0": 2, "1": 1}, {}, 4))
+@example(("Arhat(3)", {"0": 1, "1": 1, "2": 1}, {}, 1))
+@example(("Arhat(3)", {"0": 1, "1": 1, "2": 1}, {}, 4))
+# a resonant class next to a generic unit: S-zeros inside the class, and a class across nodes
+@example(("A0hat", {"0": 3}, {"0,2": "x(0,1)*q1"}, 4))
+@example(("Arhat(2)", {"0": 2, "1": 1}, {"1,1": "x(0,1)*q3^2"}, 3))
+# a class part that hits a pole: the error is the breadth-first one
+@example(("A0hat", {"0": 3}, {"0,2": "x(0,1)*q3^2"}, 3))
 def test_fused_expansion_is_the_breadth_first_one(case):
-    """``expand`` fuses weights of two or more resonance classes on a finite quiver from the
-    classes' own expansions; it must equal ``_bfs``, the definition, in the order of its terms,
-    in every coefficient and in its ``edges`` tuple, or raise the same error.
+    """``expand`` fuses weights of two or more resonance classes from the classes' own expansions,
+    to the cutoff on an affine quiver (an affine case carries its cutoff); it must equal ``_bfs``,
+    the definition, in the order of its terms, in every coefficient and in its ``edges`` tuple, or
+    raise the same error.
 
     Why it must hold.  A reflection's S-factor is a product over same-node companions, so
     the coefficient along a path splits into a part per class and a part per ordered pair
@@ -462,16 +514,26 @@ def test_fused_expansion_is_the_breadth_first_one(case):
     reflected first).  The breadth-first walk over tuples reflects each tuple's entries in
     entry order, as ``_bfs`` reflects a term's, so the terms and edges come out in the same
     order.  Generic weights are the case where every class is one unit.
+
+    On an affine quiver each reflection multiplies in one qfrak(i) and no S-value carries one,
+    so a term's degree is its depth and a tuple's is the sum of its parts'.  The tuples that
+    ``_bfs`` reaches below the cutoff are then those of parts below it, and the walk stops
+    where ``_bfs`` stops: at a tuple of the cutoff's degree.
     """
-    Q_, wc = _weights(*case)
+    Q_, wc = _weights(*case[:3])
+    cutoff = case[3] if len(case) > 3 else None
     classes = [tuple(cls) for cls in resonance_classes(wc)]
     assert len(classes) >= 2
     with mock.patch.object(qqkit.engine, "_bfs", wraps=_bfs) as bfs:
-        fused = _result(lambda: expand(Q_, wc))
-    assert fused == _result(lambda: _bfs(Q_, wc, None, Memo(s_value)))
-    if isinstance(fused[0], list):  # fused, with no breadth-first expansion of all the units
-        assert [call.args[1].entries for call in bfs.call_args_list] == classes
-        assert len(fused[0]) == prod(_class_size(case[0], cls) for cls in classes)
+        fused = _result(lambda: expand(Q_, wc, cutoff))
+    assert fused == _result(lambda: _bfs(Q_, wc, cutoff, Memo(s_value)))
+    if isinstance(fused[0], list):  # one expansion per class, and of all the units only when the
+        # pairs of classes outnumber the terms
+        degrees = product(*(_class_degrees(case[0], cls, cutoff) for cls in classes))
+        count = sum(cutoff is None or sum(ds) <= cutoff for ds in degrees)
+        worklist = [wc.entries] if len(classes) * (len(classes) - 1) // 2 > count else []
+        assert [call.args[1].entries for call in bfs.call_args_list] == classes + worklist
+        assert len(fused[0]) == count
 
 
 def test_fused_expansion_refuses_too_many_terms_before_any_product(monkeypatch):
@@ -492,6 +554,29 @@ def test_fused_expansion_refuses_too_many_terms_before_any_product(monkeypatch):
         assert calls == parts  # one expansion per class, and none of all the units
 
 
+def test_affine_fused_expansion_refuses_too_many_terms_before_any_product(monkeypatch):
+    calls, pair_factors = [], []
+
+    def counted(Q_, wc, *rest):  # rest: the cutoff and the expansion's S-value table
+        calls.append(len(wc.entries))
+        return _bfs(Q_, wc, *rest)
+
+    real_pair_factors = qqkit.engine._pair_factors
+    monkeypatch.setattr(qqkit.engine, "_bfs", counted)
+    monkeypatch.setattr(qqkit.engine, "_pair_factors", lambda *args: pair_factors.append(args) or real_pair_factors(*args))
+    Q_ = builtin_quiver("Arhat(3)")
+    wc = WeightConfig.make(Q_, {"0": 1, "1": 1, "2": 1})
+    # each unit's terms to degree 4 number 1, 1, 2, 3 and 5 by degree; the triples of total degree <= 4 number 86
+    monkeypatch.setattr(qqkit.engine, "SAFETY_BOUND", 85)
+    with pytest.raises(NonTermination, match=r"^expansion exceeded 85 terms$"):
+        expand(Q_, wc, max_qdeg=4)
+    assert (calls, pair_factors) == ([1, 1, 1], [])  # one expansion per unit, and no pair factor
+    calls.clear()
+    monkeypatch.setattr(qqkit.engine, "SAFETY_BOUND", 86)
+    assert len(expand(Q_, wc, max_qdeg=4).terms) == 86
+    assert calls == [1, 1, 1] and len(pair_factors) == 3
+
+
 @pytest.mark.parametrize(
     "case, err",
     [
@@ -499,19 +584,42 @@ def test_fused_expansion_refuses_too_many_terms_before_any_product(monkeypatch):
          "Y[2,q1^3*q2*x(2,1)]^2 requires the derivative prescription"),
         (("A2", {"1": 2, "2": 2}, {"2,1": "x(1,1)*q1*q2", "2,2": "x(1,2)*q1"}),
          "S_1 pole at argument q1*q2 while reflecting Y[2,x(1,1)]"),
+        # a class of A0hat whose part hits a pole at degree 2, below the cutoff 3
+        (("A0hat", {"0": 3}, {"0,2": "x(0,1)*q3^2"}, 3), "S_1 pole at argument q1*q2 while reflecting Y[0,mu*x(0,1)]"),
     ],
-    ids=["C3-q1-ladder", "A2-cross-node"],
+    ids=["C3-q1-ladder", "A2-cross-node", "A0hat-pole"],
 )
 def test_a_class_part_that_raises_gives_the_breadth_first_error(case, err):
-    Q_, wc = _weights(*case)
+    Q_, wc = _weights(*case[:3])
     with mock.patch.object(qqkit.engine, "_bfs", wraps=_bfs) as bfs, pytest.raises(CollidingArguments) as exc:
-        expand(Q_, wc)
+        expand(Q_, wc, *case[3:])
     assert str(exc.value) == err
     # the first class raises, and the fallback expands all the units
     assert [call.args[1].entries for call in bfs.call_args_list] == [tuple(resonance_classes(wc)[0]), wc.entries]
+
+
+@pytest.mark.parametrize("units, cutoff, n_terms", [(3, 0, 1), (4, 1, 5), (600, 0, 1), (20, 1, 21)])
+def test_more_pairs_of_classes_than_terms_take_the_worklist(units, cutoff, n_terms):
+    wc = WeightConfig.make(A0, {"0": units})
+    with mock.patch.object(qqkit.engine, "_pair_factors") as pair_factors:
+        ch = expand(A0, wc, max_qdeg=cutoff)
+    assert not pair_factors.called and len(ch.terms) == n_terms
+    assert _result(lambda: ch) == _result(lambda: _bfs(A0, wc, cutoff, Memo(s_value)))
 
 
 def test_fused_expansion_counts_its_pair_checks():
     ch = expand(BC2, WeightConfig.make(BC2, {"1": 2, "2": 1}))
     # one comparison per pair of units and pair of their terms: 5 * 5 + 2 * (5 * 4)
     assert ch.meta == {"path_checks": 65, "max_qdeg": None, "class": "finite"}
+    Q_ = builtin_quiver("Arhat(3)")
+    ch = expand(Q_, WeightConfig.make(Q_, {"0": 1, "1": 1, "2": 1}), max_qdeg=4)
+    # one comparison per pair of units and pair of their terms of total degree <= 4: 3 * 38
+    assert ch.meta == {"path_checks": 114, "max_qdeg": 4, "class": "affine"}
+
+
+@pytest.mark.parametrize("Q_, w", [(A0, {"0": 2}), (A1, {"1": 2})], ids=["A0hat", "A1"])
+def test_a_counting_parameter_in_a_weight_is_rejected(Q_, w):
+    # an S-value between two classes would carry qfrak(0), and a term's degree would not be its depth
+    wc = WeightConfig.make(Q_, w, {(Q_.nodes[0], 2): xparam(Q_.nodes[0], 1) * Monomial.gen("qfrak(0)") ** -1})
+    with pytest.raises(ValidationError, match=r"^a weight parameter uses a counting parameter qfrak\(i\)"):
+        expand(Q_, wc, max_qdeg=2)

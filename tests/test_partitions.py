@@ -4,10 +4,12 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import qqkit.engine
+import qqkit.partitions
 import qqkit.verify
 from qqkit.coefficient import Coefficient, Substitution, product_vanishes, s_function
 from qqkit.engine import WeightConfig, YMonomial, derivative_case, expand, highest_weight
-from qqkit.errors import CollidingArguments, InvalidPit, PoleError, QQError, ValidationError
+from qqkit.errors import CollidingArguments, InvalidPit, NonTermination, PoleError, QQError, ValidationError
 from qqkit.monomial import MU, Monomial, Q1, Q2, Q3, Q4, parse_monomial, xparam
 from qqkit.partitions import (
     Partition,
@@ -415,6 +417,26 @@ def test_tuples_of_total_match_the_recursive_order():
     for count in range(4):
         for total in range(5):
             assert list(_tuples_of_total(count, total)) == list(_tuples_by_recursion(count, total)), (count, total)
+
+
+@pytest.mark.parametrize("count, top", [(1, 0), (1, 6), (2, 5), (3, 4), (4, 3)])
+def test_the_partition_sum_refuses_more_tuples_than_the_bound_before_any(monkeypatch, count, top):
+    quiver = builtin_quiver("A0hat")
+    wc = WeightConfig.make(quiver, {"0": count})
+    exact = sum(len(list(_tuples_of_total(count, total))) for total in range(top + 1))
+    monkeypatch.setattr(qqkit.engine, "SAFETY_BOUND", exact - 1)
+    monkeypatch.setattr(qqkit.partitions, "_tuples_of_total", None)  # no tuple is enumerated
+    with pytest.raises(NonTermination, match=rf"^partition sum exceeded {exact - 1} tuples$"):
+        affine_character(quiver, wc, top)
+    monkeypatch.undo()
+    monkeypatch.setattr(qqkit.engine, "SAFETY_BOUND", exact)
+    assert affine_character(quiver, wc, top).terms
+
+
+def test_the_partition_sum_of_no_units_visits_only_total_0():
+    quiver = builtin_quiver("A0hat")
+    ch = affine_character(quiver, WeightConfig.make(quiver, {}), 10**9)
+    assert list(ch.terms) == [YMonomial.unit()] and ch.terms[YMonomial.unit()].is_one
 
 
 def test_tuples_of_total_reach_past_the_recursion_limit():
