@@ -13,22 +13,29 @@ quivers alike; weights of one class go through ``_bfs``.  No S-value
 between two classes is 0 or a pole, so a character is the product of its
 classes' own characters, its parts (a generic unit's part is its
 fundamental), and a cutoff does not change that (Kimura-Pestun,
-arXiv:1512.08533).  Each term is a tuple (m_1, ..., m_n) of part terms,
-with coefficient prod_k c_k(m_k) * prod_{j<k} P_jk(m_j, m_k).  The pair
+arXiv:1512.08533).  Classes of one shape, the same nodes with the same
+ratios of their parameters to the first, share one part: the first is
+expanded, and each later one is that part shifted by the ratio t of the
+two classes' first parameters (``_Fundamental.shifted``), so the units at
+one node share one fundamental.  A shift multiplies every argument by t
+and keeps the coefficients, degrees and term numbering, since an S-value
+reads only a ratio within the class and a reflection's scalar only its
+node.  Each term is a tuple (m_1, ..., m_n) of part terms, with
+coefficient prod_k c_k(m_k) * prod_{j<k} P_jk(m_j, m_k).  The pair
 factor P_jk holds the S-factors between parts j and k along a path to the
 tuple, and is computed once with part j reflected first and once with
 part k first; the two must agree.  ``meta["path_checks"]`` counts these
 comparisons only, not the merges inside a part's own ``_bfs``.  Terms and
 edges are emitted by a breadth-first walk over the tuples, each tuple's
-reflections in entry order, so the output is identical to ``_bfs``'s: the
-same terms in the same insertion order, the same coefficients and the
-same ``edges`` tuple.
+reflections in entry order (by the shifted arguments' keys in a shifted
+part), so the output is identical to ``_bfs``'s: the same terms in the
+same insertion order, the same coefficients and the same ``edges`` tuple.
 
 On an affine quiver every reflection multiplies in exactly one qfrak(i)
 (``Quiver.node_scalars``), and no weight parameter carries one, so a
 term's counting degree is its depth: part terms come in nondecreasing
 degree, and a tuple's degree is the sum of its parts'.  Each part is its
-own ``_bfs`` to the cutoff D, a pair factor is computed only for pairs of
+own ``_bfs`` to the cutoff D, or a shift of one, a pair factor is computed only for pairs of
 total degree at most D, and the walk does not reflect a tuple of degree
 D or more, as ``_bfs`` does not reflect such a term; no tuple past the
 cutoff is formed.  On a finite quiver every degree is 0 and nothing is
@@ -38,7 +45,11 @@ tuples within the cutoff, counted from the parts' degrees) raise its
 that raises sends the whole weights through ``_bfs``.  So do weights whose
 pairs of parts outnumber those tuples, as many units at a low cutoff do:
 their pair tables would cost more than the character (at a cutoff of 0,
-a thousand units would build half a million tables for one term).
+a thousand units would build half a million tables for one term).  A
+shifted part raises where its class's own ``_bfs`` would: a new entry
+order decides only a reflection that an S-zero kills while a pole or a
+zero in a denominator is among its companions too, and the shift checks
+each such reflection again.
 
 Both routes read their S-values through one table per ``expand`` call
 (a ``Memo`` of ``s_value``): S_d(a/x)^k by (d, a, x, k), computed on
@@ -391,16 +402,20 @@ def _bfs(Q_: Quiver, wc: WeightConfig, max_qdeg: int | None, s_values: Memo) -> 
 class _Fundamental:
     """One resonance class's own expansion to the cutoff, a part for fusion (a single unit's is its fundamental).
 
-    Terms are numbered in ``_bfs`` order, so the highest weight is 0 and a
+    Terms are numbered in ``_bfs`` order (a shifted part keeps the numbering
+    of the part it is shifted from), so the highest weight is 0 and a
     term's parent, the source of the first edge into it, has a lower
     number; ``step[b]`` is the entry reflected on that edge, and the
     parents' steps give term b's path.  ``degree[a]`` is term a's counting
     degree, nondecreasing in a (0 on a finite quiver, the term's depth on
     an affine one).  ``out[a]`` lists term a's edges in entry order as
     (entry key, child, entry, the Y-monomial the reflection multiplies in).
+    ``mixed`` lists, as (a, node, argument), the reflections that an S-zero
+    killed while a pole or a zero in a denominator was among the companions
+    too: which of them the reflection meets first follows the entry order.
     """
 
-    __slots__ = ("yms", "coeffs", "degree", "parent", "step", "out")
+    __slots__ = ("yms", "coeffs", "degree", "parent", "step", "out", "mixed")
 
     def __init__(self, Q_: Quiver, cls: list[tuple[str, int, Monomial]], max_qdeg: int | None, s_values: Memo):
         ch = _bfs(Q_, WeightConfig(tuple(cls)), max_qdeg, s_values)
@@ -417,6 +432,47 @@ class _Fundamental:
                 self.parent[b], self.step[b] = a, entry
             delta = YMonomial(a_inverse_monomial(Q_, *entry)[0])
             self.out[a].append((_entry_key(entry), b, entry, delta))
+        self.mixed = [
+            (a, i, x)
+            for a, (ym, edges) in enumerate(zip(self.yms, self.out))
+            if max_qdeg is None or self.degree[a] < max_qdeg
+            for i, x, _ in ym.numerator_entries()
+            if all(entry != (i, x) for _, _, entry, _ in edges)
+            and any(_raises(s_values, Q_.d[i], y, x, k) for n, y, k in ym.entries if n == i and y != x)
+        ]
+
+    def shifted(self, Q_: Quiver, t: Monomial, s_values: Memo) -> "_Fundamental":
+        """The part of the class whose parameters are this class's times ``t``, with no expansion.
+
+        Every argument is multiplied by t, each distinct one once, and each
+        Y-monomial and edge re-sorted by its new keys.  The S-values read
+        only ratios within the class and a reflection's scalar only its
+        node, so the coefficients, degrees and parents are this part's.
+        The new entry order can only change the ``mixed`` reflections, so
+        each is checked again: it raises where the shifted class's ``_bfs``
+        would meet a pole or a zero in a denominator before the S-zero.
+        """
+        arg = Memo(t.__mul__)
+        ym = Memo(lambda y: YMonomial._canonical(tuple(sorted([(n, arg[x], e) for n, x, e in y.entries], key=_entry_key))))
+        g = object.__new__(_Fundamental)
+        g.yms = [ym[y] for y in self.yms]
+        g.coeffs, g.degree, g.parent, g.mixed = self.coeffs, self.degree, self.parent, self.mixed
+        g.step = [None] + [(i, arg[x]) for i, x in self.step[1:]]
+        g.out = [
+            sorted([(_entry_key(e := (i, arg[x])), b, e, ym[delta]) for _, b, (i, x), delta in edges], key=_first)
+            for edges in self.out
+        ]
+        for a, i, x in self.mixed:
+            s_factor_coefficient(Term(g.yms[a], g.coeffs[a]), i, arg[x], Q_, s_values)
+        return g
+
+
+def _raises(s_values: Memo, d: int, y: Monomial, x: Monomial, k: int) -> bool:
+    """Whether the companion (y, k) makes reflecting x raise: a pole, or an S-zero in a denominator."""
+    try:
+        return s_values[d, y, x, k].is_zero and k < 0
+    except PoleError:
+        return True
 
 
 def _cross(Q_: Quiver, f: _Fundamental, g: _Fundamental, top: float, s_values: Memo) -> list[list[Coefficient]]:
@@ -483,8 +539,18 @@ def _tuple_count(parts: list[_Fundamental], top: float) -> int:
 
 def _fuse(Q_: Quiver, wc: WeightConfig, classes: list[list], s_values: Memo, max_qdeg: int | None) -> Character:
     """The character of weights of two or more resonance ``classes``, from their parts, to the cutoff ``max_qdeg``."""
+    shapes: dict[tuple, tuple[Monomial, _Fundamental]] = {}  # a class's shape: its units' nodes and ratios to its first
+    parts = []
     try:
-        parts = [_Fundamental(Q_, cls, max_qdeg, s_values) for cls in classes]
+        for cls in classes:
+            p = cls[0][2]
+            shape = tuple((i, x / p) for i, _, x in cls)
+            if shape in shapes:
+                p_first, first = shapes[shape]
+                parts.append(first.shifted(Q_, p / p_first, s_values))
+            else:
+                parts.append(_Fundamental(Q_, cls, max_qdeg, s_values))
+                shapes[shape] = p, parts[-1]
     except QQError:
         return _bfs(Q_, wc, max_qdeg, s_values)
     top = inf if max_qdeg is None else max(max_qdeg, 0)  # the highest weight is kept at any cutoff

@@ -21,6 +21,7 @@ from qqkit.engine import (
     s_factor_coefficient,
     s_value,
     _bfs,
+    _Fundamental,
 )
 from qqkit.errors import CollidingArguments, NonTermination, QQError, ValidationError
 from qqkit.higgsing import _ladder_steps, kr_params
@@ -422,6 +423,15 @@ def _weights(name, w, params):
     return Q_, WeightConfig.make(Q_, w, images)
 
 
+def _first_of_each_shape(classes):
+    """The first class of each shape (its nodes, and its parameters' ratios to its first), in
+    first-seen order: the classes ``expand`` expands, while the others share their parts."""
+    firsts = {}
+    for cls in classes:
+        firsts.setdefault(tuple((i, p / cls[0][2]) for i, _, p in cls), cls)
+    return list(firsts.values())
+
+
 def _result(compute):
     try:
         ch = compute()
@@ -498,6 +508,17 @@ def _result(compute):
 @example(("Arhat(2)", {"0": 2, "1": 1}, {"1,1": "x(0,1)*q3^2"}, 3))
 # a class part that hits a pole: the error is the breadth-first one
 @example(("A0hat", {"0": 3}, {"0,2": "x(0,1)*q3^2"}, 3))
+@example(("A0hat", {"0": 4}, {"0,2": "x(0,1)*q3^2", "0,4": "x(0,3)*q3^2"}, 3))
+# classes of one shape, each shape expanded once: three units at one node (one ``_bfs``, of the first
+# unit), two q1 ladders (one, of the first ladder), and shifts that reorder the arguments' sort keys
+# (q1^-1, q1^-3), reach a pure q-monomial parameter, or meet a pole first
+@example(("A0hat", {"0": 3}, {}, 5))
+@example(("A1", {"1": 4}, {"1,2": "x(1,1)*q1", "1,4": "x(1,3)*q1"}))
+@example(("A2", {"1": 2, "2": 1}, {"1,2": "x(1,1)*y*q1^-1"}))
+@example(("A2", {"1": 3, "2": 3}, {"1,2": "x(1,1)*q1^-3", "1,3": "1", "2,2": "mu"}))
+@example(("BC2", {"1": 2, "2": 1}, {"1,2": "1"}))
+@example(("A0hat", {"0": 3}, {"0,2": "x(0,1)*y*q1^-3", "0,3": "mu"}, 5))
+@example(("C3", {"2": 4}, {"2,2": "x(2,1)*q2", "2,3": "x(2,3)*q1^-1*q2^-1", "2,4": "x(2,3)*q1^-1"}))
 def test_fused_expansion_is_the_breadth_first_one(case):
     """``expand`` fuses weights of two or more resonance classes from the classes' own expansions,
     to the cutoff on an affine quiver (an affine case carries its cutoff); it must equal ``_bfs``,
@@ -513,7 +534,9 @@ def test_fused_expansion_is_the_breadth_first_one(case):
     each pair's part as the pair factor taken along any one path (with either class
     reflected first).  The breadth-first walk over tuples reflects each tuple's entries in
     entry order, as ``_bfs`` reflects a term's, so the terms and edges come out in the same
-    order.  Generic weights are the case where every class is one unit.
+    order.  Generic weights are the case where every class is one unit.  Classes of one shape
+    (the same nodes, and the same ratios to their first parameter) share one expansion, shifted
+    by the ratio of their first parameters.
 
     On an affine quiver each reflection multiplies in one qfrak(i) and no S-value carries one,
     so a term's degree is its depth and a tuple's is the sum of its parts'.  The tuples that
@@ -527,12 +550,12 @@ def test_fused_expansion_is_the_breadth_first_one(case):
     with mock.patch.object(qqkit.engine, "_bfs", wraps=_bfs) as bfs:
         fused = _result(lambda: expand(Q_, wc, cutoff))
     assert fused == _result(lambda: _bfs(Q_, wc, cutoff, Memo(s_value)))
-    if isinstance(fused[0], list):  # one expansion per class, and of all the units only when the
-        # pairs of classes outnumber the terms
+    if isinstance(fused[0], list):  # one expansion per shape of class, and of all the units only
+        # when the pairs of classes outnumber the terms
         degrees = product(*(_class_degrees(case[0], cls, cutoff) for cls in classes))
         count = sum(cutoff is None or sum(ds) <= cutoff for ds in degrees)
         worklist = [wc.entries] if len(classes) * (len(classes) - 1) // 2 > count else []
-        assert [call.args[1].entries for call in bfs.call_args_list] == classes + worklist
+        assert [call.args[1].entries for call in bfs.call_args_list] == _first_of_each_shape(classes) + worklist
         assert len(fused[0]) == count
 
 
@@ -547,11 +570,11 @@ def test_fused_expansion_refuses_too_many_terms_before_any_product(monkeypatch):
     monkeypatch.setattr(qqkit.engine, "SAFETY_BOUND", 4095)
     ladder = {("1", 2): xparam("1", 1) * Q1, ("1", 3): xparam("1", 1) * Q1**2}
     # twelve generic units, 2^12 terms; a ladder of three (4 terms) and ten more units, 4 * 2^10 terms
-    for w, params, parts in [({"1": 12}, {}, [1] * 12), ({"1": 13}, ladder, [3] + [1] * 10)]:
+    for w, params, parts in [({"1": 12}, {}, [1]), ({"1": 13}, ladder, [3, 1])]:
         calls.clear()
         with pytest.raises(NonTermination, match=r"^expansion exceeded 4095 terms$"):
             expand(A1, WeightConfig.make(A1, w, params))
-        assert calls == parts  # one expansion per class, and none of all the units
+        assert calls == parts  # one expansion per shape of class (the units share one), and none of all the units
 
 
 def test_affine_fused_expansion_refuses_too_many_terms_before_any_product(monkeypatch):
@@ -586,16 +609,115 @@ def test_affine_fused_expansion_refuses_too_many_terms_before_any_product(monkey
          "S_1 pole at argument q1*q2 while reflecting Y[2,x(1,1)]"),
         # a class of A0hat whose part hits a pole at degree 2, below the cutoff 3
         (("A0hat", {"0": 3}, {"0,2": "x(0,1)*q3^2"}, 3), "S_1 pole at argument q1*q2 while reflecting Y[0,mu*x(0,1)]"),
+        # two classes of that shape: the first raises before the second is shifted from it
+        (("A0hat", {"0": 4}, {"0,2": "x(0,1)*q3^2", "0,4": "x(0,3)*q3^2"}, 3),
+         "S_1 pole at argument q1*q2 while reflecting Y[0,mu*x(0,1)]"),
+        # two q2 ladders of one shape: the first expands, and its shift by x(2,3)/x(2,1) q1^-1 q2^-1
+        # meets a pole before the S-zero that killed a reflection of the first
+        (("C3", {"2": 4}, {"2,2": "x(2,1)*q2", "2,3": "x(2,3)*q1^-1*q2^-1", "2,4": "x(2,3)*q1^-1"}),
+         "S_1 pole at argument q1*q2 while reflecting Y[2,x(2,3)]"),
     ],
-    ids=["C3-q1-ladder", "A2-cross-node", "A0hat-pole"],
+    ids=["C3-q1-ladder", "A2-cross-node", "A0hat-pole", "A0hat-two-poles", "C3-shift-meets-a-pole"],
 )
 def test_a_class_part_that_raises_gives_the_breadth_first_error(case, err):
     Q_, wc = _weights(*case[:3])
     with mock.patch.object(qqkit.engine, "_bfs", wraps=_bfs) as bfs, pytest.raises(CollidingArguments) as exc:
         expand(Q_, wc, *case[3:])
     assert str(exc.value) == err
-    # the first class raises, and the fallback expands all the units
+    # the first class (or the shift of it) raises, and the fallback expands all the units
     assert [call.args[1].entries for call in bfs.call_args_list] == [tuple(resonance_classes(wc)[0]), wc.entries]
+
+
+SHIFT_QUIVERS = ["A1", "A2", "A3", "A4", "BC2", "C3", "G2", "D4"] + AFFINE_QUIVERS
+
+
+@cache
+def _shift_shapes():
+    """(name, node, ratios): a unit, or a q_m ladder of two or three units, at one node of a quiver of
+    SHIFT_QUIVERS (the outer nodes of D4), as its parameters' ratios to the first; a finite one only
+    when its expansion has at most MAX_TERMS terms."""
+    out = []
+    for name in SHIFT_QUIVERS:
+        Q_ = _quiver_named(name)
+        for i in FUSION_NODES.get(name, Q_.nodes):
+            out.append((name, i, (Monomial.unit(),)))
+            for step in _ladder_steps(Q_.d[i]).values():
+                for k in (2, 3):
+                    ratios = tuple(step**e for e in range(k))
+                    units = tuple((i, a + 1, xparam(i, 1) * r) for a, r in enumerate(ratios))
+                    if name in AFFINE_QUIVERS or _class_size(name, units) <= MAX_TERMS:
+                        out.append((name, i, ratios))
+    return out
+
+
+@st.composite
+def _shifted_classes(draw):
+    """A class of one shape of ``_shift_shapes`` and a shift t, as (name, units, t, cutoff).
+
+    The first parameter is x(i,1), the pure q-monomial 1, or x(i,1) y; the shifted class's first is
+    x(i,2), 1, the same one or y^-1, times powers of q1 (down to q1^-3), q2 and mu, so t can reorder
+    the arguments' sort keys.  An affine class carries a cutoff 0..5.
+    """
+    name, i, ratios = draw(st.sampled_from(_shift_shapes()))
+    y = Monomial.gen("y")
+    base = draw(st.sampled_from([xparam(i, 1), Monomial.unit(), xparam(i, 1) * y]))
+    target = draw(st.sampled_from([xparam(i, 2), Monomial.unit(), base, y**-1]))
+    target = target * Q1 ** draw(st.integers(-3, 2)) * Q2 ** draw(st.integers(-1, 2)) * MU ** draw(st.integers(-1, 2))
+    cutoff = draw(st.integers(0, 5)) if name in AFFINE_QUIVERS else None
+    return name, tuple((i, a + 1, base * r) for a, r in enumerate(ratios)), target / base, cutoff
+
+
+def _by_term(f):
+    """A part as a map: each term's Y-monomial to its coefficient, its degree and its set of edges
+    (child Y-monomial, entry, the Y-monomial the reflection multiplies in)."""
+    return {
+        ym: (c, deg, {(f.yms[b], entry, delta) for _, b, entry, delta in edges})
+        for ym, c, deg, edges in zip(f.yms, f.coeffs, f.degree, f.out)
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(_shifted_classes())
+# t carries q1^-3 and reverses a q1 ladder's order; t = 1/x(1,1) takes the class to the pure q-monomial 1
+@example(("A1", (("1", 1, xparam("1", 1)), ("1", 2, xparam("1", 1) * Q1)), xparam("1", 2) / xparam("1", 1) * Q1**-3, None))
+@example(("BC2", (("1", 1, xparam("1", 1)), ("1", 2, xparam("1", 1) * Q1**2)), xparam("1", 1) ** -1, None))
+@example(("C3", (("3", 1, xparam("3", 1)),), MU * Q2**-1, None))
+@example(("G2", (("1", 1, xparam("1", 1)),), xparam("1", 2) / xparam("1", 1) * Q1**-3, None))
+@example(("D4", (("4", 1, xparam("4", 1)), ("4", 2, xparam("4", 1) * Q2)), MU, None))
+@example(("A0hat", (("0", 1, xparam("0", 1)),), xparam("0", 2) / xparam("0", 1) * Q1**-3, 5))
+@example(("A0hat", (("0", 1, xparam("0", 1)), ("0", 2, xparam("0", 1) * Q1)), MU**-1 * Q1**-3, 5))
+@example(("Arhat(3)", (("2", 1, Monomial.unit()), ("2", 2, Q2)), xparam("2", 2) * MU, 4))
+# a q2 ladder at node 2 of C3: an S-zero kills a reflection that also has a pole among its
+# companions, and the shift by q1^-1 q2^-1 meets the pole first, as the shifted class's ``_bfs`` does
+@example(("C3", (("2", 1, xparam("2", 1)), ("2", 2, xparam("2", 1) * Q2)), xparam("2", 2) / xparam("2", 1) / Q, None))
+def test_a_shifted_part_is_the_part_of_the_shifted_class(case):
+    """A class's part shifted by t is the part of the class whose parameters are its own times t.
+
+    The terms may be numbered in another order (t can reorder the arguments' sort keys, and so the
+    order in which ``_bfs`` reflects them), so the parts are compared term by term; the shifted
+    part must keep what ``_cross`` and the fused walk read of a numbering: nondecreasing degrees,
+    each parent numbered below its term and joined to it by an edge of the term's step, and each
+    term's edges in entry order.  The shift raises exactly where the shifted class's own part
+    raises: where its part raises, or where an S-zero killed a reflection with a pole (or a zero in
+    a denominator) among its companions and the shifted entry order meets that one first.
+    """
+    name, units, t, cutoff = case
+    Q_ = _quiver_named(name)
+    image = [(i, a, p * t) for i, a, p in units]
+    try:
+        shifted = _Fundamental(Q_, list(units), cutoff, Memo(s_value)).shifted(Q_, t, Memo(s_value))
+    except QQError as exc:  # the class's part or its shift raises: so does the shifted class's own
+        with pytest.raises(type(exc)):
+            _Fundamental(Q_, image, cutoff, Memo(s_value))
+        return
+    fresh = _Fundamental(Q_, image, cutoff, Memo(s_value))
+    assert len(shifted.yms) == len(fresh.yms) and _by_term(shifted) == _by_term(fresh)
+    assert shifted.degree == sorted(shifted.degree)
+    for b in range(1, len(shifted.yms)):
+        a = shifted.parent[b]
+        assert a < b and (b, shifted.step[b]) in {(c, entry) for _, c, entry, _ in shifted.out[a]}
+    for edges in shifted.out:
+        assert [key for key, *_ in edges] == sorted(key for key, *_ in edges)
 
 
 @pytest.mark.parametrize("units, cutoff, n_terms", [(3, 0, 1), (4, 1, 5), (600, 0, 1), (20, 1, 21)])
