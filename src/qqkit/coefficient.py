@@ -25,12 +25,15 @@ makes coefficients cancel exactly along distinct reflection paths.
 
 Specialization and the classical limits q1 -> 1, q2 -> 1 are one
 substitution, ``Coefficient.substitute``, with one rule for the binomials
-that degenerate to (1 - 1): their net power decides.  ``product_vanishes``
-applies the same rule to a product of factored values without building it.
-Both read sigma through a ``Substitution``: it runs sigma's image check once
-and keeps the image of each monomial looked up in it.  Y-arguments, weights
-and edge labels read it too, so a call that applies one sigma to a character
-substitutes each monomial once, with no global cache.
+that degenerate to (1 - 1): their net power decides.  ``Vanishing``
+applies the same rule to products of factored values without building them:
+a table over the products of a sweep, indexed by the values they share,
+reads each value's factors once per substitution (``product_vanishes`` is
+its one-product case).  Both read sigma through a ``Substitution``: it
+runs sigma's image check once and keeps the image of each monomial looked
+up in it.  Y-arguments, weights and edge labels read it too, so a call that
+applies one sigma to a character substitutes each monomial once, with no
+global cache.
 """
 
 from __future__ import annotations
@@ -202,28 +205,62 @@ class Substitution(Memo):
         self.sigma = sigma
 
 
-def product_vanishes(values: Iterable[Coefficient], sub: Substitution) -> bool:
-    """Whether the product of factored values is zero under sub.
+class Vanishing:
+    """Whether each of several products of factored values is zero under a substitution.
 
-    Equal to ``prod(values).specialize(sub.sigma).is_zero``, and raising what
-    that call raises, without building the product: the factor arguments that
-    become 1 are merged by canonical argument, as the product merges them,
-    and decided by the rule of ``Coefficient.substitute``.  The S-values of
-    a partition sum's weight are such values.
+    ``under(sub)[k]`` is ``prod(products[k]).specialize(sub.sigma).is_zero``,
+    and the first product that raises raises what that call raises: the
+    factor arguments that become 1 are merged as the product merges them and
+    decided by the rule of ``Coefficient.substitute``.  A product stops at its
+    first zero value, or at its first non-factored one, a ValidationError.
+    The products are indexed by the values they hold (by id: the table keeps
+    the values), so a substitution reads each distinct value's factors once
+    and decides only the products that hold a factor becoming 1.
     """
-    n = 1
-    merged: dict[Monomial, int] = {}
-    for v in values:
-        if v.kind != "factored":
-            raise ValidationError("product_vanishes takes factored values")
-        if v.is_zero:
-            return True
-        n *= v.integer
-        for a, p in v.factors:
-            if sub[a].is_unit:
-                merged[a] = merged.get(a, 0) + p
-    degenerate = factor_tuple(merged)
-    return bool(degenerate) and _degenerate_integer(sub.sigma, degenerate, n) is None
+
+    __slots__ = ("_held", "_integers", "_stops")
+
+    def __init__(self, products: Iterable[Iterable[Coefficient]]):
+        held: dict[int, tuple[Coefficient, list[int]]] = {}  # id -> (value, a product per occurrence)
+        self._integers: list[int] = []  # per product, the product of its values' integers
+        self._stops: dict[int, bool] = {}  # product -> True at a zero value, False at a non-factored one
+        for k, values in enumerate(products):
+            n = 1
+            for v in values:
+                if v.kind != "factored" or not v.integer:
+                    self._stops[k] = v.kind == "factored"
+                    break
+                n *= v.integer
+                entry = held.get(id(v))
+                if entry is None:
+                    entry = held[id(v)] = (v, [])
+                entry[1].append(k)
+            self._integers.append(n)
+        self._held = list(held.values())
+
+    def under(self, sub: Substitution) -> list[bool]:
+        out = [False] * len(self._integers)
+        merged: dict[int, dict[Monomial, int]] = {}
+        for v, holders in self._held:
+            hot = [(a, p) for a, p in v.powers.items() if sub[a].is_unit]
+            if hot:
+                for k in holders:
+                    powers = merged.setdefault(k, {})
+                    for a, p in hot:
+                        powers[a] = powers.get(a, 0) + p
+        for k in sorted(merged.keys() | self._stops.keys()):
+            if k in self._stops:
+                if not self._stops[k]:
+                    raise ValidationError("product_vanishes takes factored values")
+                out[k] = True
+            elif degenerate := factor_tuple(merged[k]):
+                out[k] = _degenerate_integer(sub.sigma, degenerate, self._integers[k]) is None
+        return out
+
+
+def product_vanishes(values: Iterable[Coefficient], sub: Substitution) -> bool:
+    """Whether the product of factored values is zero under sub: the one-product ``Vanishing``."""
+    return Vanishing([values]).under(sub)[0]
 
 
 _NO_POWERS: dict[Monomial, int] = {}  # shared by every value without binomials; never changed

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
 
-from .coefficient import Coefficient, Substitution, product_vanishes, s_r
+from .coefficient import Coefficient, Substitution, Vanishing, s_r
 from .engine import WeightConfig, YMonomial, closed_form_A1, expand
 from .errors import ValidationError, require_int
 from .higgsing import (
@@ -235,10 +235,11 @@ def _check_affine_oracle(fx: dict):
     return "pass", f"{len(eng.terms)} terms agree between engine and partition sum"
 
 
-BURGE_MAX_SIZE = 12  # the sweep time grows about 1.6-fold with each unit of max_size
-# the sweep writes r^2 colourings but weighs only r colour offsets: at max_size 12,
-# r = 14 takes 4.1 to 4.6 s through the CLI, which streams its rows and peaks at
-# 24 MB (r = 3: 0.7 s, r = 12: 3.9 s), two runs each on a 2-core host with Python 3.11
+BURGE_MAX_SIZE = 12  # sweep time grows ~1.6-fold per unit of max_size; also caps pit i_max, j_max, max_size
+# the sweep writes r^2 colourings but weighs only r colour offsets, one Vanishing table
+# each: at max_size 12, r = 14 takes 2.8 to 2.9 s through the CLI, mostly writing the
+# streamed rows, and peaks at 24 MB (r = 3: 0.6 s, r = 12: 2.1 to 2.3 s), two runs
+# each on a 2-core host with Python 3.11
 BURGE_MAX_R = 14
 
 
@@ -251,10 +252,10 @@ def burge_rows(r: int, i_values, j_values, max_size: int):
     q4^(j-1), whether (a, b) passes the transpose-column filter, and ``ok``:
     vanishing happens exactly when the colour residue (i + j - 1 - (na - nb))
     mod r is zero and the filter rejects the pair.  Vanishing is decided from
-    the S-values of Z (``product_vanishes``), which are computed once per pair
-    and colour offset (na - nb) mod r.  r is capped at BURGE_MAX_R and
-    max_size at BURGE_MAX_SIZE; the bounds, and i <= 0 and j >= 1 for every
-    resonance, are checked at the call, before the first row is made.
+    the S-values of Z (``Vanishing``), computed once per pair and colour
+    offset (na - nb) mod r.  r is capped at BURGE_MAX_R and max_size at
+    BURGE_MAX_SIZE; the bounds, and i <= 0 and j >= 1 for every resonance,
+    are checked at the call, before the first row is made.
     """
     if r < 1 or max_size < 0:
         raise ValidationError("burge check needs r >= 1 and max_size >= 0")
@@ -273,9 +274,9 @@ def _burge_sweep(r: int, i_values, j_values, max_size: int):
     Whether a pair is admitted depends on the resonance alone, and the
     weight of a colouring on its offset delta = (na - nb) mod r alone
     (``z_s_values`` reads only n_alpha - n_beta mod r).  So each filter runs
-    once per resonance and pair, and each vanishing test once per delta,
-    resonance and pair (``vanishing``, a ``Memo`` of delta), when the first
-    colouring with that delta comes up.
+    once per resonance and pair, and the pairs' S-values make one
+    ``Vanishing`` table per delta (``vanishing``, a ``Memo`` of delta), read
+    once per resonance when the first colouring with that delta comes up.
     """
     xa, xb = Monomial.gen("xa"), Monomial.gen("xb")
     pool = partitions_up_to(max_size)
@@ -284,8 +285,8 @@ def _burge_sweep(r: int, i_values, j_values, max_size: int):
     admitted = {(i, j): [burge_filter(la, lb, i, j) for la, lb in pairs] for i, j, _ in resonances}
 
     def weigh(delta: int) -> dict[tuple[int, int], list[bool]]:
-        weights = [z_s_values([la, lb], [xa, xb], r, nodes=[delta, 0]) for la, lb in pairs]
-        return {(i, j): [product_vanishes(v, sub) for v in weights] for i, j, sub in resonances}
+        table = Vanishing(z_s_values([la, lb], [xa, xb], r, nodes=[delta, 0]) for la, lb in pairs)
+        return {(i, j): table.under(sub) for i, j, sub in resonances}
 
     vanishing = Memo(weigh)
     for na, nb in product(range(r), range(r)):
@@ -300,9 +301,17 @@ def _burge_sweep(r: int, i_values, j_values, max_size: int):
                 }
 
 
+def _int_list(fx: dict, key: str) -> list[int]:
+    values = fx[key]
+    if not isinstance(values, list):
+        raise ValidationError(f'{fx["kind"]} "{key}" must be a list of integers, got {values!r}')
+    return [require_int(v, f'{fx["kind"]} "{key}" entry') for v in values]
+
+
 def _check_burge(fx: dict):
+    r, max_size = require_int(fx["r"], 'burge "r"'), require_int(fx["max_size"], 'burge "max_size"')
     total = 0
-    for row in burge_rows(fx["r"], fx["i_values"], fx["j_values"], fx["max_size"]):
+    for row in burge_rows(r, _int_list(fx, "i_values"), _int_list(fx, "j_values"), max_size):
         if not row["ok"]:
             (na, nb), a, b = row["nodes"], row["a"], row["b"]
             return "fail", f"mismatch at nodes ({na},{nb}), (i,j)=({row['i']},{row['j']}), {a} | {b}"
@@ -311,18 +320,19 @@ def _check_burge(fx: dict):
 
 
 def _check_pit(fx: dict):
-    r = fx["r"]
+    r, i_max, j_max, max_size = (require_int(fx[k], f'pit "{k}"') for k in ("r", "i_max", "j_max", "max_size"))
+    if max(i_max, j_max, max_size) > BURGE_MAX_SIZE:
+        raise ValidationError(f"pit check needs i_max, j_max and max_size <= {BURGE_MAX_SIZE}")
     unit = [Monomial.unit()]
-    weights = [(lam, z_s_values([lam], unit, r)) for lam in partitions_up_to(fx["max_size"])]
+    lams = partitions_up_to(max_size)
+    table = Vanishing(z_s_values([lam], unit, r) for lam in lams)
     deviations = 0
     total = 0
-    for i in range(1, fx["i_max"] + 1):
-        for j in range(1, fx["j_max"] + 1):
+    for i in range(1, i_max + 1):
+        for j in range(1, j_max + 1):
             if (i + j - 1) % r != 0:
                 continue
-            sub = Substitution(pit_resonance_sigma((i, j)))
-            for lam, values in weights:
-                vanishes = product_vanishes(values, sub)
+            for lam, vanishes in zip(lams, table.under(Substitution(pit_resonance_sigma((i, j))))):
                 total += 1
                 if vanishes != pit_resonance_vanishes(lam, (i, j), r):
                     return "fail", f"criterion mismatch at {lam.parts}, pit ({i},{j})"

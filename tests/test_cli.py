@@ -14,7 +14,7 @@ from qqkit import cli, errors
 from qqkit.cli import main
 from qqkit.job import Job
 from qqkit.render import json_document
-from qqkit.verify import BURGE_MAX_R, FIXTURE_DIR, burge_rows, load_corpus, run_corpus, run_fixture
+from qqkit.verify import BURGE_MAX_R, BURGE_MAX_SIZE, FIXTURE_DIR, burge_rows, load_corpus, run_corpus, run_fixture
 
 
 def run_cli(args, capsys):
@@ -414,6 +414,61 @@ def test_fixture_readers_take_only_integers(slot, bad):
     assert entry.status == "fail"
     assert entry.detail.startswith("ValidationError: ")
     assert f"must be an integer, got {bad!r}" in entry.detail or f"or an object, got {bad!r}" in entry.detail
+
+
+# where a sweep fixture holds an integer, or a list of them
+SWEEP_SLOTS = {
+    'burge "r"': ("burge-r2-desk", ("r",)),
+    'burge "max_size"': ("burge-r2-desk", ("max_size",)),
+    'burge "i_values" entry': ("burge-r2-desk", ("i_values", 1)),
+    'burge "j_values" entry': ("burge-r2-desk", ("j_values", 0)),
+    'pit "r"': ("pit-r2-desk", ("r",)),
+    'pit "i_max"': ("pit-r2-desk", ("i_max",)),
+    'pit "j_max"': ("pit-r2-desk", ("j_max",)),
+    'pit "max_size"': ("pit-r2-desk", ("max_size",)),
+}
+
+
+@pytest.mark.parametrize("slot", SWEEP_SLOTS)
+@pytest.mark.parametrize("bad", [2.0, True, "0"])
+def test_sweep_fixtures_take_only_integers(slot, bad):
+    """true is no r = 1, 2.0 no r = 2 and "0" no resonance: each fails with the slot's name."""
+    fid, path = SWEEP_SLOTS[slot]
+    fx = _fixture(fid)
+    _set(fx, path, bad)
+    entry = run_fixture(fx)
+    assert (entry.status, entry.detail) == ("fail", f"ValidationError: {slot} must be an integer, got {bad!r}")
+
+
+@pytest.mark.parametrize("key", ["i_values", "j_values"])
+def test_burge_fixture_resonances_are_a_list(key):
+    fx = _fixture("burge-r1-desk")
+    fx[key] = "0"
+    entry = run_fixture(fx)
+    assert (entry.status, entry.detail) == ("fail", f"ValidationError: burge \"{key}\" must be a list of integers, got '0'")
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        {"i_max": 2, "j_max": 2, "max_size": 10000},
+        {"i_max": 100000000, "j_max": 2, "max_size": 2},
+        {"i_max": 2, "j_max": 100000000, "max_size": 2},
+        {"i_max": BURGE_MAX_SIZE + 1, "j_max": 1, "max_size": 0},
+    ],
+)
+def test_pit_fixtures_are_bounded_before_any_work(bounds):
+    start = time.perf_counter()
+    entry = run_fixture({"id": "p", "kind": "pit", "r": 1, **bounds})
+    assert time.perf_counter() - start < 1
+    assert (entry.status, entry.detail) == (
+        "fail", f"ValidationError: pit check needs i_max, j_max and max_size <= {BURGE_MAX_SIZE}"
+    )
+
+
+def test_a_pit_fixture_runs_at_the_ceiling():
+    ceiling = dict.fromkeys(("i_max", "j_max", "max_size"), BURGE_MAX_SIZE)
+    assert run_fixture({"id": "p", "kind": "pit", "r": 3, **ceiling}).status == "flag"
 
 
 def test_verify_corpus_replays_files_beyond_the_bundled_names(tmp_path, capsys):

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 import qqkit.engine
 import qqkit.partitions
 import qqkit.verify
-from qqkit.coefficient import Coefficient, Substitution, product_vanishes, s_function
+from qqkit.coefficient import Coefficient, Substitution, Vanishing, product_vanishes, s_function
 from qqkit.engine import WeightConfig, YMonomial, derivative_case, expand, highest_weight
 from qqkit.errors import CollidingArguments, InvalidPit, NonTermination, PoleError, QQError, ValidationError
 from qqkit.monomial import MU, Monomial, Q1, Q2, Q3, Q4, parse_monomial, xparam
@@ -374,6 +374,36 @@ def test_the_burge_sweep_weighs_each_colour_offset_once(monkeypatch):
     assert offsets == [0] * 38 + [2] * 38 + [1] * 38
 
 
+def test_the_burge_sweep_substitutes_each_s_value_argument_once_per_resonance(monkeypatch):
+    calls, tables, unders, substitute = [], [], [], Monomial.substitute
+
+    def counted(m, sigma):
+        calls.append((m, tuple(sigma.items())))
+        return substitute(m, sigma)
+
+    class CountedVanishing(Vanishing):
+        __slots__ = ()
+
+        def __init__(self, products):
+            products = [list(values) for values in products]
+            tables.append({a for values in products for v in values for a in v.powers})
+            super().__init__(products)
+
+        def under(self, sub):
+            unders.append(sub)
+            return super().under(sub)
+
+    monkeypatch.setattr(Monomial, "substitute", counted)
+    monkeypatch.setattr(qqkit.verify, "Vanishing", CountedVanishing)
+    rows = list(burge_rows(3, [0, -1], [1, 2], 4))
+    assert len(rows) == 9 * 4 * 38
+    assert len(tables) == 3 and len(unders) == 3 * 4  # one table per colour offset, read once per resonance
+    # each resonance's Substitution images every argument of the three offsets' S-values once
+    arguments = set().union(*tables)
+    assert len(calls) == len(set(calls)) == 4 * len(arguments)
+    assert {m for m, _ in calls} == arguments
+
+
 def _burge_rows_per_colouring(r, i_values, j_values, max_size):
     """The Burge sweep with every filter and weight computed anew for each colouring."""
     xa, xb = Monomial.gen("xa"), Monomial.gen("xb")
@@ -566,3 +596,73 @@ def test_product_vanishes_matches_specialize(case):
     lams, xs, r, nodes, sigma = case
     expected = _outcome(lambda: z_Ar_tuple(lams, xs, r, nodes).specialize(sigma).is_zero)
     assert _outcome(lambda: product_vanishes(z_s_values(lams, xs, r, nodes), Substitution(sigma))) == expected
+
+
+_PIT_CANCELLING = (
+    [Partition(()), Partition((1, 1, 1))],
+    [_XA, _XA * MU**3 * Q1**-1],
+    1, [0, 0], pit_resonance_sigma((3, 1)),
+)
+_BURGE_SLOPES = (
+    [Partition(()), Partition(()), Partition((1, 1, 1))],
+    [_XA, _XB, _XB**2 / burge_resonance_sigma(0, 1, "xa", "xb")["xb"] * Q1**-1 * MU**-2],
+    1, [0, 0, 0], burge_resonance_sigma(0, 1, "xa", "xb"),
+)
+
+
+@st.composite
+def _weight_tables(draw):
+    """Resonant weights, each taken as it is, copied or with a zero value put in.
+
+    The weights' S-values are memoized, so weights drawn twice, or over the
+    same evaluation parameters, share value objects; a copy holds values
+    equal to those but distinct from them.  A weight with an S-value on a
+    pole has no product to decide, and is not drawn.
+    """
+    builds = lambda case: type(_outcome(lambda: z_s_values(*case[:4]))) is list
+    cases = draw(st.lists(_resonant_weights().filter(builds), min_size=1, max_size=3))
+    return draw(st.lists(st.tuples(st.sampled_from(cases), st.sampled_from(["as is", "copy", "zero"])), min_size=1, max_size=5))
+
+
+def _table_products(entries):
+    out = []
+    for (lams, xs, r, nodes, _), how in entries:
+        values = z_s_values(lams, xs, r, nodes)
+        if how == "copy":
+            values = [Coefficient.from_json(v.to_json()) for v in values]
+        elif how == "zero":
+            values.insert(len(values) // 2, Coefficient.zero())
+        out.append(values)
+    return out
+
+
+def _first_error_or_all(outcomes):
+    return next((o for o in outcomes if type(o) is tuple), outcomes)
+
+
+@example(entries=[(_PIT_CANCELLING, "as is"), (_BURGE_SLOPES, "copy"), (_PIT_CANCELLING, "copy")])
+@example(entries=[(_BURGE_SLOPES, "as is"), (_PIT_CANCELLING, "zero"), (_BURGE_SLOPES, "as is")])
+@settings(max_examples=150, deadline=None)
+@given(entries=_weight_tables())
+def test_the_vanishing_table_matches_specialize_product_by_product(entries):
+    """``Vanishing(products).under(sub)`` is each product's ``specialize(...).is_zero``, and raises
+    the first product's error, in product order, for every substitution of the entries."""
+    table = Vanishing(_table_products(entries))
+    for *_, sigma in (case for case, _ in entries):
+        expected = []
+        for (lams, xs, r, nodes, _), how in entries:
+            z = z_Ar_tuple(lams, xs, r, nodes) * (Coefficient.zero() if how == "zero" else Coefficient.one())
+            expected.append(_outcome(lambda: z.specialize(sigma).is_zero))
+        assert _outcome(lambda: table.under(Substitution(sigma))) == _first_error_or_all(expected)
+
+
+def test_the_vanishing_table_stops_a_product_at_its_first_zero_or_non_factored_value():
+    general = Coefficient.one() + Coefficient.from_monomial(Q1)
+    pole = s_function(Q1 * Q2 * Monomial.gen("t"))  # (1 - t)^-1 among its factors
+    sub = Substitution({"t": Monomial.unit()})
+    assert Vanishing([[pole, Coefficient.zero(), general], [s_function(Monomial.gen("u"))]]).under(sub) == [True, False]
+    for products in ([[pole, general]], [[general, Coefficient.zero()]], [[], [Coefficient.from_monomial(Q1), general]]):
+        with pytest.raises(ValidationError, match="^product_vanishes takes factored values$"):
+            Vanishing(products).under(sub)
+    with pytest.raises(PoleError):  # the pole of the first product comes before the second one's ValidationError
+        Vanishing([[pole], [general]]).under(sub)
