@@ -58,8 +58,13 @@ same reflected argument along many paths, so most lookups find their value
 there; the parts, the pair tables and a fallback ``_bfs`` share it.  A pole is
 never stored, so it raises the same text on every lookup, and each
 reflection still checks its companions in entry order: the first zero or
-pole decides, as without the table.  The table lives for the one call, and
-no reference cycle keeps it, or any other table of the call, alive after it.
+pole decides, as without the table.  A second table per call (a ``Memo`` of
+``a_inverse``) holds A_{i,x}^{-1} by the reflected entry (i, x): its
+Y-monomial, built and sorted once, and the node scalar.  A reflection in
+``_bfs`` and the edge list of a part read it, so an entry reflected along
+many paths, or in a fallback ``_bfs`` after the parts, is built once; a
+shifted part builds none.  The tables live for the one call, and no
+reference cycle keeps them, or any other table of the call, alive after it.
 """
 
 from __future__ import annotations
@@ -67,6 +72,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from math import inf
 from operator import itemgetter
 from typing import Iterable, Mapping
@@ -298,14 +304,31 @@ def s_factor_coefficient(
     return out
 
 
-def reflect(Q_: Quiver, t: Term, i: str, x: Monomial, s_values: Memo | None = None) -> Term | None:
-    """One reflection step; None when the S-factor kills the child."""
+def a_inverse(Q_: Quiver, entry: tuple[str, Monomial]) -> tuple[YMonomial, Coefficient]:
+    """A_{i,x}^{-1} at the reflected ``entry`` = (i, x) as a Y-monomial, with the node scalar.
+
+    ``expand`` keeps one table of these, a ``Memo(partial(a_inverse, Q_))``,
+    per call, so each distinct entry's Y-monomial is built and sorted once
+    for every reflection of it and every edge that records it.
+    """
+    entries, scalar = a_inverse_monomial(Q_, *entry)
+    return YMonomial(entries), scalar
+
+
+def reflect(
+    Q_: Quiver, t: Term, i: str, x: Monomial, s_values: Memo | None = None, a_inverses: Memo | None = None
+) -> Term | None:
+    """One reflection step; None when the S-factor kills the child.
+
+    The S-values are read through ``s_values`` and A_{i,x}^{-1} through
+    ``a_inverses`` (a table of ``a_inverse``), each built afresh when none
+    is given.
+    """
     sf = s_factor_coefficient(t, i, x, Q_, s_values)
     if sf.is_zero:
         return None
-    entries, scalar = a_inverse_monomial(Q_, i, x)
-    child_ym = t.ym * YMonomial(entries)
-    return Term(child_ym, t.coeff * (sf * scalar))  # the long coefficient is copied once
+    delta, scalar = a_inverse(Q_, (i, x)) if a_inverses is None else a_inverses[i, x]
+    return Term(t.ym * delta, t.coeff * (sf * scalar))  # the long coefficient is copied once
 
 
 def resonance_classes(wc: WeightConfig) -> list[list[tuple[str, int, Monomial]]]:
@@ -344,18 +367,21 @@ def expand(
         raise ValidationError("a weight parameter uses a counting parameter qfrak(i), which only the engine sets")
     if qclass is QuiverClass.FINITE:
         max_qdeg = None
-    s_values = Memo(s_value)
+    s_values, a_inverses = Memo(s_value), Memo(partial(a_inverse, Q_))
     if len(wc.entries) > 1 and len(classes := resonance_classes(wc)) > 1:
-        return _fuse(Q_, wc, classes, s_values, max_qdeg)
-    return _bfs(Q_, wc, max_qdeg, s_values)
+        return _fuse(Q_, wc, classes, s_values, max_qdeg, a_inverses)
+    return _bfs(Q_, wc, max_qdeg, s_values, a_inverses)
 
 
 def _too_many_terms() -> NonTermination:
     return NonTermination(f"expansion exceeded {SAFETY_BOUND} terms")
 
 
-def _bfs(Q_: Quiver, wc: WeightConfig, max_qdeg: int | None, s_values: Memo) -> Character:
-    """The worklist expansion, which defines the character; ``expand`` checks its arguments."""
+def _bfs(Q_: Quiver, wc: WeightConfig, max_qdeg: int | None, s_values: Memo, a_inverses: Memo) -> Character:
+    """The worklist expansion, which defines the character; ``expand`` checks its arguments.
+
+    ``s_values`` and ``a_inverses`` are the call's tables of ``s_value`` and ``a_inverse``.
+    """
     hw = highest_weight(Q_, wc)
     terms: dict[YMonomial, Coefficient] = {hw.ym: hw.coeff}
     edges: list[tuple[YMonomial, YMonomial, tuple[str, Monomial]]] = []
@@ -367,7 +393,7 @@ def _bfs(Q_: Quiver, wc: WeightConfig, max_qdeg: int | None, s_values: Memo) -> 
             continue
         for i, x, e in t.ym.numerator_entries():
             try:
-                child = reflect(Q_, t, i, x, s_values)
+                child = reflect(Q_, t, i, x, s_values, a_inverses)
             except CollidingArguments as exc:
                 # a pole or a repeated argument: at generic weights (one unit per class) no two arguments collide
                 if (e >= 2 or isinstance(exc.__cause__, PoleError)) and len(resonance_classes(wc)) == len(wc.entries):
@@ -417,8 +443,15 @@ class _Fundamental:
 
     __slots__ = ("yms", "coeffs", "degree", "parent", "step", "out", "mixed")
 
-    def __init__(self, Q_: Quiver, cls: list[tuple[str, int, Monomial]], max_qdeg: int | None, s_values: Memo):
-        ch = _bfs(Q_, WeightConfig(tuple(cls)), max_qdeg, s_values)
+    def __init__(
+        self,
+        Q_: Quiver,
+        cls: list[tuple[str, int, Monomial]],
+        max_qdeg: int | None,
+        s_values: Memo,
+        a_inverses: Memo,
+    ):
+        ch = _bfs(Q_, WeightConfig(tuple(cls)), max_qdeg, s_values, a_inverses)
         self.yms = list(ch.terms)
         self.coeffs = list(ch.terms.values())
         self.degree = [qdeg_of(c) for c in self.coeffs]
@@ -430,8 +463,7 @@ class _Fundamental:
             a, b = number[src], number[dst]
             if self.step[b] is None:
                 self.parent[b], self.step[b] = a, entry
-            delta = YMonomial(a_inverse_monomial(Q_, *entry)[0])
-            self.out[a].append((_entry_key(entry), b, entry, delta))
+            self.out[a].append((_entry_key(entry), b, entry, a_inverses[entry][0]))
         self.mixed = [
             (a, i, x)
             for a, (ym, edges) in enumerate(zip(self.yms, self.out))
@@ -537,7 +569,9 @@ def _tuple_count(parts: list[_Fundamental], top: float) -> int:
     return sum(counts)
 
 
-def _fuse(Q_: Quiver, wc: WeightConfig, classes: list[list], s_values: Memo, max_qdeg: int | None) -> Character:
+def _fuse(
+    Q_: Quiver, wc: WeightConfig, classes: list[list], s_values: Memo, max_qdeg: int | None, a_inverses: Memo
+) -> Character:
     """The character of weights of two or more resonance ``classes``, from their parts, to the cutoff ``max_qdeg``."""
     shapes: dict[tuple, tuple[Monomial, _Fundamental]] = {}  # a class's shape: its units' nodes and ratios to its first
     parts = []
@@ -549,21 +583,21 @@ def _fuse(Q_: Quiver, wc: WeightConfig, classes: list[list], s_values: Memo, max
                 p_first, first = shapes[shape]
                 parts.append(first.shifted(Q_, p / p_first, s_values))
             else:
-                parts.append(_Fundamental(Q_, cls, max_qdeg, s_values))
+                parts.append(_Fundamental(Q_, cls, max_qdeg, s_values, a_inverses))
                 shapes[shape] = p, parts[-1]
     except QQError:
-        return _bfs(Q_, wc, max_qdeg, s_values)
+        return _bfs(Q_, wc, max_qdeg, s_values, a_inverses)
     top = inf if max_qdeg is None else max(max_qdeg, 0)  # the highest weight is kept at any cutoff
     count = _tuple_count(parts, top)
     if count > SAFETY_BOUND:
         raise _too_many_terms()
     n = len(parts)
     if n * (n - 1) // 2 > count:  # more pair tables than terms: the worklist costs less
-        return _bfs(Q_, wc, max_qdeg, s_values)
+        return _bfs(Q_, wc, max_qdeg, s_values, a_inverses)
     try:
         pairs = {(j, k): _pair_factors(Q_, parts[j], parts[k], top, s_values) for k in range(n) for j in range(k)}
     except QQError:
-        return _bfs(Q_, wc, max_qdeg, s_values)
+        return _bfs(Q_, wc, max_qdeg, s_values, a_inverses)
     path_checks = sum(len(row) for p in pairs.values() for row in p)  # one per pair of terms
 
     def part(t: tuple[int, ...]) -> Coefficient:

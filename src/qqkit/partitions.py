@@ -18,7 +18,7 @@ boundary map, is read off the diagram itself, with color (s1 - s2) mod r.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable, Iterator, Sequence
 
 from . import engine
@@ -30,9 +30,9 @@ from .quiver import Quiver, QuiverClass, classify
 
 
 class Partition:
-    """Weakly decreasing tuple of positive parts; its transpose is computed once."""
+    """Weakly decreasing tuple of positive parts; its transpose and hash are computed once."""
 
-    __slots__ = ("parts", "_transpose")
+    __slots__ = ("parts", "_transpose", "_hash")
 
     def __init__(self, parts: Iterable[int] = ()):
         ps = tuple(int(p) for p in parts if p)
@@ -40,12 +40,13 @@ class Partition:
             raise ValidationError(f"not a partition: {ps}")
         self.parts = ps
         self._transpose = None
+        self._hash = hash(ps)
 
     def __eq__(self, other):
         return isinstance(other, Partition) and self.parts == other.parts
 
     def __hash__(self):
-        return hash(self.parts)
+        return self._hash
 
     def __repr__(self):
         return f"Partition{self.parts}"
@@ -189,11 +190,13 @@ def _pair_s_values(lam_a: Partition, t_b: Partition, ratio: Monomial, offset: in
     offsets.  r = 1 keeps every box.
     """
     out = []
-    for s1, s2 in lam_a.boxes():
-        arm = lam_a.part(s2) - s1
-        leg = t_b.part(s1) - s2
-        if (arm + leg + 1 - offset) % r == 0:
-            out.append(_box_s_value(ratio, leg, arm))
+    cols = t_b.parts
+    for s2, row in enumerate(lam_a.parts, start=1):
+        for s1 in range(1, row + 1):
+            arm = row - s1
+            leg = (cols[s1 - 1] if s1 <= len(cols) else 0) - s2
+            if (arm + leg + 1 - offset) % r == 0:
+                out.append(_box_s_value(ratio, leg, arm))
     return out
 
 
@@ -206,26 +209,6 @@ def _box_s_value(ratio: Monomial, leg: int, arm: int) -> Coefficient:
 # ---------------------------------------------------------------------------
 # closed-form affine characters
 # ---------------------------------------------------------------------------
-
-
-def _boundary_ym(
-    lam: Partition, base: Monomial, node: int, r: int, node_names: Sequence[str]
-) -> YMonomial:
-    entries = []
-    for s in lam.addable():
-        color = (s[0] - s[1]) % r
-        entries.append((node_names[(color + node) % r], box_weight(base, s), +1))
-    for s in lam.removable():
-        color = (s[0] - s[1]) % r
-        entries.append((node_names[(color + node) % r], box_weight(base, s) * Q, -1))
-    return YMonomial(tuple(entries))
-
-
-def _colored_counting(lam: Partition, node: int, r: int, node_names: Sequence[str]) -> Monomial:
-    out = Monomial.unit()
-    for s in lam.boxes():
-        out = out * qfrak(node_names[((s[0] - s[1]) % r + node) % r])
-    return out
 
 
 def _tuples_of_total(count: int, total: int) -> Iterator[tuple[Partition, ...]]:
@@ -306,13 +289,20 @@ def affine_character(Q_: Quiver, wc: WeightConfig, max_qdeg: int) -> Character:
     whose ratio puts an S-value of the weight on a pole, raise
     CollidingArguments, as they do in the engine.
 
-    Components and pairs recur across tuples, so the call keeps two ``Memo``
-    tables: each component's boundary Y-monomial and counting factor by
-    (alpha, lambda), and each ordered pair's product of ``_pair_s_values``
-    by (alpha, beta, lambda_alpha, lambda_beta).  A tuple's weight is the
-    product of its pairs in ``z_s_values`` order, and every pair is
-    evaluated before a zero weight is skipped, so a pole is met at the same
-    S-value of the same tuple as in ``z_Ar_tuple`` and names that tuple.
+    Components and pairs recur across tuples, so the call keeps its pieces
+    in ``Memo`` tables, each built on first lookup:
+    - each box's shift q3^(s1-1) q4^(s2-1) by s = (s1, s2);
+    - each component's boundary Y-monomial by (alpha, lambda), its
+      arguments the unit's parameter times those shifts;
+    - each colored counting factor by (node, lambda), shared by the units
+      at one node: every node's qfrak raised to the number of boxes of its
+      color;
+    - each ordered pair's product of ``_pair_s_values`` by (alpha, beta,
+      lambda_alpha, lambda_beta).
+    A tuple's weight is the product of its pairs in ``z_s_values`` order,
+    and every pair is evaluated before a zero weight is skipped, so a pole
+    is met at the same S-value of the same tuple as in ``z_Ar_tuple`` and
+    names that tuple.
 
     More than ``engine.SAFETY_BOUND`` tuples up to the cutoff raise
     NonTermination before any tuple is enumerated.
@@ -327,12 +317,30 @@ def affine_character(Q_: Quiver, wc: WeightConfig, max_qdeg: int) -> Character:
             raise derivative_case(i, x, e)
     r = len(node_names)
     comps = [(node_names.index(i), p) for i, _, p in wc.entries]
+    qfraks = [qfrak(i) for i in node_names]
+    shifts = Memo(partial(box_weight, Monomial.unit()))  # q3^(s1-1) q4^(s2-1) by box s
 
-    def component(key: tuple[int, Partition]) -> tuple[YMonomial, Monomial]:
-        """Component alpha's boundary Y-monomial and colored counting factor at lam."""
+    def boundary(key: tuple[int, Partition]) -> YMonomial:
+        """Component alpha's boundary Y-monomial at lam: each addable box in the numerator, each removable
+        one, shifted by q, in the denominator, at the node of its color (s1 - s2) mod r past the unit's."""
         alpha, lam = key
         node, base = comps[alpha]
-        return _boundary_ym(lam, base, node, r, node_names), _colored_counting(lam, node, r, node_names)
+        return YMonomial(
+            [(node_names[(s1 - s2 + node) % r], base * shifts[s1, s2], 1) for s1, s2 in lam.addable()]
+            + [(node_names[(s1 - s2 + node) % r], base * shifts[s1, s2] * Q, -1) for s1, s2 in lam.removable()]
+        )
+
+    def counting(key: tuple[int, Partition]) -> Monomial:
+        """The colored counting factor at lam of a unit at ``node``: one qfrak per box, of the box's color."""
+        node, lam = key
+        boxes = [0] * r  # boxes[c]: the boxes at node c
+        for s2, row in enumerate(lam.parts, start=1):
+            for s1 in range(1, row + 1):
+                boxes[(s1 - s2 + node) % r] += 1
+        out = Monomial.unit()
+        for q, k in zip(qfraks, boxes):
+            out = out * q**k
+        return out
 
     def pair(key: tuple[int, int, Partition, Partition]) -> Coefficient:
         """The product of the pair's S-values, on the transposed diagram of alpha."""
@@ -345,7 +353,7 @@ def affine_character(Q_: Quiver, wc: WeightConfig, max_qdeg: int) -> Character:
 
     top = max_qdeg if comps else 0  # with no units, only the empty tuple, of total 0
     _refuse_too_many_tuples(len(comps), top)
-    components, pairs = Memo(component), Memo(pair)
+    boundaries, countings, pairs = Memo(boundary), Memo(counting), Memo(pair)
     terms: dict[YMonomial, Coefficient] = {}
     for total in range(top + 1):
         for lams in _tuples_of_total(len(comps), total):
@@ -359,16 +367,14 @@ def affine_character(Q_: Quiver, wc: WeightConfig, max_qdeg: int) -> Character:
                 raise CollidingArguments(f"{exc} in the weight of {tuple(lams)!r}") from exc
             if coeff.is_zero:
                 continue
-            counting = Monomial.unit()
+            counting_factor = Monomial.unit()
             ym = YMonomial.unit()
-            for alpha, lam in enumerate(lams):
-                ym_a, counting_a = components[alpha, lam]
-                counting = counting * counting_a
-                ym = ym * ym_a
-            coeff = coeff * Coefficient.from_monomial(counting)
+            for alpha, ((node, _), lam) in enumerate(zip(comps, lams)):
+                counting_factor = counting_factor * countings[node, lam]
+                ym = ym * boundaries[alpha, lam]
             if ym in terms:
                 raise ValidationError(f"colliding configurations at {ym!r}")
-            terms[ym] = coeff
+            terms[ym] = coeff * Coefficient.from_monomial(counting_factor)
     return Character(Q_, wc, terms, (), meta={"closed_form": "affine", "max_qdeg": max_qdeg})
 
 

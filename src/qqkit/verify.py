@@ -254,8 +254,9 @@ def burge_rows(r: int, i_values, j_values, max_size: int):
     mod r is zero and the filter rejects the pair.  Vanishing is decided from
     the S-values of Z (``Vanishing``), computed once per pair and colour
     offset (na - nb) mod r.  r is capped at BURGE_MAX_R and max_size at
-    BURGE_MAX_SIZE; the bounds, and i <= 0 and j >= 1 for every resonance,
-    are checked at the call, before the first row is made.
+    BURGE_MAX_SIZE; the bounds, at least one i and one j, and i <= 0 and
+    j >= 1 for every resonance, are checked at the call, before the first
+    row is made.
     """
     if r < 1 or max_size < 0:
         raise ValidationError("burge check needs r >= 1 and max_size >= 0")
@@ -263,6 +264,8 @@ def burge_rows(r: int, i_values, j_values, max_size: int):
         raise ValidationError(f"burge check needs r <= {BURGE_MAX_R}, got {r}")
     if max_size > BURGE_MAX_SIZE:
         raise ValidationError(f"burge check needs max_size <= {BURGE_MAX_SIZE}, got {max_size}")
+    if not (i_values and j_values):
+        raise ValidationError("burge check needs at least one i and one j")
     if any(i > 0 for i in i_values) or any(j < 1 for j in j_values):
         raise ValidationError("burge condition needs i <= 0 and j >= 1")
     return _burge_sweep(r, i_values, j_values, max_size)
@@ -321,23 +324,25 @@ def _check_burge(fx: dict):
 
 def _check_pit(fx: dict):
     r, i_max, j_max, max_size = (require_int(fx[k], f'pit "{k}"') for k in ("r", "i_max", "j_max", "max_size"))
+    if r < 1 or max_size < 0:
+        raise ValidationError("pit check needs r >= 1 and max_size >= 0")
     if max(i_max, j_max, max_size) > BURGE_MAX_SIZE:
         raise ValidationError(f"pit check needs i_max, j_max and max_size <= {BURGE_MAX_SIZE}")
+    pits = [(i, j) for i in range(1, i_max + 1) for j in range(1, j_max + 1) if (i + j - 1) % r == 0]
+    if not pits:
+        raise ValidationError("pit check needs a pit (i, j) with i <= i_max, j <= j_max and i + j - 1 divisible by r")
     unit = [Monomial.unit()]
     lams = partitions_up_to(max_size)
     table = Vanishing(z_s_values([lam], unit, r) for lam in lams)
     deviations = 0
     total = 0
-    for i in range(1, i_max + 1):
-        for j in range(1, j_max + 1):
-            if (i + j - 1) % r != 0:
-                continue
-            for lam, vanishes in zip(lams, table.under(Substitution(pit_resonance_sigma((i, j))))):
-                total += 1
-                if vanishes != pit_resonance_vanishes(lam, (i, j), r):
-                    return "fail", f"criterion mismatch at {lam.parts}, pit ({i},{j})"
-                if pit_filter(lam, (i, j), r) != (not vanishes):
-                    deviations += 1
+    for i, j in pits:
+        for lam, vanishes in zip(lams, table.under(Substitution(pit_resonance_sigma((i, j))))):
+            total += 1
+            if vanishes != pit_resonance_vanishes(lam, (i, j), r):
+                return "fail", f"criterion mismatch at {lam.parts}, pit ({i},{j})"
+            if pit_filter(lam, (i, j), r) != (not vanishes):
+                deviations += 1
     if deviations:
         return "flag", (
             f"{total} configurations: vanishing == arm/leg criterion; box-membership "

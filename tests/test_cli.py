@@ -448,6 +448,9 @@ def test_burge_fixture_resonances_are_a_list(key):
     assert (entry.status, entry.detail) == ("fail", f"ValidationError: burge \"{key}\" must be a list of integers, got '0'")
 
 
+NO_PIT = "pit check needs a pit (i, j) with i <= i_max, j <= j_max and i + j - 1 divisible by r"
+
+
 @pytest.mark.parametrize(
     "bounds",
     [
@@ -464,6 +467,30 @@ def test_pit_fixtures_are_bounded_before_any_work(bounds):
     assert (entry.status, entry.detail) == (
         "fail", f"ValidationError: pit check needs i_max, j_max and max_size <= {BURGE_MAX_SIZE}"
     )
+
+
+@pytest.mark.parametrize(
+    "fx, text",
+    [
+        ({"kind": "burge", "r": 1, "i_values": [], "j_values": [1], "max_size": 3}, "burge check needs at least one i and one j"),
+        ({"kind": "burge", "r": 1, "i_values": [0], "j_values": [], "max_size": 3}, "burge check needs at least one i and one j"),
+        ({"kind": "burge", "r": 0, "i_values": [], "j_values": [], "max_size": 3}, "burge check needs r >= 1 and max_size >= 0"),
+        ({"kind": "burge", "r": 2, "i_values": [0], "j_values": [1], "max_size": -1}, "burge check needs r >= 1 and max_size >= 0"),
+        ({"kind": "pit", "r": 0, "i_max": 2, "j_max": 2, "max_size": -1}, "pit check needs r >= 1 and max_size >= 0"),
+        ({"kind": "pit", "r": 0, "i_max": 2, "j_max": 2, "max_size": 3}, "pit check needs r >= 1 and max_size >= 0"),
+        ({"kind": "pit", "r": 1, "i_max": 2, "j_max": 2, "max_size": -1}, "pit check needs r >= 1 and max_size >= 0"),
+        *(
+            ({"kind": "pit", "r": r, "i_max": i_max, "j_max": j_max, "max_size": 3}, NO_PIT)
+            for r, i_max, j_max in [(1, -5, 2), (1, 2, 0), (5, 2, 2), (3, 1, 1)]
+        ),
+    ],
+)
+def test_sweep_fixtures_check_at_least_one_configuration(fx, text):
+    """No sweep passes with nothing checked, and none fails with a raw error: each bad one fails before any work."""
+    start = time.perf_counter()
+    entry = run_fixture({"id": "s", **fx})
+    assert time.perf_counter() - start < 1
+    assert (entry.status, entry.detail) == ("fail", f"ValidationError: {text}")
 
 
 def test_a_pit_fixture_runs_at_the_ceiling():

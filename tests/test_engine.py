@@ -1,4 +1,4 @@
-from functools import cache, reduce
+from functools import cache, partial, reduce
 from itertools import product
 from math import prod
 from unittest import mock
@@ -13,10 +13,12 @@ from qqkit.engine import (
     Term,
     WeightConfig,
     YMonomial,
+    a_inverse,
     closed_form_A1,
     expand,
     highest_weight,
     qdeg_of,
+    reflect,
     resonance_classes,
     s_factor_coefficient,
     s_value,
@@ -27,7 +29,7 @@ from qqkit.errors import CollidingArguments, NonTermination, QQError, Validation
 from qqkit.higgsing import _ladder_steps, kr_params
 from qqkit.job import Job
 from qqkit.monomial import MU, Memo, Monomial, Q, Q1, Q2, parse_monomial, xparam
-from qqkit.quiver import Quiver, builtin_quiver
+from qqkit.quiver import Quiver, a_inverse_monomial, builtin_quiver
 
 A1 = builtin_quiver("A1")
 A2 = builtin_quiver("A2")
@@ -86,16 +88,16 @@ def _s_factor_outcome(t, i, x, Q_, *table):
     return sf.kind, sf.to_json()
 
 
-@pytest.mark.parametrize(
-    "Q_, w, params, cutoff",
-    [
-        (A1, {"1": 3}, {}, None),
-        (BC2, {"1": 2, "2": 1}, {}, None),
-        (A0, {"0": 2}, {}, 3),
-        (A0, {"0": 2}, {("0", 2): xparam("0", 1) * Q1}, 3),  # S-zeros drop terms
-        (builtin_quiver("Arhat(2)"), {"0": 1, "1": 1}, {}, 3),
-    ],
-)
+TABLE_CASES = [
+    (A1, {"1": 3}, {}, None),
+    (BC2, {"1": 2, "2": 1}, {}, None),
+    (A0, {"0": 2}, {}, 3),
+    (A0, {"0": 2}, {("0", 2): xparam("0", 1) * Q1}, 3),  # S-zeros drop terms
+    (builtin_quiver("Arhat(2)"), {"0": 1, "1": 1}, {}, 3),
+]
+
+
+@pytest.mark.parametrize("Q_, w, params, cutoff", TABLE_CASES)
 def test_one_s_value_table_gives_what_fresh_calls_give(Q_, w, params, cutoff):
     """One table read by every reflection of an expansion changes no S-factor."""
     table = Memo(s_value)
@@ -104,6 +106,54 @@ def test_one_s_value_table_gives_what_fresh_calls_give(Q_, w, params, cutoff):
         for i, x, _ in ym.numerator_entries():
             assert _s_factor_outcome(t, i, x, Q_, table) == _s_factor_outcome(t, i, x, Q_), (ym, i, x)
     assert table
+
+
+def _reflect_outcome(*args):
+    try:
+        child = reflect(*args)
+    except QQError as exc:
+        return type(exc), str(exc)
+    return child and (child.ym, child.coeff.kind, child.coeff.to_json())
+
+
+@pytest.mark.parametrize("Q_, w, params, cutoff", TABLE_CASES)
+def test_one_a_inverse_table_gives_what_fresh_calls_give(Q_, w, params, cutoff):
+    """The table's A^-1 is the fresh Y-monomial and scalar, and a reflection through it is the fresh one."""
+    table = Memo(partial(a_inverse, Q_))
+    for ym, coeff in expand(Q_, WeightConfig.make(Q_, w, params), max_qdeg=cutoff).terms.items():
+        t = Term(ym, coeff)
+        for i, x, _ in ym.numerator_entries():
+            entries, scalar = a_inverse_monomial(Q_, i, x)
+            assert table[i, x] == (YMonomial(entries), scalar)
+            assert _reflect_outcome(Q_, t, i, x, Memo(s_value), table) == _reflect_outcome(Q_, t, i, x), (ym, i, x)
+    assert table
+
+
+@pytest.mark.parametrize(
+    "Q_, w, params, cutoff, shifted",
+    [
+        (A0, {"0": 1}, {}, 8, False),  # one class: the worklist
+        (A2, {"1": 2}, {("1", 2): xparam("1", 1) * Q1}, None, False),  # a q1 ladder: the worklist
+        (BC2, {"1": 1, "2": 1}, {}, None, False),  # fused, finite
+        (builtin_quiver("Arhat(2)"), {"0": 1, "1": 1}, {}, 4, False),  # fused, affine, across nodes
+        (BC2, {"1": 2, "2": 1}, {}, None, True),  # fused, finite: the node-1 part shifted once
+        (A0, {"0": 3}, {}, 4, True),  # fused, affine: one part, shifted twice
+    ],
+    ids=["A0hat-1", "A2-ladder", "BC2-11", "Arhat2-11", "BC2-21", "A0hat-3"],
+)
+def test_one_expansion_builds_each_reflection_a_inverse_once(monkeypatch, Q_, w, params, cutoff, shifted):
+    """The parts' worklists build A^-1 once per reflected entry; a shifted part and the tuple walk build none."""
+    calls = []
+
+    def counted(Q_, i, x):
+        calls.append((i, x))
+        return a_inverse_monomial(Q_, i, x)
+
+    monkeypatch.setattr(qqkit.engine, "a_inverse_monomial", counted)
+    ch = expand(Q_, WeightConfig.make(Q_, w, params), max_qdeg=cutoff)
+    reflected = {entry for _, _, entry in ch.edges}
+    assert len(calls) == len(set(calls))
+    assert set(calls) < reflected if shifted else set(calls) == reflected
 
 
 def test_a_table_stores_no_pole_and_keeps_zeros_unpowered():
@@ -335,8 +385,10 @@ def _ladders():
 @cache
 def _class_degrees(name, units, cutoff=None):
     """The counting degrees of one class's own expansion to the cutoff, or (0,) when it raises."""
+    Q_ = _quiver_named(name)
     try:
-        return tuple(map(qdeg_of, _bfs(_quiver_named(name), WeightConfig(units), cutoff, Memo(s_value)).terms.values()))
+        ch = _bfs(Q_, WeightConfig(units), cutoff, Memo(s_value), Memo(partial(a_inverse, Q_)))
+        return tuple(map(qdeg_of, ch.terms.values()))
     except QQError:
         return (0,)
 
@@ -549,7 +601,7 @@ def test_fused_expansion_is_the_breadth_first_one(case):
     assert len(classes) >= 2
     with mock.patch.object(qqkit.engine, "_bfs", wraps=_bfs) as bfs:
         fused = _result(lambda: expand(Q_, wc, cutoff))
-    assert fused == _result(lambda: _bfs(Q_, wc, cutoff, Memo(s_value)))
+    assert fused == _result(lambda: _bfs(Q_, wc, cutoff, Memo(s_value), Memo(partial(a_inverse, Q_))))
     if isinstance(fused[0], list):  # one expansion per shape of class, and of all the units only
         # when the pairs of classes outnumber the terms
         degrees = product(*(_class_degrees(case[0], cls, cutoff) for cls in classes))
@@ -562,7 +614,7 @@ def test_fused_expansion_is_the_breadth_first_one(case):
 def test_fused_expansion_refuses_too_many_terms_before_any_product(monkeypatch):
     calls = []
 
-    def counted(Q_, wc, *rest):  # rest: the cutoff and the expansion's S-value table
+    def counted(Q_, wc, *rest):  # rest: the cutoff and the expansion's S-value and A^-1 tables
         calls.append(len(wc.entries))
         return _bfs(Q_, wc, *rest)
 
@@ -580,7 +632,7 @@ def test_fused_expansion_refuses_too_many_terms_before_any_product(monkeypatch):
 def test_affine_fused_expansion_refuses_too_many_terms_before_any_product(monkeypatch):
     calls, pair_factors = [], []
 
-    def counted(Q_, wc, *rest):  # rest: the cutoff and the expansion's S-value table
+    def counted(Q_, wc, *rest):  # rest: the cutoff and the expansion's S-value and A^-1 tables
         calls.append(len(wc.entries))
         return _bfs(Q_, wc, *rest)
 
@@ -705,12 +757,12 @@ def test_a_shifted_part_is_the_part_of_the_shifted_class(case):
     Q_ = _quiver_named(name)
     image = [(i, a, p * t) for i, a, p in units]
     try:
-        shifted = _Fundamental(Q_, list(units), cutoff, Memo(s_value)).shifted(Q_, t, Memo(s_value))
+        shifted = _Fundamental(Q_, list(units), cutoff, Memo(s_value), Memo(partial(a_inverse, Q_))).shifted(Q_, t, Memo(s_value))
     except QQError as exc:  # the class's part or its shift raises: so does the shifted class's own
         with pytest.raises(type(exc)):
-            _Fundamental(Q_, image, cutoff, Memo(s_value))
+            _Fundamental(Q_, image, cutoff, Memo(s_value), Memo(partial(a_inverse, Q_)))
         return
-    fresh = _Fundamental(Q_, image, cutoff, Memo(s_value))
+    fresh = _Fundamental(Q_, image, cutoff, Memo(s_value), Memo(partial(a_inverse, Q_)))
     assert len(shifted.yms) == len(fresh.yms) and _by_term(shifted) == _by_term(fresh)
     assert shifted.degree == sorted(shifted.degree)
     for b in range(1, len(shifted.yms)):
@@ -726,7 +778,7 @@ def test_more_pairs_of_classes_than_terms_take_the_worklist(units, cutoff, n_ter
     with mock.patch.object(qqkit.engine, "_pair_factors") as pair_factors:
         ch = expand(A0, wc, max_qdeg=cutoff)
     assert not pair_factors.called and len(ch.terms) == n_terms
-    assert _result(lambda: ch) == _result(lambda: _bfs(A0, wc, cutoff, Memo(s_value)))
+    assert _result(lambda: ch) == _result(lambda: _bfs(A0, wc, cutoff, Memo(s_value), Memo(partial(a_inverse, A0))))
 
 
 def test_fused_expansion_counts_its_pair_checks():

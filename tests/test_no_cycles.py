@@ -14,8 +14,10 @@ import pytest
 
 from qqkit.cli import main
 from qqkit.engine import WeightConfig, expand
+from qqkit.partitions import affine_character
 from qqkit.quiver import builtin_quiver
 
+A0 = builtin_quiver("A0hat")
 BC2 = builtin_quiver("BC2")
 BC2_22 = ["--quiver", "BC2", "--w", json.dumps({"1": 2, "2": 2})]
 LADDER = ["--quiver", "A1", "--w", '{"1": 2}', "--higgs", '{"x(1,2)": "x(1,1)*q1"}']
@@ -34,9 +36,11 @@ CALLS = {
     "higgs": _cli("higgs", *LADDER, "--format", "json"),
     "limit": _cli("limit", *LADDER, "--limit", "q1"),
     "hasse": _cli("hasse", "--quiver", "A2", "--w", '{"1": 1, "2": 1}'),
+    "expand-affine": _cli("expand", "--quiver", "A0hat", "--w", '{"0": 2}', "--max-deg", "4"),
     "affine-expand": _cli("affine-expand", "--quiver", "Arhat(2)", "--w", '{"0": 1, "1": 1}', "--max-deg", "3"),
     "verify": _cli("verify"),
     "library-expand": lambda: expand(BC2, WeightConfig.make(BC2, {"1": 2, "2": 2})),
+    "library-affine-character": lambda: affine_character(A0, WeightConfig.make(A0, {"0": 2}), 4),
 }
 
 

@@ -10,14 +10,13 @@ import qqkit.verify
 from qqkit.coefficient import Coefficient, Substitution, Vanishing, product_vanishes, s_function
 from qqkit.engine import WeightConfig, YMonomial, derivative_case, expand, highest_weight
 from qqkit.errors import CollidingArguments, InvalidPit, NonTermination, PoleError, QQError, ValidationError
-from qqkit.monomial import MU, Monomial, Q1, Q2, Q3, Q4, parse_monomial, xparam
+from qqkit.monomial import MU, Monomial, Q, Q1, Q2, Q3, Q4, parse_monomial, qfrak, xparam
 from qqkit.partitions import (
     Partition,
-    _boundary_ym,
-    _colored_counting,
     _cycle_nodes,
     _tuples_of_total,
     affine_character,
+    box_weight,
     burge_filter,
     burge_resonance_sigma,
     partitions_of,
@@ -186,6 +185,26 @@ def test_affine_oracle_resonant(quiver, w, unit, shift, n_terms):
     assert set(eng.terms) == set(clo.terms)
     for ym, c in clo.terms.items():
         assert eng.terms[ym] == c, ym
+
+
+def _boundary_ym(lam, base, node, r, node_names):
+    """A component's boundary Y-monomial, box by box: the reference."""
+    entries = []
+    for s in lam.addable():
+        color = (s[0] - s[1]) % r
+        entries.append((node_names[(color + node) % r], box_weight(base, s), +1))
+    for s in lam.removable():
+        color = (s[0] - s[1]) % r
+        entries.append((node_names[(color + node) % r], box_weight(base, s) * Q, -1))
+    return YMonomial(tuple(entries))
+
+
+def _colored_counting(lam, node, r, node_names):
+    """A component's colored counting factor, one qfrak per box: the reference."""
+    out = Monomial.unit()
+    for s in lam.boxes():
+        out = out * qfrak(node_names[((s[0] - s[1]) % r + node) % r])
+    return out
 
 
 def _affine_by_tuples(Q_, wc, max_qdeg):
