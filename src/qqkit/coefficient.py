@@ -28,8 +28,9 @@ substitution, ``Coefficient.substitute``, with one rule for the binomials
 that degenerate to (1 - 1): their net power decides.  ``Vanishing``
 applies the same rule to products of factored values without building them:
 a table over the products of a sweep, indexed by the values they share,
-reads each value's factors once per substitution (``product_vanishes`` is
-its one-product case).  Both read sigma through a ``Substitution``: it
+reads each value's factors once per substitution.  A single product is a
+table of one, ``Vanishing([values]).under(sub)[0]``, which replaces the
+former ``product_vanishes``.  Both read sigma through a ``Substitution``: it
 runs sigma's image check once and keeps the image of each monomial looked
 up in it.  Y-arguments, weights and edge labels read it too, so a call that
 applies one sigma to a character substitutes each monomial once, with no
@@ -251,16 +252,11 @@ class Vanishing:
         for k in sorted(merged.keys() | self._stops.keys()):
             if k in self._stops:
                 if not self._stops[k]:
-                    raise ValidationError("product_vanishes takes factored values")
+                    raise ValidationError("Vanishing takes factored values")
                 out[k] = True
             elif degenerate := factor_tuple(merged[k]):
                 out[k] = _degenerate_integer(sub.sigma, degenerate, self._integers[k]) is None
         return out
-
-
-def product_vanishes(values: Iterable[Coefficient], sub: Substitution) -> bool:
-    """Whether the product of factored values is zero under sub: the one-product ``Vanishing``."""
-    return Vanishing([values]).under(sub)[0]
 
 
 _NO_POWERS: dict[Monomial, int] = {}  # shared by every value without binomials; never changed

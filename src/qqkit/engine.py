@@ -35,21 +35,23 @@ On an affine quiver every reflection multiplies in exactly one qfrak(i)
 (``Quiver.node_scalars``), and no weight parameter carries one, so a
 term's counting degree is its depth: part terms come in nondecreasing
 degree, and a tuple's degree is the sum of its parts'.  Each part is its
-own ``_bfs`` to the cutoff D, or a shift of one, a pair factor is computed only for pairs of
-total degree at most D, and the walk does not reflect a tuple of degree
-D or more, as ``_bfs`` does not reflect such a term; no tuple past the
-cutoff is formed.  On a finite quiver every degree is 0 and nothing is
-cut.  Errors are ``_bfs``'s too: more than ``SAFETY_BOUND`` terms (the
-tuples within the cutoff, counted from the parts' degrees) raise its
-``NonTermination`` before any product is built, and a part or pair factor
-that raises sends the whole weights through ``_bfs``.  So do weights whose
-pairs of parts outnumber those tuples, as many units at a low cutoff do:
-their pair tables would cost more than the character (at a cutoff of 0,
-a thousand units would build half a million tables for one term).  A
-shifted part raises where its class's own ``_bfs`` would: a new entry
-order decides only a reflection that an S-zero kills while a pole or a
-zero in a denominator is among its companions too, and the shift checks
-each such reflection again.
+own ``_bfs`` to the cutoff D, or a shift of one, a pair factor is
+computed only for pairs of total degree at most D, and the walk does not
+reflect a tuple of degree D or more, as ``_bfs`` does not reflect such a
+term; no tuple past the cutoff is formed.  On a finite quiver every
+degree is 0 and nothing is cut.
+
+Errors are ``_bfs``'s: more than ``SAFETY_BOUND`` terms (the tuples within
+the cutoff, counted from the parts' degrees) raise its ``NonTermination``
+before any product is built, and two rules give every other error.
+``expand`` alone picks the route: ``_fuse`` returns None where a part or a
+pair table raises, or where the pairs of parts outnumber the tuples (their
+tables would cost more than the character, as for many units at a low
+cutoff), and ``expand`` then expands the weights by ``_bfs``.  And a part
+is shared only when entry order decides none of its reflections; order
+decides one that an S-zero kills while a pole or a zero in a denominator
+is among its companions too (``order_dependent``).  Each later class of
+such a part's shape expands its own part, so a shift never raises.
 
 Both routes read their S-values through one table per ``expand`` call
 (a ``Memo`` of ``s_value``): S_d(a/x)^k by (d, a, x, k), computed on
@@ -369,7 +371,9 @@ def expand(
         max_qdeg = None
     s_values, a_inverses = Memo(s_value), Memo(partial(a_inverse, Q_))
     if len(wc.entries) > 1 and len(classes := resonance_classes(wc)) > 1:
-        return _fuse(Q_, wc, classes, s_values, max_qdeg, a_inverses)
+        fused = _fuse(Q_, wc, classes, s_values, max_qdeg, a_inverses)
+        if fused is not None:
+            return fused
     return _bfs(Q_, wc, max_qdeg, s_values, a_inverses)
 
 
@@ -416,13 +420,8 @@ def _bfs(Q_: Quiver, wc: WeightConfig, max_qdeg: int | None, s_values: Memo, a_i
             if len(terms) > SAFETY_BOUND:
                 raise _too_many_terms()
             work.append(child)
-    return Character(
-        Q_,
-        wc,
-        terms,
-        tuple(edges),
-        meta={"path_checks": path_checks, "max_qdeg": max_qdeg, "class": classify(Q_)[0].value},
-    )
+    meta = {"path_checks": path_checks, "max_qdeg": max_qdeg, "class": classify(Q_)[0].value}
+    return Character(Q_, wc, terms, tuple(edges), meta=meta)
 
 
 class _Fundamental:
@@ -436,12 +435,13 @@ class _Fundamental:
     degree, nondecreasing in a (0 on a finite quiver, the term's depth on
     an affine one).  ``out[a]`` lists term a's edges in entry order as
     (entry key, child, entry, the Y-monomial the reflection multiplies in).
-    ``mixed`` lists, as (a, node, argument), the reflections that an S-zero
-    killed while a pole or a zero in a denominator was among the companions
-    too: which of them the reflection meets first follows the entry order.
+    ``order_dependent`` says whether an S-zero killed a reflection while a
+    pole or a zero in a denominator was among its companions too: which of
+    them the reflection meets first follows the entry order, so a shift,
+    which can reorder the entries, could decide it otherwise.
     """
 
-    __slots__ = ("yms", "coeffs", "degree", "parent", "step", "out", "mixed")
+    __slots__ = ("yms", "coeffs", "degree", "parent", "step", "out", "order_dependent")
 
     def __init__(
         self,
@@ -464,38 +464,34 @@ class _Fundamental:
             if self.step[b] is None:
                 self.parent[b], self.step[b] = a, entry
             self.out[a].append((_entry_key(entry), b, entry, a_inverses[entry][0]))
-        self.mixed = [
-            (a, i, x)
+        self.order_dependent = any(
+            all(entry != (i, x) for _, _, entry, _ in edges)
+            and any(_raises(s_values, Q_.d[i], y, x, k) for n, y, k in ym.entries if n == i and y != x)
             for a, (ym, edges) in enumerate(zip(self.yms, self.out))
             if max_qdeg is None or self.degree[a] < max_qdeg
             for i, x, _ in ym.numerator_entries()
-            if all(entry != (i, x) for _, _, entry, _ in edges)
-            and any(_raises(s_values, Q_.d[i], y, x, k) for n, y, k in ym.entries if n == i and y != x)
-        ]
+        )
 
-    def shifted(self, Q_: Quiver, t: Monomial, s_values: Memo) -> "_Fundamental":
+    def shifted(self, t: Monomial) -> "_Fundamental":
         """The part of the class whose parameters are this class's times ``t``, with no expansion.
 
         Every argument is multiplied by t, each distinct one once, and each
         Y-monomial and edge re-sorted by its new keys.  The S-values read
         only ratios within the class and a reflection's scalar only its
         node, so the coefficients, degrees and parents are this part's.
-        The new entry order can only change the ``mixed`` reflections, so
-        each is checked again: it raises where the shifted class's ``_bfs``
-        would meet a pole or a zero in a denominator before the S-zero.
+        Only a part that is not ``order_dependent`` is shifted: the new
+        entry order then decides no reflection.
         """
         arg = Memo(t.__mul__)
         ym = Memo(lambda y: YMonomial._canonical(tuple(sorted([(n, arg[x], e) for n, x, e in y.entries], key=_entry_key))))
         g = object.__new__(_Fundamental)
         g.yms = [ym[y] for y in self.yms]
-        g.coeffs, g.degree, g.parent, g.mixed = self.coeffs, self.degree, self.parent, self.mixed
+        g.coeffs, g.degree, g.parent, g.order_dependent = self.coeffs, self.degree, self.parent, self.order_dependent
         g.step = [None] + [(i, arg[x]) for i, x in self.step[1:]]
         g.out = [
             sorted([(_entry_key(e := (i, arg[x])), b, e, ym[delta]) for _, b, (i, x), delta in edges], key=_first)
             for edges in self.out
         ]
-        for a, i, x in self.mixed:
-            s_factor_coefficient(Term(g.yms[a], g.coeffs[a]), i, arg[x], Q_, s_values)
         return g
 
 
@@ -571,33 +567,35 @@ def _tuple_count(parts: list[_Fundamental], top: float) -> int:
 
 def _fuse(
     Q_: Quiver, wc: WeightConfig, classes: list[list], s_values: Memo, max_qdeg: int | None, a_inverses: Memo
-) -> Character:
-    """The character of weights of two or more resonance ``classes``, from their parts, to the cutoff ``max_qdeg``."""
+) -> Character | None:
+    """The character of weights of two or more resonance ``classes``, from their parts, to the cutoff
+    ``max_qdeg``; None where ``_bfs`` is to expand the weights instead."""
     shapes: dict[tuple, tuple[Monomial, _Fundamental]] = {}  # a class's shape: its units' nodes and ratios to its first
     parts = []
-    try:
-        for cls in classes:
-            p = cls[0][2]
-            shape = tuple((i, x / p) for i, _, x in cls)
-            if shape in shapes:
-                p_first, first = shapes[shape]
-                parts.append(first.shifted(Q_, p / p_first, s_values))
-            else:
-                parts.append(_Fundamental(Q_, cls, max_qdeg, s_values, a_inverses))
-                shapes[shape] = p, parts[-1]
-    except QQError:
-        return _bfs(Q_, wc, max_qdeg, s_values, a_inverses)
+    for cls in classes:
+        p = cls[0][2]
+        shape = tuple((i, x / p) for i, _, x in cls)
+        if shape in shapes:
+            p_first, first = shapes[shape]
+            parts.append(first.shifted(p / p_first))
+            continue
+        try:
+            parts.append(_Fundamental(Q_, cls, max_qdeg, s_values, a_inverses))
+        except QQError:
+            return None
+        if not parts[-1].order_dependent:
+            shapes[shape] = p, parts[-1]
     top = inf if max_qdeg is None else max(max_qdeg, 0)  # the highest weight is kept at any cutoff
     count = _tuple_count(parts, top)
     if count > SAFETY_BOUND:
         raise _too_many_terms()
     n = len(parts)
     if n * (n - 1) // 2 > count:  # more pair tables than terms: the worklist costs less
-        return _bfs(Q_, wc, max_qdeg, s_values, a_inverses)
+        return None
     try:
         pairs = {(j, k): _pair_factors(Q_, parts[j], parts[k], top, s_values) for k in range(n) for j in range(k)}
     except QQError:
-        return _bfs(Q_, wc, max_qdeg, s_values, a_inverses)
+        return None
     path_checks = sum(len(row) for p in pairs.values() for row in p)  # one per pair of terms
 
     def part(t: tuple[int, ...]) -> Coefficient:
@@ -645,13 +643,8 @@ def _fuse(
                 terms[child_ym] = coefficient(child)
                 work.append((child, deg + parts[k].degree[b] - parts[k].degree[t[k]]))
             edges.append((ym, child_ym, entry))
-    return Character(
-        Q_,
-        wc,
-        terms,
-        tuple(edges),
-        meta={"path_checks": path_checks, "max_qdeg": max_qdeg, "class": classify(Q_)[0].value},
-    )
+    meta = {"path_checks": path_checks, "max_qdeg": max_qdeg, "class": classify(Q_)[0].value}
+    return Character(Q_, wc, terms, tuple(edges), meta=meta)
 
 
 def closed_form_A1(w: int, params: list[Monomial] | None = None) -> Character:

@@ -134,11 +134,6 @@ def partitions_up_to(n: int) -> list[Partition]:
 # ---------------------------------------------------------------------------
 
 
-def z_Ar(lam: Partition, r: int) -> Coefficient:
-    """Weight of one partition: the single-component case of ``z_Ar_tuple``."""
-    return z_Ar_tuple([lam], [Monomial.unit()], r)
-
-
 def z_Ar_tuple(
     lams: Sequence[Partition],
     xs: Sequence[Monomial],

@@ -10,9 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from qqkit import cli, errors
+from qqkit import cli, errors, verify
 from qqkit.cli import main
 from qqkit.job import Job
+from qqkit.quiver import MAX_EDGES, MAX_NODES
 from qqkit.render import json_document
 from qqkit.verify import BURGE_MAX_R, BURGE_MAX_SIZE, FIXTURE_DIR, burge_rows, load_corpus, run_corpus, run_fixture
 
@@ -348,6 +349,28 @@ def test_an_overlong_integer_in_a_json_flag_exits_2(argv, capsys):
     assert err.startswith("validation error: ") and "digits" in err and err.count("\n") == 1
 
 
+OVERSIZED = {
+    "Arhat-1e12": ("Arhat(1000000000000)", f"a quiver has at most {MAX_NODES} nodes, got 1000000000000"),
+    "Arhat-5000-digits": (f"Arhat({'9' * 5000})", f"a quiver has at most {MAX_NODES} nodes, got 'Arhat({'9' * 5000})'"),
+    "Arhat-over-nodes": (f"Arhat({MAX_NODES + 1})", f"a quiver has at most {MAX_NODES} nodes, got {MAX_NODES + 1}"),
+    "json-over-nodes": (json.dumps({"nodes": [{"id": k} for k in range(MAX_NODES + 1)]}),
+                        f"a quiver has at most {MAX_NODES} nodes, got {MAX_NODES + 1}"),
+    "json-over-edges": (json.dumps({"nodes": [{"id": 0}, {"id": 1}], "edges": [{"from": 0, "to": 1}] * (MAX_EDGES + 1)}),
+                        f"a quiver has at most {MAX_EDGES} edges, got {MAX_EDGES + 1}"),
+}
+
+
+@pytest.mark.parametrize("command", ["expand", "affine-expand"])
+@pytest.mark.parametrize("name", OVERSIZED)
+def test_an_oversized_quiver_exits_2_at_once(name, command, capsys):
+    """A quiver's nodes and edges are counted before anything is built from them or classified."""
+    quiver, err = OVERSIZED[name]
+    start = time.perf_counter()
+    code, out, stderr = run_cli([command, "--quiver", quiver, "--w", '{"0": 1}', "--max-deg", "1"], capsys)
+    assert time.perf_counter() - start < 1
+    assert (code, out, stderr) == (2, "", f"validation error: {err}\n")
+
+
 def test_mass_on_a_long_acyclic_path_exits_2(tmp_path, capsys):
     # a path deeper than the recursion limit: the cycle check does not recurse
     n = 1200
@@ -496,6 +519,113 @@ def test_sweep_fixtures_check_at_least_one_configuration(fx, text):
 def test_a_pit_fixture_runs_at_the_ceiling():
     ceiling = dict.fromkeys(("i_max", "j_max", "max_size"), BURGE_MAX_SIZE)
     assert run_fixture({"id": "p", "kind": "pit", "r": 3, **ceiling}).status == "flag"
+
+
+def _doctor(monkeypatch, owner, name, change):
+    """Replace ``owner.name`` by the real one followed by ``change(result, *args)``, which returns the result."""
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: change(real(*args), *args))
+
+
+def _without_last_term(ch, *args):
+    del ch.terms[next(reversed(ch.terms))]
+    return ch
+
+
+def _first_coefficient_plus_one(cc, *args):
+    first = next(iter(cc.terms))
+    cc.terms[first] += 1
+    return cc
+
+
+def _set_in(path, value):
+    return lambda fx, monkeypatch: _set(fx, path, value)
+
+
+# one doctored copy of a bundled fixture per fail branch: (fixture id, the change, the fail detail);
+# where a handler compares two computations, one side is changed instead
+FAIL_BRANCHES = {
+    "character-terms": ("a1-w1-fundamental", _set_in(("terms", 1, "y", 0, 2), 2),
+                        "term sets differ (expected 2, got 2); first missing [Y[1,q1^2*q2*x(1,1)]^-1], "
+                        "first extra [Y[1,q1*q2*x(1,1)]^-1]"),
+    "character-coefficient": ("a1-w1-fundamental", _set_in(("terms", 1, "c"), 2),
+                              "coefficient differs at Y[1,q1*q2*x(1,1)]^-1"),
+    "limit": ("a1-w2-kr-limit-q1", _set_in(("terms", 1, "c"), 3),
+              "coefficient differs at Y[1,q2*x(1,1)]^-1*Y[1,x(1,1)]"),
+    "count": ("a2-w20-generic-count", _set_in(("expect_count",), 10), "expected 10 terms, got 9"),
+    "typo-literal": ("a1-w3-seventh-monomial-text", lambda fx, mp: _set(fx, ("literal",), fx["corrected"]),
+                     "printed term unexpectedly reproduced"),
+    "typo-corrected": ("a1-w3-seventh-monomial-text", _set_in(("corrected", "c"), 1), "corrected term not reproduced"),
+    "hasse-nodes": ("hasse-a2-w02", _set_in(("expect_nodes",), 10), "expected 10 nodes, got 9"),
+    "hasse-edges": ("hasse-a2-w02", _set_in(("expect_edges",), 13), "expected 13 edges, got 12"),
+    "hasse-labels": ("hasse-a2-w02", _set_in(("expect_labels", "2,x1"), 4),
+                     "label multiset differs: {'2,x1': 3, '2,x2': 3, '1,x1;1,1': 3, '1,x2;1,1': 3}"),
+    "hasse-triples": ("hasse-a2-w20", _set_in(("triples", 0, "label"), "1,x2"), "edge triples differ"),
+    "dropped-count": ("a2-w20-dropped-is-antifundamental", _set_in(("expected_dropped",), 4),
+                      "expected 4 dropped terms, got 3"),
+    "dropped-relabel": ("a2-w20-dropped-is-antifundamental", _set_in(("relabel", "x(1,2)"), "x*q1"),
+                        "dropped terms do not relabel onto the reference character"),
+    "closed_form": ("a1-closed-form-w6",
+                    lambda fx, mp: _doctor(mp, verify, "closed_form_A1", lambda ch, w: _without_last_term(ch) if w == 2 else ch),
+                    "w=2 mismatch"),
+    "kr_ladder-character": ("a1-kr-ladder-w6",
+                            lambda fx, mp: _doctor(mp, verify, "kr_closed_form_A1",
+                                                   lambda ch, w: _without_last_term(ch) if w == 2 else ch),
+                            "w=2: ladder character mismatch"),
+    "kr_ladder-q1-binomial": ("a1-kr-ladder-w6",
+                              lambda fx, mp: _doctor(mp, verify, "classical_limit",
+                                                     lambda cc, ch, which: _first_coefficient_plus_one(cc)
+                                                     if which == "q1" and len(cc.terms) == 3 else cc),
+                              "w=2: q1 limit is not binomial"),
+    "kr_ladder-q1-factors": ("a1-kr-ladder-w6", lambda fx, mp: mp.setattr(verify, "factorize_check", lambda *args: False),
+                             "w=0: q1 limit does not factor into the fundamental"),
+    "kr_ladder-q2": ("a1-kr-ladder-w6",
+                     lambda fx, mp: _doctor(mp, verify, "classical_limit",
+                                            lambda cc, ch, which: _first_coefficient_plus_one(cc)
+                                            if which == "q2" and len(cc.terms) == 3 else cc),
+                     "w=2: q2 limit coefficients differ from 1"),
+    "factorization-base": ("a1-w2-kr-limit-q1-square", lambda fx, mp: fx["base"].pop("limit"),
+                           "base pipeline did not end in a classical limit"),
+    "factorization-product": ("a1-w2-kr-limit-q1-square", lambda fx, mp: fx["factors"].pop(),
+                              "product of factors differs from the base character"),
+    "affine_oracle": ("a0hat-w1-oracle-deg3",
+                      lambda fx, mp: _doctor(mp, Job, "run",
+                                             lambda ch, job: _without_last_term(ch) if job.command == "affine-expand" else ch),
+                      "term sets differ (expected 6, got 7); first missing [], first extra "
+                      "[Y[0,q1^3*q2^3*mu^-3*x(0,1)]*Y[0,q1^3*q2^3*mu^-2*x(0,1)]^-1*Y[0,mu*x(0,1)]]"),
+    "burge": ("burge-r1-desk", lambda fx, mp: _doctor(mp, verify, "burge_filter", lambda admitted, *args: not admitted),
+              "mismatch at nodes (0,0), (i,j)=(0,1), () | ()"),
+    "pit": ("pit-r1-desk", lambda fx, mp: _doctor(mp, verify, "pit_resonance_vanishes", lambda vanishes, *args: not vanishes),
+            "criterion mismatch at (), pit (1,1)"),
+    "unknown-kind": ("a1-w1-fundamental", _set_in(("kind",), "nonsense"), "unknown kind 'nonsense'"),
+}
+
+
+@pytest.mark.parametrize("branch", FAIL_BRANCHES)
+def test_each_fixture_kind_fails_on_a_doctored_fixture(branch, monkeypatch):
+    """Each handler's fail branches: the fixture passes (or is flagged) as bundled, and fails with
+    the branch's detail once one expected term, coefficient, count, label or edge, or one side of
+    a comparison, is changed."""
+    fid, change, detail = FAIL_BRANCHES[branch]
+    assert run_fixture(_fixture(fid)).status in ("pass", "flag")
+    fx = _fixture(fid)
+    change(fx, monkeypatch)
+    entry = run_fixture(fx)
+    assert (entry.status, entry.detail) == ("fail", detail)
+
+
+def test_a_pit_fixture_without_deviations_passes():
+    """At the one pit (1, 1) the box-membership reading does not deviate, so the sweep passes."""
+    fx = _fixture("pit-r1-desk")
+    fx["i_max"] = fx["j_max"] = 1
+    entry = run_fixture(fx)
+    assert (entry.status, entry.detail) == ("pass", "30 configurations: vanishing == pit filter")
+
+
+def test_a_fixture_file_holds_a_list(tmp_path):
+    (tmp_path / "a1.json").write_text('{"id": "a1-w1-fundamental"}')
+    with pytest.raises(errors.ValidationError, match="^fixture file a1.json must hold a list$"):
+        load_corpus(tmp_path)
 
 
 def test_verify_corpus_replays_files_beyond_the_bundled_names(tmp_path, capsys):

@@ -25,7 +25,7 @@ from qqkit.engine import (
     _bfs,
     _Fundamental,
 )
-from qqkit.errors import CollidingArguments, NonTermination, QQError, ValidationError
+from qqkit.errors import CollidingArguments, NonTermination, PoleError, QQError, ValidationError
 from qqkit.higgsing import _ladder_steps, kr_params
 from qqkit.job import Job
 from qqkit.monomial import MU, Memo, Monomial, Q, Q1, Q2, parse_monomial, xparam
@@ -475,13 +475,45 @@ def _weights(name, w, params):
     return Q_, WeightConfig.make(Q_, w, images)
 
 
-def _first_of_each_shape(classes):
-    """The first class of each shape (its nodes, and its parameters' ratios to its first), in
-    first-seen order: the classes ``expand`` expands, while the others share their parts."""
+@cache
+def _order_dependent(name, units, cutoff=None):
+    """Whether entry order decides a reflection of one class's own expansion to the cutoff: one that
+    an S-zero kills (no edge leaves its term by it) while a pole or a zero in a denominator is among
+    its companions too.  False when the expansion raises."""
+    Q_ = _quiver_named(name)
+    try:
+        ch = _bfs(Q_, WeightConfig(units), cutoff, Memo(s_value), Memo(partial(a_inverse, Q_)))
+    except QQError:
+        return False
+
+    def raises(d, y, x, k):
+        try:
+            return s_r(d, y / x).is_zero and k < 0
+        except PoleError:
+            return True
+
+    reflected = {(src, entry) for src, _, entry in ch.edges}
+    return any(
+        (ym, (i, x)) not in reflected
+        and any(raises(Q_.d[i], y, x, k) for n, y, k in ym.entries if n == i and y != x)
+        for ym, c in ch.terms.items()
+        if cutoff is None or qdeg_of(c) < cutoff
+        for i, x, _ in ym.numerator_entries()
+    )
+
+
+def _expanded_classes(name, classes, cutoff=None):
+    """The classes whose parts ``expand`` expands, in order: the first of each shape (its nodes, and
+    its parameters' ratios to its first), which the later ones of that shape share, and every class
+    of a shape whose first part is order-dependent, which none shares."""
     firsts = {}
+    out = []
     for cls in classes:
-        firsts.setdefault(tuple((i, p / cls[0][2]) for i, _, p in cls), cls)
-    return list(firsts.values())
+        shape = tuple((i, p / cls[0][2]) for i, _, p in cls)
+        if shape not in firsts or _order_dependent(name, firsts[shape], cutoff):
+            out.append(cls)
+        firsts.setdefault(shape, cls)
+    return out
 
 
 def _result(compute):
@@ -571,6 +603,8 @@ def _result(compute):
 @example(("BC2", {"1": 2, "2": 1}, {"1,2": "1"}))
 @example(("A0hat", {"0": 3}, {"0,2": "x(0,1)*y*q1^-3", "0,3": "mu"}, 5))
 @example(("C3", {"2": 4}, {"2,2": "x(2,1)*q2", "2,3": "x(2,3)*q1^-1*q2^-1", "2,4": "x(2,3)*q1^-1"}))
+# two q2 ladders of one shape whose part is order-dependent, so each expands its own: 8,836 terms
+@example(("C3", {"2": 4}, {"2,2": "x(2,1)*q2", "2,4": "x(2,3)*q2"}))
 def test_fused_expansion_is_the_breadth_first_one(case):
     """``expand`` fuses weights of two or more resonance classes from the classes' own expansions,
     to the cutoff on an affine quiver (an affine case carries its cutoff); it must equal ``_bfs``,
@@ -588,7 +622,8 @@ def test_fused_expansion_is_the_breadth_first_one(case):
     entry order, as ``_bfs`` reflects a term's, so the terms and edges come out in the same
     order.  Generic weights are the case where every class is one unit.  Classes of one shape
     (the same nodes, and the same ratios to their first parameter) share one expansion, shifted
-    by the ratio of their first parameters.
+    by the ratio of their first parameters, unless entry order decides one of its reflections:
+    then each class of that shape expands its own.
 
     On an affine quiver each reflection multiplies in one qfrak(i) and no S-value carries one,
     so a term's degree is its depth and a tuple's is the sum of its parts'.  The tuples that
@@ -602,12 +637,12 @@ def test_fused_expansion_is_the_breadth_first_one(case):
     with mock.patch.object(qqkit.engine, "_bfs", wraps=_bfs) as bfs:
         fused = _result(lambda: expand(Q_, wc, cutoff))
     assert fused == _result(lambda: _bfs(Q_, wc, cutoff, Memo(s_value), Memo(partial(a_inverse, Q_))))
-    if isinstance(fused[0], list):  # one expansion per shape of class, and of all the units only
-        # when the pairs of classes outnumber the terms
+    if isinstance(fused[0], list):  # one expansion per shape of class (per class where the shape's
+        # part is order-dependent), and of all the units only when the pairs of classes outnumber the terms
         degrees = product(*(_class_degrees(case[0], cls, cutoff) for cls in classes))
         count = sum(cutoff is None or sum(ds) <= cutoff for ds in degrees)
         worklist = [wc.entries] if len(classes) * (len(classes) - 1) // 2 > count else []
-        assert [call.args[1].entries for call in bfs.call_args_list] == _first_of_each_shape(classes) + worklist
+        assert [call.args[1].entries for call in bfs.call_args_list] == _expanded_classes(case[0], classes, cutoff) + worklist
         assert len(fused[0]) == count
 
 
@@ -653,31 +688,33 @@ def test_affine_fused_expansion_refuses_too_many_terms_before_any_product(monkey
 
 
 @pytest.mark.parametrize(
-    "case, err",
+    "case, err, expanded",
     [
         (("C3", {"2": 3, "3": 1}, {"2,2": "x(2,1)*q1", "2,3": "x(2,1)*q1^2"}),
-         "Y[2,q1^3*q2*x(2,1)]^2 requires the derivative prescription"),
+         "Y[2,q1^3*q2*x(2,1)]^2 requires the derivative prescription", 1),
         (("A2", {"1": 2, "2": 2}, {"2,1": "x(1,1)*q1*q2", "2,2": "x(1,2)*q1"}),
-         "S_1 pole at argument q1*q2 while reflecting Y[2,x(1,1)]"),
+         "S_1 pole at argument q1*q2 while reflecting Y[2,x(1,1)]", 1),
         # a class of A0hat whose part hits a pole at degree 2, below the cutoff 3
-        (("A0hat", {"0": 3}, {"0,2": "x(0,1)*q3^2"}, 3), "S_1 pole at argument q1*q2 while reflecting Y[0,mu*x(0,1)]"),
+        (("A0hat", {"0": 3}, {"0,2": "x(0,1)*q3^2"}, 3), "S_1 pole at argument q1*q2 while reflecting Y[0,mu*x(0,1)]", 1),
         # two classes of that shape: the first raises before the second is shifted from it
         (("A0hat", {"0": 4}, {"0,2": "x(0,1)*q3^2", "0,4": "x(0,3)*q3^2"}, 3),
-         "S_1 pole at argument q1*q2 while reflecting Y[0,mu*x(0,1)]"),
-        # two q2 ladders of one shape: the first expands, and its shift by x(2,3)/x(2,1) q1^-1 q2^-1
-        # meets a pole before the S-zero that killed a reflection of the first
+         "S_1 pole at argument q1*q2 while reflecting Y[0,mu*x(0,1)]", 1),
+        # two q2 ladders of one shape: the first expands, but an S-zero killed one of its reflections
+        # with a pole among the companions, so the second, at x(2,3) q1^-1 q2^-1, expands its own
+        # part, which meets that pole first
         (("C3", {"2": 4}, {"2,2": "x(2,1)*q2", "2,3": "x(2,3)*q1^-1*q2^-1", "2,4": "x(2,3)*q1^-1"}),
-         "S_1 pole at argument q1*q2 while reflecting Y[2,x(2,3)]"),
+         "S_1 pole at argument q1*q2 while reflecting Y[2,x(2,3)]", 2),
     ],
     ids=["C3-q1-ladder", "A2-cross-node", "A0hat-pole", "A0hat-two-poles", "C3-shift-meets-a-pole"],
 )
-def test_a_class_part_that_raises_gives_the_breadth_first_error(case, err):
+def test_a_class_part_that_raises_gives_the_breadth_first_error(case, err, expanded):
     Q_, wc = _weights(*case[:3])
     with mock.patch.object(qqkit.engine, "_bfs", wraps=_bfs) as bfs, pytest.raises(CollidingArguments) as exc:
         expand(Q_, wc, *case[3:])
     assert str(exc.value) == err
-    # the first class (or the shift of it) raises, and the fallback expands all the units
-    assert [call.args[1].entries for call in bfs.call_args_list] == [tuple(resonance_classes(wc)[0]), wc.entries]
+    # the classes expand their parts until one raises, and the fallback expands all the units
+    classes = [tuple(cls) for cls in resonance_classes(wc)[:expanded]]
+    assert [call.args[1].entries for call in bfs.call_args_list] == classes + [wc.entries]
 
 
 SHIFT_QUIVERS = ["A1", "A2", "A3", "A4", "BC2", "C3", "G2", "D4"] + AFFINE_QUIVERS
@@ -740,7 +777,8 @@ def _by_term(f):
 @example(("A0hat", (("0", 1, xparam("0", 1)), ("0", 2, xparam("0", 1) * Q1)), MU**-1 * Q1**-3, 5))
 @example(("Arhat(3)", (("2", 1, Monomial.unit()), ("2", 2, Q2)), xparam("2", 2) * MU, 4))
 # a q2 ladder at node 2 of C3: an S-zero kills a reflection that also has a pole among its
-# companions, and the shift by q1^-1 q2^-1 meets the pole first, as the shifted class's ``_bfs`` does
+# companions, so the part is order-dependent and never shifted; the shift by q1^-1 q2^-1 meets the
+# pole first, and the shifted class's own part raises
 @example(("C3", (("2", 1, xparam("2", 1)), ("2", 2, xparam("2", 1) * Q2)), xparam("2", 2) / xparam("2", 1) / Q, None))
 def test_a_shifted_part_is_the_part_of_the_shifted_class(case):
     """A class's part shifted by t is the part of the class whose parameters are its own times t.
@@ -749,19 +787,27 @@ def test_a_shifted_part_is_the_part_of_the_shifted_class(case):
     order in which ``_bfs`` reflects them), so the parts are compared term by term; the shifted
     part must keep what ``_cross`` and the fused walk read of a numbering: nondecreasing degrees,
     each parent numbered below its term and joined to it by an edge of the term's step, and each
-    term's edges in entry order.  The shift raises exactly where the shifted class's own part
-    raises: where its part raises, or where an S-zero killed a reflection with a pole (or a zero in
-    a denominator) among its companions and the shifted entry order meets that one first.
+    term's edges in entry order.  Where the class's part raises, so does the shifted class's own.
+    A part whose entry order decides a reflection (an S-zero killed it with a pole, or a zero in a
+    denominator, among its companions) is ``order_dependent`` and never shifted: the shifted
+    class's own part raises, or is order-dependent too.
     """
     name, units, t, cutoff = case
     Q_ = _quiver_named(name)
     image = [(i, a, p * t) for i, a, p in units]
     try:
-        shifted = _Fundamental(Q_, list(units), cutoff, Memo(s_value), Memo(partial(a_inverse, Q_))).shifted(Q_, t, Memo(s_value))
-    except QQError as exc:  # the class's part or its shift raises: so does the shifted class's own
+        part = _Fundamental(Q_, list(units), cutoff, Memo(s_value), Memo(partial(a_inverse, Q_)))
+    except QQError as exc:
         with pytest.raises(type(exc)):
             _Fundamental(Q_, image, cutoff, Memo(s_value), Memo(partial(a_inverse, Q_)))
         return
+    if part.order_dependent:
+        try:
+            assert _Fundamental(Q_, image, cutoff, Memo(s_value), Memo(partial(a_inverse, Q_))).order_dependent
+        except QQError:
+            pass
+        return
+    shifted = part.shifted(t)
     fresh = _Fundamental(Q_, image, cutoff, Memo(s_value), Memo(partial(a_inverse, Q_)))
     assert len(shifted.yms) == len(fresh.yms) and _by_term(shifted) == _by_term(fresh)
     assert shifted.degree == sorted(shifted.degree)

@@ -20,7 +20,7 @@ from qqkit.errors import NonIntegerLimit, QQError, ValidationError
 from qqkit.higgsing import ClassicalCharacter, classical_limit, fold_weights, higgs, kr_sigma
 from qqkit.job import COMMANDS, FORMATS, Job
 from qqkit.monomial import parse_monomial, xparam
-from qqkit.quiver import MAX_DECORATION, builtin_quiver
+from qqkit.quiver import MAX_DECORATION, MAX_EDGES, MAX_NODES, builtin_quiver
 from qqkit.verify import load_corpus
 
 JOB = "<job file>"  # replaced by the path of a file holding the case's job
@@ -127,10 +127,20 @@ _inline = st.fixed_dictionaries(
     {"nodes": st.lists(st.fixed_dictionaries({"id": _text}, optional={"d": _decoration}), max_size=2)},
     optional={"edges": st.lists(st.fixed_dictionaries({}, optional={"from": _text, "to": _text, "mu": _junk}), max_size=2)},
 )
+# so are node and edge lists over the ceilings
+_oversized = st.one_of(
+    st.integers(MAX_NODES + 1, 3 * MAX_NODES).map(lambda n: {"nodes": [{"id": k} for k in range(n)]}),
+    st.integers(MAX_EDGES + 1, 3 * MAX_EDGES).map(
+        lambda n: {"nodes": [{"id": 0}, {"id": 1}], "edges": [{"from": 0, "to": 1}] * n}
+    ),
+)
 _bad_quiver = st.one_of(
-    st.sampled_from(["Arhat(x)", "Arhat(0)", "Arhat()", "Zk", "@/no/such/file", "{", "{}"]),
+    st.sampled_from(["Arhat(x)", "Arhat(0)", "Arhat()", f"Arhat({MAX_NODES + 1})", "Arhat(1000000000000)", "Zk",
+                     "@/no/such/file", "{", "{}"]),
     _inline,
     _inline.map(json.dumps),
+    _oversized,
+    _oversized.map(json.dumps),
     _junk,
 )
 

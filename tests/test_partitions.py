@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 import qqkit.engine
 import qqkit.partitions
 import qqkit.verify
-from qqkit.coefficient import Coefficient, Substitution, Vanishing, product_vanishes, s_function
+from qqkit.coefficient import Coefficient, Substitution, Vanishing, s_function
 from qqkit.engine import WeightConfig, YMonomial, derivative_case, expand, highest_weight
 from qqkit.errors import CollidingArguments, InvalidPit, NonTermination, PoleError, QQError, ValidationError
 from qqkit.monomial import MU, Monomial, Q, Q1, Q2, Q3, Q4, parse_monomial, qfrak, xparam
@@ -24,7 +24,6 @@ from qqkit.partitions import (
     pit_filter,
     pit_resonance_sigma,
     pit_resonance_vanishes,
-    z_Ar,
     z_Ar_tuple,
     z_s_values,
 )
@@ -73,10 +72,10 @@ def test_partition_enumeration():
 
 
 def test_z_examples():
-    assert z_Ar(Partition(()), 1).is_one
-    assert z_Ar(Partition((1,)), 1) == s_function(Q3)
-    assert z_Ar(Partition((1,)), 2).is_one
-    assert z_Ar(Partition((2,)), 2) == s_function(Q3 * Q4**-1)
+    assert z_Ar_tuple([Partition(())], [Monomial.unit()], 1).is_one
+    assert z_Ar_tuple([Partition((1,))], [Monomial.unit()], 1) == s_function(Q3)
+    assert z_Ar_tuple([Partition((1,))], [Monomial.unit()], 2).is_one
+    assert z_Ar_tuple([Partition((2,))], [Monomial.unit()], 2) == s_function(Q3 * Q4**-1)
 
 
 def test_tuple_weight_symmetry():
@@ -93,7 +92,7 @@ def test_tuple_weight_symmetry():
 def test_tuple_weight_single_component():
     xa = Monomial.gen("xa")
     for lam in partitions_up_to(4):
-        assert z_Ar_tuple([lam], [xa], 1) == z_Ar(lam, 1)
+        assert z_Ar_tuple([lam], [xa], 1) == z_Ar_tuple([lam], [Monomial.unit()], 1)
 
 
 def test_affine_oracle_small():
@@ -318,7 +317,7 @@ def test_pit_resonance_matches_arm_leg_criterion():
         for j in range(1, 4):
             sigma = pit_resonance_sigma((i, j))
             for lam in partitions_up_to(5):
-                assert z_Ar(lam, 1).specialize(sigma).is_zero == pit_resonance_vanishes(lam, (i, j))
+                assert z_Ar_tuple([lam], [Monomial.unit()], 1).specialize(sigma).is_zero == pit_resonance_vanishes(lam, (i, j))
 
 
 def test_pit_box_reading_deviates_on_staircase():
@@ -327,7 +326,7 @@ def test_pit_box_reading_deviates_on_staircase():
     assert pit_filter(lam, (2, 2))
     assert pit_resonance_vanishes(lam, (2, 2))
     sigma = pit_resonance_sigma((2, 2))
-    assert z_Ar(lam, 1).specialize(sigma).is_zero
+    assert z_Ar_tuple([lam], [Monomial.unit()], 1).specialize(sigma).is_zero
 
 
 def test_pit_sigma_imposes_only_the_resonance():
@@ -342,7 +341,7 @@ def test_pit_sigma_imposes_only_the_resonance():
     # resonance, so it must not degenerate
     lam = Partition((3, 1, 1, 1))
     assert not pit_resonance_vanishes(lam, (2, 2), 3)
-    assert not z_Ar(lam, 3).specialize(pit_resonance_sigma((2, 2))).is_zero
+    assert not z_Ar_tuple([lam], [Monomial.unit()], 3).specialize(pit_resonance_sigma((2, 2))).is_zero
 
 
 def test_burge_filter_examples():
@@ -433,7 +432,7 @@ def _burge_rows_per_colouring(r, i_values, j_values, max_size):
             sub = Substitution(burge_resonance_sigma(i, j, "xa", "xb"))
             residue_ok = (i + j - 1 - (na - nb)) % r == 0
             for la, lb in pairs:
-                vanishes = product_vanishes(z_s_values([la, lb], [xa, xb], r, nodes=[na, nb]), sub)
+                vanishes = Vanishing([z_s_values([la, lb], [xa, xb], r, nodes=[na, nb])]).under(sub)[0]
                 admitted = burge_filter(la, lb, i, j)
                 yield {
                     "nodes": [na, nb], "i": i, "j": j, "a": la.parts, "b": lb.parts,
@@ -614,7 +613,7 @@ def _outcome(f):
 def test_product_vanishes_matches_specialize(case):
     lams, xs, r, nodes, sigma = case
     expected = _outcome(lambda: z_Ar_tuple(lams, xs, r, nodes).specialize(sigma).is_zero)
-    assert _outcome(lambda: product_vanishes(z_s_values(lams, xs, r, nodes), Substitution(sigma))) == expected
+    assert _outcome(lambda: Vanishing([z_s_values(lams, xs, r, nodes)]).under(Substitution(sigma))[0]) == expected
 
 
 _PIT_CANCELLING = (
@@ -681,7 +680,7 @@ def test_the_vanishing_table_stops_a_product_at_its_first_zero_or_non_factored_v
     sub = Substitution({"t": Monomial.unit()})
     assert Vanishing([[pole, Coefficient.zero(), general], [s_function(Monomial.gen("u"))]]).under(sub) == [True, False]
     for products in ([[pole, general]], [[general, Coefficient.zero()]], [[], [Coefficient.from_monomial(Q1), general]]):
-        with pytest.raises(ValidationError, match="^product_vanishes takes factored values$"):
+        with pytest.raises(ValidationError, match="^Vanishing takes factored values$"):
             Vanishing(products).under(sub)
     with pytest.raises(PoleError):  # the pole of the first product comes before the second one's ValidationError
         Vanishing([[pole], [general]]).under(sub)

@@ -9,6 +9,8 @@ from qqkit.coefficient import Coefficient, s_function
 from qqkit.errors import ValidationError
 from qqkit.monomial import MU, Monomial, Q, Q1, Q2, qfrak, xparam
 from qqkit.quiver import (
+    MAX_EDGES,
+    MAX_NODES,
     Quiver,
     QuiverClass,
     a_inverse_monomial,
@@ -149,6 +151,13 @@ def test_classical_cartan_and_classification():
     wild = Quiver(("1", "2"), {"1": 1, "2": 1},
                   (("1", "2", 0), ("1", "2", 0), ("1", "2", 0)))
     assert classify(wild)[0] is QuiverClass.INDEFINITE
+
+
+def test_the_largest_allowed_quivers_classify():
+    assert classify(builtin_quiver(f"Arhat({MAX_NODES})"))[0] is QuiverClass.AFFINE
+    nodes = tuple(str(k) for k in range(MAX_NODES))
+    twice_round = tuple((nodes[k % MAX_NODES], nodes[(k + 1) % MAX_NODES], 0) for k in range(MAX_EDGES))
+    assert classify(Quiver(nodes, dict.fromkeys(nodes, 1), twice_round))[0] is QuiverClass.INDEFINITE
 
 
 def _simple(nodes, edges, d=None):
