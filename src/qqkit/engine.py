@@ -9,8 +9,9 @@ every merge.
 
 ``expand`` takes one other route, fusion, for weights that split into two
 or more resonance classes (``resonance_classes``), on finite and affine
-quivers alike; weights of one class go through ``_bfs``.  No S-value
-between two classes is 0 or a pole, so a character is the product of its
+quivers alike, where it pays (the plan, below); weights of one class go
+through ``_bfs``.  No S-value between two classes is 0 or a pole, so a
+character is the product of its
 classes' own characters, its parts (a generic unit's part is its
 fundamental), and a cutoff does not change that (Kimura-Pestun,
 arXiv:1512.08533).  Classes of one shape, the same nodes with the same
@@ -41,17 +42,41 @@ reflect a tuple of degree D or more, as ``_bfs`` does not reflect such a
 term; no tuple past the cutoff is formed.  On a finite quiver every
 degree is 0 and nothing is cut.
 
-Errors are ``_bfs``'s: more than ``SAFETY_BOUND`` terms (the tuples within
-the cutoff, counted from the parts' degrees) raise its ``NonTermination``
-before any product is built, and two rules give every other error.
-``expand`` alone picks the route: ``_fuse`` returns None where a part or a
-pair table raises, or where the pairs of parts outnumber the tuples (their
-tables would cost more than the character, as for many units at a low
-cutoff), and ``expand`` then expands the weights by ``_bfs``.  And a part
-is shared only when entry order decides none of its reflections; order
-decides one that an S-zero kills while a pole or a zero in a denominator
-is among its companions too (``order_dependent``).  Each later class of
-such a part's shape expands its own part, so a shift never raises.
+One plan picks the route, once, at the start of ``expand`` (``_plan``).
+Fusion has a fixed cost, its parts and pair tables, so the worklist is
+faster on small inputs, and ``_fusion_pays`` judges that from the inputs
+alone, before any part is built: on an affine quiver fusion pays from
+cutoff 3 on one node and from cutoff 5 on more; on a finite quiver of r
+nodes and largest decoration d it pays once u (r + d)^u >= 50 for the u
+units.  No single count decides: A0hat w=2 and Arhat(2) (1,1) at cutoff 4
+both have 38 terms and 60 edges, yet fusion takes 0.91 of ``_bfs``'s time
+on the first and 1.16 on the second, whose units sit at two nodes and so
+meet fewer same-node companions in ``_bfs``.  Fused time over ``_bfs`` time
+(in-process, each the best of 18 batches of about 40 ms; 2-core host,
+Python 3.11), with the plan's route (b or f):
+
+    A1     w=2 2.03 b, w=3 1.28 b, w=4 0.82 f
+    A2     (1,1) 1.72 b, (2,0) 1.49 b, (3,0) 0.85 f, (2,1) 0.88 f
+    BC2    (1,1) 1.18 b, (2,0) 0.98 b, (0,2) 1.19 b, (0,3) 0.66 f, (2,1) 0.53 f, (1,2) 0.59 f
+    A0hat  w=2, cutoff 1-4: 2.34 b, 1.29 b, 1.03 f, 0.91 f
+    A0hat  w=3, cutoff 1-3: 2.20 b, 1.18 b, 0.90 f
+    A0hat  w=4, cutoff 1-3: 1.75 b, 1.18 b, 0.86 f
+    Arhat(2) (1,1), cutoff 2-6: 1.77 b, 1.31 b, 1.16 b, 1.06 f, 0.91 f
+    Arhat(3) (1,1,1), cutoff 2-5: 1.81 b, 1.25 b, 1.02 b, 0.80 f
+
+so ``expand`` is within 6 % of the faster route on each.  Where the plan
+fuses, ``_parts`` expands one part per shape and then refuses before any
+pair table: more than ``SAFETY_BOUND`` terms (the tuples within the
+cutoff, counted from the parts' degrees) raise ``_bfs``'s
+``NonTermination``, and where a part raises, or where the pairs of parts
+outnumber the tuples, ``expand`` expands the weights by ``_bfs``, so every
+error is the one ``_bfs`` reaches first.  ``_fuse`` then only builds: no
+S-value between two classes is 0 or a pole.  ``meta["route"]`` records
+the route taken, ``"bfs"`` or ``"fused"``.  And a part is shared only when
+entry order decides none of its reflections; order decides one that an
+S-zero kills while a pole or a zero in a denominator is among its
+companions too (``order_dependent``).  Each later class of such a part's
+shape expands its own part, so a shift never raises.
 
 Both routes read their S-values through one table per ``expand`` call
 (a ``Memo`` of ``s_value``): S_d(a/x)^k by (d, a, x, k), computed on
@@ -93,6 +118,7 @@ from .monomial import COUNTING, Memo, Monomial, Q, merge_runs, xparam
 from .quiver import Quiver, QuiverClass, a_inverse_monomial, classify
 
 SAFETY_BOUND = 10**6
+MAX_UNITS = 2000  # units of one weight; WeightConfig.make registers a generator name per unit
 _first = itemgetter(0)
 
 
@@ -218,6 +244,8 @@ class WeightConfig:
                 raise ValidationError(f"weight at unknown node {i!r}")
             if require_int(k, f"weight at node {i!r}") < 0:
                 raise ValidationError("weights must be nonnegative")
+        if (units := sum(w.values())) > MAX_UNITS:  # before any unit's name is registered
+            raise ValidationError(f"a weight has at most {MAX_UNITS} units, got {units}")
         for i in Q_.nodes:
             for alpha in range(1, w.get(i, 0) + 1):
                 p = params.get((i, alpha)) if params else None
@@ -357,8 +385,8 @@ def expand(
     require a counting-degree cutoff.  Indefinite quivers are rejected, and
     so is a weight parameter that carries a counting parameter qfrak(i).
     Weights of two or more resonance classes are fused from their classes'
-    characters (see the module docstring); the result is the one ``_bfs``
-    gives.
+    characters where the plan finds that fusion pays (see the module
+    docstring); the result is the one ``_bfs`` gives.
     """
     qclass, _ = classify(Q_)
     if qclass is QuiverClass.INDEFINITE:
@@ -370,11 +398,10 @@ def expand(
     if qclass is QuiverClass.FINITE:
         max_qdeg = None
     s_values, a_inverses = Memo(s_value), Memo(partial(a_inverse, Q_))
-    if len(wc.entries) > 1 and len(classes := resonance_classes(wc)) > 1:
-        fused = _fuse(Q_, wc, classes, s_values, max_qdeg, a_inverses)
-        if fused is not None:
-            return fused
-    return _bfs(Q_, wc, max_qdeg, s_values, a_inverses)
+    parts = _plan(Q_, wc, max_qdeg, s_values, a_inverses)
+    if parts is None:
+        return _bfs(Q_, wc, max_qdeg, s_values, a_inverses)
+    return _fuse(Q_, wc, parts, max_qdeg, s_values)
 
 
 def _too_many_terms() -> NonTermination:
@@ -420,7 +447,7 @@ def _bfs(Q_: Quiver, wc: WeightConfig, max_qdeg: int | None, s_values: Memo, a_i
             if len(terms) > SAFETY_BOUND:
                 raise _too_many_terms()
             work.append(child)
-    meta = {"path_checks": path_checks, "max_qdeg": max_qdeg, "class": classify(Q_)[0].value}
+    meta = {"path_checks": path_checks, "max_qdeg": max_qdeg, "class": classify(Q_)[0].value, "route": "bfs"}
     return Character(Q_, wc, terms, tuple(edges), meta=meta)
 
 
@@ -565,11 +592,36 @@ def _tuple_count(parts: list[_Fundamental], top: float) -> int:
     return sum(counts)
 
 
-def _fuse(
-    Q_: Quiver, wc: WeightConfig, classes: list[list], s_values: Memo, max_qdeg: int | None, a_inverses: Memo
-) -> Character | None:
-    """The character of weights of two or more resonance ``classes``, from their parts, to the cutoff
-    ``max_qdeg``; None where ``_bfs`` is to expand the weights instead."""
+def _plan(
+    Q_: Quiver, wc: WeightConfig, max_qdeg: int | None, s_values: Memo, a_inverses: Memo
+) -> list[_Fundamental] | None:
+    """The route of one expansion: the parts to fuse, or None where ``_bfs`` is to expand the weights."""
+    classes = resonance_classes(wc)
+    if len(classes) < 2 or not _fusion_pays(Q_, classes, max_qdeg):
+        return None
+    return _parts(Q_, classes, max_qdeg, s_values, a_inverses)
+
+
+def _fusion_pays(Q_: Quiver, classes: list[list], max_qdeg: int | None) -> bool:
+    """Whether fusing ``classes`` beats ``_bfs``, judged from the inputs alone, before any part is built.
+
+    On an affine quiver fusion pays from cutoff 3 on a quiver of one node (A0hat), from cutoff 5 on
+    more nodes.  On a finite quiver of r nodes and largest decoration d it pays once
+    u * (r + d)^u >= 50 for the u units: (r + d)^u is a low estimate of the terms, and each term
+    costs ``_bfs`` about u reflections.  The module docstring gives the measurements.
+    """
+    if max_qdeg is not None:
+        return max_qdeg >= (3 if len(Q_.nodes) == 1 else 5)
+    units = sum(map(len, classes))
+    return units * (len(Q_.nodes) + max(Q_.d.values())) ** units >= 50
+
+
+def _parts(
+    Q_: Quiver, classes: list[list], max_qdeg: int | None, s_values: Memo, a_inverses: Memo
+) -> list[_Fundamental] | None:
+    """The parts of the resonance ``classes`` to the cutoff ``max_qdeg``, one expansion per shape, or
+    None where a part raises or the pairs of parts outnumber the tuples; more than ``SAFETY_BOUND``
+    tuples raise ``_bfs``'s ``NonTermination``.  No pair table is built."""
     shapes: dict[tuple, tuple[Monomial, _Fundamental]] = {}  # a class's shape: its units' nodes and ratios to its first
     parts = []
     for cls in classes:
@@ -585,17 +637,24 @@ def _fuse(
             return None
         if not parts[-1].order_dependent:
             shapes[shape] = p, parts[-1]
-    top = inf if max_qdeg is None else max(max_qdeg, 0)  # the highest weight is kept at any cutoff
-    count = _tuple_count(parts, top)
+    count = _tuple_count(parts, _top(max_qdeg))
     if count > SAFETY_BOUND:
         raise _too_many_terms()
     n = len(parts)
     if n * (n - 1) // 2 > count:  # more pair tables than terms: the worklist costs less
         return None
-    try:
-        pairs = {(j, k): _pair_factors(Q_, parts[j], parts[k], top, s_values) for k in range(n) for j in range(k)}
-    except QQError:
-        return None
+    return parts
+
+
+def _top(max_qdeg: int | None) -> float:
+    """The highest degree a tuple may have: the cutoff, but the highest weight is kept at any cutoff."""
+    return inf if max_qdeg is None else max(max_qdeg, 0)
+
+
+def _fuse(Q_: Quiver, wc: WeightConfig, parts: list[_Fundamental], max_qdeg: int | None, s_values: Memo) -> Character:
+    """The character of weights of two or more resonance classes, from their ``parts``, to the cutoff ``max_qdeg``."""
+    top, n = _top(max_qdeg), len(parts)
+    pairs = {(j, k): _pair_factors(Q_, parts[j], parts[k], top, s_values) for k in range(n) for j in range(k)}
     path_checks = sum(len(row) for p in pairs.values() for row in p)  # one per pair of terms
 
     def part(t: tuple[int, ...]) -> Coefficient:
@@ -643,7 +702,7 @@ def _fuse(
                 terms[child_ym] = coefficient(child)
                 work.append((child, deg + parts[k].degree[b] - parts[k].degree[t[k]]))
             edges.append((ym, child_ym, entry))
-    meta = {"path_checks": path_checks, "max_qdeg": max_qdeg, "class": classify(Q_)[0].value}
+    meta = {"path_checks": path_checks, "max_qdeg": max_qdeg, "class": classify(Q_)[0].value, "route": "fused"}
     return Character(Q_, wc, terms, tuple(edges), meta=meta)
 
 

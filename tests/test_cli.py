@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from qqkit import cli, errors, verify
+from qqkit import cli, errors, monomial, verify
 from qqkit.cli import main
+from qqkit.engine import MAX_UNITS
 from qqkit.job import Job
 from qqkit.quiver import MAX_EDGES, MAX_NODES
 from qqkit.render import json_document
@@ -369,6 +370,24 @@ def test_an_oversized_quiver_exits_2_at_once(name, command, capsys):
     code, out, stderr = run_cli([command, "--quiver", quiver, "--w", '{"0": 1}', "--max-deg", "1"], capsys)
     assert time.perf_counter() - start < 1
     assert (code, out, stderr) == (2, "", f"validation error: {err}\n")
+
+
+@pytest.mark.parametrize(
+    "command, quiver, w",
+    [
+        ("expand", "A1", {"1": 20000}),
+        ("expand", "A2", {"1": MAX_UNITS // 2, "2": MAX_UNITS // 2 + 1}),
+        ("affine-expand", "A0hat", {"0": MAX_UNITS + 1}),
+    ],
+)
+def test_a_weight_of_too_many_units_exits_2_at_once(command, quiver, w, capsys):
+    """A weight's units are counted before the name of any unit is registered."""
+    names = len(monomial._KEYS)
+    start = time.perf_counter()
+    code, out, err = run_cli([command, "--quiver", quiver, "--w", json.dumps(w), "--max-deg", "0"], capsys)
+    assert time.perf_counter() - start < 1 and len(monomial._KEYS) == names
+    expected = f"validation error: a weight has at most {MAX_UNITS} units, got {sum(w.values())}\n"
+    assert (code, out, err) == (2, "", expected)
 
 
 def test_mass_on_a_long_acyclic_path_exits_2(tmp_path, capsys):

@@ -24,6 +24,7 @@ from qqkit.engine import (
     s_value,
     _bfs,
     _Fundamental,
+    _parts,
 )
 from qqkit.errors import CollidingArguments, NonTermination, PoleError, QQError, ValidationError
 from qqkit.higgsing import _ladder_steps, kr_params
@@ -629,12 +630,17 @@ def test_fused_expansion_is_the_breadth_first_one(case):
     so a term's degree is its depth and a tuple's is the sum of its parts'.  The tuples that
     ``_bfs`` reaches below the cutoff are then those of parts below it, and the walk stops
     where ``_bfs`` stops: at a tuple of the cutoff's degree.
+
+    The fused route is taken on every case, also where ``expand``'s plan would send the weights
+    to ``_bfs`` before any part is built.
     """
     Q_, wc = _weights(*case[:3])
     cutoff = case[3] if len(case) > 3 else None
     classes = [tuple(cls) for cls in resonance_classes(wc)]
     assert len(classes) >= 2
-    with mock.patch.object(qqkit.engine, "_bfs", wraps=_bfs) as bfs:
+    with mock.patch.object(qqkit.engine, "_fusion_pays", return_value=True), mock.patch.object(
+        qqkit.engine, "_bfs", wraps=_bfs
+    ) as bfs:
         fused = _result(lambda: expand(Q_, wc, cutoff))
     assert fused == _result(lambda: _bfs(Q_, wc, cutoff, Memo(s_value), Memo(partial(a_inverse, Q_))))
     if isinstance(fused[0], list):  # one expansion per shape of class (per class where the shape's
@@ -676,20 +682,28 @@ def test_affine_fused_expansion_refuses_too_many_terms_before_any_product(monkey
     monkeypatch.setattr(qqkit.engine, "_pair_factors", lambda *args: pair_factors.append(args) or real_pair_factors(*args))
     Q_ = builtin_quiver("Arhat(3)")
     wc = WeightConfig.make(Q_, {"0": 1, "1": 1, "2": 1})
-    # each unit's terms to degree 4 number 1, 1, 2, 3 and 5 by degree; the triples of total degree <= 4 number 86
-    monkeypatch.setattr(qqkit.engine, "SAFETY_BOUND", 85)
-    with pytest.raises(NonTermination, match=r"^expansion exceeded 85 terms$"):
-        expand(Q_, wc, max_qdeg=4)
+    # each unit's terms to degree 5 number 1, 1, 2, 3, 5 and 7 by degree; the triples of total degree <= 5 number 194
+    monkeypatch.setattr(qqkit.engine, "SAFETY_BOUND", 193)
+    with pytest.raises(NonTermination, match=r"^expansion exceeded 193 terms$"):
+        expand(Q_, wc, max_qdeg=5)
     assert (calls, pair_factors) == ([1, 1, 1], [])  # one expansion per unit, and no pair factor
     calls.clear()
-    monkeypatch.setattr(qqkit.engine, "SAFETY_BOUND", 86)
-    assert len(expand(Q_, wc, max_qdeg=4).terms) == 86
+    monkeypatch.setattr(qqkit.engine, "SAFETY_BOUND", 194)
+    assert len(expand(Q_, wc, max_qdeg=5).terms) == 194
     assert calls == [1, 1, 1] and len(pair_factors) == 3
 
 
 @pytest.mark.parametrize(
     "case, err, expanded",
     [
+        # small weights that the plan sends to ``_bfs`` before any part: a repeated argument, a
+        # pole inside a class of A1, and a class across nodes of Arhat(2) that hits a pole below
+        # the cutoff 3
+        (("A1", {"1": 3}, {"1,2": "x(1,1)"}), "Y[1,x(1,1)]^2 requires the derivative prescription", 0),
+        (("A1", {"1": 3}, {"1,2": "x(1,1)*q1*q2"}), "S_1 pole at argument q1*q2 while reflecting Y[1,x(1,1)]", 0),
+        (("Arhat(2)", {"0": 2, "1": 1}, {"0,2": "x(0,1)*q3^2"}, 3),
+         "S_1 pole at argument q1*q2 while reflecting Y[1,mu*x(0,1)]", 0),
+        # weights that the plan fuses: the classes expand their parts until one raises
         (("C3", {"2": 3, "3": 1}, {"2,2": "x(2,1)*q1", "2,3": "x(2,1)*q1^2"}),
          "Y[2,q1^3*q2*x(2,1)]^2 requires the derivative prescription", 1),
         (("A2", {"1": 2, "2": 2}, {"2,1": "x(1,1)*q1*q2", "2,2": "x(1,2)*q1"}),
@@ -705,14 +719,18 @@ def test_affine_fused_expansion_refuses_too_many_terms_before_any_product(monkey
         (("C3", {"2": 4}, {"2,2": "x(2,1)*q2", "2,3": "x(2,3)*q1^-1*q2^-1", "2,4": "x(2,3)*q1^-1"}),
          "S_1 pole at argument q1*q2 while reflecting Y[2,x(2,3)]", 2),
     ],
-    ids=["C3-q1-ladder", "A2-cross-node", "A0hat-pole", "A0hat-two-poles", "C3-shift-meets-a-pole"],
+    ids=[
+        "A1-repeated-argument", "A1-pole", "Arhat2-pole",
+        "C3-q1-ladder", "A2-cross-node", "A0hat-pole", "A0hat-two-poles", "C3-shift-meets-a-pole",
+    ],
 )
 def test_a_class_part_that_raises_gives_the_breadth_first_error(case, err, expanded):
     Q_, wc = _weights(*case[:3])
     with mock.patch.object(qqkit.engine, "_bfs", wraps=_bfs) as bfs, pytest.raises(CollidingArguments) as exc:
         expand(Q_, wc, *case[3:])
     assert str(exc.value) == err
-    # the classes expand their parts until one raises, and the fallback expands all the units
+    # the classes expand their parts until one raises (none where the plan picks ``_bfs``), and
+    # the fallback expands all the units
     classes = [tuple(cls) for cls in resonance_classes(wc)[:expanded]]
     assert [call.args[1].entries for call in bfs.call_args_list] == classes + [wc.entries]
 
@@ -823,18 +841,55 @@ def test_more_pairs_of_classes_than_terms_take_the_worklist(units, cutoff, n_ter
     wc = WeightConfig.make(A0, {"0": units})
     with mock.patch.object(qqkit.engine, "_pair_factors") as pair_factors:
         ch = expand(A0, wc, max_qdeg=cutoff)
-    assert not pair_factors.called and len(ch.terms) == n_terms
+    assert not pair_factors.called and len(ch.terms) == n_terms and ch.meta["route"] == "bfs"
     assert _result(lambda: ch) == _result(lambda: _bfs(A0, wc, cutoff, Memo(s_value), Memo(partial(a_inverse, A0))))
+    # the plan sends such weights to ``_bfs`` before any part; past it, the parts refuse them too
+    classes = resonance_classes(wc)
+    assert _parts(A0, classes, cutoff, Memo(s_value), Memo(partial(a_inverse, A0))) is None
 
 
 def test_fused_expansion_counts_its_pair_checks():
     ch = expand(BC2, WeightConfig.make(BC2, {"1": 2, "2": 1}))
     # one comparison per pair of units and pair of their terms: 5 * 5 + 2 * (5 * 4)
-    assert ch.meta == {"path_checks": 65, "max_qdeg": None, "class": "finite"}
+    assert ch.meta == {"path_checks": 65, "max_qdeg": None, "class": "finite", "route": "fused"}
     Q_ = builtin_quiver("Arhat(3)")
-    ch = expand(Q_, WeightConfig.make(Q_, {"0": 1, "1": 1, "2": 1}), max_qdeg=4)
-    # one comparison per pair of units and pair of their terms of total degree <= 4: 3 * 38
-    assert ch.meta == {"path_checks": 114, "max_qdeg": 4, "class": "affine"}
+    ch = expand(Q_, WeightConfig.make(Q_, {"0": 1, "1": 1, "2": 1}), max_qdeg=5)
+    # one comparison per pair of units and pair of their terms of total degree <= 5: 3 * 74
+    assert ch.meta == {"path_checks": 222, "max_qdeg": 5, "class": "affine", "route": "fused"}
+    # below the plan's cutoff the worklist counts its merges: 54 edges into 35 terms, 20 of them
+    # into a term reached before
+    ch = expand(Q_, WeightConfig.make(Q_, {"0": 1, "1": 1, "2": 1}), max_qdeg=3)
+    assert (len(ch.terms), len(ch.edges)) == (35, 54)
+    assert ch.meta == {"path_checks": 20, "max_qdeg": 3, "class": "affine", "route": "bfs"}
+
+
+# the inputs whose fused and ``_bfs`` times set the plan's rule (module docstring), each with the
+# route ``expand`` takes: (quiver, weight, cutoff, route)
+ROUTE_TABLE = (
+    [("A1", {"1": w}, None, "bfs" if w <= 3 else "fused") for w in (2, 3, 4)]
+    + [("A2", {"1": a, "2": b}, None, "bfs" if a + b == 2 else "fused") for a, b in [(1, 1), (2, 0), (3, 0), (2, 1)]]
+    + [("BC2", {"1": a, "2": b}, None, "bfs" if a + b == 2 else "fused") for a, b in [(1, 1), (2, 0), (0, 2), (0, 3), (2, 1), (1, 2)]]
+    + [("A0hat", {"0": 2}, c, "bfs" if c <= 2 else "fused") for c in (1, 2, 3, 4)]
+    + [("A0hat", {"0": w}, c, "bfs" if c <= 2 else "fused") for w in (3, 4) for c in (1, 2, 3)]
+    + [("Arhat(2)", {"0": 1, "1": 1}, c, "bfs" if c <= 4 else "fused") for c in (2, 3, 4, 5, 6)]
+    + [("Arhat(3)", {"0": 1, "1": 1, "2": 1}, c, "bfs" if c <= 4 else "fused") for c in (2, 3, 4, 5)]
+)
+
+
+@pytest.mark.parametrize(
+    "name, w, cutoff, route", ROUTE_TABLE, ids=[f"{q}-{'-'.join(map(str, w.values()))}-{c}" for q, w, c, _ in ROUTE_TABLE]
+)
+def test_the_plan_picks_each_route_of_the_table(name, w, cutoff, route):
+    Q_ = _quiver_named(name)
+    wc = WeightConfig.make(Q_, w)
+    ch = expand(Q_, wc, cutoff)
+    assert ch.meta["route"] == route
+    with mock.patch.object(qqkit.engine, "_fusion_pays", return_value=True):
+        fused = expand(Q_, wc, cutoff)
+    n = len(resonance_classes(wc))  # fusion itself refuses where the pairs of parts outnumber the terms
+    assert fused.meta["route"] == ("bfs" if n * (n - 1) // 2 > len(ch.terms) else "fused")
+    bfs = _bfs(Q_, wc, cutoff, Memo(s_value), Memo(partial(a_inverse, Q_)))
+    assert _result(lambda: ch) == _result(lambda: fused) == _result(lambda: bfs)
 
 
 @pytest.mark.parametrize("Q_, w", [(A0, {"0": 2}), (A1, {"1": 2})], ids=["A0hat", "A1"])
