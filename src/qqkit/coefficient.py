@@ -34,7 +34,9 @@ former ``product_vanishes``.  Both read sigma through a ``Substitution``: it
 runs sigma's image check once and keeps the image of each monomial looked
 up in it.  Y-arguments, weights and edge labels read it too, so a call that
 applies one sigma to a character substitutes each monomial once, with no
-global cache.
+global cache.  ``oriented_images`` keeps each argument's image oriented as
+well, so ``integer_under`` reads a classical limit's integer from summed
+powers without building the substituted value.
 """
 
 from __future__ import annotations
@@ -204,6 +206,21 @@ class Substitution(Memo):
                 raise ValidationError(f"substitution image of {g} reuses substituted generators")
         super().__init__(methodcaller("substitute", sigma))
         self.sigma = sigma
+
+
+def oriented_images(sub: Substitution) -> Memo:
+    """A table of each argument's image under ``sub``, canonically oriented.
+
+    ``table[a]`` is None when ``sub[a]`` is 1, and else ``(c, flipped, a2)``
+    for the image ``a2`` and ``(c, flipped) = _orient(a2)``.  Values that share
+    one table orient each distinct argument's image once.
+    """
+
+    def image(a: Monomial):
+        a2 = sub[a]
+        return None if a2.is_unit else _orient(a2) + (a2,)
+
+    return Memo(image)
 
 
 class Vanishing:
@@ -385,6 +402,43 @@ class Coefficient:
         if self.kind == "factored" and self.unit.is_unit and not self.powers:
             return self.integer
         raise NonIntegerLimit(f"coefficient is not an integer: {self!r}")
+
+    def integer_under(self, sub: Substitution, images: Mapping[Monomial, tuple | None]) -> int:
+        """``self.substitute(sub).as_integer()``, without building the substituted value.
+
+        ``images`` is ``oriented_images(sub)``.  A factored value sums its
+        degenerate powers, decided as ``substitute`` decides them, and the
+        powers of its surviving images by oriented argument; it is an integer
+        when those all cancel and the flips leave a unit of 1.  Otherwise the
+        substituted value is built, for the error that names it.
+        """
+        if self.kind != "factored":
+            return self.substitute(sub).as_integer()
+        degenerate, survivors, flips = [], {}, []
+        for a, p in self.powers.items():
+            image = images[a]
+            if image is None:
+                degenerate.append((a, p))
+                continue
+            c, flipped, a2 = image
+            survivors[c] = survivors.get(c, 0) + p
+            if flipped:
+                flips.append((a2, p))
+        n = self.integer
+        if degenerate:
+            n = _degenerate_integer(sub.sigma, degenerate, n)
+            if n is None:
+                return 0
+        if not any(survivors.values()):
+            # one constructor call, so the monomial table gains the unit alone, not each partial product
+            pairs = list(sub[self.unit].exps)
+            for a2, p in flips:  # (1 - a2)^p = (-a2)^p (1 - 1/a2)^p
+                pairs += [(g, e * p) for g, e in a2.exps]
+                if p % 2:
+                    n = -n
+            if Monomial(tuple(pairs)).is_unit:
+                return n
+        return self.substitute(sub).as_integer()
 
     # -- ring operations -----------------------------------------------------
 

@@ -4,25 +4,35 @@ A monomial is a finite map generator-name -> nonzero integer exponent,
 stored packed as the integer sum of e_g * 2^(64 k_g): the first sight of a
 name gives it the next index k_g, and each exponent is one balanced 64-bit
 digit.  So a product is an integer sum, a quotient a difference and a power
-a multiple, and hash and equality are the integer's.  An exponent must lie
-in -2^63 < e < 2^63, or its digit would carry into the next: the
-constructor (and so ``parse_monomial`` and ``from_json``) checks each one,
-and each monomial keeps a bound on its |e| that products add up and powers
-multiply; a result whose bound reaches 2^63 is built by the constructor,
-which raises a ValidationError when an exponent really crosses.  The
-integer is as long as the highest index among its generators, so its size
-grows with the number of distinct names the process has seen.
+a multiple.  An exponent must lie in -2^63 < e < 2^63, or its digit would
+carry into the next: the constructor (and so ``parse_monomial`` and
+``from_json``) checks each one, and each monomial keeps a bound on its |e|
+that products add up and powers multiply; a result whose bound reaches 2^63
+is built by the constructor, which raises a ValidationError when an
+exponent really crosses.  The integer is as long as the highest index among
+its generators, so its size grows with the number of distinct names the
+process has seen.
+
+There is one object per value.  A table that lives as long as the process,
+like the generator registry, maps each packed integer to its monomial, and
+every way of making one (the constructor, ``gen``, ``parse_monomial``,
+``from_json``, products, powers, inverses and substitutions) returns the
+stored object, so the tables keyed by monomials find their keys by
+identity.  Hash and equality stay the integer's: set order does not depend
+on addresses, and a duplicate made by threads racing on one new value still
+equals the stored one.  A copy is the object itself, and a pickle holds the
+generator names, since another process numbers them its own way.
 
 The canonical key, one (generator key, exponent) pair per generator in
-canonical order, is decoded on first read.  A generator key is (kind,
-node, label, name), and its kind is the one rule for what a generator is.
-In canonical order, the kinds are q1 < q2 < mu (the deformation parameters
-and the mass) < COUNTING (the counting parameters "qfrak(i)") < WEIGHT (the
-weight parameters "x(i,a)") < OTHER (any other name, such as "a" and "b" of
-the pit resonance substitution, or a bare "qfrak").  Within a kind, qfrak
-and x parameters sort by node and then by integer label, and the name
-itself breaks every remaining tie, so the order is total.  It fixes
-printing and the orientation of binomial factors.
+canonical order, is decoded on first read, once per value.  A generator key
+is (kind, node, label, name), and its kind is the one rule for what a
+generator is.  In canonical order, the kinds are q1 < q2 < mu (the
+deformation parameters and the mass) < COUNTING (the counting parameters
+"qfrak(i)") < WEIGHT (the weight parameters "x(i,a)") < OTHER (any other
+name, such as "a" and "b" of the pit resonance substitution, or a bare
+"qfrak").  Within a kind, qfrak and x parameters sort by node and then by
+integer label, and the name itself breaks every remaining tie, so the order
+is total.  It fixes printing and the orientation of binomial factors.
 """
 
 from __future__ import annotations
@@ -160,18 +170,21 @@ def _decode(n: int) -> tuple:
     return tuple(pairs)
 
 
-# Each (generator key, exponent) pair and each canonical key is made once per
-# process and shared: by the keys that hold the pair, and by the monomials of
-# the key's value.
+# Each (generator key, exponent) pair is made once per process and shared by
+# the canonical keys that hold it.
 _PAIRS = Memo(lambda ke: (_KEYS[ke[0]], ke[1]))
-_DECODED = Memo(_decode)
+_INTERNED: dict[int, "Monomial"] = {}  # the packed integer -> its one monomial
 
 
 def _packed(n: int, b: int) -> "Monomial":
-    m = _new(Monomial)
-    m._n = n
-    m._b = b
-    m._hash = hash(n)
+    """The monomial of the packed integer ``n``, made on first sight; ``b`` bounds its |exponents|."""
+    m = _INTERNED.get(n)
+    if m is None:
+        m = _new(Monomial)
+        m._n = n
+        m._b = b
+        m._hash = hash(n)
+        m = _INTERNED.setdefault(n, m)  # atomic: threads making one value all take the first object
     return m
 
 
@@ -182,7 +195,7 @@ class Monomial:
     # _key: the canonical key, set on first read
     __slots__ = ("_n", "_b", "_hash", "_key")
 
-    def __init__(self, exps: Mapping[str, int] | Iterable[tuple[str, int]] = ()):
+    def __new__(cls, exps: Mapping[str, int] | Iterable[tuple[str, int]] = ()):
         if type(exps) is not tuple:
             exps = tuple(exps.items() if isinstance(exps, Mapping) else exps)
         merged: dict[str, int] = {}
@@ -196,9 +209,16 @@ class Monomial:
                     raise ValidationError(f"exponent of {g} is outside the bound |e| < 2^63")
                 n += e << _SHIFT[g]
                 b = max(b, abs(e))
-        self._n = n
-        self._b = b
-        self._hash = hash(n)
+        return _packed(n, b)
+
+    def __reduce__(self):
+        return Monomial, (self.exps,)
+
+    def __copy__(self) -> "Monomial":
+        return self
+
+    def __deepcopy__(self, memo) -> "Monomial":
+        return self
 
     @staticmethod
     def unit() -> "Monomial":
@@ -274,7 +294,7 @@ class Monomial:
         try:
             return self._key
         except AttributeError:
-            self._key = key = _DECODED[self._n]
+            self._key = key = _decode(self._n)
             return key
 
     def __eq__(self, other) -> bool:

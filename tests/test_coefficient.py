@@ -2,11 +2,12 @@ import json
 import random
 from itertools import permutations
 from math import comb
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qqkit.coefficient import Coefficient, Substitution, _orient, _pol_mul, _pol_pow_binomial, s_function, s_product, s_r
+from qqkit.coefficient import Coefficient, Substitution, _orient, _pol_mul, _pol_pow_binomial, oriented_images, s_function, s_product, s_r
 from qqkit.errors import NonIntegerLimit, PoleError, QQError, ValidationError
 from qqkit.monomial import MU, Monomial, Q, Q1, Q2, xparam
 from qqkit.render import coeff_latex
@@ -675,6 +676,62 @@ def test_a_shared_substitution_answers_as_a_fresh_one_per_value(specs, sigma):
     else:
         shared = [_outcome(lambda: v.substitute(sub)) for v in values]
     assert shared == fresh
+
+
+# -- integer limits read from oriented images ---------------------------------------
+#
+# A pair (1 - b t^i)^p (1 - (b t^j)^s)^-p of factors meets one image under t -> 1,
+# in one orientation or in both; a balanced unit cancels the b^p a flipped one
+# leaves, so many drawn values have an integer limit.  Powers of t degenerate, and
+# a lone factor or an added term usually leaves a value that is not an integer.
+_LIMIT_BASES = [Q1, Q2, Q1 * Q2, xparam("1", 1), xparam("1", 1) ** -1 * Q2, xparam("1", 2) * Q1**-1]
+_small = st.integers(min_value=-2, max_value=2)
+
+
+@st.composite
+def limit_values(draw, which):
+    t = Monomial.gen(which)
+    unit = t ** draw(_small)
+    balanced = draw(st.integers(min_value=0, max_value=3)) > 0
+    factors = []
+    pairs = st.tuples(st.sampled_from(_LIMIT_BASES), _small, _small, st.sampled_from([1, -1]), _small.filter(bool))
+    for b, i, j, s, p in draw(st.lists(pairs, max_size=3)):
+        factors += [(b * t**i, p), ((b * t**j) ** s, -p)]
+        if s < 0 and balanced:
+            unit = unit * b**-p
+    factors += [(t**k, p) for k, p in draw(st.lists(st.tuples(_small.filter(bool), _small.filter(bool)), max_size=1))]
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        factors.append((draw(st.sampled_from(_LIMIT_BASES)), 1))
+    c = Coefficient.factored(draw(st.sampled_from([1, -1, 2, 3])), unit, [(a, p) for a, p in factors if not a.is_unit])
+    if draw(st.integers(min_value=0, max_value=5)) == 0:
+        c = c + Coefficient.from_monomial(t ** draw(_small))
+    return c
+
+
+def _integer_outcome(compute):
+    try:
+        return compute()
+    except QQError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["q1", "q2"]).flatmap(lambda which: st.tuples(st.just(which), st.lists(limit_values(which), max_size=6))))
+@example(("q1", [s_function(Q1**-1), s_function(Q1**-1) * s_function(Q1**-2) * s_function(Q1**-2), s_function(Q1**-2), Coefficient.zero()]))
+@example(("q1", [Coefficient.factored(1, xparam("1", 1) ** -1, [(xparam("1", 1) * Q1, 1), (xparam("1", 1) ** -1, -1)])]))
+def test_integer_under_answers_as_the_substituted_value(case):
+    """One table of oriented images, shared by several values, gives each value's
+    limit, error class and error text as its substituted value does."""
+    which, values = case
+    sub = Substitution({which: Monomial.unit()})
+    images = oriented_images(sub)
+    expected = [_integer_outcome(lambda: v.substitute(Substitution(sub.sigma)).as_integer()) for v in values]
+    with patch.object(Coefficient, "substitute", autospec=True, side_effect=Coefficient.substitute) as built:
+        shared = [_integer_outcome(lambda: v.integer_under(sub, images)) for v in values]
+    assert shared == expected
+    # a factored value is substituted only for the error that prints it
+    substituted = {id(call.args[0]) for call in built.call_args_list}
+    assert all(v.kind == "general" or not isinstance(out, int) for v, out in zip(values, expected) if id(v) in substituted)
 
 
 # colinear arguments a, a^2, a^3 (in both orientations), and two off the line

@@ -1,6 +1,8 @@
+import copy
 import itertools
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -317,6 +319,57 @@ def test_packed_arithmetic_does_not_depend_on_registration_order(data):
         assert repr(m) == text
         assert list(m.to_json().items()) == pairs
         assert all(m.exponent(g) == d.get(g, 0) for g in gens)
+
+
+# -- one object per value -----------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(exponent_maps, exponent_maps, st.integers(min_value=-3, max_value=3), st.sampled_from(PRODUCT_GENS))
+def test_every_construction_path_returns_the_one_object_of_its_value(da, db, k, g):
+    m, b = Monomial(da), Monomial(db)
+    assert Monomial(tuple(da.items())) is m
+    assert Monomial(dict(reversed(list(da.items())))) is m
+    assert parse_monomial(repr(m)) is m
+    assert Monomial.from_json(m.to_json()) is m
+    assert m * b / b is m
+    assert (m**k) ** -1 is m.inverse() ** k
+    assert m.inverse().inverse() is m
+    assert Monomial.gen(g, k) is Monomial({g: k})
+    assert m.substitute({g: b}) is Monomial(tuple((h, f * e) for x, e in m.exps for h, f in (b.exps if x == g else ((x, 1),))))
+    # a bound that reaches 2^63 takes the slow constructor; its exponents stay in range
+    top = Monomial.gen("q1", BOUND // 2) * Monomial.gen("q2", BOUND // 2)
+    assert (top * m) * top.inverse() is m
+
+
+def test_copies_are_the_object_itself():
+    m = xparam("1", 1) * Q1
+    assert copy.copy(m) is m and copy.deepcopy(m) is m
+    assert copy.deepcopy({m: [m]})[m][0] is m
+    assert Monomial.unit().is_unit and repr(Monomial.unit()) == "1"
+    assert pickle.loads(pickle.dumps(m)) is m
+    assert pickle.loads(pickle.dumps(Monomial.unit())) is Monomial.unit()
+
+
+UNPICKLE = """
+import pickle, sys
+from qqkit.monomial import Monomial
+data, a, b = sys.argv[1:]
+Monomial.gen("zz")
+m = pickle.loads(bytes.fromhex(data))
+print(repr(m), m.exponent(b), m is Monomial({a: -2, b: 1}))
+"""
+
+
+def test_a_pickle_loads_by_generator_name_in_another_process():
+    """The loading process registers its generators in another order, so their digits differ."""
+    names = _fresh_names(2)
+    a, b = (Monomial.gen(g) for g in names)
+    data = pickle.dumps(b * a**-2).hex()
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    proc = subprocess.run([sys.executable, "-c", UNPICKLE, data, *names], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == f"{b * a**-2!r} 1 True\n"
 
 
 # Generator names that one corpus run registers, replayed in reverse order by a fresh
