@@ -3,12 +3,21 @@
 The CLI subcommands, ``qqkit run`` and the corpus fixtures all describe a
 computation as a job dict.  ``Job.parse`` reads its pipeline keys and turns
 every type or shape error into a ValidationError; ``Job.run`` computes.
+
+Every character a job or a fixture builds comes from ``expansion``.  Inside
+a ``shared_expansions()`` block, which ``verify.run_corpus`` opens for one
+run, each distinct (quiver, weights, cutoff) is expanded once and the later
+requests get the same ``Character``; outside one, every call expands afresh.
+Sharing is safe because nothing in qqkit mutates a character's ``terms``,
+``edges`` or ``meta`` (``higgs`` copies ``meta``).
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -23,6 +32,36 @@ COMMANDS = ("expand", "higgs", "limit", "hasse", "affine-expand")
 FORMATS = ("json", "latex", "dot", "text")
 # the fields of a job file: the pipeline keys that Job.parse reads, and the output file "out"
 JOB_FIELDS = ("quiver", "w", "params", "higgs", "limit", "max_deg", "command", "format", "out")
+
+
+# the open run's table of expansions, (quiver fields, weights, cutoff) -> Character; None outside a run
+_EXPANSIONS: ContextVar[dict | None] = ContextVar("qqkit_expansions", default=None)
+
+
+@contextmanager
+def shared_expansions():
+    """Within the block, ``expansion`` builds each distinct character once; the table goes when the block ends."""
+    token = _EXPANSIONS.set({})
+    try:
+        yield
+    finally:
+        _EXPANSIONS.reset(token)
+
+
+def expansion(Q_: Quiver, wc: WeightConfig, max_qdeg: int | None = None) -> Character:
+    """``expand(Q_, wc, max_qdeg)``, read from the open table of expansions if there is one.
+
+    ``Quiver`` is not hashable (``d`` is a dict), so the key spells out its
+    fields.  An expansion that raises stores nothing, so every request for it
+    raises the same error.
+    """
+    table = _EXPANSIONS.get()
+    if table is None:
+        return expand(Q_, wc, max_qdeg=max_qdeg)
+    key = (Q_.name, Q_.nodes, tuple(Q_.d[i] for i in Q_.nodes), Q_.edges, wc, max_qdeg)
+    if key not in table:
+        table[key] = expand(Q_, wc, max_qdeg=max_qdeg)
+    return table[key]
 
 
 def read_json(path):
@@ -153,11 +192,11 @@ class Job:
 
     def _character(self) -> Character:
         if not self.higgs:
-            return expand(self.quiver, self.weights, max_qdeg=self.max_deg)
+            return expansion(self.quiver, self.weights, self.max_deg)
         folded = fold_weights(self.quiver, self.weights, self.higgs)
         if folded is not None:
             try:
-                return expand(self.quiver, folded, max_qdeg=self.max_deg)
+                return expansion(self.quiver, folded, self.max_deg)
             except QQError:
                 pass
-        return higgs(expand(self.quiver, self.weights, max_qdeg=self.max_deg), self.higgs)
+        return higgs(expansion(self.quiver, self.weights, self.max_deg), self.higgs)

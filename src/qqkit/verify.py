@@ -3,6 +3,11 @@
 Fixtures are JSON transcriptions of displayed characters and identities.
 Each entry gets a status: pass, fail, or flag (a known misprint in the
 source text that the engine deliberately corrects).
+
+``run_corpus`` replays the fixtures inside one ``job.shared_expansions()``
+block, so each distinct (quiver, weights, cutoff) is expanded once per run,
+and a fixture's seconds exclude any expansion an earlier fixture of the run
+made.  ``run_fixture`` called alone expands afresh.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from itertools import product
 from pathlib import Path
 
 from .coefficient import Coefficient, Substitution, Vanishing, s_r
-from .engine import WeightConfig, YMonomial, closed_form_A1, expand
+from .engine import WeightConfig, YMonomial, closed_form_A1
 from .errors import ValidationError, require_int
 from .higgsing import (
     ClassicalCharacter,
@@ -23,7 +28,7 @@ from .higgsing import (
     kr_closed_form_A1,
     kr_sigma,
 )
-from .job import Job, read_json
+from .job import Job, expansion, read_json, shared_expansions
 from .monomial import Q1, Q2, Memo, Monomial, parse_monomial
 from .partitions import (
     burge_filter,
@@ -175,7 +180,7 @@ def _check_hasse(fx: dict):
 def _check_dropped(fx: dict):
     names = _names_map(fx)
     job = Job.parse(fx, names)  # only the generic path records the dropped terms
-    dropped = higgs(expand(job.quiver, job.weights, max_qdeg=job.max_deg), job.higgs).meta["dropped"]
+    dropped = higgs(expansion(job.quiver, job.weights, job.max_deg), job.higgs).meta["dropped"]
     if len(dropped) != fx["expected_dropped"]:
         return "fail", f"expected {fx['expected_dropped']} dropped terms, got {len(dropped)}"
     relabel = Substitution({g: parse_monomial(m, names) for g, m in fx["relabel"].items()})
@@ -199,14 +204,14 @@ def _check_kr_ladder(fx: dict):
     from math import comb
 
     Q_ = builtin_quiver("A1")
+    fund = classical_limit(kr_closed_form_A1(1), "q1")
     for w in range(fx["w_max"] + 1):
-        hg = higgs(expand(Q_, WeightConfig.make(Q_, {"1": w})), kr_sigma(Q_, "1", w, 1))
+        hg = higgs(expansion(Q_, WeightConfig.make(Q_, {"1": w})), kr_sigma(Q_, "1", w, 1))
         if len(hg.terms) != w + 1 or not hg.equals(kr_closed_form_A1(w)):
             return "fail", f"w={w}: ladder character mismatch"
         l1 = classical_limit(hg, "q1")
         if sorted(l1.terms.values()) != sorted(comb(w, v) for v in range(w + 1)):
             return "fail", f"w={w}: q1 limit is not binomial"
-        fund = classical_limit(kr_closed_form_A1(1), "q1")
         if not factorize_check(l1, [fund] * w):
             return "fail", f"w={w}: q1 limit does not factor into the fundamental"
         l2 = classical_limit(hg, "q2")
@@ -412,4 +417,6 @@ def run_fixture(fx: dict) -> VerifyEntry:
 
 
 def run_corpus(directory=None) -> VerifyReport:
-    return VerifyReport([run_fixture(fx) for fx in load_corpus(directory)])
+    """Replay the corpus in order; its fixtures share one table of expansions for the run."""
+    with shared_expansions():
+        return VerifyReport([run_fixture(fx) for fx in load_corpus(directory)])
