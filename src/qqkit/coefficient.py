@@ -34,9 +34,10 @@ former ``product_vanishes``.  Both read sigma through a ``Substitution``: it
 runs sigma's image check once and keeps the image of each monomial looked
 up in it.  Y-arguments, weights and edge labels read it too, so a call that
 applies one sigma to a character substitutes each monomial once, with no
-global cache.  ``oriented_images`` keeps each argument's image oriented as
-well, so ``integer_under`` reads a classical limit's integer from summed
-powers without building the substituted value.
+global cache.  A Substitution also keeps each binomial argument's image
+canonically oriented, so ``substitute``, the one walk that takes a value
+under sigma for ``higgs``, ``classical_limit``, ``specialize`` and
+``limit_at_unity``, orients each distinct argument once per sigma.
 """
 
 from __future__ import annotations
@@ -195,10 +196,13 @@ class Substitution(Memo):
     """sigma after its image check; ``self[m]`` is ``m.substitute(self.sigma)``.
 
     As a ``Memo``, it fills itself on first lookup, so the values that share
-    one Substitution have each monomial substituted once.
+    one Substitution have each monomial substituted once.  ``oriented`` maps
+    each binomial argument that ``Coefficient.substitute`` has met to None,
+    when its image is 1, or to ``(c, flipped, image)`` with
+    ``(c, flipped) = _orient(image)``; ``substitute`` fills it.
     """
 
-    __slots__ = ("sigma",)
+    __slots__ = ("sigma", "oriented")
 
     def __init__(self, sigma: Mapping[str, Monomial]):
         for g, img in sigma.items():
@@ -206,21 +210,7 @@ class Substitution(Memo):
                 raise ValidationError(f"substitution image of {g} reuses substituted generators")
         super().__init__(methodcaller("substitute", sigma))
         self.sigma = sigma
-
-
-def oriented_images(sub: Substitution) -> Memo:
-    """A table of each argument's image under ``sub``, canonically oriented.
-
-    ``table[a]`` is None when ``sub[a]`` is 1, and else ``(c, flipped, a2)``
-    for the image ``a2`` and ``(c, flipped) = _orient(a2)``.  Values that share
-    one table orient each distinct argument's image once.
-    """
-
-    def image(a: Monomial):
-        a2 = sub[a]
-        return None if a2.is_unit else _orient(a2) + (a2,)
-
-    return Memo(image)
+        self.oriented: dict[Monomial, tuple | None] = {}
 
 
 class Vanishing:
@@ -276,6 +266,8 @@ class Vanishing:
         return out
 
 
+_UNIT = Monomial.unit()
+_UNSEEN = object()  # an argument not yet in ``Substitution.oriented``
 _NO_POWERS: dict[Monomial, int] = {}  # shared by every value without binomials; never changed
 
 
@@ -323,7 +315,7 @@ class Coefficient:
         if integer == 0:
             return _ZERO
         n = integer
-        u = unit
+        units = [(unit, 1)]  # the unit, and the arguments that orienting flips
         merged: dict[Monomial, int] = {}
         for arg, p in factors:
             if p == 0:
@@ -333,9 +325,9 @@ class Coefficient:
                 # (1 - arg)^p = (-arg)^p (1 - 1/arg)^p
                 if p % 2:
                     n = -n
-                u = u * arg**p
+                units.append((arg, p))
             merged[c] = merged.get(c, 0) + p
-        return Coefficient("factored", n, u, {a: p for a, p in merged.items() if p})
+        return Coefficient("factored", n, Monomial.product(units), {a: p for a, p in merged.items() if p})
 
     @staticmethod
     def general(num: dict, den) -> "Coefficient":
@@ -402,43 +394,6 @@ class Coefficient:
         if self.kind == "factored" and self.unit.is_unit and not self.powers:
             return self.integer
         raise NonIntegerLimit(f"coefficient is not an integer: {self!r}")
-
-    def integer_under(self, sub: Substitution, images: Mapping[Monomial, tuple | None]) -> int:
-        """``self.substitute(sub).as_integer()``, without building the substituted value.
-
-        ``images`` is ``oriented_images(sub)``.  A factored value sums its
-        degenerate powers, decided as ``substitute`` decides them, and the
-        powers of its surviving images by oriented argument; it is an integer
-        when those all cancel and the flips leave a unit of 1.  Otherwise the
-        substituted value is built, for the error that names it.
-        """
-        if self.kind != "factored":
-            return self.substitute(sub).as_integer()
-        degenerate, survivors, flips = [], {}, []
-        for a, p in self.powers.items():
-            image = images[a]
-            if image is None:
-                degenerate.append((a, p))
-                continue
-            c, flipped, a2 = image
-            survivors[c] = survivors.get(c, 0) + p
-            if flipped:
-                flips.append((a2, p))
-        n = self.integer
-        if degenerate:
-            n = _degenerate_integer(sub.sigma, degenerate, n)
-            if n is None:
-                return 0
-        if not any(survivors.values()):
-            # one constructor call, so the monomial table gains the unit alone, not each partial product
-            pairs = list(sub[self.unit].exps)
-            for a2, p in flips:  # (1 - a2)^p = (-a2)^p (1 - 1/a2)^p
-                pairs += [(g, e * p) for g, e in a2.exps]
-                if p % 2:
-                    n = -n
-            if Monomial(tuple(pairs)).is_unit:
-                return n
-        return self.substitute(sub).as_integer()
 
     # -- ring operations -----------------------------------------------------
 
@@ -583,7 +538,9 @@ class Coefficient:
         numerator: under a one-generator substitution g -> m, the numerator
         is divided by (1 - g/m) as often as it divides exactly, and each
         quotient counts as a degenerate numerator factor.  A slope ratio that
-        leaves a non-integer coefficient raises NonIntegerLimit.
+        leaves a non-integer coefficient raises NonIntegerLimit.  A Factored
+        value orients its surviving images through ``sub.oriented`` and
+        builds the unit they leave with one ``Monomial.product``.
         """
         if self.kind == "general":
             num, den, degenerate = self.num, [], []
@@ -613,19 +570,37 @@ class Coefficient:
             if any(c.denominator != 1 for c in out.values()):
                 raise NonIntegerLimit(f"limit slope ratio {ratio} leaves a non-integer numerator")
             return Coefficient.general({m: int(c) for m, c in out.items()}, den)
-        degenerate, survivors = [], []
-        for a, p in self.powers.items():
-            a2 = sub[a]
-            if a2.is_unit:
-                degenerate.append((a, p))
-            else:
-                survivors.append((a2, p))
         n = self.integer
+        if not n:
+            return _ZERO
+        # the zero is decided before any image is oriented, since most terms of a Higgsed
+        # ladder drop; a unit image is the one unit object, as monomials are interned
+        degenerate = [(a, p) for a, p in self.powers.items() if sub[a] is _UNIT]
         if degenerate:
             n = _degenerate_integer(sub.sigma, degenerate, n)
             if n is None:
                 return _ZERO
-        return Coefficient.factored(n, sub[self.unit], survivors)
+        oriented = sub.oriented
+        units = [(sub[self.unit], 1)]  # the unit, and the images that orienting flips
+        merged: dict[Monomial, int] = {}
+        for a, p in self.powers.items():
+            image = oriented.get(a, _UNSEEN)
+            if image is _UNSEEN:
+                a2 = sub[a]
+                image = oriented[a] = None if a2 is _UNIT else _orient(a2) + (a2,)
+            if image is None:
+                continue
+            c, flipped, a2 = image
+            if flipped:  # (1 - a2)^p = (-a2)^p (1 - 1/a2)^p
+                if p % 2:
+                    n = -n
+                units.append((a2, p))
+            p += merged.get(c, 0)
+            if p:
+                merged[c] = p
+            else:
+                del merged[c]
+        return Coefficient("factored", n, Monomial.product(units), merged)
 
     # -- serialization --------------------------------------------------------
 

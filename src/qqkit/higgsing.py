@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .coefficient import Coefficient, Substitution, oriented_images, s_function
+from .coefficient import Coefficient, Substitution, s_function
 from .engine import Character, WeightConfig, YMonomial, resonance_classes
 from .errors import ValidationError, YCollision
 from .monomial import WEIGHT, Monomial, Q1, Q2, gen_key, xparam
@@ -125,17 +125,17 @@ def classical_limit(ch: Character, which: str) -> ClassicalCharacter:
     """Send q1 or q2 to 1 in arguments and coefficients, merging collisions.
 
     Terms are taken in ``sort_key`` order, so the first term whose limit
-    fails names the error whatever order the character was built in.  One
-    table of oriented images serves every term, so each distinct argument's
-    image is read and oriented once per call.
+    fails names the error whatever order the character was built in.  Each
+    coefficient is taken through ``Coefficient.substitute``, as ``higgs``
+    takes it; the terms share one ``Substitution``, so each distinct
+    argument's image is read and oriented once per call.
     """
     if which not in ("q1", "q2"):
         raise ValidationError("limit generator must be q1 or q2")
     sub = Substitution({which: Monomial.unit()})
-    images = oriented_images(sub)
     merged: dict[YMonomial, int] = {}
     for ym in sorted(ch.terms, key=YMonomial.sort_key):
-        n = ch.terms[ym].integer_under(sub, images)
+        n = ch.terms[ym].substitute(sub).as_integer()
         if n == 0:
             continue
         ym2 = ym.substitute(sub)

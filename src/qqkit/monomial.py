@@ -268,6 +268,22 @@ class Monomial:
             return _packed(self._n * n, b)
         return Monomial(tuple([(g, e * n) for g, e in self.exps]))
 
+    @staticmethod
+    def product(pairs: list[tuple["Monomial", int]]) -> "Monomial":
+        """The product of m**e over the (m, e) pairs, made in one step.
+
+        The packed integers and bounds are summed and the table is asked
+        once, so no partial product is interned; past the bound, the
+        constructor checks each exponent, as ``__mul__`` does.
+        """
+        n = b = 0
+        for m, e in pairs:
+            n += m._n * e
+            b += m._b * abs(e)
+        if b < _HALF:
+            return _packed(n, b)
+        return Monomial(tuple([(g, f * e) for m, e in pairs for g, f in m.exps]))
+
     def inverse(self) -> "Monomial":
         return _packed(-self._n, self._b)
 

@@ -4,6 +4,7 @@ from math import comb, prod
 
 import pytest
 
+from qqkit import coefficient
 from qqkit.coefficient import Coefficient, Substitution
 from qqkit.engine import Character, WeightConfig, YMonomial, expand
 from qqkit.errors import NonIntegerLimit, ValidationError, YCollision
@@ -405,20 +406,31 @@ def test_kr_closed_form_edge_cases():
 
 
 def test_one_call_substitutes_each_monomial_once(monkeypatch):
+    """And orients each binomial argument's image at most once."""
     ch = expand(A2, WeightConfig.make(A2, {"1": 2, "2": 1}))
+    arguments = {a for c in ch.terms.values() for a in (c.powers if c.kind == "factored" else dict(c.den))}
     calls = Counter()
+    orients = Counter()
     substitute = Monomial.substitute
+    orient = coefficient._orient
 
     def counted(m, sigma):
         calls[m] += 1
         return substitute(m, sigma)
 
+    def counted_orient(arg):
+        orients[arg] += 1
+        return orient(arg)
+
     monkeypatch.setattr(Monomial, "substitute", counted)
+    monkeypatch.setattr(coefficient, "_orient", counted_orient)
     for run in (
         lambda: higgs(ch, kr_sigma(A2, "1", 2, 1)),
         lambda: classical_limit(ch, "q1"),
         lambda: classical_limit(ch, "q2"),
     ):
         calls.clear()
+        orients.clear()
         run()
         assert calls and max(calls.values()) == 1
+        assert orients and sum(orients.values()) <= len(arguments)

@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qqkit.errors import ValidationError
 from qqkit.monomial import MU, Monomial, Q, Q1, Q2, gen_key, parse_monomial, qfrak, xparam
@@ -340,6 +340,26 @@ def test_every_construction_path_returns_the_one_object_of_its_value(da, db, k, 
     # a bound that reaches 2^63 takes the slow constructor; its exponents stay in range
     top = Monomial.gen("q1", BOUND // 2) * Monomial.gen("q2", BOUND // 2)
     assert (top * m) * top.inverse() is m
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(exponent_maps.map(Monomial), st.integers(min_value=-3, max_value=3)), max_size=4))
+@example([])  # the empty product is the unit
+def test_product_is_the_fold_of_products_and_powers(pairs):
+    folded = Monomial.unit()
+    for m, e in pairs:
+        folded = folded * m**e
+    product = Monomial.product(pairs)
+    _same(product, folded)
+    assert product is folded
+
+
+def test_a_product_past_the_bound_takes_the_constructor():
+    half = Monomial.gen("q1", BOUND // 2)
+    # the summed bound reaches 2^63, yet the exponent stays inside it
+    assert Monomial.product([(half, 1), (Q1, -1), (half, 1), (Q2, 2)]) is Monomial({"q1": BOUND - 1, "q2": 2})
+    with pytest.raises(ValidationError, match=r"^exponent of q1 is outside the bound \|e\| < 2\^63$"):
+        Monomial.product([(half, 1), (Q2, 1), (half, 1)])
 
 
 def test_copies_are_the_object_itself():
