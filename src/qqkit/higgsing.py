@@ -76,7 +76,7 @@ def _ladders_only(Q_: Quiver, wc: WeightConfig) -> bool:
         if any(i != node for i, _, _ in cls):
             return False
         params = {p for _, _, p in cls}
-        ladders = (kr_params(Q_, node, len(cls), m, b) for m in _ladder_steps(Q_.d[node]) for b in params)
+        ladders = (kr_params(Q_, node, len(cls), m, b) for m in _ladder_steps(Q_.d[node]) for _, _, b in cls)
         if not any(params == set(ladder) for ladder in ladders):
             return False
     return True

@@ -17,11 +17,13 @@ There is one object per value.  A table that lives as long as the process,
 like the generator registry, maps each packed integer to its monomial, and
 every way of making one (the constructor, ``gen``, ``parse_monomial``,
 ``from_json``, products, powers, inverses and substitutions) returns the
-stored object, so the tables keyed by monomials find their keys by
-identity.  Hash and equality stay the integer's: set order does not depend
-on addresses, and a duplicate made by threads racing on one new value still
-equals the stored one.  A copy is the object itself, and a pickle holds the
-generator names, since another process numbers them its own way.
+stored object.  So equality and hash are the object's, computed in C: no
+path makes a second object of a stored value, since threads racing on one
+new value all take the first one stored, a copy is the object itself, and a
+pickle holds the generator names (another process numbers them its own
+way) and loads through the constructor.  Set order then follows addresses,
+so no output, error text or order of work may depend on the iteration order
+of a set of monomials, or of values that hold them: sort first.
 
 The canonical key, one (generator key, exponent) pair per generator in
 canonical order, is decoded on first read, once per value.  A generator key
@@ -183,8 +185,7 @@ def _packed(n: int, b: int) -> "Monomial":
         m = _new(Monomial)
         m._n = n
         m._b = b
-        m._hash = hash(n)
-        m = _INTERNED.setdefault(n, m)  # atomic: threads making one value all take the first object
+        m = _INTERNED.setdefault(n, m)  # atomic: racing threads all take the first object, so equality is identity
     return m
 
 
@@ -193,7 +194,7 @@ class Monomial:
 
     # _n: the packed integer; _b: a bound on its |exponents| that products add up;
     # _key: the canonical key, set on first read
-    __slots__ = ("_n", "_b", "_hash", "_key")
+    __slots__ = ("_n", "_b", "_key")
 
     def __new__(cls, exps: Mapping[str, int] | Iterable[tuple[str, int]] = ()):
         if type(exps) is not tuple:
@@ -312,12 +313,6 @@ class Monomial:
         except AttributeError:
             self._key = key = _decode(self._n)
             return key
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Monomial) and self._n == other._n
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __lt__(self, other: "Monomial") -> bool:
         return self.sort_key() < other.sort_key()
