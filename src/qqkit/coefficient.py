@@ -274,24 +274,20 @@ _NO_POWERS: dict[Monomial, int] = {}  # shared by every value without binomials;
 class Coefficient:
     """Exact rational coefficient; immutable."""
 
-    __slots__ = ("kind", "integer", "unit", "powers", "_factors", "num", "den")
+    __slots__ = ("kind", "integer", "unit", "powers", "num", "den")
 
     def __init__(self, kind, integer=0, unit=None, powers=_NO_POWERS, num=None, den=()):
         self.kind = kind  # "factored" | "general"
         self.integer = integer
         self.unit = unit if unit is not None else Monomial.unit()
         self.powers = powers  # dict canonical arg -> nonzero power; never changed
-        self._factors = None  # factor_tuple(powers), built on first read
         self.num = num  # dict Monomial -> int (general only)
         self.den = den  # tuple[(Monomial, int)], positive powers
 
     @property
     def factors(self) -> tuple:
-        """The (argument, power) pairs of ``powers``, sorted by argument."""
-        f = self._factors
-        if f is None:
-            f = self._factors = factor_tuple(self.powers)
-        return f
+        """The (argument, power) pairs of ``powers``, sorted by argument, on each read."""
+        return factor_tuple(self.powers)
 
     # -- constructors -------------------------------------------------------
 

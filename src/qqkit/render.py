@@ -1,22 +1,37 @@
 """LaTeX, Graphviz DOT, JSON and text renderings of characters.
 
-``render`` is the one place that decides an output format.  Y-symbols use
-the shorthand Y_{i,x;j,k} whenever the argument is a weight parameter
-times q1^j q2^k; coefficients are re-assembled into S-function products
-by greedy pattern peeling, falling back to raw binomials.  Every format
+``render`` is the one place that decides an output format.  Every format
 lists terms in ``sort_key`` order and edges in the order of
 ``_ordered_edges``, so the bytes do not depend on how a character was built.
 Within one render call, each distinct piece of a document (a monomial, a
 binomial factor, a Y-symbol, an edge label) is written once and reused.
+
+One table per document (``_Arguments``) numbers the distinct binomial
+arguments of its coefficients once, in ``sort_key`` order.  A coefficient's
+factors then come in argument order by a sort of (number, power) pairs of
+ints: the order in which JSON and text write them, and LaTeX its leftover
+factors.
+
+LaTeX uses the shorthand Y_{i,x;j,k} whenever a Y-argument is a weight
+parameter times q1^j q2^k, and re-assembles each coefficient into S-function
+products by greedy peeling, falling back to raw binomials (``s_decompose``).
+The class of an argument is what is left of it without q1 and q2, up to the
+sign of its exponents.  The four arguments of an S_r(z) differ from z by
+powers of q1 and q2 alone, so at z = d or 1/d all of them lie in d's class,
+and a peel reads and lowers the factors of one class only.  So the factors
+of each class peel on their own, in the one rank order, to the same
+result, and a document peels each distinct class group once: the 400
+coefficients of BC2 (2,2) hold 43.
 """
 
 from __future__ import annotations
 
 import json
 from collections.abc import Callable, Iterable, Iterator
-from itertools import islice
+from itertools import groupby, islice
+from operator import itemgetter
 
-from .coefficient import Coefficient, factor_tuple, s_r
+from .coefficient import Coefficient, s_r
 from .engine import Character, WeightConfig, YMonomial, qdeg_of
 from .errors import PoleError, ValidationError, require_int
 from .higgsing import ClassicalCharacter
@@ -109,6 +124,36 @@ def y_symbol_latex(
 
 
 # ---------------------------------------------------------------------------
+# the argument table
+# ---------------------------------------------------------------------------
+
+
+class _Arguments:
+    """The binomial arguments of a document's coefficients, numbered once.
+
+    ``args`` lists them in ``sort_key`` order and ``number`` maps each to its
+    position there, so a coefficient's factors come in argument order by a
+    sort of (number, power) pairs of ints, with no key call per entry.  Every
+    format of one render call reads one table.
+    """
+
+    def __init__(self, coefficients: Iterable[Coefficient]):
+        found: set[Monomial] = set()
+        for c in coefficients:
+            found.update(c.powers if c.kind == "factored" else dict(c.den))
+        self.args = sorted(found, key=Monomial.sort_key)
+        self.number = dict(zip(self.args, range(len(self.args))))
+
+    def factors(self, c: Coefficient) -> list[tuple[int, int]]:
+        """The (number, power) pairs of c's binomials (of its denominator,
+        if it is general), in argument order."""
+        if c.kind != "factored":
+            return [(self.number[a], p) for a, p in c.den]
+        powers = c.powers
+        return sorted(zip(map(self.number.__getitem__, powers), powers.values()))
+
+
+# ---------------------------------------------------------------------------
 # S-product reconstruction
 # ---------------------------------------------------------------------------
 
@@ -117,35 +162,51 @@ def _mono_size(m: Monomial) -> int:
     return sum(abs(e) for _, e in m.sort_key())
 
 
+_NO_Q = {"q1": Monomial.unit(), "q2": Monomial.unit()}
+_positive = (0).__lt__  # p -> p > 0, without a Python call per factor
+_first, _second = itemgetter(0), itemgetter(1)
+
+
+def _argument_class(a: Monomial) -> Monomial:
+    """a without q1 and q2, up to the sign of its exponents: the part that
+    every argument of an S_r(z) at z = a or 1/a shares with a."""
+    rest = a.substitute(_NO_Q)
+    return rest if rest.is_unit or rest.sort_key()[0][1] > 0 else rest.inverse()
+
+
 class _Candidates:
     """The S-candidates of some coefficients, ranked once (``s_candidates``).
 
-    Every argument of the coefficients has a number (``number``, and
+    Arguments are numbered by an ``_Arguments`` table (``number``, and
     ``args`` back), so that peeling works on dicts of small ints.
     ``ranked[rank]`` is the candidate [r, z, number of d, S-value], the
     S-value None until its first try; ``at[d]`` lists the ranks of the
     candidates at the denominator numbered d.  ``signs`` holds the signed
-    factors (number, power > 0) of the coefficients.
+    factors (number, power > 0) of the coefficients, ``classes`` the class
+    of each argument by number, and ``peeled`` the peel of each class group
+    met so far (``s_decompose``).
     """
 
-    def __init__(self, coefficients):
-        self.number: dict[Monomial, int] = {}
+    def __init__(self, arguments: _Arguments, coefficients: Iterable[Coefficient]):
+        self.number, self.args = number, args = arguments.number, arguments.args
         self.signs: set[tuple[int, bool]] = set()
         for c in coefficients:
-            for a, p in c.powers.items():
-                self.signs.add((self.number.setdefault(a, len(self.number)), p > 0))
-        self.args = list(self.number)
+            powers = c.powers
+            self.signs.update(zip(map(number.__getitem__, powers), map(_positive, powers.values())))
         found = sorted(
             (_mono_size(z), r, z.sort_key(), z, d)
             for d, up in self.signs
             if not up
             for r in range(1, 4)
-            for z in (self.args[d], self.args[d].inverse())
+            for z in (args[d], args[d].inverse())
         )
         self.ranked = [[r, z, d, None] for _, r, _, z, d in found]
         self.at: dict[int, list[int]] = {}
         for rank, (_, _, d, _) in enumerate(self.ranked):
             self.at.setdefault(d, []).append(rank)
+        ids: dict[Monomial, int] = {}  # each class by a number of its own
+        self.classes = [ids.setdefault(_argument_class(a), len(ids)) for a in args]
+        self.peeled: dict[tuple, tuple] = {}  # filled by s_decompose, so that no cycle holds the table
 
     def value(self, rank: int):
         """The S-value of candidate ``rank`` as ((number, power) pairs,
@@ -167,6 +228,50 @@ class _Candidates:
         self.at[d].remove(rank)
         return None
 
+    def groups(self, c: Coefficient) -> Iterable[tuple]:
+        """c's factors split by argument class: per class, a tuple of
+        (class, number, power) in argument order."""
+        powers = c.powers
+        numbers = list(map(self.number.__getitem__, powers))
+        factors = sorted(zip(map(self.classes.__getitem__, numbers), numbers, powers.values()))
+        return map(tuple, map(_second, groupby(factors, _first)))
+
+    def peel(self, group: tuple):
+        """The greedy peel of one class group: (the integer and the unit
+        pairs the S-factors take, [(rank, r, z, power), ...] in rank order,
+        the leftover (number, power) pairs).
+
+        Each candidate at one of the group's denominators is tried in rank
+        order and peeled while all its factors remain with at least its
+        powers and the same signs, a test that stops at the first factor
+        that does not fit.
+        """
+        remaining = {a: p for _, a, p in group}
+        integer, units, found = 1, [], []
+        for rank in sorted(k for _, d, p in group if p < 0 for k in self.at[d]):
+            r, z, d, s = self.ranked[rank]
+            if d not in remaining:  # its (1 - z) is peeled away, so it cannot fit
+                continue
+            if s is None and (s := self.value(rank)) is None:
+                continue
+            powers, s_integer, s_unit = s
+            power = 0
+            for a, p in powers:  # how often every factor fits: a negative quotient means opposite signs
+                k = remaining.get(a, 0) // p
+                if k <= 0:
+                    break
+                if not power or k < power:
+                    power = k
+            else:
+                for a, p in powers:
+                    remaining[a] -= p * power
+                    if remaining[a] == 0:
+                        del remaining[a]
+                integer *= s_integer**power
+                units.append((s_unit, -power))
+                found.append((rank, r, z, power))
+        return integer, units, found, list(remaining.items())
+
 
 def s_candidates(coefficients) -> _Candidates:
     """The S_r(z) that may peel from any of ``coefficients``, ranked once.
@@ -178,7 +283,8 @@ def s_candidates(coefficients) -> _Candidates:
     fit any of the coefficients leaves the table then; so the table adds no
     ``s_r`` cache entry that trying every candidate would not add.
     """
-    return _Candidates(coefficients)
+    coefficients = list(coefficients)
+    return _Candidates(_Arguments(coefficients), coefficients)
 
 
 def s_decompose(c: Coefficient, table: _Candidates | None = None):
@@ -188,51 +294,50 @@ def s_decompose(c: Coefficient, table: _Candidates | None = None):
     candidates are those of ``table`` (``s_candidates`` of coefficients
     that include c, by default of c alone) at c's denominators, tried in
     rank order; each is peeled while all its factors remain with at least
-    its powers and the same signs, a test that stops at the first factor
-    that does not fit.  One pass suffices: peeling only lowers powers, so a
-    candidate that does not fit never fits later, and an S_r(z) can only
-    fit while its own (1 - z) is a denominator.  (S_2(q1) cancels its
-    (1 - q1), but S_1(1/q1) and S_2(1/q1), the only candidates that can
-    peel (1 - q1) before it, have its denominator (1 - 1/(q1 q2)) in their
-    numerators.)
+    its powers and the same signs.  One pass suffices: peeling only lowers
+    powers, so a candidate that does not fit never fits later, and an
+    S_r(z) can only fit while its own (1 - z) is a denominator.  (S_2(q1)
+    cancels its (1 - q1), but S_1(1/q1) and S_2(1/q1), the only candidates
+    that can peel (1 - q1) before it, have its denominator (1 - 1/(q1 q2))
+    in their numerators.)
+
+    The four arguments of an S_r(z) differ from z by powers of q1 and q2
+    alone, so they lie in one class (``_argument_class``), z's; a peel
+    reads and lowers the factors of that class only.  So each class group
+    of c peels on its own, in the same rank order, to the same result, and
+    ``table`` peels each distinct group once and keeps it (``peeled``): c's
+    S-factors merge by rank and its leftover factors by argument number.
     """
     if c.kind != "factored":
         raise ValidationError("S-decomposition needs a factored coefficient")
     if table is None:
         table = s_candidates([c])
-    integer, unit = c.integer, c.unit
-    number = table.number
-    remaining = {number[a]: p for a, p in c.powers.items()}
-    found = []
-    for rank in sorted(k for d, p in remaining.items() if p < 0 for k in table.at[d]):
-        r, z, d, s = table.ranked[rank]
-        if d not in remaining:  # its (1 - z) is peeled away, so it cannot fit
-            continue
-        if s is None and (s := table.value(rank)) is None:
-            continue
-        powers, s_integer, s_unit = s
-        power = 0
-        for a, p in powers:  # how often every factor fits: a negative quotient means opposite signs
-            k = remaining.get(a, 0) // p
-            if k <= 0:
-                break
-            if not power or k < power:
-                power = k
-        else:
-            for a, p in powers:
-                remaining[a] -= p * power
-                if remaining[a] == 0:
-                    del remaining[a]
-            integer //= s_integer**power
-            unit = unit / s_unit**power
-            found.append((r, z, power))
+    integer, units, found, leftover = c.integer, [(c.unit, 1)], [], []
+    peeled = table.peeled
+    for group in table.groups(c):
+        done = peeled.get(group)
+        if done is None:
+            done = peeled[group] = table.peel(group)
+        n, u, f, left = done
+        integer //= n
+        units += u
+        found += f
+        leftover += left
+    found.sort()
+    leftover.sort()
     args = table.args
-    return integer, unit, found, factor_tuple({args[a]: p for a, p in remaining.items()})  # sorted by argument
+    return (
+        integer,
+        Monomial.product(units),
+        [(r, z, p) for _, r, z, p in found],
+        tuple([(args[k], p) for k, p in leftover]),
+    )
 
 
 class _Latex:
     """What the LaTeX of one character shares: its names, its ranked
-    S-candidates, and the string of each monomial (by (monomial, ratio)),
+    S-candidates over its argument table with the peel of each class group,
+    and the string of each monomial (by (monomial, ratio)),
     Y-symbol and DOT-escaped edge label (by (node, argument)), written
     once into a ``Memo``.  It lives for one render call."""
 
@@ -346,21 +451,24 @@ def hasse_dot(ch: Character, names: dict[str, str] | None = None) -> str:
 class _Json:
     """The pieces of one JSON document, joined once by ``text``.
 
-    The text of each distinct monomial, binomial factor (argument, power),
-    Y-factor (node, argument, exponent) and edge label (node, argument) is
-    encoded once by ``json.dumps``, kept in a ``Memo``, and appended as
-    often as it occurs, with ``json.dumps``'s separators, so that the
-    document reads byte for byte as ``json_document`` of the same data.  No
-    text of a term or coefficient is built on the way.  It lives for one
-    render call.
+    The text of each distinct monomial, binomial factor (argument number,
+    power), Y-factor (node, argument, exponent) and edge label (node,
+    argument) is encoded once by ``json.dumps``, kept in a ``Memo``, and
+    appended as often as it occurs, with ``json.dumps``'s separators, so
+    that the document reads byte for byte as ``json_document`` of the same
+    data.  The factors are numbered, and come in argument order, by the
+    document's ``_Arguments`` table.  No text of a term or coefficient is
+    built on the way.  It lives for one render call.
     """
 
-    def __init__(self):
+    def __init__(self, arguments: _Arguments | None = None):
         self.pieces: list[str] = []
+        self.arguments = arguments or _Arguments(())
         # the writers read the local memo, not self, so that no reference
         # cycle keeps a document's pieces alive after the call
         monomials = self.monomials = Memo(lambda m: json.dumps(m.to_json()))
-        self.factors = Memo(lambda f: f'{{"arg": {monomials[f[0]]}, "pow": {f[1]}}}')
+        args = self.arguments.args
+        self.factors = Memo(lambda f: f'{{"arg": {monomials[args[f[0]]]}, "pow": {f[1]}}}')
         self.y_factors = Memo(
             lambda t: f'{{"node": {json.dumps(t[0])}, "arg": {monomials[t[1]]}, "exp": {t[2]}}}'
         )
@@ -371,24 +479,19 @@ class _Json:
 
     def items(self, texts: Iterable[str]) -> None:
         """Write ``texts`` as the items of a list, between its brackets."""
-        pieces = self.pieces
-        sep = ""
-        for t in texts:
-            pieces += (sep, t)
-            sep = ", "
+        self.pieces.append(", ".join(texts))
 
     def coeff(self, c: Coefficient) -> None:
         """Write ``c.to_json()``."""
         if c.kind == "factored":
             self.write('{"int": ', str(c.integer), ', "unit": ', self.monomials[c.unit], ', "factors": [')
-            self.items(map(self.factors.__getitem__, c.factors))
         else:
             self.write('{"num": [')
             self.items(
                 f"[{self.monomials[m]}, {k}]" for m, k in sorted(c.num.items(), key=lambda t: t[0].sort_key())
             )
             self.write('], "den": [')
-            self.items(map(self.factors.__getitem__, c.den))
+        self.items(map(self.factors.__getitem__, self.arguments.factors(c)))
         self.write("]}")
 
     def terms(self, terms: Iterable[tuple[YMonomial, Coefficient | int]]) -> None:
@@ -415,7 +518,7 @@ def character_to_json(ch: Character) -> str:
     """The JSON document of a character, as text ending in a newline: its
     quiver, its terms in ``sort_key`` order, its edges as indexes into the
     terms, and its weights."""
-    out = _Json()
+    out = _Json(_Arguments(ch.terms.values()))
     order = _ordered(ch.terms)
     idx = {ym: k for k, ym in enumerate(order)}
     quiver = ch.quiver.to_json() | ({"name": ch.quiver.name} if ch.quiver.name else {})
@@ -444,7 +547,7 @@ def affine_series_to_json(ch: Character) -> str:
     series: dict[int, list] = {}
     for ym in _ordered(ch.terms):
         series.setdefault(qdeg_of(ch.terms[ym]), []).append((ym, ch.terms[ym]))
-    out = _Json()
+    out = _Json(_Arguments(ch.terms.values()))
     out.write('{"series": [')
     for k, d in enumerate(sorted(series)):
         out.write(", " if k else "", f'{{"qdeg": {d}, "terms": [')
@@ -484,6 +587,42 @@ def character_from_json(data: dict) -> Character:
 
 
 # ---------------------------------------------------------------------------
+# text
+# ---------------------------------------------------------------------------
+
+
+class _Text:
+    """The text of one document's terms and coefficients, as ``repr`` writes them.
+
+    The text of each distinct monomial, binomial factor (argument number,
+    power) and Y-factor (node, argument, exponent) is written once into a
+    ``Memo`` and joined as often as it occurs; the factors come in argument
+    order by the document's ``_Arguments`` table.  It lives for one render
+    call.
+    """
+
+    def __init__(self, arguments: _Arguments):
+        self.arguments = arguments
+        monomials = self.monomials = Memo(repr)
+        args = arguments.args
+        self.factors = Memo(lambda f: f"(1-{monomials[args[f[0]]]})" + (f"^{f[1]}" if f[1] != 1 else ""))
+        self.y_factors = Memo(lambda t: f"Y[{t[0]},{monomials[t[1]]}]" + (f"^{t[2]}" if t[2] != 1 else ""))
+
+    def ym(self, ym: YMonomial) -> str:
+        return "*".join(map(self.y_factors.__getitem__, ym.entries)) or "1"
+
+    def coeff(self, c: Coefficient) -> str:
+        if c.kind != "factored":
+            return repr(c)
+        unit = c.unit
+        parts = [str(c.integer)] if c.integer != 1 or (unit.is_unit and not c.powers) else []
+        if not unit.is_unit:
+            parts.append(self.monomials[unit])
+        parts += map(self.factors.__getitem__, self.arguments.factors(c))
+        return "*".join(parts)
+
+
+# ---------------------------------------------------------------------------
 # documents
 # ---------------------------------------------------------------------------
 
@@ -501,7 +640,8 @@ def render(ch: Character | ClassicalCharacter, fmt: str) -> str:
         if fmt == "latex":
             latex = _Latex({})
             return " + ".join((f"{c} " if c != 1 else "") + latex.ym(ym) for ym, c in terms) + "\n"
-        return "\n".join(f"{c:>6d}  {ym!r}" for ym, c in terms) + "\n"
+        text = _Text(_Arguments(()))
+        return "\n".join(f"{c:>6d}  {text.ym(ym)}" for ym, c in terms) + "\n"
     if fmt == "json":
         affine = ch.meta.get("closed_form") == "affine"  # a partition sum prints as a series
         return affine_series_to_json(ch) if affine else character_to_json(ch)
@@ -509,7 +649,8 @@ def render(ch: Character | ClassicalCharacter, fmt: str) -> str:
         return character_latex(ch) + "\n"
     if fmt == "dot":
         return hasse_dot(ch)
-    return "\n".join(f"{ch.terms[ym]!r}  *  {ym!r}" for ym in _ordered(ch.terms)) + "\n"
+    text = _Text(_Arguments(ch.terms.values()))
+    return "\n".join(f"{text.coeff(ch.terms[ym])}  *  {text.ym(ym)}" for ym in _ordered(ch.terms)) + "\n"
 
 
 def json_document(data) -> str:

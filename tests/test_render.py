@@ -1,11 +1,13 @@
 import hashlib
 import json
+import random
+from collections import Counter
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from qqkit.coefficient import Coefficient, s_function, s_r
+from qqkit.coefficient import Coefficient, factor_tuple, s_function, s_r
 from qqkit.engine import Character, WeightConfig, YMonomial, expand, qdeg_of
 from qqkit.errors import PoleError, ValidationError
 from qqkit.higgsing import ClassicalCharacter, classical_limit, higgs, kr_sigma
@@ -14,6 +16,7 @@ from qqkit.partitions import affine_character
 from qqkit.quiver import Quiver, builtin_quiver
 from qqkit.render import (
     _STREAM_BATCH,
+    _Candidates,
     _Latex,
     character_from_json,
     character_latex,
@@ -179,6 +182,81 @@ def test_a_shared_candidate_table_changes_nothing(c, others, rnd):
     coefficients = [c, *others]
     rnd.shuffle(coefficients)
     assert s_decompose(c, s_candidates(coefficients)) == _s_decompose_by_rounds(c)
+
+
+X1, X2, X3 = xparam("1", 1), xparam("1", 2), xparam("1", 3)
+# The classes of the drawn arguments: a pure-q one, single weights, inverted ones (through the sign),
+# and ratios.  A unit pair's S-values live in the class of its ratio, so two pairs with one ratio, such
+# as x(1,2) = x(1,1)*m and x(1,4) = x(1,3)*m, both give S-values at m times powers of q1 and q2: the
+# draws below take several S-values at one base to stand for them.
+_class_monomials = st.builds(
+    lambda base, j, k, sign: (base * Q1**j * Q2**k) ** sign,
+    st.sampled_from([Monomial.unit(), X1, X3, X2 / X1, X3 / X1, X1 * X2 / X3]),
+    st.integers(-2, 2),
+    st.integers(-2, 2),
+    st.sampled_from((1, -1)),
+).filter(lambda m: not m.is_unit)
+
+
+@st.composite
+def _class_products(draw):
+    c = Coefficient.from_monomial(draw(_class_monomials), draw(st.sampled_from((1, -1, 2))))
+    for r, z, p in draw(st.lists(st.tuples(st.integers(1, 3), _class_monomials, st.sampled_from((1, -1, 2, -2))), max_size=6)):
+        try:
+            c = c * s_r(r, z) ** p
+        except (PoleError, ZeroDivisionError):
+            continue
+    for a, p in draw(st.lists(st.tuples(_class_monomials, st.sampled_from((1, -1))), max_size=3)):
+        c = c * Coefficient.factored(1, Monomial.unit(), [(a, p)])
+    return c
+
+
+# two unit pairs with one ratio m: x(1,2) = x(1,1)*m and x(1,4) = x(1,3)*m
+_ONE_RATIO = {"x(1,2)": X1 * Monomial.gen("m"), "x(1,4)": X3 * Monomial.gen("m")}
+_M = Monomial.gen("m")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_class_products(), min_size=1, max_size=5), st.randoms(use_true_random=False))
+@example(
+    [
+        (s_function(X2 / X1) * s_function(xparam("1", 4) / X3 * Q1) * s_function(Q1**-1) * s_r(2, X3.inverse()))
+        .specialize(_ONE_RATIO),
+        s_function(_M) ** 2 * Coefficient.factored(1, Monomial.unit(), [(_M * Q2, -1)]),
+        s_function(_M.inverse()) * s_function(X3 / X1),
+    ],
+    random.Random(0),
+)
+def test_peeling_by_class_changes_nothing(coefficients, rnd):
+    # one table over all the coefficients, read in a shuffled order, so that a
+    # class group peeled for one coefficient is read back for another
+    coefficients = [c for c in coefficients if not c.is_zero]
+    rnd.shuffle(coefficients)
+    table = s_candidates(coefficients)
+    for c in coefficients:
+        assert s_decompose(c, table) == _s_decompose_by_rounds(c)
+
+
+def test_latex_peels_each_class_group_once(monkeypatch):
+    ch = expand(BC2, WeightConfig.make(BC2, {"1": 2, "2": 2}))
+    peeled = Counter()
+    peel = _Candidates.peel
+    monkeypatch.setattr(_Candidates, "peel", lambda table, group: peeled.update([group]) or peel(table, group))
+    render(ch, "latex")
+    # the 400 coefficients hold 43 distinct class groups, and each is peeled once
+    assert (len(ch.terms), len(peeled), max(peeled.values())) == (400, 43, 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_class_products(), min_size=1, max_size=6))
+def test_json_and_text_list_factors_in_argument_order(coefficients):
+    ch = Character(A1, None, {YMonomial((("1", X1 * Q1**k, 1),)): c for k, c in enumerate(coefficients)})
+    order = sorted_terms(ch)
+    doc = json.loads(render(ch, "json"))
+    for t, ym in zip(doc["terms"], order, strict=True):
+        factors = [(Monomial.from_json(f["arg"]), f["pow"]) for f in t["coeff"]["factors"]]
+        assert factors == list(factor_tuple(ch.terms[ym].powers))
+    assert render(ch, "text") == "".join(f"{ch.terms[ym]!r}  *  {ym!r}\n" for ym in order)
 
 
 @settings(max_examples=100, deadline=None)
