@@ -163,7 +163,6 @@ def _mono_size(m: Monomial) -> int:
 
 
 _NO_Q = {"q1": Monomial.unit(), "q2": Monomial.unit()}
-_positive = (0).__lt__  # p -> p > 0, without a Python call per factor
 _first, _second = itemgetter(0), itemgetter(1)
 
 
@@ -181,24 +180,19 @@ class _Candidates:
     ``args`` back), so that peeling works on dicts of small ints.
     ``ranked[rank]`` is the candidate [r, z, number of d, S-value], the
     S-value None until its first try; ``at[d]`` lists the ranks of the
-    candidates at the denominator numbered d.  ``signs`` holds the signed
-    factors (number, power > 0) of the coefficients, ``classes`` the class
-    of each argument by number, and ``peeled`` the peel of each class group
-    met so far (``s_decompose``).
+    candidates at the argument numbered d.  ``classes`` holds the class of
+    each argument by number, and ``peeled`` the peel of each class group met
+    so far (``s_decompose``).
     """
 
-    def __init__(self, arguments: _Arguments, coefficients: Iterable[Coefficient]):
-        self.number, self.args = number, args = arguments.number, arguments.args
-        self.signs: set[tuple[int, bool]] = set()
-        for c in coefficients:
-            powers = c.powers
-            self.signs.update(zip(map(number.__getitem__, powers), map(_positive, powers.values())))
+    def __init__(self, arguments: _Arguments):
+        self.number = arguments.number
+        args = self.args = arguments.args
         found = sorted(
             (_mono_size(z), r, z.sort_key(), z, d)
-            for d, up in self.signs
-            if not up
+            for d, a in enumerate(args)
             for r in range(1, 4)
-            for z in (args[d], args[d].inverse())
+            for z in (a, a.inverse())
         )
         self.ranked = [[r, z, d, None] for _, r, _, z, d in found]
         self.at: dict[int, list[int]] = {}
@@ -210,8 +204,8 @@ class _Candidates:
 
     def value(self, rank: int):
         """The S-value of candidate ``rank`` as ((number, power) pairs,
-        integer, unit), taken once and kept; None if none of the
-        coefficients can peel it, which drops it from the table."""
+        integer, unit), taken once and kept; None at a pole or a zero, which
+        drops the candidate from the table."""
         cand = self.ranked[rank]
         r, z, d, _ = cand
         try:
@@ -219,12 +213,8 @@ class _Candidates:
         except PoleError:
             s = None
         if s is not None and not s.is_zero:
-            powers = [(self.number.get(a), p) for a, p in s.powers.items()]
-            # a factor that no coefficient carries with the same sign never
-            # fits: peeling lowers a power but never changes its sign
-            if all((a, p > 0) in self.signs for a, p in powers):
-                cand[3] = (powers, s.integer, s.unit)
-                return cand[3]
+            cand[3] = ([(self.number.get(a), p) for a, p in s.powers.items()], s.integer, s.unit)
+            return cand[3]
         self.at[d].remove(rank)
         return None
 
@@ -276,15 +266,15 @@ class _Candidates:
 def s_candidates(coefficients) -> _Candidates:
     """The S_r(z) that may peel from any of ``coefficients``, ranked once.
 
-    For each denominator argument d, the candidates are the S_r(z) with
-    r <= 3 and z in {d, 1/d}.  All of them are ranked together, smallest
-    first: by total degree of z, then r, then z's sort key.  A candidate's
-    S-value is taken on its first try and kept, and a candidate that cannot
-    fit any of the coefficients leaves the table then; so the table adds no
-    ``s_r`` cache entry that trying every candidate would not add.
+    For each argument d, the candidates are the S_r(z) with r <= 3 and z in
+    {d, 1/d}; a coefficient tries those at its denominators.  All of them
+    are ranked together, smallest first: by total degree of z, then r, then
+    z's sort key.  A candidate's S-value is taken on its first try and
+    kept, and a candidate at a pole or a zero leaves the table then; so the
+    table adds no ``s_r`` cache entry that trying every candidate would not
+    add.
     """
-    coefficients = list(coefficients)
-    return _Candidates(_Arguments(coefficients), coefficients)
+    return _Candidates(_Arguments(coefficients))
 
 
 def s_decompose(c: Coefficient, table: _Candidates | None = None):
