@@ -27,12 +27,14 @@ Specialization and the classical limits q1 -> 1, q2 -> 1 are one
 substitution, ``Coefficient.substitute``, with one rule for the binomials
 that degenerate to (1 - 1): their net power decides.  ``Vanishing``
 applies the same rule to products of factored values without building them:
-a table over the products of a sweep, indexed by the values they share,
-reads each value's factors once per substitution.  A single product is a
-table of one, ``Vanishing([values]).under(sub)[0]``, which replaces the
-former ``product_vanishes``.  Both read sigma through a ``Substitution``: it
-runs sigma's image check once and keeps the image of each monomial looked
-up in it.  Y-arguments, weights and edge labels read it too, so a call that
+a table over the products of a sweep, indexed by the distinct binomial
+arguments of the values they hold, decides which arguments degenerate by
+exponent arithmetic (``monomial.ExponentTable``), once per distinct
+argument, and substitutes nothing.  A single product is a table of one,
+``Vanishing([values]).under(sub)[0]``, which replaces the former
+``product_vanishes``.  Both read sigma through a ``Substitution``: it runs
+sigma's image check once and keeps the image of each monomial looked up in
+it.  Y-arguments, weights and edge labels read it too, so a call that
 applies one sigma to a character substitutes each monomial once, with no
 global cache.  A Substitution also keeps each binomial argument's image
 canonically oriented, so ``substitute``, the one walk that takes a value
@@ -49,7 +51,7 @@ from operator import methodcaller
 from typing import Iterable, Mapping
 
 from .errors import NonIntegerLimit, PoleError, ValidationError, require_int
-from .monomial import Memo, Monomial, Q1, Q2
+from .monomial import ExponentTable, Memo, Monomial, Q1, Q2
 
 # ---------------------------------------------------------------------------
 # sparse Laurent polynomials: dict Monomial -> int
@@ -221,12 +223,16 @@ class Vanishing:
     factor arguments that become 1 are merged as the product merges them and
     decided by the rule of ``Coefficient.substitute``.  A product stops at its
     first zero value, or at its first non-factored one, a ValidationError.
-    The products are indexed by the values they hold (by id: the table keeps
-    the values), so a substitution reads each distinct value's factors once
-    and decides only the products that hold a factor becoming 1.
+    The table indexes the products by the distinct binomial arguments of the
+    values they hold: each argument keeps (power, products) for each distinct
+    value that holds it.  A substitution decides which arguments become 1 by
+    exponent arithmetic (``ExponentTable``), once per distinct argument, and
+    substitutes nothing, short of an argument whose exponent bound reaches
+    2^63, which is substituted as ``substitute`` would; only the products
+    that hold an argument becoming 1 are decided.
     """
 
-    __slots__ = ("_held", "_integers", "_stops")
+    __slots__ = ("_arguments", "_holders", "_integers", "_stops")
 
     def __init__(self, products: Iterable[Iterable[Coefficient]]):
         held: dict[int, tuple[Coefficient, list[int]]] = {}  # id -> (value, a product per occurrence)
@@ -244,18 +250,23 @@ class Vanishing:
                     entry = held[id(v)] = (v, [])
                 entry[1].append(k)
             self._integers.append(n)
-        self._held = list(held.values())
+        holders: dict[Monomial, list[tuple[int, list[int]]]] = {}  # argument -> (power, products) per value
+        for v, ks in held.values():
+            for a, p in v.powers.items():
+                holders.setdefault(a, []).append((p, ks))
+        self._arguments = ExponentTable(holders)
+        self._holders = list(holders.values())  # by position in ``_arguments``
 
     def under(self, sub: Substitution) -> list[bool]:
         out = [False] * len(self._integers)
         merged: dict[int, dict[Monomial, int]] = {}
-        for v, holders in self._held:
-            hot = [(a, p) for a, p in v.powers.items() if sub[a].is_unit]
-            if hot:
-                for k in holders:
+        arguments = self._arguments.monomials
+        for i in self._arguments.units(sub.sigma, lambda a: sub[a] is _UNIT):
+            a = arguments[i]
+            for p, ks in self._holders[i]:
+                for k in ks:
                     powers = merged.setdefault(k, {})
-                    for a, p in hot:
-                        powers[a] = powers.get(a, 0) + p
+                    powers[a] = powers.get(a, 0) + p
         for k in sorted(merged.keys() | self._stops.keys()):
             if k in self._stops:
                 if not self._stops[k]:

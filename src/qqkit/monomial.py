@@ -336,6 +336,55 @@ class Monomial:
 
 _UNIT = Monomial()
 
+
+def exponent_column(monomials: Iterable[Monomial], name: str) -> list[int]:
+    """The exponent of ``name`` in each of the monomials; like ``exponent``, it registers no name."""
+    return [m.exponent(name) for m in monomials]
+
+
+class ExponentTable:
+    """A fixed tuple of monomials, and which of them a substitution makes 1.
+
+    ``units(sigma, fallback)`` lists the positions whose monomial
+    ``substitute(sigma)`` makes 1, by the arithmetic of ``substitute`` and
+    with no image built or interned: m goes to the packed integer
+    m._n + sum_g e_g(m) (sigma(g)._n - 2^shift_g), which is 1 exactly when it
+    is 0, while the bound m._b + sum_g |e_g(m)| sigma(g)._b stays under 2^63.
+    Past it a digit may carry into the next, so ``fallback(m)`` decides, as
+    ``substitute`` falls back to the constructor; it is called in position
+    order, and what it raises propagates.  The nonzero entries of each
+    generator's column, read by ``exponent_column`` on its first use, are
+    kept for the table's life, so substitutions that share a generator read
+    its column once.
+    """
+
+    __slots__ = ("monomials", "_columns", "_fixed")
+
+    def __init__(self, monomials: Iterable[Monomial]):
+        self.monomials = tuple(monomials)
+        self._columns: dict[str, list[tuple[int, int]]] = {}  # generator -> (position, exponent) where nonzero
+        self._fixed = [k for k, m in enumerate(self.monomials) if not m._n]  # the unit is 1 under any sigma
+
+    def units(self, sigma: Mapping[str, Monomial], fallback) -> list[int]:
+        ms, columns = self.monomials, self._columns
+        moved: dict[int, list[int]] = {}  # position -> [packed integer, bound] of its image
+        for g, img in sigma.items():
+            column = columns.get(g)
+            if column is None:
+                column = columns[g] = [(k, e) for k, e in enumerate(exponent_column(ms, g)) if e]
+            if column:
+                d, b = img._n - (1 << _SHIFT[g]), img._b
+                for k, e in column:
+                    acc = moved.get(k)
+                    if acc is None:
+                        moved[k] = [ms[k]._n + e * d, ms[k]._b + abs(e) * b]
+                    else:
+                        acc[0] += e * d
+                        acc[1] += abs(e) * b
+        units = self._fixed + [k for k, (n, b) in moved.items() if not n and b < _HALF]
+        return units + [k for k in sorted(k for k, (_, b) in moved.items() if b >= _HALF) if fallback(ms[k])]
+
+
 Q1 = Monomial.gen("q1")
 Q2 = Monomial.gen("q2")
 MU = Monomial.gen("mu")

@@ -19,6 +19,7 @@ boundary map, is read off the diagram itself, with color (s1 - s2) mod r.
 from __future__ import annotations
 
 from functools import lru_cache, partial
+from itertools import zip_longest
 from typing import Iterable, Iterator, Sequence
 
 from . import engine
@@ -424,9 +425,9 @@ def burge_filter(lam_a: Partition, lam_b: Partition, i: int, j: int) -> bool:
     """Transpose-column condition lam_b^T_k - lam_a^T_{k+j-1} >= i for all k."""
     if i > 0 or j < 1:
         raise ValidationError("burge condition needs i <= 0 and j >= 1")
-    ta, tb = lam_a.transpose(), lam_b.transpose()
-    top = max(len(tb.parts), len(ta.parts) + 2)
-    return all(tb.part(k) - ta.part(k + j - 1) >= i for k in range(1, top + 1))
+    # past both column lists each difference is 0 - 0 >= i, which holds since i <= 0
+    columns = zip_longest(lam_b.transpose().parts, lam_a.transpose().parts[j - 1 :], fillvalue=0)
+    return all(b - a >= i for b, a in columns)
 
 
 def burge_resonance_sigma(i: int, j: int, xa: str, xb: str) -> dict[str, Monomial]:

@@ -240,9 +240,9 @@ def _check_affine_oracle(fx: dict):
 
 BURGE_MAX_SIZE = 12  # sweep time grows ~1.6-fold per unit of max_size; also caps pit i_max, j_max, max_size
 # the sweep writes r^2 colourings but weighs only r colour offsets, one Vanishing table
-# each: at max_size 12, r = 14 takes 2.8 to 2.9 s through the CLI, mostly writing the
-# streamed rows, and peaks at 24 MB (r = 3: 0.6 s, r = 12: 2.1 to 2.3 s), two runs
-# each on a 2-core host with Python 3.11
+# each: at max_size 12, r = 14 takes 2.6 to 3.0 s through the CLI, mostly writing the
+# streamed rows, and peaks at 24 MB (r = 3: 0.35 to 0.55 s, r = 12: 2.0 to 2.1 s), four
+# runs each on a shared 2-core host with Python 3.11
 BURGE_MAX_R = 14
 
 
@@ -283,6 +283,9 @@ def _burge_sweep(r: int, i_values, j_values, max_size: int):
     once per resonance and pair, and the pairs' S-values make one
     ``Vanishing`` table per delta (``vanishing``, a ``Memo`` of delta), read
     once per resonance when the first colouring with that delta comes up.
+    A table decides which S-value arguments degenerate by exponent
+    arithmetic, once per distinct argument, and substitutes nothing: the
+    resonances read the same xb exponent column of the table.
     """
     xa, xb = Monomial.gen("xa"), Monomial.gen("xb")
     pool = partitions_up_to(max_size)

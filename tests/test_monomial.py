@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qqkit.errors import ValidationError
-from qqkit.monomial import MU, Monomial, Q, Q1, Q2, gen_key, parse_monomial, qfrak, xparam
+from qqkit.monomial import MU, ExponentTable, Monomial, Q, Q1, Q2, gen_key, parse_monomial, qfrak, xparam
 
 GENS = ["q1", "q2", "mu", "qfrak(0)", "x(1,1)", "x(1,2)", "x(2,1)"]
 
@@ -321,6 +321,38 @@ def test_packed_arithmetic_does_not_depend_on_registration_order(data):
         assert repr(m) == text
         assert list(m.to_json().items()) == pairs
         assert all(m.exponent(g) == d.get(g, 0) for g in gens)
+
+
+def _outcome(compute):
+    try:
+        return compute()
+    except ValidationError as exc:
+        return str(exc)
+
+
+# past the bound: an image exponent of 2^63, and q2 t^4 -> q2 q1^(-2^64), which packs to 0
+@example(keys=["q1"], scale=BOUND // 2, images=[{"q2": 1}], entries=[({"q1": 2}, {})])
+@example(keys=["t"], scale=BOUND // 2, images=[{"q1": -1}], entries=[({"t": 4, "q2": 1}, {})])
+@settings(max_examples=200, deadline=None)
+@given(
+    keys=st.lists(st.sampled_from(PRODUCT_GENS), unique=True, max_size=3),
+    scale=st.sampled_from([1, 2, BOUND // 4, BOUND // 2]),  # images far out reach the bound
+    images=st.lists(st.dictionaries(st.sampled_from(PRODUCT_GENS), st.integers(-1, 1), max_size=3), min_size=3, max_size=3),
+    entries=st.lists(st.tuples(exponent_maps, exponent_maps), max_size=8),
+)
+def test_an_exponent_table_finds_the_monomials_that_substitute_makes_1(keys, scale, images, entries):
+    """``ExponentTable.units`` is the positions whose image is 1, and past the bound
+    it raises what the first such position's ``substitute`` raises."""
+    sigma = {g: Monomial({h: e * scale for h, e in image.items() if h not in keys}) for g, image in zip(keys, images)}
+    ms = []
+    for own, moved in entries:
+        # a monomial of its own, and one made to go to 1: sigma's generators over their images
+        moved = {g: e for g, e in moved.items() if g in sigma}
+        unit = _outcome(lambda: Monomial(moved) / Monomial.product([(sigma[g], e) for g, e in moved.items()]))
+        ms += [Monomial(own)] + ([unit] if isinstance(unit, Monomial) else [])
+    expected = _outcome(lambda: [k for k, m in enumerate(ms) if m.substitute(sigma).is_unit])
+    got = _outcome(lambda: sorted(ExponentTable(ms).units(sigma, lambda m: m.substitute(sigma).is_unit)))
+    assert got == expected
 
 
 # -- one object per value -----------------------------------------------------------

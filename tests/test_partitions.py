@@ -5,12 +5,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import qqkit.engine
+import qqkit.monomial
 import qqkit.partitions
 import qqkit.verify
 from qqkit.coefficient import Coefficient, Substitution, Vanishing, s_function
 from qqkit.engine import WeightConfig, YMonomial, derivative_case, expand, highest_weight
 from qqkit.errors import CollidingArguments, InvalidPit, NonTermination, PoleError, QQError, ValidationError
-from qqkit.monomial import MU, Monomial, Q, Q1, Q2, Q3, Q4, parse_monomial, qfrak, xparam
+from qqkit.monomial import MU, Monomial, Q, Q1, Q2, Q3, Q4, exponent_column, parse_monomial, qfrak, xparam
 from qqkit.partitions import (
     Partition,
     _cycle_nodes,
@@ -358,6 +359,22 @@ def test_burge_filter_examples():
         burge_filter(empty, empty, 1, 1)
 
 
+def _burge_filter_by_parts(lam_a, lam_b, i, j):
+    """The transpose-column condition read one index at a time, past both column lists."""
+    ta, tb = lam_a.transpose(), lam_b.transpose()
+    top = max(len(tb.parts), len(ta.parts) + 2)
+    return all(tb.part(k) - ta.part(k + j - 1) >= i for k in range(1, top + 1))
+
+
+_drawn_partitions = st.lists(st.integers(1, 6), max_size=6).map(lambda parts: Partition(tuple(sorted(parts, reverse=True))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(la=_drawn_partitions, lb=_drawn_partitions, i=st.integers(-4, 0), j=st.integers(1, 8))
+def test_burge_filter_matches_the_condition_read_index_by_index(la, lb, i, j):
+    assert burge_filter(la, lb, i, j) == _burge_filter_by_parts(la, lb, i, j)
+
+
 def test_burge_resonance_equivalence_small():
     xa, xb = Monomial.gen("xa"), Monomial.gen("xb")
     pool = partitions_up_to(3)
@@ -392,12 +409,17 @@ def test_the_burge_sweep_weighs_each_colour_offset_once(monkeypatch):
     assert offsets == [0] * 38 + [2] * 38 + [1] * 38
 
 
-def test_the_burge_sweep_substitutes_each_s_value_argument_once_per_resonance(monkeypatch):
-    calls, tables, unders, substitute = [], [], [], Monomial.substitute
+def test_the_burge_sweep_decides_s_value_arguments_by_exponents_and_substitutes_none(monkeypatch):
+    tables, unders, columns, substitute = [], [], [], Monomial.substitute
+    inside = []  # a flag: non-empty while a table's ``under`` runs
 
-    def counted(m, sigma):
-        calls.append((m, tuple(sigma.items())))
+    def counted_substitute(m, sigma):
+        assert not inside, "under substituted an argument"
         return substitute(m, sigma)
+
+    def counted_column(monomials, name):
+        columns.append((monomials, name))
+        return exponent_column(monomials, name)
 
     class CountedVanishing(Vanishing):
         __slots__ = ()
@@ -409,17 +431,24 @@ def test_the_burge_sweep_substitutes_each_s_value_argument_once_per_resonance(mo
 
         def under(self, sub):
             unders.append(sub)
-            return super().under(sub)
+            interned = len(qqkit.monomial._INTERNED)
+            inside.append(True)
+            try:
+                return super().under(sub)
+            finally:
+                inside.pop()
+                assert len(qqkit.monomial._INTERNED) == interned, "under interned a monomial"
 
-    monkeypatch.setattr(Monomial, "substitute", counted)
+    monkeypatch.setattr(Monomial, "substitute", counted_substitute)
+    monkeypatch.setattr(qqkit.monomial, "exponent_column", counted_column)
     monkeypatch.setattr(qqkit.verify, "Vanishing", CountedVanishing)
     rows = list(burge_rows(3, [0, -1], [1, 2], 4))
     assert len(rows) == 9 * 4 * 38
     assert len(tables) == 3 and len(unders) == 3 * 4  # one table per colour offset, read once per resonance
-    # each resonance's Substitution images every argument of the three offsets' S-values once
-    arguments = set().union(*tables)
-    assert len(calls) == len(set(calls)) == 4 * len(arguments)
-    assert {m for m, _ in calls} == arguments
+    # each table reads the xb column of its distinct arguments once, for all four resonances
+    assert [name for _, name in columns] == ["xb"] * 3
+    assert [set(monomials) for monomials, _ in columns] == tables
+    assert all(len(monomials) == len(set(monomials)) for monomials, _ in columns)
 
 
 def _burge_rows_per_colouring(r, i_values, j_values, max_size):
@@ -672,6 +701,31 @@ def test_the_vanishing_table_matches_specialize_product_by_product(entries):
             z = z_Ar_tuple(lams, xs, r, nodes) * (Coefficient.zero() if how == "zero" else Coefficient.one())
             expected.append(_outcome(lambda: z.specialize(sigma).is_zero))
         assert _outcome(lambda: table.under(Substitution(sigma))) == _first_error_or_all(expected)
+
+
+_FAR = {"xb": _XA * Q1 ** (1 << 62)}  # an image whose exponent bound is 2^62
+
+
+@pytest.mark.parametrize(
+    "argument",
+    [
+        _XB**2,  # the image holds q1^(2^63): past the bound, a ValidationError
+        Q1 * _XB**-2,  # the image q1^(1 - 2^63) xa^-2 is within it, and not 1
+        Q1 ** (1 << 62) * _XA / _XB,  # the image is 1, at a summed bound of exactly 2^63
+        Q2 * _XA**4 / _XB**4,  # the image q1^(-2^64) q2 packs to 0 when q2's digit is next to q1's
+    ],
+)
+def test_the_vanishing_table_falls_back_to_substitute_past_the_exponent_bound(argument):
+    value = Coefficient.factored(1, Monomial.unit(), [(argument, 1)])
+    assert value.powers == {argument: 1}  # canonically oriented: no unit image to build
+    expected = _outcome(lambda: value.specialize(_FAR).is_zero)
+    assert _outcome(lambda: Vanishing([[value]]).under(Substitution(_FAR))[0]) == expected
+
+
+def test_the_vanishing_table_registers_no_generator_of_sigma():
+    value = s_function(Q1 * _XA)
+    assert Vanishing([[value]]).under(Substitution({"never-a-generator": Q1})) == [False]
+    assert "never-a-generator" not in qqkit.monomial._SHIFT
 
 
 def test_the_vanishing_table_stops_a_product_at_its_first_zero_or_non_factored_value():
