@@ -225,11 +225,17 @@ class Vanishing:
     first zero value, or at its first non-factored one, a ValidationError.
     The table indexes the products by the distinct binomial arguments of the
     values they hold: each argument keeps (power, products) for each distinct
-    value that holds it.  A substitution decides which arguments become 1 by
-    exponent arithmetic (``ExponentTable``), once per distinct argument, and
-    substitutes nothing, short of an argument whose exponent bound reaches
-    2^63, which is substituted as ``substitute`` would; only the products
-    that hold an argument becoming 1 are decided.
+    value that holds it; a product that stops at a zero value is zero under
+    every substitution and holds none.  A substitution decides which
+    arguments become 1 by exponent arithmetic (``ExponentTable``), once per
+    distinct argument, and substitutes nothing, short of an argument whose
+    exponent bound reaches 2^63, which is substituted as ``substitute``
+    would; only the products that hold an argument becoming 1 are decided.
+
+    Open: the arguments are decided in the order their values were first
+    held, before any product, so an argument past the bound can raise for a
+    later product before an earlier product's error is reached; that error
+    then follows argument order, not product order.
     """
 
     __slots__ = ("_arguments", "_holders", "_integers", "_stops")
@@ -240,16 +246,21 @@ class Vanishing:
         self._stops: dict[int, bool] = {}  # product -> True at a zero value, False at a non-factored one
         for k, values in enumerate(products):
             n = 1
+            kept = []
             for v in values:
                 if v.kind != "factored" or not v.integer:
                     self._stops[k] = v.kind == "factored"
                     break
                 n *= v.integer
+                kept.append(v)
+            self._integers.append(n)
+            if self._stops.get(k):
+                continue
+            for v in kept:
                 entry = held.get(id(v))
                 if entry is None:
                     entry = held[id(v)] = (v, [])
                 entry[1].append(k)
-            self._integers.append(n)
         holders: dict[Monomial, list[tuple[int, list[int]]]] = {}  # argument -> (power, products) per value
         for v, ks in held.values():
             for a, p in v.powers.items():

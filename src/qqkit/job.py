@@ -4,12 +4,17 @@ The CLI subcommands, ``qqkit run`` and the corpus fixtures all describe a
 computation as a job dict.  ``Job.parse`` reads its pipeline keys and turns
 every type or shape error into a ValidationError; ``Job.run`` computes.
 
-Every character a job or a fixture builds comes from ``expansion``.  Inside
-a ``shared_expansions()`` block, which ``verify.run_corpus`` opens for one
-run, each distinct (quiver, weights, cutoff) is expanded once and the later
-requests get the same ``Character``; outside one, every call expands afresh.
-Sharing is safe because nothing in qqkit mutates a character's ``terms``,
-``edges`` or ``meta`` (``higgs`` copies ``meta``).
+Every character a job or a fixture builds comes from ``expansion`` or, on
+the generic path of a Higgsing, ``higgsed``.  Inside a ``shared_expansions()``
+block, which ``verify.run_corpus`` opens for one run, each distinct
+expansion (quiver, weights, cutoff), each distinct Higgsing of one (the
+expansion and sigma) and each distinct classical limit of either (the
+character and q1 or q2) is made once, and the later requests get the same
+object; outside one, every call makes it afresh.  So a fixture's seconds
+exclude the work an earlier fixture of the run did.  A call that raises
+stores nothing, and no key uses ``id()``.  Sharing is safe because nothing
+in qqkit mutates a ``Character`` or a ``ClassicalCharacter`` (``higgs``
+copies ``meta``).
 """
 
 from __future__ import annotations
@@ -34,34 +39,52 @@ FORMATS = ("json", "latex", "dot", "text")
 JOB_FIELDS = ("quiver", "w", "params", "higgs", "limit", "max_deg", "command", "format", "out")
 
 
-# the open run's table of expansions, (quiver fields, weights, cutoff) -> Character; None outside a run
-_EXPANSIONS: ContextVar[dict | None] = ContextVar("qqkit_expansions", default=None)
+# the open run's table: expansions, Higgsed characters and classical limits by key; None outside a run
+_SHARED: ContextVar[dict | None] = ContextVar("qqkit_shared", default=None)
 
 
 @contextmanager
 def shared_expansions():
-    """Within the block, ``expansion`` builds each distinct character once; the table goes when the block ends."""
-    token = _EXPANSIONS.set({})
+    """Within the block each distinct expansion, Higgsing and limit is made once; the table goes when it ends."""
+    token = _SHARED.set({})
     try:
         yield
     finally:
-        _EXPANSIONS.reset(token)
+        _SHARED.reset(token)
+
+
+def _shared(key, make):
+    """``make()``, read from the open run's table under ``key`` if there is one.
+
+    A call that raises stores nothing, so every request for it raises again.
+    """
+    table = _SHARED.get()
+    if table is None:
+        return make()
+    if key not in table:
+        table[key] = make()
+    return table[key]
+
+
+def _key(Q_: Quiver, wc: WeightConfig, max_qdeg: int | None, sigma: Mapping[str, Monomial] | None = None) -> tuple:
+    """The table key of ``expand(Q_, wc, max_qdeg)``, or of its Higgsing at ``sigma``.
+
+    ``Quiver`` is not hashable (``d`` is a dict), so the key spells out its
+    fields; sigma adds its (generator, image) pairs, sorted by generator name.
+    A classical limit's key is its character's key and ``which``.
+    """
+    key = (Q_.name, Q_.nodes, tuple(Q_.d[i] for i in Q_.nodes), Q_.edges, wc, max_qdeg)
+    return key if sigma is None else (*key, tuple(sorted(sigma.items())))
 
 
 def expansion(Q_: Quiver, wc: WeightConfig, max_qdeg: int | None = None) -> Character:
-    """``expand(Q_, wc, max_qdeg)``, read from the open table of expansions if there is one.
+    """``expand(Q_, wc, max_qdeg)``, read from the open run's table if there is one."""
+    return _shared(_key(Q_, wc, max_qdeg), lambda: expand(Q_, wc, max_qdeg=max_qdeg))
 
-    ``Quiver`` is not hashable (``d`` is a dict), so the key spells out its
-    fields.  An expansion that raises stores nothing, so every request for it
-    raises the same error.
-    """
-    table = _EXPANSIONS.get()
-    if table is None:
-        return expand(Q_, wc, max_qdeg=max_qdeg)
-    key = (Q_.name, Q_.nodes, tuple(Q_.d[i] for i in Q_.nodes), Q_.edges, wc, max_qdeg)
-    if key not in table:
-        table[key] = expand(Q_, wc, max_qdeg=max_qdeg)
-    return table[key]
+
+def higgsed(Q_: Quiver, wc: WeightConfig, max_qdeg: int | None, sigma: Mapping[str, Monomial]) -> Character:
+    """``higgs(expansion(Q_, wc, max_qdeg), sigma)``, read from the open run's table if there is one."""
+    return _shared(_key(Q_, wc, max_qdeg, sigma), lambda: higgs(expansion(Q_, wc, max_qdeg), sigma))
 
 
 def read_json(path):
@@ -187,16 +210,20 @@ class Job:
         """
         if self.command == "affine-expand":
             return affine_character(self.quiver, self.weights, self.max_deg)
-        ch = self._character()
-        return classical_limit(ch, self.limit) if self.limit else ch
+        key, ch = self._character()
+        if not self.limit:
+            return ch
+        return _shared((key, self.limit), lambda: classical_limit(ch, self.limit))
 
-    def _character(self) -> Character:
+    def _character(self) -> tuple[tuple, Character]:
+        """The character the job reads, with its table key."""
+        Q_, wc, deg = self.quiver, self.weights, self.max_deg
         if not self.higgs:
-            return expansion(self.quiver, self.weights, self.max_deg)
-        folded = fold_weights(self.quiver, self.weights, self.higgs)
+            return _key(Q_, wc, deg), expansion(Q_, wc, deg)
+        folded = fold_weights(Q_, wc, self.higgs)
         if folded is not None:
             try:
-                return expansion(self.quiver, folded, self.max_deg)
+                return _key(Q_, folded, deg), expansion(Q_, folded, deg)
             except QQError:
                 pass
-        return higgs(expansion(self.quiver, self.weights, self.max_deg), self.higgs)
+        return _key(Q_, wc, deg, self.higgs), higgsed(Q_, wc, deg, self.higgs)

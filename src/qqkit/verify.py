@@ -5,9 +5,9 @@ Each entry gets a status: pass, fail, or flag (a known misprint in the
 source text that the engine deliberately corrects).
 
 ``run_corpus`` replays the fixtures inside one ``job.shared_expansions()``
-block, so each distinct (quiver, weights, cutoff) is expanded once per run,
-and a fixture's seconds exclude any expansion an earlier fixture of the run
-made.  ``run_fixture`` called alone expands afresh.
+block, so each distinct expansion, Higgsing and classical limit is made once
+per run, and a fixture's seconds exclude any such work an earlier fixture of
+the run did.  ``run_fixture`` called alone makes each afresh.
 """
 
 from __future__ import annotations
@@ -24,11 +24,10 @@ from .higgsing import (
     ClassicalCharacter,
     classical_limit,
     factorize_check,
-    higgs,
     kr_closed_form_A1,
     kr_sigma,
 )
-from .job import Job, expansion, read_json, shared_expansions
+from .job import Job, _key, _shared, higgsed, read_json, shared_expansions
 from .monomial import Q1, Q2, Memo, Monomial, parse_monomial
 from .partitions import (
     burge_filter,
@@ -180,7 +179,7 @@ def _check_hasse(fx: dict):
 def _check_dropped(fx: dict):
     names = _names_map(fx)
     job = Job.parse(fx, names)  # only the generic path records the dropped terms
-    dropped = higgs(expansion(job.quiver, job.weights, job.max_deg), job.higgs).meta["dropped"]
+    dropped = higgsed(job.quiver, job.weights, job.max_deg, job.higgs).meta["dropped"]
     if len(dropped) != fx["expected_dropped"]:
         return "fail", f"expected {fx['expected_dropped']} dropped terms, got {len(dropped)}"
     relabel = Substitution({g: parse_monomial(m, names) for g, m in fx["relabel"].items()})
@@ -206,15 +205,17 @@ def _check_kr_ladder(fx: dict):
     Q_ = builtin_quiver("A1")
     fund = classical_limit(kr_closed_form_A1(1), "q1")
     for w in range(fx["w_max"] + 1):
-        hg = higgs(expansion(Q_, WeightConfig.make(Q_, {"1": w})), kr_sigma(Q_, "1", w, 1))
+        wc, sigma = WeightConfig.make(Q_, {"1": w}), kr_sigma(Q_, "1", w, 1)
+        hg = higgsed(Q_, wc, None, sigma)
         if len(hg.terms) != w + 1 or not hg.equals(kr_closed_form_A1(w)):
             return "fail", f"w={w}: ladder character mismatch"
-        l1 = classical_limit(hg, "q1")
+        key = _key(Q_, wc, None, sigma)
+        l1 = _shared((key, "q1"), lambda: classical_limit(hg, "q1"))
         if sorted(l1.terms.values()) != sorted(comb(w, v) for v in range(w + 1)):
             return "fail", f"w={w}: q1 limit is not binomial"
         if not factorize_check(l1, [fund] * w):
             return "fail", f"w={w}: q1 limit does not factor into the fundamental"
-        l2 = classical_limit(hg, "q2")
+        l2 = _shared((key, "q2"), lambda: classical_limit(hg, "q2"))
         if len(l2.terms) != w + 1 or any(v != 1 for v in l2.terms.values()):
             return "fail", f"w={w}: q2 limit coefficients differ from 1"
     return "pass", f"ladder + both limits for w <= {fx['w_max']}"
@@ -247,19 +248,32 @@ BURGE_MAX_R = 14
 
 
 def burge_rows(r: int, i_values, j_values, max_size: int):
-    """One row per configuration of the Burge resonance check.
+    """One row dict per configuration of the Burge resonance check, for the CLI and the tests.
 
     A configuration is a node colouring (na, nb) of the pair, a resonance
     (i, j), and partitions a, b with |a| + |b| <= max_size.  The row says
     whether Z vanishes under the exact substitution x_b -> x_a q1 q3^-i
     q4^(j-1), whether (a, b) passes the transpose-column filter, and ``ok``:
     vanishing happens exactly when the colour residue (i + j - 1 - (na - nb))
-    mod r is zero and the filter rejects the pair.  Vanishing is decided from
-    the S-values of Z (``Vanishing``), computed once per pair and colour
-    offset (na - nb) mod r.  r is capped at BURGE_MAX_R and max_size at
-    BURGE_MAX_SIZE; the bounds, at least one i and one j, and i <= 0 and
-    j >= 1 for every resonance, are checked at the call, before the first
-    row is made.
+    mod r is zero and the filter rejects the pair.  Each row is one tuple of
+    ``_burge_sweep`` with its fields named; the burge fixture reads the
+    tuples themselves.  The arguments are checked by ``_burge_sweep`` at the
+    call, before the first row is made.
+    """
+    return (
+        {"nodes": [na, nb], "i": i, "j": j, "a": la.parts, "b": lb.parts,
+         "vanishes": vanishes, "admitted": adm, "ok": ok}
+        for na, nb, i, j, la, lb, vanishes, adm, ok in _burge_sweep(r, i_values, j_values, max_size)
+    )
+
+
+def _burge_sweep(r: int, i_values, j_values, max_size: int):
+    """The configurations of ``burge_rows`` as tuples (na, nb, i, j, a, b, vanishes, admitted, ok).
+
+    They come in (na, nb, resonance, pair) order, a and b as ``Partition``s.
+    r is capped at BURGE_MAX_R and max_size at BURGE_MAX_SIZE; the bounds, at
+    least one i and one j, and i <= 0 and j >= 1 for every resonance, are
+    checked at the call, before the first tuple is made.
     """
     if r < 1 or max_size < 0:
         raise ValidationError("burge check needs r >= 1 and max_size >= 0")
@@ -271,11 +285,11 @@ def burge_rows(r: int, i_values, j_values, max_size: int):
         raise ValidationError("burge check needs at least one i and one j")
     if any(i > 0 for i in i_values) or any(j < 1 for j in j_values):
         raise ValidationError("burge condition needs i <= 0 and j >= 1")
-    return _burge_sweep(r, i_values, j_values, max_size)
+    return _burge_tuples(r, i_values, j_values, max_size)
 
 
-def _burge_sweep(r: int, i_values, j_values, max_size: int):
-    """The rows in (na, nb, resonance, pair) order.
+def _burge_tuples(r: int, i_values, j_values, max_size: int):
+    """The tuples of ``_burge_sweep``, once its arguments are checked.
 
     Whether a pair is admitted depends on the resonance alone, and the
     weight of a colouring on its offset delta = (na - nb) mod r alone
@@ -303,11 +317,7 @@ def _burge_sweep(r: int, i_values, j_values, max_size: int):
         for i, j, _ in resonances:
             residue_ok = (i + j - 1 - delta) % r == 0
             for (la, lb), vanishes, adm in zip(pairs, vanishing[delta][i, j], admitted[i, j]):
-                yield {
-                    "nodes": [na, nb], "i": i, "j": j, "a": la.parts, "b": lb.parts,
-                    "vanishes": vanishes, "admitted": adm,
-                    "ok": vanishes == (residue_ok and not adm),
-                }
+                yield na, nb, i, j, la, lb, vanishes, adm, vanishes == (residue_ok and not adm)
 
 
 def _int_list(fx: dict, key: str) -> list[int]:
@@ -320,10 +330,10 @@ def _int_list(fx: dict, key: str) -> list[int]:
 def _check_burge(fx: dict):
     r, max_size = require_int(fx["r"], 'burge "r"'), require_int(fx["max_size"], 'burge "max_size"')
     total = 0
-    for row in burge_rows(r, _int_list(fx, "i_values"), _int_list(fx, "j_values"), max_size):
-        if not row["ok"]:
-            (na, nb), a, b = row["nodes"], row["a"], row["b"]
-            return "fail", f"mismatch at nodes ({na},{nb}), (i,j)=({row['i']},{row['j']}), {a} | {b}"
+    sweep = _burge_sweep(r, _int_list(fx, "i_values"), _int_list(fx, "j_values"), max_size)
+    for na, nb, i, j, la, lb, _, _, ok in sweep:
+        if not ok:
+            return "fail", f"mismatch at nodes ({na},{nb}), (i,j)=({i},{j}), {la.parts} | {lb.parts}"
         total += 1
     return "pass", f"{total} configurations: vanishing == transpose-column condition"
 
@@ -420,6 +430,6 @@ def run_fixture(fx: dict) -> VerifyEntry:
 
 
 def run_corpus(directory=None) -> VerifyReport:
-    """Replay the corpus in order; its fixtures share one table of expansions for the run."""
+    """Replay the corpus in order; its fixtures share one table of expansions, Higgsings and limits for the run."""
     with shared_expansions():
         return VerifyReport([run_fixture(fx) for fx in load_corpus(directory)])

@@ -722,6 +722,18 @@ def test_the_vanishing_table_falls_back_to_substitute_past_the_exponent_bound(ar
     assert _outcome(lambda: Vanishing([[value]]).under(Substitution(_FAR))[0]) == expected
 
 
+@pytest.mark.parametrize("zeroed", [lambda v: [v, Coefficient.zero()], lambda v: [Coefficient.zero(), v]])
+def test_a_zeroed_product_holds_no_argument_past_the_exponent_bound(zeroed):
+    """A product that stops at a zero value is zero whatever sigma does to its other values, as
+    ``specialize`` finds it; its arguments are not decided, so none past the bound raises."""
+    value = Coefficient.factored(1, Monomial.unit(), [(_XB**2, 1)])  # its image holds q1^(2^63)
+    with pytest.raises(ValidationError, match=r"outside the bound \|e\| < 2\^63"):
+        Vanishing([[value]]).under(Substitution(_FAR))
+    product = zeroed(value)
+    assert (product[0] * product[1]).specialize(_FAR).is_zero
+    assert Vanishing([product]).under(Substitution(_FAR)) == [True]
+
+
 def test_the_vanishing_table_registers_no_generator_of_sigma():
     value = s_function(Q1 * _XA)
     assert Vanishing([[value]]).under(Substitution({"never-a-generator": Q1})) == [False]
